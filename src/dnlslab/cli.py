@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import plane_wave, random_field
+from .fields import CutoffProfile, plane_wave, random_field
 from .gauge import GaugeContext, gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
 from .norms import INF, NormSpec, h_norm, xst_norm, z_norm
 from .reports import (
@@ -107,7 +108,6 @@ def _datum_from_args(args) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args, parser) -> int:
-    datum = _datum_from_args(args)
     cfg = SolveConfig(
         cutoff=args.cutoff,
         horizon=args.horizon,
@@ -117,6 +117,7 @@ def cmd_solve(args, parser) -> int:
         tol=args.tol,
         cross_check=args.cross_check,
     )
+    datum = _datum_from_args(args)
     if args.via_gauge:
         report = solve_via_gauge(datum, cfg)
     else:
@@ -168,10 +169,7 @@ def cmd_norms(args, parser) -> int:
     elif kind == "trajectory":
         traj = load_trajectory(args.input)
         if traj.cutoff_profile is None:
-            from .fields import CutoffProfile, Trajectory
-
-            traj = Trajectory(traj.samples, traj.window,
-                              CutoffProfile(scale=traj.window / 2.0))
+            traj = replace(traj, cutoff_profile=CutoffProfile(scale=traj.window / 2.0))
         if args.b is not None:
             p = INF if args.p == "inf" else float(args.p)
             result["xst_norm"] = xst_norm(traj, NormSpec(s=args.s, r=args.r, b=args.b, p=p))

@@ -9,9 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
-from .fields import Trajectory, bracket, random_trajectory
+from .fields import SpectralField, Trajectory, bracket, physical_product, random_trajectory
 from .nonlinear import cubic_full, quintic_restricted
 from .norms import NormSpec, l2_spacetime_norm, xst_norm
 from .reports import EVIDENCE_CAVEAT, ScanReport
@@ -190,6 +189,7 @@ def convolution_tail_bound(
         raise ValueError("need 0 <= alpha <= beta")
     if alpha + beta <= 1.0:
         raise ValueError("need alpha + beta > 1 for an integrable product")
+    from scipy import integrate  # imported here: it dominates the package import time
 
     def integrand(s):
         return bracket(s - a) ** (-alpha) * bracket(s - b) ** (-beta)
@@ -345,6 +345,15 @@ def divergence_report(
 # estimate-ratio scans
 # ---------------------------------------------------------------------------
 
+def _stack_rows(op, trajs: list[Trajectory]) -> Trajectory:
+    """Trajectory of op applied to the time-aligned samples of trajs, with the
+    window and profile of the first."""
+    first = trajs[0]
+    rows = [op(*(SpectralField(c, first.cutoff) for c in cs)).coeffs
+            for cs in zip(*(t.coeffs for t in trajs))]
+    return Trajectory(np.array(rows), first.window, first.cutoff_profile)
+
+
 def _nested_trajectories(
     count: int, cutoff: int, seed: int, steps: int, window: float, per_sample: int
 ) -> list[list[Trajectory]]:
@@ -393,14 +402,7 @@ def cubic_ratio_scan(
         rhs = tfactor * xst_norm(w1, rhs_q, pad_factor) * xst_norm(w2, rhs_q, pad_factor) * xst_norm(w3, rhs_r, pad_factor)
         if rhs == 0.0:
             continue
-        out = Trajectory(
-            tuple(
-                cubic_full(a, b, c, out_cutoff=3 * cutoff)
-                for a, b, c in zip(w1.samples, w2.samples, w3.samples)
-            ),
-            window,
-            w1.cutoff_profile,
-        )
+        out = _stack_rows(lambda a, b, c: cubic_full(a, b, c, out_cutoff=3 * cutoff), [w1, w2, w3])
         ratios.append(xst_norm(out, lhs_spec, pad_factor) / rhs)
     values = tuple(float(x) for x in ratios)
     summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
@@ -440,7 +442,11 @@ def strichartz_ratio_scan(
         rhs = xst_norm(w1, spec_s, pad_factor) * xst_norm(w2, spec_s, pad_factor) * xst_norm(w3, spec_0, pad_factor)
         if rhs == 0.0:
             continue
-        prod = _pointwise_product_trajectory(w1, w2, w3)
+        prod = _stack_rows(
+            lambda a, b, c: physical_product([a, b, c], conjugate=[False, False, True],
+                                             out_cutoff=3 * cutoff),
+            [w1, w2, w3],
+        )
         ratios.append(l2_spacetime_norm(prod) / rhs)
     values = tuple(float(x) for x in ratios)
     summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
@@ -449,17 +455,6 @@ def strichartz_ratio_scan(
         name="strichartz-ratio", grid=grid, values=values, summary=summary,
         seed=seed, caveat=EVIDENCE_CAVEAT,
     )
-
-
-def _pointwise_product_trajectory(w1: Trajectory, w2: Trajectory, w3: Trajectory) -> Trajectory:
-    from .fields import physical_product
-
-    band = 3 * w1.cutoff
-    samples = tuple(
-        physical_product([a, b, c], conjugate=[False, False, True], out_cutoff=band)
-        for a, b, c in zip(w1.samples, w2.samples, w3.samples)
-    )
-    return Trajectory(samples, w1.window, w1.cutoff_profile)
 
 
 def quintic_ratio_scan(
@@ -505,19 +500,13 @@ def quintic_ratio_scan(
             continue
         band = 5 * cutoff
         if masked:
-            out_samples = tuple(
-                quintic_restricted(*fields, out_cutoff=band)
-                for fields in zip(*(w.samples for w in ws))
-            )
+            out = _stack_rows(lambda *fs: quintic_restricted(*fs, out_cutoff=band), ws)
         else:
-            from .fields import physical_product
-
-            out_samples = tuple(
-                physical_product(list(fields), conjugate=[False, True, False, True, False],
-                                 out_cutoff=band)
-                for fields in zip(*(w.samples for w in ws))
+            out = _stack_rows(
+                lambda *fs: physical_product(list(fs), conjugate=[False, True, False, True, False],
+                                             out_cutoff=band),
+                ws,
             )
-        out = Trajectory(out_samples, window, ws[0].cutoff_profile)
         ratios.append(xst_norm(out, lhs_spec, pad_factor) / rhs)
     values = tuple(float(x) for x in ratios)
     summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}

@@ -10,7 +10,7 @@ so that Parseval gives  integral |u|^2 dx = sum |coeff|^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -244,32 +244,35 @@ class CutoffProfile:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled fields on the uniform grid t_k = -window + k*dt, k = 0..steps.
+    """A field sampled on the uniform grid t_k = -window + k*dt, k = 0..steps.
 
-    All samples share one frequency cutoff; steps * dt == 2 * window.
+    coeffs[k, j] is the coefficient at time t_k and xi = j - cutoff, so the
+    read-only matrix has shape (steps+1, 2*cutoff+1); steps * dt == 2 * window.
     """
 
-    samples: tuple[SpectralField, ...]
+    coeffs: np.ndarray
     window: float
     cutoff_profile: CutoffProfile | None = None
 
     def __post_init__(self):
-        if len(self.samples) < 2:
-            raise ValueError("trajectory needs at least two samples")
+        c = np.array(self.coeffs, dtype=complex)  # a copy: the caller's array stays writable
+        if c.ndim != 2 or c.shape[0] < 2 or c.shape[1] % 2 == 0:
+            raise ValueError(
+                "trajectory needs a (steps+1, 2*cutoff+1) coefficient matrix with "
+                f"at least two samples, got shape {c.shape}"
+            )
         if self.window <= 0:
             raise ValueError("window must be positive")
-        cut = self.samples[0].cutoff
-        if any(s.cutoff != cut for s in self.samples):
-            raise ValueError("all samples must share one cutoff")
-        object.__setattr__(self, "samples", tuple(self.samples))
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def cutoff(self) -> int:
-        return self.samples[0].cutoff
+        return (self.coeffs.shape[1] - 1) // 2
 
     @property
     def steps(self) -> int:
-        return len(self.samples) - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def dt(self) -> float:
@@ -280,24 +283,34 @@ class Trajectory:
         return -self.window + self.dt * np.arange(self.steps + 1)
 
     def coeff_matrix(self) -> np.ndarray:
-        """(steps+1, 2*cutoff+1) array of coefficients."""
-        return np.array([s.coeffs for s in self.samples])
+        """The stored (steps+1, 2*cutoff+1) coefficient matrix (no copy)."""
+        return self.coeffs
 
     def map_samples(self, fn: Callable[[SpectralField], SpectralField]) -> "Trajectory":
-        return Trajectory(tuple(fn(s) for s in self.samples), self.window, self.cutoff_profile)
+        """Apply fn to the field of every row."""
+        rows = [fn(SpectralField(row, self.cutoff)).coeffs for row in self.coeffs]
+        return replace(self, coeffs=np.array(rows))
 
     def windowed(self) -> "Trajectory":
         """Bake the cutoff profile into the samples."""
         if self.cutoff_profile is None:
             raise ValueError("trajectory has no cutoff profile to apply")
         w = self.cutoff_profile.weights(self.times)
-        samples = tuple(s * w_k for s, w_k in zip(self.samples, w))
-        return Trajectory(samples, self.window, CutoffProfile(kind="applied"))
+        return Trajectory(self.coeffs * w[:, None], self.window, CutoffProfile(kind="applied"))
 
     def sup_l2_distance(self, other: "Trajectory") -> float:
-        if len(self.samples) != len(other.samples):
-            raise ValueError("trajectories have different sample counts")
-        return max((a - b).l2_norm() for a, b in zip(self.samples, other.samples))
+        if self.coeffs.shape != other.coeffs.shape:
+            raise ValueError("trajectories have different sample counts or cutoffs")
+        return float(np.linalg.norm(self.coeffs - other.coeffs, axis=1).max())
+
+
+def free_phase(times, cutoff: int) -> np.ndarray:
+    """The free Schroedinger multiplier exp(-i*t*xi^2) on the band, one row per time.
+
+    A scalar time gives one row; an array of times gives a matrix.
+    """
+    xi_sq = xi_range(cutoff).astype(float) ** 2
+    return np.exp(-1j * np.multiply.outer(times, xi_sq))
 
 
 def free_wave_trajectory(
@@ -311,13 +324,9 @@ def free_wave_trajectory(
 
     The profile scale window/2 makes the windowed samples vanish at the edges.
     """
-    if abs(n) > cutoff:
-        raise ValueError("wave frequency outside cutoff")
     times = -window + (2.0 * window / steps) * np.arange(steps + 1)
-    samples = tuple(
-        plane_wave(cutoff, n, amplitude * np.exp(-1j * n * n * t)) for t in times
-    )
-    return Trajectory(samples, window, CutoffProfile(scale=window / 2.0))
+    coeffs = amplitude * free_phase(times, cutoff) * plane_wave(cutoff, n).coeffs
+    return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +376,7 @@ def random_trajectory(
     rates = rng.uniform(-max_rate, max_rate, size=(2 * cutoff + 1, modes))
     tiltw = bracket(xi) ** (-tilt)
     times = -window + (2.0 * window / steps) * np.arange(steps + 1)
-    samples = []
-    for t in times:
-        c = np.sum(base * np.exp(1j * rates * t), axis=1) * tiltw / math.sqrt(modes)
-        c[np.abs(xi) > active] = 0.0
-        samples.append(SpectralField(c, cutoff))
-    return Trajectory(tuple(samples), window, CutoffProfile(scale=window / 2.0))
+    waves = np.exp(1j * rates * times[:, None, None])
+    coeffs = np.sum(base * waves, axis=2) * tiltw / math.sqrt(modes)
+    coeffs[:, np.abs(xi) > active] = 0.0
+    return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))

@@ -7,12 +7,13 @@ working band; the spatial translation is exact in Fourier space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import (
     ROOT_TWO_PI,
+    TWO_PI,
     SpectralField,
     Trajectory,
     from_physical,
@@ -100,12 +101,13 @@ def translate_field(u: SpectralField, t: float, sign: int) -> SpectralField:
 
 
 def translate(traj: Trajectory, sign: int) -> Trajectory:
-    """Per-sample mass-dependent translation of a trajectory."""
-    times = traj.times
-    samples = tuple(
-        translate_field(s, t, sign) for s, t in zip(traj.samples, times)
-    )
-    return Trajectory(samples, traj.window, traj.cutoff_profile)
+    """Mass-dependent translation of every sample, each by its own mass mean."""
+    if sign not in (-1, +1):
+        raise ValueError("sign must be -1 or +1")
+    mass_mean = np.sum(np.abs(traj.coeffs) ** 2, axis=1) / TWO_PI
+    amount = -sign * 2.0 * traj.times * mass_mean
+    xi = np.arange(-traj.cutoff, traj.cutoff + 1)
+    return replace(traj, coeffs=np.exp(-1j * np.multiply.outer(amount, xi)) * traj.coeffs)
 
 
 def gauge_field(u: SpectralField, t: float, ctx: GaugeContext) -> SpectralField:
@@ -123,17 +125,18 @@ def gauge(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
     The translation amount uses each sample's own mass mean, which both the
     phase twist and the shift leave unchanged.
     """
-    samples = tuple(
-        gauge_field(s, t, ctx) for s, t in zip(traj.samples, traj.times)
-    )
-    return Trajectory(samples, traj.window, traj.cutoff_profile)
+    return _map_rows(gauge_field, traj, ctx)
 
 
 def gauge_inv(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
-    samples = tuple(
-        gauge_field_inv(s, t, ctx) for s, t in zip(traj.samples, traj.times)
-    )
-    return Trajectory(samples, traj.window, traj.cutoff_profile)
+    return _map_rows(gauge_field_inv, traj, ctx)
+
+
+def _map_rows(fn, traj: Trajectory, ctx: GaugeContext) -> Trajectory:
+    """Stack fn(sample, t, ctx) over the rows of the trajectory."""
+    rows = [fn(SpectralField(c, traj.cutoff), t, ctx).coeffs
+            for c, t in zip(traj.coeffs, traj.times)]
+    return replace(traj, coeffs=np.array(rows))
 
 
 def gauge_roundtrip_error(traj: Trajectory, ctx: GaugeContext) -> float:

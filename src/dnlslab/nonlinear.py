@@ -181,23 +181,14 @@ def quintic_restricted(
     u4: SpectralField,
     u5: SpectralField,
     out_cutoff: int | None = None,
-    method: str = "fast",
 ) -> SpectralField:
     """Five-fold convolution of u1*conj(u2)*u3*conj(u4)*u5 with the resonant
-    slices xi1+xi2+xi3+xi4 = 0, xi1+xi2 = 0 and xi3+xi4 = 0 removed.
-
-    method "fast" assembles the masked sum by inclusion-exclusion;
-    "bruteforce" is a literal lattice sum, restricted to cutoff <= 16.
+    slices xi1+xi2+xi3+xi4 = 0, xi1+xi2 = 0 and xi3+xi4 = 0 removed,
+    assembled by inclusion-exclusion.
     """
     n = _require_shared_cutoff(u1, u2, u3, u4, u5)
     if out_cutoff is None:
         out_cutoff = n
-    if method == "bruteforce":
-        if n > 16:
-            raise ValueError("brute-force quintic sum restricted to cutoff <= 16")
-        return _quintic_bruteforce(u1, u2, u3, u4, u5, out_cutoff)
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
 
     a1, a3, a5 = u1.coeffs, u3.coeffs, u5.coeffs
     a2, a4 = _conj_coeffs(u2), _conj_coeffs(u4)
@@ -218,32 +209,6 @@ def quintic_restricted(
     sl1 = slice(pad1, pad1 + 2 * n + 1)
     out[sl1] += (-s1234 + 2.0 * s12 * s34) * a5
     return _finish(out / TWO_PI**2, band, out_cutoff)
-
-
-def _quintic_bruteforce(u1, u2, u3, u4, u5, out_cutoff: int) -> SpectralField:
-    n = u1.cutoff
-    a1, a3, a5 = u1.coeffs, u3.coeffs, u5.coeffs
-    a2, a4 = _conj_coeffs(u2), _conj_coeffs(u4)
-    idx = np.arange(-n, n + 1)
-    out = np.zeros(2 * out_cutoff + 1, dtype=complex)
-    for x1 in idx:
-        for x2 in idx:
-            if x1 + x2 == 0:
-                continue
-            c12 = a1[x1 + n] * a2[x2 + n]
-            if c12 == 0:
-                continue
-            for x3 in idx:
-                # vectorize the innermost pair (x4, x5 = xi - x1..x4)
-                x4 = idx
-                ok = (x3 + x4 != 0) & (x1 + x2 + x3 + x4 != 0)
-                c = c12 * a3[x3 + n] * np.where(ok, a4, 0.0)
-                head = x1 + x2 + x3 + x4
-                for x5 in idx:
-                    xi = head + x5
-                    sel = (np.abs(xi) <= out_cutoff) & ok
-                    np.add.at(out, xi[sel] + out_cutoff, c[sel] * a5[x5 + n])
-    return SpectralField(out / TWO_PI**2, out_cutoff)
 
 
 def quintic_physical(v: SpectralField, out_cutoff: int | None = None) -> SpectralField:

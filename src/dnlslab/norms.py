@@ -81,7 +81,7 @@ def space_time_transform(
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
     weights = traj.cutoff_profile.weights(traj.times)
-    data = traj.coeff_matrix() * weights[:, None]
+    data = traj.coeffs * weights[:, None]
     n = data.shape[0]
     padded = pad_factor * n
     dt = traj.dt
@@ -123,7 +123,7 @@ def l2_spacetime_norm(traj: Trajectory) -> float:
     if traj.cutoff_profile is None:
         raise ValueError("trajectory has no cutoff profile")
     w = traj.cutoff_profile.weights(traj.times)
-    per_t = np.array([(s * wk).l2_norm() ** 2 for s, wk in zip(traj.samples, w)])
+    per_t = np.sum(np.abs(traj.coeffs * w[:, None]) ** 2, axis=1)
     weights = np.full(per_t.shape, traj.dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5

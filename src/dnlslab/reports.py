@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 __version__ = "0.1.0"
 
 EVIDENCE_CAVEAT = (
@@ -98,19 +100,78 @@ def save_field(path: str | Path, f) -> Path:
     return path
 
 
+def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
+    """Header and coefficient array of a field or trajectory file.
+
+    The header fixes the grid: the cutoff, and for a trajectory the steps.
+    Every body row must parse, hold a finite value, lie on that grid and
+    appear exactly once; otherwise a ValueError names the offending line.
+    """
+    columns = "k,xi,re,im" if kind == "trajectory" else "xi,re,im"
+    lines = Path(path).read_text().rstrip().splitlines()
+    try:
+        header = json.loads(lines[0])
+    except (IndexError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}:1: unreadable header ({exc})") from None
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind} file")
+    try:
+        cutoff = int(header["cutoff"])
+        shape = (2 * cutoff + 1,)
+        if kind == "trajectory":
+            shape = (int(header["steps"]) + 1,) + shape
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:1: bad grid in header ({exc!r})") from None
+    if cutoff < 0 or (kind == "trajectory" and shape[0] < 2):
+        raise ValueError(f"{path}:1: header needs cutoff >= 0 and steps >= 1")
+    if lines[1:2] != [columns]:
+        raise ValueError(f"{path}:2: expected the column line {columns!r}")
+    body = lines[2:]
+    ncols = len(shape) + 2
+    try:
+        table = np.array([line.split(",") for line in body], dtype=float).reshape(len(body), ncols)
+    except ValueError:
+        for lineno, line in enumerate(body, start=3):
+            cells = line.split(",")
+            try:
+                if len(cells) != ncols:
+                    raise ValueError(f"expected {ncols} fields")
+                [float(c) for c in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: cannot parse {line!r} ({exc})") from None
+        raise
+
+    def reject(bad: np.ndarray, problem: str):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{path}:{i + 3}: {problem} in {body[i]!r}")
+
+    reject(~np.isfinite(table).all(axis=1), "non-finite value")
+    index = table[:, :-2].astype(np.int64)
+    reject((index != table[:, :-2]).any(axis=1), "non-integer index")
+    index[:, -1] += cutoff  # xi = -cutoff sits at column 0
+    reject(((index < 0) | (index >= shape)).any(axis=1), "index outside the header's grid")
+    flat = np.ravel_multi_index(index.T, shape)
+    repeat = np.ones(len(flat), dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False
+    reject(repeat, "duplicate row")
+    coeffs = np.zeros(shape, dtype=complex)
+    if len(flat) != coeffs.size:
+        seen = np.zeros(coeffs.size, dtype=bool)
+        seen[flat] = True
+        *k, j = np.unravel_index(np.argmin(seen), shape)
+        at = ",".join(map(str, (*k, j - cutoff)))
+        raise ValueError(f"{path}: missing {coeffs.size - len(flat)} of {coeffs.size} rows, "
+                         f"the first at {columns.removesuffix(',re,im')}={at}")
+    coeffs.flat[flat] = table[:, -2] + 1j * table[:, -1]
+    return header, coeffs
+
+
 def load_field(path: str | Path):
     from .fields import SpectralField
 
-    lines = Path(path).read_text().strip().splitlines()
-    header = json.loads(lines[0])
-    if header.get("kind") != "field":
-        raise ValueError(f"{path} is not a field file")
-    cutoff = int(header["cutoff"])
-    coeffs = {}
-    for line in lines[2:]:
-        xi, re, im = line.split(",")
-        coeffs[int(xi)] = float(re) + 1j * float(im)
-    return SpectralField.from_coeff_dict(cutoff, coeffs)
+    _, coeffs = _read_coeffs(path, "field")
+    return SpectralField(coeffs, coeffs.shape[0] // 2)
 
 
 def save_trajectory(path: str | Path, traj) -> Path:
@@ -128,31 +189,21 @@ def save_trajectory(path: str | Path, traj) -> Path:
         "version": __version__,
     }
     lines = [canonical_json(head), "k,xi,re,im"]
-    for k, s in enumerate(traj.samples):
-        for xi, c in zip(s.xi, s.coeffs):
-            lines.append(f"{k},{xi},{float(c.real)!r},{float(c.imag)!r}")
+    xi = range(-traj.cutoff, traj.cutoff + 1)
+    for k, row in enumerate(traj.coeffs):
+        for x, c in zip(xi, row):
+            lines.append(f"{k},{x},{float(c.real)!r},{float(c.imag)!r}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def load_trajectory(path: str | Path):
-    import numpy as np
+    from .fields import CutoffProfile, Trajectory
 
-    from .fields import CutoffProfile, SpectralField, Trajectory
-
-    lines = Path(path).read_text().strip().splitlines()
-    header = json.loads(lines[0])
-    if header.get("kind") != "trajectory":
-        raise ValueError(f"{path} is not a trajectory file")
-    cutoff, steps = int(header["cutoff"]), int(header["steps"])
-    width = 2 * cutoff + 1
-    mat = np.zeros((steps + 1, width), dtype=complex)
-    for line in lines[2:]:
-        k, xi, re, im = line.split(",")
-        mat[int(k), int(xi) + cutoff] = float(re) + 1j * float(im)
-    profile = None
-    if header.get("cutoff_profile"):
-        p = header["cutoff_profile"]
-        profile = CutoffProfile(kind=p["kind"], scale=p["scale"])
-    samples = tuple(SpectralField(row, cutoff) for row in mat)
-    return Trajectory(samples, float(header["window"]), profile)
+    header, coeffs = _read_coeffs(path, "trajectory")
+    try:
+        p = header.get("cutoff_profile")
+        profile = CutoffProfile(kind=p["kind"], scale=p["scale"]) if p else None
+        return Trajectory(coeffs, float(header["window"]), profile)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}:1: bad header ({exc!r})") from None

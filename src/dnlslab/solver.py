@@ -10,12 +10,13 @@ i*d_t u + d_xx u = G.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .fields import SpectralField, Trajectory
+from .fields import SpectralField, Trajectory, free_phase, plane_wave
 from .gauge import GaugeContext, gauge, gauge_field, gauge_inv
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
@@ -42,8 +43,12 @@ class SolveConfig:
             raise ValueError("time horizon must lie in (0, 1]")
         if self.steps % 2 != 0 or self.steps < 2:
             raise ValueError("steps must be even and >= 2")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if self.cutoff < 0:
+            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         object.__setattr__(self, "equation", Equation(self.equation))
 
 
@@ -81,7 +86,7 @@ class SolveReport:
 
 def free_evolution(u0: SpectralField, t: float) -> SpectralField:
     """Coefficient-wise multiplication by exp(-i*t*xi^2); exact and unitary."""
-    return SpectralField(np.exp(-1j * t * u0.xi.astype(float) ** 2) * u0.coeffs, u0.cutoff)
+    return SpectralField(free_phase(t, u0.cutoff) * u0.coeffs, u0.cutoff)
 
 
 def forcing_field(u: SpectralField, equation: Equation, out_cutoff: int | None = None) -> SpectralField:
@@ -103,6 +108,13 @@ def forcing_band(equation: Equation, cutoff: int) -> int:
     """Band of the exact (untruncated) forcing for band-limited input."""
     return {Equation.FREE: cutoff, Equation.DNLS: 3 * cutoff,
             Equation.GAUGED: 5 * cutoff, Equation.SHIFTED_NLS: 3 * cutoff}[equation]
+
+
+def _forcing_rows(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
+    """forcing_field of every row of a (steps+1, 2*cutoff+1) coefficient matrix."""
+    cutoff = (coeffs.shape[1] - 1) // 2
+    return np.array([forcing_field(SpectralField(row, cutoff), equation, out_cutoff).coeffs
+                     for row in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -131,42 +143,22 @@ def _segment_weights(n_cells: int, dt: float) -> np.ndarray:
     return w
 
 
-def duhamel(forcing: Trajectory, t_index: int) -> SpectralField:
-    """integral_0^{t_k} exp(i*(t_k - t')*d_xx) F(t') dt' by composite Simpson.
+def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
+    """integral_0^{t_k} exp(i*(t_k - t')*d_xx) F(t') dt' at every grid time t_k.
 
-    The forcing trajectory must be sampled on the solver grid (t = 0 at the
-    middle index); negative target times integrate with the signed measure.
+    forcing[k] holds the coefficients of F(times[k]); the grid must put t = 0
+    at its middle index.  Composite Simpson on the cells between t = 0 and
+    t_k, with negative target times integrated with the signed measure.
+    Returns an array like forcing.
     """
-    if forcing.steps % 2 != 0:
+    m = forcing.shape[0] - 1
+    if m % 2 != 0:
         raise ValueError("forcing grid must have an even step count (t = 0 on grid)")
-    mid = forcing.steps // 2
-    if not 0 <= t_index <= forcing.steps:
-        raise ValueError("t_index outside the grid")
-    times = forcing.times
-    xi_sq = forcing.samples[0].xi.astype(float) ** 2
-    lo, hi = sorted((mid, t_index))
-    n_cells = hi - lo
-    w = _segment_weights(n_cells, forcing.dt)
-    if t_index < mid:
-        w = w[::-1] * -1.0
-    t_k = times[t_index]
-    acc = np.zeros(2 * forcing.cutoff + 1, dtype=complex)
-    for offset, weight in enumerate(w):
-        if weight == 0.0:
-            continue
-        j = lo + offset
-        acc += weight * np.exp(-1j * (t_k - times[j]) * xi_sq) * forcing.samples[j].coeffs
-    return SpectralField(acc, forcing.cutoff)
-
-
-def _duhamel_all(forcing_mat: np.ndarray, times: np.ndarray, cutoff: int, dt: float) -> np.ndarray:
-    """Duhamel integrals at every grid time; returns an array like forcing_mat."""
-    m = forcing_mat.shape[0] - 1
     mid = m // 2
-    xi_sq = np.arange(-cutoff, cutoff + 1, dtype=float) ** 2
     # integrating-factor form: phases relative to t = 0
-    up = np.exp(1j * times[:, None] * xi_sq[None, :]) * forcing_mat
-    out = np.zeros_like(forcing_mat)
+    phase = free_phase(times, (forcing.shape[1] - 1) // 2)
+    up = np.conj(phase) * forcing
+    out = np.zeros_like(up)
     for k in range(m + 1):
         lo, hi = sorted((mid, k))
         w = _segment_weights(hi - lo, dt)
@@ -174,8 +166,7 @@ def _duhamel_all(forcing_mat: np.ndarray, times: np.ndarray, cutoff: int, dt: fl
             w = w[::-1] * -1.0
         if hi > lo:
             out[k] = w @ up[lo : hi + 1]
-    out *= np.exp(-1j * times[:, None] * xi_sq[None, :])
-    return out
+    return out * phase
 
 
 # ---------------------------------------------------------------------------
@@ -194,43 +185,36 @@ def picard_solve(
 
     The default first iterate is the free evolution of the datum; a perturbed
     initial trajectory can be supplied to probe uniqueness of the fixed point.
+    On blow-up the last finite iterate is kept, and iterations and residual
+    describe that iterate; residual_history still lists every residual.
     """
     if u0.cutoff != cfg.cutoff:
         u0 = u0.truncate(cfg.cutoff)
     times = _solver_times(cfg)
     dt = times[1] - times[0]
-    xi_sq = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float) ** 2
-    linear = np.exp(-1j * times[:, None] * xi_sq[None, :]) * u0.coeffs[None, :]
+    linear = free_phase(times, cfg.cutoff) * u0.coeffs
 
     if initial is not None:
         if initial.steps != cfg.steps or initial.cutoff != cfg.cutoff:
             raise ValueError("initial iterate must live on the solver grid")
-        current = initial.coeff_matrix()
+        current = initial.coeffs
     else:
-        current = linear.copy()
+        current = linear
     history: list[float] = []
     converged = False
-    iterations = 0
+    saved = 0
     for iterations in range(1, cfg.max_iter + 1):
-        forcing = np.array(
-            [forcing_field(SpectralField(row, cfg.cutoff), cfg.equation).coeffs for row in current]
-        )
-        nxt = linear + _duhamel_all(forcing, times, cfg.cutoff, dt)
+        nxt = linear + duhamel(_forcing_rows(current, cfg.equation), times, dt)
         residual = float(np.max(np.linalg.norm(nxt - current, axis=1)))
         history.append(residual)
         if not np.isfinite(residual) or residual > 1e8:
-            break  # blow-up: report the divergent history, keep the last finite iterate
-        current = nxt
+            break  # blow-up: keep the last finite iterate
+        current, saved = nxt, iterations
         if residual <= cfg.tol:
             converged = True
             break
 
-    samples = tuple(SpectralField(row, cfg.cutoff) for row in current)
-    traj = Trajectory(samples, cfg.horizon)
-    mass0 = u0.l2_norm()
-    drift = max(abs(s.l2_norm() - mass0) for s in samples)
-    int_res = integral_residual(traj, cfg.equation)
-    tail = _max_forcing_tail(traj, cfg.equation)
+    traj = Trajectory(current, cfg.horizon)
     cross_gap = None
     if cfg.cross_check:
         cross_gap = traj.sup_l2_distance(rk4_solve(u0, cfg))
@@ -238,42 +222,37 @@ def picard_solve(
         trajectory=traj,
         equation=cfg.equation,
         converged=converged,
-        iterations=iterations,
-        residual=history[-1] if history else 0.0,
+        iterations=saved,
+        # the initial iterate has no predecessor to measure against
+        residual=history[saved - 1] if saved else math.nan,
         residual_history=tuple(history),
-        mass_drift=drift,
-        integral_residual=int_res,
-        truncated_tail_mass=tail,
+        mass_drift=_mass_drift(traj, u0),
+        integral_residual=integral_residual(traj, cfg.equation),
+        truncated_tail_mass=_max_forcing_tail(traj, cfg.equation),
         cross_check_gap=cross_gap,
     )
+
+
+def _mass_drift(traj: Trajectory, u0: SpectralField) -> float:
+    return float(np.max(np.abs(np.linalg.norm(traj.coeffs, axis=1) - u0.l2_norm())))
 
 
 def _max_forcing_tail(traj: Trajectory, equation: Equation) -> float:
     """Largest l2 mass the forcing truncation discards over the trajectory."""
     band = forcing_band(equation, traj.cutoff)
-    worst = 0.0
-    for s in traj.samples:
-        full = forcing_field(s, equation, out_cutoff=band)
-        worst = max(worst, full.tail_l2(traj.cutoff))
-    return worst
+    full = _forcing_rows(traj.coeffs, equation, out_cutoff=band)
+    full[:, band - traj.cutoff : band + traj.cutoff + 1] = 0.0
+    return float(np.max(np.linalg.norm(full, axis=1)))
 
 
 def integral_residual(traj: Trajectory, equation: Equation) -> float:
     """sup over grid times of the L^2 defect in the integral equation."""
     if traj.steps % 2 != 0:
         raise ValueError("trajectory must have an even step count")
-    mid = traj.steps // 2
-    u0 = traj.samples[mid]
-    times = traj.times
-    xi_sq = traj.samples[0].xi.astype(float) ** 2
-    forcing = np.array([forcing_field(s, equation).coeffs for s in traj.samples])
-    integ = _duhamel_all(forcing, times, traj.cutoff, traj.dt)
-    worst = 0.0
-    for k, t in enumerate(times):
-        lin = np.exp(-1j * t * xi_sq) * u0.coeffs
-        defect = traj.samples[k].coeffs - lin - integ[k]
-        worst = max(worst, float(np.linalg.norm(defect)))
-    return worst
+    u0 = traj.coeffs[traj.steps // 2]
+    integ = duhamel(_forcing_rows(traj.coeffs, equation), traj.times, traj.dt)
+    defect = traj.coeffs - free_phase(traj.times, traj.cutoff) * u0 - integ
+    return float(np.max(np.linalg.norm(defect, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +269,14 @@ def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Traject
         u0 = u0.truncate(cfg.cutoff)
     times = _solver_times(cfg)
     mid = cfg.steps // 2
-    xi_sq = np.arange(-cfg.cutoff, cfg.cutoff + 1, dtype=float) ** 2
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
-        u = SpectralField(np.exp(-1j * t * xi_sq) * w, cfg.cutoff)
-        f = forcing_field(u, cfg.equation)
-        return np.exp(1j * t * xi_sq) * f.coeffs
+        phase = free_phase(t, cfg.cutoff)
+        f = forcing_field(SpectralField(phase * w, cfg.cutoff), cfg.equation)
+        return np.conj(phase) * f.coeffs
 
-    rows: list[np.ndarray | None] = [None] * (cfg.steps + 1)
-    rows[mid] = u0.coeffs.copy()
+    rows = np.empty((cfg.steps + 1, 2 * cfg.cutoff + 1), dtype=complex)
+    rows[mid] = u0.coeffs
     for direction in (+1, -1):
         w = u0.coeffs.copy()
         k = mid
@@ -314,12 +292,8 @@ def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Traject
                 w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
                 t += h
             k += direction
-            rows[k] = w.copy()
-    samples = tuple(
-        SpectralField(np.exp(-1j * t * xi_sq) * row, cfg.cutoff)
-        for t, row in zip(times, rows)
-    )
-    return Trajectory(samples, cfg.horizon)
+            rows[k] = w
+    return Trajectory(free_phase(times, cfg.cutoff) * rows, cfg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +322,6 @@ def solve_via_gauge(u0: SpectralField, cfg: SolveConfig) -> SolveReport:
     )
     gauged_report = picard_solve(v0, inner)
     u_traj = gauge_inv(gauged_report.trajectory, ctx)
-    mass0 = u0.l2_norm()
-    drift = max(abs(s.l2_norm() - mass0) for s in u_traj.samples)
-    int_res = integral_residual(u_traj, Equation.DNLS)
     gauge_res = gauge(u_traj, ctx).sup_l2_distance(gauged_report.trajectory)
     return SolveReport(
         trajectory=u_traj,
@@ -359,8 +330,8 @@ def solve_via_gauge(u0: SpectralField, cfg: SolveConfig) -> SolveReport:
         iterations=gauged_report.iterations,
         residual=gauged_report.residual,
         residual_history=gauged_report.residual_history,
-        mass_drift=drift,
-        integral_residual=int_res,
+        mass_drift=_mass_drift(u_traj, u0),
+        integral_residual=integral_residual(u_traj, Equation.DNLS),
         truncated_tail_mass=gauged_report.truncated_tail_mass,
         gauge_residual=gauge_res,
     )
@@ -373,12 +344,8 @@ def plane_wave_solution(
 
     A*exp(i*(n*x + theta*t)) solves it exactly when theta = n*|A|^2 - n^2.
     """
-    from .fields import plane_wave
-
     theta = n * amplitude**2 - n**2
     dt = 2.0 * horizon / steps
     times = -horizon + dt * np.arange(steps + 1)
-    samples = tuple(
-        plane_wave(cutoff, n, amplitude * np.exp(1j * theta * t)) for t in times
-    )
-    return Trajectory(samples, horizon)
+    amplitudes = amplitude * np.exp(1j * theta * times)
+    return Trajectory(np.outer(amplitudes, plane_wave(cutoff, n).coeffs), horizon)

@@ -82,10 +82,10 @@ def test_criterion_3_gauge_round_trip():
     ctx = lab.GaugeContext.for_cutoff(32)
     worst = 0.0
     for _ in range(100):
-        samples = tuple(
-            lab.random_field(32, rng, active_cutoff=8, l2_norm=0.5) for _ in range(5)
-        )
-        traj = Trajectory(samples, window=0.5)
+        coeffs = np.array([
+            lab.random_field(32, rng, active_cutoff=8, l2_norm=0.5).coeffs for _ in range(5)
+        ])
+        traj = Trajectory(coeffs, window=0.5)
         worst = max(worst, lab.gauge_roundtrip_error(traj, ctx))
     report_line(3, worst <= 1e-8, f"worst round-trip L2 error {worst:.2e}")
     assert worst <= 1e-8

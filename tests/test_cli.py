@@ -3,6 +3,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import dnlslab as lab
 from dnlslab.cli import main
@@ -25,7 +26,7 @@ class TestSolveCommand:
         traj = lab.load_trajectory(tmp_path / "pw.traj.csv")
         # theta = 1*1 - 1 = 0: the wave does not move
         w = lab.plane_wave(32, 1)
-        assert max((s - w).l2_norm() for s in traj.samples) <= 1e-6
+        assert np.linalg.norm(traj.coeffs - w.coeffs, axis=1).max() <= 1e-6
 
     def test_nonconvergence_exit_code(self, tmp_path):
         code = main([
@@ -40,6 +41,26 @@ class TestSolveCommand:
             "--out", str(tmp_path), "--tag", "nope",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flag,value", [("--cutoff", "-1"), ("--max-iter", "0"),
+                                            ("--tol", "nan"), ("--tol", "inf")])
+    def test_invalid_solver_setting_exit_code(self, tmp_path, capsys, flag, value):
+        code = main(["solve", "--plane-wave", "A=1,n=1", "--cutoff", "8", "--steps", "20",
+                     flag, value, "--out", str(tmp_path), "--tag", "nope"])
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_blow_up_reports_the_saved_iterate(self, tmp_path, capsys):
+        code = main(["solve", "--amplitude", "3", "--T", "1",
+                     "--out", str(tmp_path), "--tag", "boom"])
+        capsys.readouterr()
+        assert code == 3
+        report = read_json(tmp_path / "boom.json")["report"]
+        history = report["residual_history"]
+        # the third iterate blows up and is discarded; the second is saved
+        assert len(history) == 3 and history[2] > 1e8
+        assert report["iterations"] == 2
+        assert report["residual"] == history[1]
 
     def test_unknown_flag_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--no-such-flag"])
@@ -199,3 +220,43 @@ class TestVerifyCommand:
         code = main(["verify", "--out", str(tmp_path), "--tag", "vf"])
         capsys.readouterr()
         assert code == 2
+
+
+def _replace_line(lineno, text):
+    return lambda lines: lines[: lineno - 1] + [text] + lines[lineno:]
+
+
+# (file kind, edit of the saved file's lines, expected error); the trajectory
+# has cutoff 1 and steps 1, so its rows are lines 3-8, and the field's 3-5
+MALFORMED_FILES = {
+    "xi-outside-cutoff": ("trajectory", _replace_line(3, "0,-2,5.0,0.0"), r":3: index outside"),
+    "k-outside-steps": ("trajectory", _replace_line(8, "2,1,0.0,0.0"), r":8: index outside"),
+    "trajectory-nan": ("trajectory", _replace_line(4, "0,0,nan,0.0"), r":4: non-finite"),
+    "trajectory-duplicate": ("trajectory", lambda ls: ls[:6] + ls[5:6] + ls[7:],
+                             r":7: duplicate"),
+    "trajectory-missing-row": ("trajectory", lambda ls: ls[:-1],
+                               r"missing 1 of 6 rows, the first at k,xi=1,1"),
+    "steps-above-body": ("trajectory",
+                         lambda ls: [ls[0].replace('"steps":1', '"steps":2')] + ls[1:],
+                         r"missing 3 of 9 rows, the first at k,xi=2,-1"),
+    "field-nan": ("field", _replace_line(4, "0,nan,0.0"), r":4: non-finite"),
+    "field-duplicate": ("field", lambda ls: ls[:4] + ls[2:3], r":5: duplicate"),
+}
+
+
+@pytest.mark.parametrize("kind,edit,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_file_rejected(tmp_path, capsys, kind, edit, message):
+    path = tmp_path / "bad.csv"
+    rng = np.random.default_rng(0)
+    if kind == "trajectory":
+        lab.save_trajectory(path, lab.random_trajectory(1, rng, steps=1))
+        load = lab.load_trajectory
+    else:
+        lab.save_field(path, lab.random_field(1, rng))
+        load = lab.load_field
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load(path)
+    code = main(["norms", "--input", str(path), "--b", "0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert "bad.csv" in capsys.readouterr().err

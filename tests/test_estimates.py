@@ -217,9 +217,10 @@ class TestRatioScans:
             from dnlslab.fields import Trajectory, physical_product
 
             prod = Trajectory(
-                tuple(physical_product(list(fs), conjugate=[False, True, False, True, False],
-                                       out_cutoff=4)
-                      for fs in zip(*(w.samples for w in ws))),
+                np.array([physical_product([lab.SpectralField(c, 4) for c in cs],
+                                           conjugate=[False, True, False, True, False],
+                                           out_cutoff=4).coeffs
+                          for cs in zip(*(w.coeffs for w in ws))]),
                 1.0, ws[0].cutoff_profile,
             )
             lhs = lab.xst_norm(prod, spec_l)

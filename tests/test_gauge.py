@@ -114,8 +114,8 @@ class TestTranslate:
 
     def test_inverse_composition(self):
         rng = np.random.default_rng(3)
-        samples = tuple(lab.random_field(8, rng, l2_norm=1.0) for _ in range(9))
-        traj = Trajectory(samples, window=0.5)
+        coeffs = np.array([lab.random_field(8, rng, l2_norm=1.0).coeffs for _ in range(9)])
+        traj = Trajectory(coeffs, window=0.5)
         back = lab.translate(lab.translate(traj, -1), +1)
         assert back.sup_l2_distance(traj) <= 1e-12
 
@@ -128,16 +128,17 @@ class TestFullGauge:
         dt = 2 * window / steps
         times = -window + dt * np.arange(steps + 1)
         traj = Trajectory(
-            tuple(lab.plane_wave(cutoff, n, A * np.exp(1j * theta * t)) for t in times),
+            np.array([lab.plane_wave(cutoff, n, A * np.exp(1j * theta * t)).coeffs
+                      for t in times]),
             window,
         )
         got = lab.gauge(traj, ctx)
-        for t, s in zip(times, got.samples):
+        for t, row in zip(times, got.coeffs):
             expected = A * np.exp(1j * (-2 * t * A * A * n + theta * t))
-            assert abs(s.coeff(n) - ROOT_TWO_PI * expected) < 1e-11
+            assert abs(row[n + cutoff] - ROOT_TWO_PI * expected) < 1e-11
 
     def test_zero_trajectory(self):
-        traj = Trajectory(tuple(lab.SpectralField.zeros(4) for _ in range(5)), 0.2)
+        traj = Trajectory(np.zeros((5, 9)), 0.2)
         ctx = lab.GaugeContext.for_cutoff(4)
         assert lab.gauge(traj, ctx).sup_l2_distance(traj) == 0.0
 

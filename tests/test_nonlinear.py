@@ -163,15 +163,8 @@ class TestQuintic:
     def test_fast_matches_bruteforce_and_oracle(self):
         us = fields(6, 4, 5)
         fast = lab.quintic_restricted(*us)
-        brute = lab.quintic_restricted(*us, method="bruteforce")
         want = oracle_quintic(us)
-        assert (fast - brute).l2_norm() < 1e-12
         assert (fast - want).l2_norm() < 1e-12
-
-    def test_bruteforce_cutoff_guard(self):
-        us = [lab.SpectralField.zeros(17) for _ in range(5)]
-        with pytest.raises(ValueError):
-            lab.quintic_restricted(*us, method="bruteforce")
 
     def test_physical_form_plane_wave(self):
         w = lab.plane_wave(4, 2, 1.3)

@@ -12,8 +12,13 @@ from dnlslab.solver import forcing_field
 def constant_forcing(cutoff, horizon, steps, amplitude=1.0, mode=1):
     dt = 2.0 * horizon / steps
     times = -horizon + dt * np.arange(steps + 1)
-    samples = tuple(lab.plane_wave(cutoff, mode, amplitude) for _ in times)
-    return Trajectory(samples, horizon)
+    return Trajectory(np.array([lab.plane_wave(cutoff, mode, amplitude).coeffs for _ in times]),
+                      horizon)
+
+
+def duhamel_at(traj, index):
+    """The Duhamel integral of a forcing trajectory at one grid time, as a field."""
+    return lab.SpectralField(lab.duhamel(traj.coeffs, traj.times, traj.dt)[index], traj.cutoff)
 
 
 class TestFreeEvolution:
@@ -34,8 +39,8 @@ class TestFreeEvolution:
 
 class TestDuhamel:
     def test_zero_forcing(self):
-        traj = Trajectory(tuple(lab.SpectralField.zeros(4) for _ in range(9)), 0.1)
-        assert lab.duhamel(traj, 7).l2_norm() == 0.0
+        traj = Trajectory(np.zeros((9, 9)), 0.1)
+        assert duhamel_at(traj, 7).l2_norm() == 0.0
 
     def test_constant_forcing_closed_form(self):
         # integral of exp(-i(t-t')) from 0 to t applied to a single mode
@@ -44,12 +49,12 @@ class TestDuhamel:
         dt = 2 * horizon / steps
         for index in (0, 10, 32, 48, 64):  # even cell counts: pure Simpson
             t = -horizon + dt * index
-            got = lab.duhamel(traj, index)
+            got = duhamel_at(traj, index)
             expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
             assert abs(got.coeff(1) / math.sqrt(2 * math.pi) - expected) < 5e-9
         for index in (9, 47):  # odd cell counts: one trapezoid cell
             t = -horizon + dt * index
-            got = lab.duhamel(traj, index)
+            got = duhamel_at(traj, index)
             expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
             assert abs(got.coeff(1) / math.sqrt(2 * math.pi) - expected) < 5e-6
 
@@ -58,7 +63,7 @@ class TestDuhamel:
         def defect(steps):
             traj = constant_forcing(4, 0.5, steps)
             t = 0.5
-            got = lab.duhamel(traj, steps).coeff(1) / math.sqrt(2 * math.pi)
+            got = duhamel_at(traj, steps).coeff(1) / math.sqrt(2 * math.pi)
             expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
             return abs(got - expected)
 
@@ -67,20 +72,18 @@ class TestDuhamel:
 
     def test_trapezoid_fallback_on_odd_cells(self):
         traj = constant_forcing(4, 0.5, 64)
-        got = lab.duhamel(traj, 33)  # one cell past the midpoint
+        got = duhamel_at(traj, 33)  # one cell past the midpoint
         t = traj.times[33]
         expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
         assert abs(got.coeff(1) / math.sqrt(2 * math.pi) - expected) < 1e-4
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
-        a = Trajectory(tuple(lab.random_field(4, rng) for _ in range(9)), 0.1)
-        b = Trajectory(tuple(lab.random_field(4, rng) for _ in range(9)), 0.1)
-        combined = Trajectory(
-            tuple(x + 2.0 * y for x, y in zip(a.samples, b.samples)), 0.1
-        )
-        lhs = lab.duhamel(combined, 8)
-        rhs = lab.duhamel(a, 8) + 2.0 * lab.duhamel(b, 8)
+        a = Trajectory(np.array([lab.random_field(4, rng).coeffs for _ in range(9)]), 0.1)
+        b = Trajectory(np.array([lab.random_field(4, rng).coeffs for _ in range(9)]), 0.1)
+        combined = Trajectory(a.coeffs + 2.0 * b.coeffs, 0.1)
+        lhs = duhamel_at(combined, 8)
+        rhs = duhamel_at(a, 8) + 2.0 * duhamel_at(b, 8)
         assert (lhs - rhs).l2_norm() < 1e-13
 
 
@@ -89,7 +92,7 @@ class TestPicard:
         cfg = lab.SolveConfig(cutoff=8, horizon=0.1, steps=20)
         rep = lab.picard_solve(lab.SpectralField.zeros(8), cfg)
         assert rep.converged and rep.iterations == 1
-        assert all(s.l2_norm() == 0.0 for s in rep.trajectory.samples)
+        assert not rep.trajectory.coeffs.any()
 
     @pytest.mark.parametrize("amp,mode", [(1.0, 1), (math.sqrt(2.0), 1), (1.0, 3)])
     def test_plane_wave_dispersion(self, amp, mode):
@@ -120,7 +123,7 @@ class TestPicard:
         dt = 2 * 0.1 / 100
         times = -0.1 + dt * np.arange(101)
         exact = Trajectory(
-            tuple(lab.plane_wave(8, n, A * np.exp(1j * theta * t)) for t in times), 0.1
+            np.array([lab.plane_wave(8, n, A * np.exp(1j * theta * t)).coeffs for t in times]), 0.1
         )
         assert rep.converged
         assert rep.trajectory.sup_l2_distance(exact) <= 1e-7
@@ -191,15 +194,15 @@ class TestIntegralResidual:
         u0 = lab.random_field(8, np.random.default_rng(2), l2_norm=1.0)
         dt = 0.2 / 40
         times = -0.1 + dt * np.arange(41)
-        traj = Trajectory(tuple(lab.free_evolution(u0, t) for t in times), 0.1)
+        traj = Trajectory(np.array([lab.free_evolution(u0, t).coeffs for t in times]), 0.1)
         assert lab.integral_residual(traj, lab.Equation.FREE) <= 1e-13
 
     def test_corrupted_sample_detected(self):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 40)
         bump = lab.SpectralField.from_coeff_dict(8, {2: 1e-3})
-        samples = list(traj.samples)
-        samples[10] = samples[10] + bump
-        corrupted = Trajectory(tuple(samples), 0.1)
+        coeffs = traj.coeffs.copy()
+        coeffs[10] += bump.coeffs
+        corrupted = Trajectory(coeffs, 0.1)
         assert lab.integral_residual(corrupted, lab.Equation.DNLS) >= 1e-4
 
     def test_time_reversal_symmetry(self):
@@ -207,11 +210,7 @@ class TestIntegralResidual:
         cfg = lab.SolveConfig(cutoff=12, horizon=0.05, steps=60, tol=1e-11)
         u0 = lab.random_field(12, np.random.default_rng(23), active_cutoff=4, l2_norm=0.4)
         rep = lab.picard_solve(u0, cfg)
-        flipped = Trajectory(
-            tuple(lab.SpectralField(np.conj(s.coeffs), 12)
-                  for s in rep.trajectory.samples[::-1]),
-            rep.trajectory.window,
-        )
+        flipped = Trajectory(np.conj(rep.trajectory.coeffs[::-1]), rep.trajectory.window)
         assert lab.integral_residual(flipped, lab.Equation.DNLS) <= 20 * cfg.tol
 
 
@@ -228,7 +227,7 @@ class TestGaugePipeline:
     def test_zero_datum(self):
         cfg = lab.SolveConfig(cutoff=8, horizon=0.1, steps=20)
         rep = lab.solve_via_gauge(lab.SpectralField.zeros(8), cfg)
-        assert all(s.l2_norm() == 0.0 for s in rep.trajectory.samples)
+        assert not rep.trajectory.coeffs.any()
 
     def test_agrees_with_direct_solve(self):
         u0 = 0.1 * (lab.constant_field(32, 1.0) + lab.plane_wave(32, 1))

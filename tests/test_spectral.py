@@ -96,6 +96,23 @@ class TestDerivativeAndMean:
             assert abs(g.coeff(xi) - np.conj(f.coeff(-xi))) < 1e-14
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("shape,window", [((9,), 1.0), ((1, 9), 1.0), ((5, 8), 1.0),
+                                              ((5, 9), 0.0)],
+                             ids=["one-dim", "one-row", "even-width", "zero-window"])
+    def test_rejects_bad_matrix_or_window(self, shape, window):
+        with pytest.raises(ValueError):
+            lab.Trajectory(np.zeros(shape), window)
+
+    def test_grid_from_shape_and_read_only_copy(self):
+        coeffs = np.zeros((5, 9), dtype=complex)
+        traj = lab.Trajectory(coeffs, 1.0)
+        assert (traj.cutoff, traj.steps, traj.dt) == (4, 4, 0.5)
+        coeffs[0, 0] = 1.0
+        assert traj.coeffs[0, 0] == 0.0
+        assert not traj.coeffs.flags.writeable
+
+
 class TestHNorm:
     def test_constant_pin(self):
         spec = lab.NormSpec(s=0.0, r=2.0)
