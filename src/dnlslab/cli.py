@@ -53,27 +53,18 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _apply_config_file(args, parser):
-    """Values from --config fill in anything the flags left at the default."""
-    if not getattr(args, "config", None):
-        return args
+def _read_config(args, parser) -> dict:
+    """The --config file's values, each naming a flag of the chosen subcommand."""
     try:
         data = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
-    actions = list(parser._actions)
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            chosen = action.choices.get(getattr(args, "command", None))
-            if chosen is not None:
-                actions += chosen._actions
-    defaults = {a.dest: a.default for a in actions}
-    for key, value in data.items():
-        if not hasattr(args, key):
+    if not isinstance(data, dict):
+        parser.error("config file must hold a JSON object")
+    for key in data:
+        if key in ("command", "func", "config") or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
-        if getattr(args, key) == defaults.get(key):
-            setattr(args, key, value)
-    return args
+    return data
 
 
 def _provenance(args) -> dict:
@@ -286,7 +277,8 @@ def cmd_verify(args, parser) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="dnlslab",
         description="Spectral laboratory for a gauged derivative Schroedinger equation on the torus.",
@@ -386,14 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="include the slower checks")
     p.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser)
+        if args.config:
+            # config values become the subcommand's defaults, so explicit flags win
+            commands[args.command].set_defaults(**_read_config(args, parser))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 is reserved here
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0

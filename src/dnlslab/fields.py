@@ -37,7 +37,7 @@ class SpectralField:
     cutoff: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)  # a copy: the caller's array stays writable
         if self.cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
         if c.shape != (2 * self.cutoff + 1,):
@@ -132,30 +132,46 @@ def match_cutoffs(a: SpectralField, b: SpectralField) -> tuple[SpectralField, Sp
 # physical <-> spectral conversion
 # ---------------------------------------------------------------------------
 
+# The array-level pair below maps every row of a batch on its own: leading axes
+# are a batch, the last axis holds the band (2*cutoff+1) or the grid.
+
+def band_to_grid(coeffs: np.ndarray, gridsize: int) -> np.ndarray:
+    """Samples on the uniform grid x_j = 2*pi*j/gridsize of band coefficients."""
+    cutoff = (coeffs.shape[-1] - 1) // 2
+    if gridsize < 2 * cutoff + 1:
+        raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
+    spectrum = np.zeros(coeffs.shape[:-1] + (gridsize,), dtype=complex)
+    spectrum[..., : cutoff + 1] = coeffs[..., cutoff:]
+    spectrum[..., gridsize - cutoff :] = coeffs[..., :cutoff]
+    return np.fft.ifft(spectrum, axis=-1) * (gridsize / ROOT_TWO_PI)
+
+
+def grid_to_band(samples: np.ndarray, cutoff: int) -> np.ndarray:
+    """Band coefficients of uniform-grid samples; exact for data on a band that fits the grid."""
+    gridsize = samples.shape[-1]
+    if gridsize < 2 * cutoff + 1:
+        raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
+    spectrum = np.fft.fft(samples, axis=-1) * (ROOT_TWO_PI / gridsize)
+    return np.concatenate([spectrum[..., gridsize - cutoff :], spectrum[..., : cutoff + 1]], axis=-1)
+
+
+def product_gridsize(band: int, out_cutoff: int) -> int:
+    """Even grid on which a product of total band `band` is alias-free for |xi| <= out_cutoff."""
+    gridsize = band + min(out_cutoff, band) + 1
+    return gridsize + gridsize % 2
+
+
 def from_physical(samples: np.ndarray, cutoff: int) -> SpectralField:
     """Field from samples on the uniform grid x_j = 2*pi*j/G, G = len(samples).
 
     Exact for band-limited data when G >= 2*cutoff + 1.
     """
-    samples = np.asarray(samples, dtype=complex)
-    gridsize = samples.shape[0]
-    if gridsize < 2 * cutoff + 1:
-        raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
-    spectrum = np.fft.fft(samples) * (ROOT_TWO_PI / gridsize)
-    coeffs = np.empty(2 * cutoff + 1, dtype=complex)
-    for xi in range(-cutoff, cutoff + 1):
-        coeffs[xi + cutoff] = spectrum[xi % gridsize]
-    return SpectralField(coeffs, cutoff)
+    return SpectralField(grid_to_band(np.asarray(samples, dtype=complex), cutoff), cutoff)
 
 
 def to_physical(f: SpectralField, gridsize: int) -> np.ndarray:
     """Samples of the field on the uniform grid of the given size."""
-    if gridsize < 2 * f.cutoff + 1:
-        raise ValueError(f"grid of size {gridsize} too small for cutoff {f.cutoff}")
-    spectrum = np.zeros(gridsize, dtype=complex)
-    for xi in range(-f.cutoff, f.cutoff + 1):
-        spectrum[xi % gridsize] = f.coeffs[xi + f.cutoff]
-    return np.fft.ifft(spectrum) * (gridsize / ROOT_TWO_PI)
+    return band_to_grid(f.coeffs, gridsize)
 
 
 def x_grid(gridsize: int) -> np.ndarray:
@@ -195,13 +211,13 @@ def physical_product(
     band = sum(f.cutoff for f in factors)
     if out_cutoff is None:
         out_cutoff = max(f.cutoff for f in factors)
-    gridsize = band + min(out_cutoff, band) + 1
-    gridsize += gridsize % 2  # even grid
+    gridsize = product_gridsize(band, out_cutoff)
     values = np.ones(gridsize, dtype=complex)
     for f, cj in zip(factors, conjugate):
-        v = to_physical(f, gridsize)
+        v = band_to_grid(f.coeffs, gridsize)
         values *= np.conj(v) if cj else v
-    return from_physical(values, min(out_cutoff, band)).pad_to(out_cutoff)
+    keep = min(out_cutoff, band)
+    return SpectralField(grid_to_band(values, keep), keep).pad_to(out_cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -8,47 +8,18 @@ conj(u)^(xi) = conj(coeff(-xi)), so the masks stay exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .fields import (
     SpectralField,
+    band_to_grid,
     derivative,
-    mean_value,
-    physical_product,
+    grid_to_band,
+    product_gridsize,
+    xi_range,
 )
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class FrequencyMask:
-    """Pure predicate on integer index tuples; masks compose by conjunction."""
-
-    predicate: Callable[..., bool]
-    description: str = ""
-
-    def __call__(self, *indices: int) -> bool:
-        return bool(self.predicate(*indices))
-
-    def __and__(self, other: "FrequencyMask") -> "FrequencyMask":
-        return FrequencyMask(
-            lambda *ix: self.predicate(*ix) and other.predicate(*ix),
-            f"{self.description} and {other.description}",
-        )
-
-
-# (xi, xi1, xi2) with xi3 = xi - xi1 - xi2 implied
-CUBIC_MASK = FrequencyMask(lambda xi, xi1, xi2: xi1 != xi and xi2 != xi,
-                           "xi1 != xi and xi2 != xi")
-# (xi1, xi2, xi3, xi4) with xi5 = xi - xi1 - ... - xi4 implied
-QUINTIC_MASK = FrequencyMask(
-    lambda xi1, xi2, xi3, xi4: (xi1 + xi2 + xi3 + xi4 != 0
-                                and xi1 + xi2 != 0 and xi3 + xi4 != 0),
-    "xi1+xi2+xi3+xi4 != 0 and xi1+xi2 != 0 and xi3+xi4 != 0",
-)
 
 
 def _require_shared_cutoff(*fields: SpectralField) -> int:
@@ -90,24 +61,10 @@ def cubic_restricted(
     """Derivative-weighted triple convolution with xi1 != xi and xi2 != xi.
 
     out(xi) = (2*pi)**-1 * sum over xi = xi1+xi2+xi3, xi1 != xi, xi2 != xi of
-    c1(xi1) * c2(xi2) * i*xi3 * conj(u3)^(xi3).
+    c1(xi1) * c2(xi2) * i*xi3 * conj(u3)^(xi3), the restricted product with
+    d/dx conj(u3) = conj(d/dx u3) in the third slot.
     """
-    n = _require_shared_cutoff(u1, u2, u3)
-    if out_cutoff is None:
-        out_cutoff = n
-    xi = u1.xi
-    a, b = u1.coeffs, u2.coeffs
-    w = 1j * xi * _conj_coeffs(u3)
-    full = _conv(_conv(a, b), w)  # band 3n
-    s23 = _zero_mode(b, w)
-    s13 = _zero_mode(a, w)
-    band = 3 * n
-    out = full.copy()
-    pad = band - n
-    sl = slice(pad, pad + 2 * n + 1)
-    out[sl] -= a * s23 + b * s13
-    out[sl] += a * b * (-1j * xi) * np.conj(u3.coeffs)  # xi1 = xi2 = xi, xi3 = -xi
-    return _finish(out / TWO_PI, band, out_cutoff)
+    return product_restricted(u1, u2, derivative(u3), out_cutoff)
 
 
 def cubic_diagonal(
@@ -159,15 +116,13 @@ def product_restricted(
     return _finish(out / TWO_PI, band, out_cutoff)
 
 
-def cubic_physical(v: SpectralField, out_cutoff: int | None = None) -> SpectralField:
-    """v^2 * d/dx conj(v) minus 2i * mean(Im(v * d/dx conj(v))) * v, dealiased."""
+def mean_shifted_cubic_spectral(u: SpectralField, out_cutoff: int | None = None) -> SpectralField:
+    """Convolution form: restricted triple product minus the double-diagonal term."""
     if out_cutoff is None:
-        out_cutoff = v.cutoff
-    dvbar = derivative(v.conjugate())
-    prod = physical_product([v, v, dvbar], out_cutoff=out_cutoff)
-    pair = physical_product([v, dvbar], out_cutoff=0)
-    mean_im = mean_value(pair).imag
-    return prod - (2j * mean_im) * v.pad_to(out_cutoff)
+        out_cutoff = u.cutoff
+    rest = product_restricted(u, u, u, out_cutoff)
+    diag = SpectralField(u.coeffs * u.coeffs * np.conj(u.coeffs) / TWO_PI, u.cutoff)
+    return rest - diag.truncate(out_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -211,39 +166,78 @@ def quintic_restricted(
     return _finish(out / TWO_PI**2, band, out_cutoff)
 
 
-def quintic_physical(v: SpectralField, out_cutoff: int | None = None) -> SpectralField:
-    """(|v|^4 - mean|v|^4) v - 2*mean|v|^2 * (|v|^2 - mean|v|^2) v, dealiased."""
+# ---------------------------------------------------------------------------
+# physical-space forcing operators on coefficient arrays
+# ---------------------------------------------------------------------------
+# These take and return coefficient arrays (..., 2*cutoff+1) with leading batch
+# axes (one row per grid time, say).  Each transforms its input once onto one
+# grid sized for its own band, multiplies pointwise and transforms back once.
+
+def _cutoff_of(coeffs: np.ndarray) -> int:
+    return (coeffs.shape[-1] - 1) // 2
+
+
+def _pad(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficient arrays zero-padded along the last axis to |xi| <= cutoff."""
+    extra = cutoff - _cutoff_of(coeffs)
+    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(extra, extra)])
+
+
+def _on_band(values: np.ndarray, band: int, out_cutoff: int) -> np.ndarray:
+    """Coefficients on |xi| <= out_cutoff of grid samples of a product of band `band`."""
+    return _pad(grid_to_band(values, min(out_cutoff, band)), out_cutoff)
+
+
+def _mass_mean(coeffs: np.ndarray) -> np.ndarray:
+    """Mean of |u|^2 over the torus for every row, kept as a trailing axis of length 1."""
+    return np.sum(np.abs(coeffs) ** 2, axis=-1, keepdims=True) / TWO_PI
+
+
+def _cubic_kernel(u: np.ndarray, out_cutoff: int) -> np.ndarray:
+    """|u|^2 u on |xi| <= out_cutoff."""
+    band = 3 * _cutoff_of(u)
+    x = band_to_grid(u, product_gridsize(band, out_cutoff))
+    return _on_band(x * np.conj(x) * x, band, out_cutoff)
+
+
+def dnls_forcing(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+    """d/dx(|u|^2 u), the integral-equation forcing of the raw equation."""
     if out_cutoff is None:
-        out_cutoff = v.cutoff
-    m2 = v.mass_mean()
-    sq = physical_product([v, v], conjugate=[False, True], out_cutoff=2 * v.cutoff)
-    m4 = mean_value(physical_product([sq, sq], out_cutoff=0)).real
-    quartic_term = physical_product([sq, sq, v], out_cutoff=out_cutoff)
-    cubic_term = physical_product([sq, v], out_cutoff=out_cutoff)
-    vpad = v.pad_to(out_cutoff)
-    return quartic_term - m4 * vpad - 2.0 * m2 * (cubic_term - m2 * vpad)
+        out_cutoff = _cutoff_of(u)
+    return 1j * xi_range(out_cutoff) * _cubic_kernel(u, out_cutoff)
 
 
-# ---------------------------------------------------------------------------
-# mean-shifted cubic nonlinearity
-# ---------------------------------------------------------------------------
-
-def mean_shifted_cubic(u: SpectralField, out_cutoff: int | None = None) -> SpectralField:
+def mean_shifted_cubic(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     """(|u|^2 - 2*mean|u|^2) * u, evaluated in physical space."""
     if out_cutoff is None:
-        out_cutoff = u.cutoff
-    m2 = u.mass_mean()
-    cubic = physical_product([u, u, u], conjugate=[False, True, False], out_cutoff=out_cutoff)
-    return cubic - (2.0 * m2) * u.pad_to(out_cutoff)
+        out_cutoff = _cutoff_of(u)
+    return _cubic_kernel(u, out_cutoff) - (2.0 * _mass_mean(u)) * _pad(u, out_cutoff)
 
 
-def mean_shifted_cubic_spectral(u: SpectralField, out_cutoff: int | None = None) -> SpectralField:
-    """Convolution form: restricted triple product minus the double-diagonal term."""
+def cubic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+    """v^2 * d/dx conj(v) minus 2i * mean(Im(v * d/dx conj(v))) * v, dealiased."""
+    n = _cutoff_of(v)
     if out_cutoff is None:
-        out_cutoff = u.cutoff
-    rest = product_restricted(u, u, u, out_cutoff)
-    diag = SpectralField(u.coeffs * u.coeffs * np.conj(u.coeffs) / TWO_PI, u.cutoff)
-    return rest - diag.truncate(out_cutoff)
+        out_cutoff = n
+    gridsize = product_gridsize(3 * n, out_cutoff)
+    x = band_to_grid(v, gridsize)
+    pair = x * band_to_grid(1j * xi_range(n) * np.conj(v[..., ::-1]), gridsize)
+    mean_im = np.mean(pair, axis=-1, keepdims=True).imag
+    return _on_band(pair * x, 3 * n, out_cutoff) - (2j * mean_im) * _pad(v, out_cutoff)
+
+
+def quintic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+    """(|v|^4 - mean|v|^4) v - 2*mean|v|^2 * (|v|^2 - mean|v|^2) v, dealiased."""
+    n = _cutoff_of(v)
+    if out_cutoff is None:
+        out_cutoff = n
+    m2 = _mass_mean(v)
+    x = band_to_grid(v, product_gridsize(5 * n, out_cutoff))
+    sq = x.real**2 + x.imag**2
+    m4 = np.mean(sq * sq, axis=-1, keepdims=True)
+    # the two terms share one grid: (|v|^4 - 2*m2*|v|^2) v - (m4 - 2*m2^2) v
+    values = (sq - 2.0 * m2) * sq * x
+    return _on_band(values, 5 * n, out_cutoff) - (m4 - 2.0 * m2 * m2) * _pad(v, out_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +263,3 @@ def resonance_identity(
     lhs = sigma0 - sigma1 - sigma2 - sigma3
     rhs = 2.0 * (xi - xi1) * (xi - xi2)
     return float(lhs), float(rhs)
-
-
-def dnls_forcing(u: SpectralField, out_cutoff: int | None = None) -> SpectralField:
-    """d/dx(|u|^2 u), the integral-equation forcing of the raw equation."""
-    if out_cutoff is None:
-        out_cutoff = u.cutoff
-    cubic = physical_product([u, u, u], conjugate=[False, True, False], out_cutoff=out_cutoff)
-    return derivative(cubic)

@@ -89,18 +89,19 @@ def free_evolution(u0: SpectralField, t: float) -> SpectralField:
     return SpectralField(free_phase(t, u0.cutoff) * u0.coeffs, u0.cutoff)
 
 
-def forcing_field(u: SpectralField, equation: Equation, out_cutoff: int | None = None) -> SpectralField:
-    """Right-hand side F for d_t u = i*d_xx u + F of the selected equation."""
+def forcing_field(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
+    """Right-hand side F for d_t u = i*d_xx u + F of the selected equation, for
+    one coefficient row or a matrix of rows such as a trajectory's."""
     if out_cutoff is None:
-        out_cutoff = u.cutoff
+        out_cutoff = (coeffs.shape[-1] - 1) // 2
     if equation is Equation.FREE:
-        return SpectralField.zeros(out_cutoff)
+        return np.zeros(coeffs.shape[:-1] + (2 * out_cutoff + 1,), dtype=complex)
     if equation is Equation.DNLS:
-        return dnls_forcing(u, out_cutoff)
+        return dnls_forcing(coeffs, out_cutoff)
     if equation is Equation.GAUGED:
-        return -1.0 * cubic_physical(u, out_cutoff) + 0.5j * quintic_physical(u, out_cutoff)
+        return -1.0 * cubic_physical(coeffs, out_cutoff) + 0.5j * quintic_physical(coeffs, out_cutoff)
     if equation is Equation.SHIFTED_NLS:
-        return -1j * mean_shifted_cubic(u, out_cutoff)
+        return -1j * mean_shifted_cubic(coeffs, out_cutoff)
     raise ValueError(f"unknown equation {equation}")
 
 
@@ -108,13 +109,6 @@ def forcing_band(equation: Equation, cutoff: int) -> int:
     """Band of the exact (untruncated) forcing for band-limited input."""
     return {Equation.FREE: cutoff, Equation.DNLS: 3 * cutoff,
             Equation.GAUGED: 5 * cutoff, Equation.SHIFTED_NLS: 3 * cutoff}[equation]
-
-
-def _forcing_rows(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
-    """forcing_field of every row of a (steps+1, 2*cutoff+1) coefficient matrix."""
-    cutoff = (coeffs.shape[1] - 1) // 2
-    return np.array([forcing_field(SpectralField(row, cutoff), equation, out_cutoff).coeffs
-                     for row in coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +198,7 @@ def picard_solve(
     converged = False
     saved = 0
     for iterations in range(1, cfg.max_iter + 1):
-        nxt = linear + duhamel(_forcing_rows(current, cfg.equation), times, dt)
+        nxt = linear + duhamel(forcing_field(current, cfg.equation), times, dt)
         residual = float(np.max(np.linalg.norm(nxt - current, axis=1)))
         history.append(residual)
         if not np.isfinite(residual) or residual > 1e8:
@@ -215,6 +209,7 @@ def picard_solve(
             break
 
     traj = Trajectory(current, cfg.horizon)
+    in_band_residual, tail = _full_band_diagnostics(traj, cfg.equation)
     cross_gap = None
     if cfg.cross_check:
         cross_gap = traj.sup_l2_distance(rk4_solve(u0, cfg))
@@ -227,8 +222,8 @@ def picard_solve(
         residual=history[saved - 1] if saved else math.nan,
         residual_history=tuple(history),
         mass_drift=_mass_drift(traj, u0),
-        integral_residual=integral_residual(traj, cfg.equation),
-        truncated_tail_mass=_max_forcing_tail(traj, cfg.equation),
+        integral_residual=in_band_residual,
+        truncated_tail_mass=tail,
         cross_check_gap=cross_gap,
     )
 
@@ -237,22 +232,30 @@ def _mass_drift(traj: Trajectory, u0: SpectralField) -> float:
     return float(np.max(np.abs(np.linalg.norm(traj.coeffs, axis=1) - u0.l2_norm())))
 
 
-def _max_forcing_tail(traj: Trajectory, equation: Equation) -> float:
-    """Largest l2 mass the forcing truncation discards over the trajectory."""
+def _full_band_diagnostics(traj: Trajectory, equation: Equation) -> tuple[float, float]:
+    """integral_residual and the largest l2 mass the forcing truncation discards,
+    from one evaluation of the untruncated forcing: kept band and tail."""
     band = forcing_band(equation, traj.cutoff)
-    full = _forcing_rows(traj.coeffs, equation, out_cutoff=band)
-    full[:, band - traj.cutoff : band + traj.cutoff + 1] = 0.0
-    return float(np.max(np.linalg.norm(full, axis=1)))
+    full = forcing_field(traj.coeffs, equation, out_cutoff=band)
+    kept = slice(band - traj.cutoff, band + traj.cutoff + 1)
+    residual = _integral_defect(traj, full[:, kept])
+    full[:, kept] = 0.0
+    return residual, float(np.max(np.linalg.norm(full, axis=1)))
+
+
+def _integral_defect(traj: Trajectory, forcing: np.ndarray) -> float:
+    """sup over grid times of the L^2 defect in the integral equation with this forcing."""
+    if traj.steps % 2 != 0:
+        raise ValueError("trajectory must have an even step count")
+    u0 = traj.coeffs[traj.steps // 2]
+    integ = duhamel(forcing, traj.times, traj.dt)
+    defect = traj.coeffs - free_phase(traj.times, traj.cutoff) * u0 - integ
+    return float(np.max(np.linalg.norm(defect, axis=1)))
 
 
 def integral_residual(traj: Trajectory, equation: Equation) -> float:
     """sup over grid times of the L^2 defect in the integral equation."""
-    if traj.steps % 2 != 0:
-        raise ValueError("trajectory must have an even step count")
-    u0 = traj.coeffs[traj.steps // 2]
-    integ = duhamel(_forcing_rows(traj.coeffs, equation), traj.times, traj.dt)
-    defect = traj.coeffs - free_phase(traj.times, traj.cutoff) * u0 - integ
-    return float(np.max(np.linalg.norm(defect, axis=1)))
+    return _integral_defect(traj, forcing_field(traj.coeffs, equation))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +275,7 @@ def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Traject
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
         phase = free_phase(t, cfg.cutoff)
-        f = forcing_field(SpectralField(phase * w, cfg.cutoff), cfg.equation)
-        return np.conj(phase) * f.coeffs
+        return np.conj(phase) * forcing_field(phase * w, cfg.equation)
 
     rows = np.empty((cfg.steps + 1, 2 * cfg.cutoff + 1), dtype=complex)
     rows[mid] = u0.coeffs

@@ -78,6 +78,24 @@ class TestSolveCommand:
         assert report["config"]["horizon"] == 0.05
         assert report["config"]["steps"] == 40
 
+    def test_explicit_flag_wins_over_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 40}))
+        code = main(["solve", "--config", str(cfg), "--steps", "200", "--cutoff", "8",
+                     "--plane-wave", "A=1,n=1", "--out", str(tmp_path), "--tag", "flag"])
+        assert code == 0
+        assert read_json(tmp_path / "flag.json")["config"]["steps"] == 200
+
+    @pytest.mark.parametrize("text", ['{"no_such_key": 1}', '{"func": 1}', "[1, 2]", "{"],
+                             ids=["unknown-key", "reserved-key", "not-an-object", "bad-json"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path), "--tag", "nope"])
+        capsys.readouterr()
+        assert code == 1
+        assert not (tmp_path / "nope.json").exists()
+
 
 class TestGaugeAndNormsCommands:
     def test_gauge_roundtrip_via_files(self, tmp_path):

@@ -1,5 +1,7 @@
 """Masked convolutions against brute-force oracles and physical-space forms."""
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -8,9 +10,38 @@ from hypothesis import strategies as st
 
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI
-from dnlslab.nonlinear import CUBIC_MASK, QUINTIC_MASK
 
 TWO_PI = 2.0 * math.pi
+
+
+# -- index-tuple masks of the brute-force oracles -----------------------------
+
+@dataclass(frozen=True)
+class FrequencyMask:
+    """Pure predicate on integer index tuples; masks compose by conjunction."""
+
+    predicate: Callable[..., bool]
+    description: str = ""
+
+    def __call__(self, *indices: int) -> bool:
+        return bool(self.predicate(*indices))
+
+    def __and__(self, other: "FrequencyMask") -> "FrequencyMask":
+        return FrequencyMask(
+            lambda *ix: self.predicate(*ix) and other.predicate(*ix),
+            f"{self.description} and {other.description}",
+        )
+
+
+# (xi, xi1, xi2) with xi3 = xi - xi1 - xi2 implied
+CUBIC_MASK = FrequencyMask(lambda xi, xi1, xi2: xi1 != xi and xi2 != xi,
+                           "xi1 != xi and xi2 != xi")
+# (xi1, xi2, xi3, xi4) with xi5 = xi - xi1 - ... - xi4 implied
+QUINTIC_MASK = FrequencyMask(
+    lambda xi1, xi2, xi3, xi4: (xi1 + xi2 + xi3 + xi4 != 0
+                                and xi1 + xi2 != 0 and xi3 + xi4 != 0),
+    "xi1+xi2+xi3+xi4 != 0 and xi1+xi2 != 0 and xi3+xi4 != 0",
+)
 
 
 # -- independent brute-force oracles (literal masked lattice sums) -----------
@@ -129,21 +160,21 @@ class TestCubicDiagonal:
 class TestCubicPhysicalIdentity:
     def test_single_mode_hand_value(self):
         w = lab.plane_wave(4, 1)
-        out = lab.cubic_physical(w)
-        assert (out - lab.plane_wave(4, 1, 1j)).l2_norm() < 1e-12
+        out = lab.cubic_physical(w.coeffs)
+        assert np.linalg.norm(out - lab.plane_wave(4, 1, 1j).coeffs) < 1e-12
 
     def test_constant_annihilated(self):
-        assert lab.cubic_physical(lab.constant_field(4, 2.0)).l2_norm() < 1e-13
+        assert np.linalg.norm(lab.cubic_physical(lab.constant_field(4, 2.0).coeffs)) < 1e-13
 
     def test_two_mode_matches_convolution(self):
         v = lab.constant_field(8, 1.0) + lab.plane_wave(8, 1)
-        gap = (lab.cubic_physical(v) - lab.cubic_full(v, v, v)).l2_norm()
+        gap = np.linalg.norm(lab.cubic_physical(v.coeffs) - lab.cubic_full(v, v, v).coeffs)
         assert gap < 1e-12
 
     def test_identity_on_random_fields(self):
         for seed in range(8):
             (v,) = fields(seed + 100, 16, 1, norm=0.9)
-            gap = (lab.cubic_physical(v) - lab.cubic_full(v, v, v)).l2_norm()
+            gap = np.linalg.norm(lab.cubic_physical(v.coeffs) - lab.cubic_full(v, v, v).coeffs)
             assert gap < 1e-10
 
 
@@ -168,15 +199,17 @@ class TestQuintic:
 
     def test_physical_form_plane_wave(self):
         w = lab.plane_wave(4, 2, 1.3)
-        assert lab.quintic_physical(w).l2_norm() < 1e-12
+        assert np.linalg.norm(lab.quintic_physical(w.coeffs)) < 1e-12
 
     def test_physical_matches_masked_sum(self):
         v = lab.constant_field(8, 1.0) + lab.plane_wave(8, 1)
-        gap = (lab.quintic_physical(v) - lab.quintic_restricted(v, v, v, v, v)).l2_norm()
+        gap = np.linalg.norm(lab.quintic_physical(v.coeffs)
+                             - lab.quintic_restricted(v, v, v, v, v).coeffs)
         assert gap < 1e-10
         for seed in range(4):
             (w,) = fields(seed + 200, 8, 1, norm=0.8)
-            gap = (lab.quintic_physical(w) - lab.quintic_restricted(w, w, w, w, w)).l2_norm()
+            gap = np.linalg.norm(lab.quintic_physical(w.coeffs)
+                                 - lab.quintic_restricted(w, w, w, w, w).coeffs)
             assert gap < 1e-10
 
 
@@ -212,16 +245,17 @@ class TestRestrictedProductAndShiftedCubic:
     def test_shifted_cubic_plane_wave(self):
         A, n = 1.7, 2
         w = lab.plane_wave(6, n, A)
-        got = lab.mean_shifted_cubic(w)
-        assert (got - lab.plane_wave(6, n, -A**3)).l2_norm() < 1e-12
+        got = lab.mean_shifted_cubic(w.coeffs)
+        assert np.linalg.norm(got - lab.plane_wave(6, n, -A**3).coeffs) < 1e-12
 
     def test_shifted_cubic_zero(self):
-        assert lab.mean_shifted_cubic(lab.SpectralField.zeros(4)).l2_norm() == 0.0
+        assert np.linalg.norm(lab.mean_shifted_cubic(lab.SpectralField.zeros(4).coeffs)) == 0.0
 
     def test_shifted_cubic_forms_agree(self):
         for seed in range(6):
             (u,) = fields(seed + 300, 10, 1, norm=1.1)
-            gap = (lab.mean_shifted_cubic(u) - lab.mean_shifted_cubic_spectral(u)).l2_norm()
+            gap = np.linalg.norm(lab.mean_shifted_cubic(u.coeffs)
+                                 - lab.mean_shifted_cubic_spectral(u).coeffs)
             assert gap < 1e-12
 
 
@@ -294,6 +328,6 @@ class TestFrequencyMask:
         assert QUINTIC_MASK(1, 2, 3, 4) and not QUINTIC_MASK(1, -1, 3, 4)
 
     def test_conjunction(self):
-        even = lab.FrequencyMask(lambda *ix: ix[0] % 2 == 0, "first even")
-        combined = even & lab.FrequencyMask(lambda *ix: ix[1] > 0, "second positive")
+        even = FrequencyMask(lambda *ix: ix[0] % 2 == 0, "first even")
+        combined = even & FrequencyMask(lambda *ix: ix[1] > 0, "second positive")
         assert combined(2, 1) and not combined(2, -1) and not combined(3, 1)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import dnlslab as lab
+import dnlslab.solver as solver_mod
 from dnlslab.fields import Trajectory
-from dnlslab.solver import forcing_field
+from dnlslab.solver import forcing_band, forcing_field
 
 
 def constant_forcing(cutoff, horizon, steps, amplitude=1.0, mode=1):
@@ -249,8 +250,72 @@ class TestGaugePipeline:
 
     def test_forcing_band_accounting(self):
         u = lab.random_field(4, np.random.default_rng(41), l2_norm=1.0)
-        full = forcing_field(u, lab.Equation.DNLS, out_cutoff=12)
+        full = lab.SpectralField(forcing_field(u.coeffs, lab.Equation.DNLS, out_cutoff=12), 12)
         assert full.tail_l2(4) > 0.0  # the cubic genuinely spills past the band
         cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, tol=1e-11)
         rep = lab.picard_solve(lab.plane_wave(8, 1, 1.0), cfg)
         assert rep.truncated_tail_mass < 1e-12  # single mode: nothing to truncate
+
+
+class TestBatchedForcing:
+    @pytest.mark.parametrize("equation", list(lab.Equation))
+    def test_matrix_matches_rows(self, equation):
+        traj = lab.random_trajectory(6, np.random.default_rng(51), steps=12)
+        for out in (6, forcing_band(equation, 6)):
+            whole = forcing_field(traj.coeffs, equation, out)
+            rows = np.array([forcing_field(row, equation, out) for row in traj.coeffs])
+            assert whole.shape == (13, 2 * out + 1)
+            assert np.max(np.abs(whole - rows)) <= 1e-14
+
+    @pytest.mark.parametrize("equation", list(lab.Equation))
+    def test_fft_calls_do_not_grow_with_steps(self, monkeypatch, equation):
+        calls = []
+
+        def counting(name):
+            original = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counting(name))
+        counts = []
+        for steps in (4, 40):
+            calls.clear()
+            traj = lab.random_trajectory(6, np.random.default_rng(52), steps=steps)
+            forcing_field(traj.coeffs, equation)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 5
+
+    def test_one_forcing_evaluation_per_iterate_plus_one(self, monkeypatch):
+        calls = []
+
+        def counting(coeffs, *args, **kwargs):
+            calls.append(coeffs.shape)
+            return forcing_field(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "forcing_field", counting)
+        cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, equation=lab.Equation.GAUGED,
+                              tol=1e-11)
+        u0 = lab.random_field(8, np.random.default_rng(53), active_cutoff=4, l2_norm=0.3)
+        rep = lab.picard_solve(u0, cfg)
+        assert len(calls) == len(rep.residual_history) + 1
+        assert all(shape == (41, 17) for shape in calls)
+
+    @pytest.mark.parametrize("equation", [lab.Equation.DNLS, lab.Equation.GAUGED,
+                                          lab.Equation.SHIFTED_NLS])
+    def test_report_diagnostics_match_fresh_evaluations(self, equation):
+        # a loose tol leaves a residual well above round-off to compare
+        cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, equation=equation, tol=1e-6)
+        u0 = lab.random_field(8, np.random.default_rng(54), active_cutoff=4, l2_norm=0.5)
+        rep = lab.picard_solve(u0, cfg)
+        traj = rep.trajectory
+        assert rep.integral_residual > 1e-13
+        assert abs(rep.integral_residual - lab.integral_residual(traj, equation)) <= 1e-16
+        band = forcing_band(equation, 8)
+        tails = [lab.SpectralField(row, band).tail_l2(8)
+                 for row in forcing_field(traj.coeffs, equation, band)]
+        assert max(tails) > 0.0
+        assert rep.truncated_tail_mass == pytest.approx(max(tails), rel=1e-12)

@@ -96,6 +96,15 @@ class TestDerivativeAndMean:
             assert abs(g.coeff(xi) - np.conj(f.coeff(-xi))) < 1e-14
 
 
+class TestSpectralField:
+    def test_read_only_copy_leaves_the_input_writable(self):
+        coeffs = np.zeros(5, dtype=complex)
+        field = lab.SpectralField(coeffs, 2)
+        coeffs[0] = 1.0
+        assert field.coeffs[0] == 0.0
+        assert not field.coeffs.flags.writeable
+
+
 class TestTrajectory:
     @pytest.mark.parametrize("shape,window", [((9,), 1.0), ((1, 9), 1.0), ((5, 8), 1.0),
                                               ((5, 9), 0.0)],
