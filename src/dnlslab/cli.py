@@ -25,7 +25,7 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import CutoffProfile, plane_wave, random_field
+from .fields import CutoffProfile, SpectralField, plane_wave, random_field
 from .gauge import GaugeContext, gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
 from .norms import INF, NormSpec, h_norm, xst_norm, z_norm
 from .reports import (
@@ -136,8 +136,8 @@ def cmd_gauge(args, parser) -> int:
     if kind == "field":
         f = load_field(args.input)
         ctx = GaugeContext.for_cutoff(f.cutoff)
-        g = gauge_field_inv(f, args.time, ctx) if args.inverse else gauge_field(f, args.time, ctx)
-        save_field(out / args.output, g)
+        g = (gauge_field_inv if args.inverse else gauge_field)(f.coeffs, args.time, ctx)
+        save_field(out / args.output, SpectralField(g, f.cutoff))
     elif kind == "trajectory":
         traj = load_trajectory(args.input)
         ctx = GaugeContext.for_cutoff(traj.cutoff)
@@ -194,6 +194,10 @@ def cmd_divisors(args, parser) -> int:
 
 
 def cmd_scan_sums(args, parser) -> int:
+    if not args.a_step > 0:
+        raise ValueError(f"--a-step must be positive, got {args.a_step}")
+    if args.anchor_step < 1:
+        raise ValueError(f"--anchor-step must be positive, got {args.anchor_step}")
     out = _out_dir(args)
     a_values = list(np.arange(args.a_min, args.a_max + 1e-12, args.a_step))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))

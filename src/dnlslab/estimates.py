@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .fields import SpectralField, Trajectory, bracket, physical_product, random_trajectory
+from .fields import Trajectory, bracket, physical_product, random_trajectory
 from .nonlinear import cubic_full, quintic_restricted
 from .norms import NormSpec, l2_spacetime_norm, xst_norm
 from .reports import EVIDENCE_CAVEAT, ScanReport
@@ -136,10 +136,13 @@ def resonance_sum_scan(
     truncations: list[int],
 ) -> ScanReport:
     """Sup of the truncated sum over an (a, anchor) grid, per truncation."""
+    if not (len(a_values) and len(anchor_values)):
+        raise ValueError(f"empty (a, anchor) grid: a_values={list(a_values)}, "
+                         f"anchor_values={list(anchor_values)}")
     sups = {}
     argmaxes = {}
     for K in truncations:
-        best, arg = 0.0, None
+        best, arg = -math.inf, None
         for a in a_values:
             for anchor in anchor_values:
                 val = resonance_weighted_sum(variant, eps, a, anchor, K)
@@ -345,15 +348,6 @@ def divergence_report(
 # estimate-ratio scans
 # ---------------------------------------------------------------------------
 
-def _stack_rows(op, trajs: list[Trajectory]) -> Trajectory:
-    """Trajectory of op applied to the time-aligned samples of trajs, with the
-    window and profile of the first."""
-    first = trajs[0]
-    rows = [op(*(SpectralField(c, first.cutoff) for c in cs)).coeffs
-            for cs in zip(*(t.coeffs for t in trajs))]
-    return Trajectory(np.array(rows), first.window, first.cutoff_profile)
-
-
 def _nested_trajectories(
     count: int, cutoff: int, seed: int, steps: int, window: float, per_sample: int
 ) -> list[list[Trajectory]]:
@@ -402,8 +396,9 @@ def cubic_ratio_scan(
         rhs = tfactor * xst_norm(w1, rhs_q, pad_factor) * xst_norm(w2, rhs_q, pad_factor) * xst_norm(w3, rhs_r, pad_factor)
         if rhs == 0.0:
             continue
-        out = _stack_rows(lambda a, b, c: cubic_full(a, b, c, out_cutoff=3 * cutoff), [w1, w2, w3])
-        ratios.append(xst_norm(out, lhs_spec, pad_factor) / rhs)
+        out = cubic_full(w1.coeffs, w2.coeffs, w3.coeffs, out_cutoff=3 * cutoff)
+        out_traj = Trajectory(out, w1.window, w1.cutoff_profile)
+        ratios.append(xst_norm(out_traj, lhs_spec, pad_factor) / rhs)
     values = tuple(float(x) for x in ratios)
     summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
@@ -442,12 +437,10 @@ def strichartz_ratio_scan(
         rhs = xst_norm(w1, spec_s, pad_factor) * xst_norm(w2, spec_s, pad_factor) * xst_norm(w3, spec_0, pad_factor)
         if rhs == 0.0:
             continue
-        prod = _stack_rows(
-            lambda a, b, c: physical_product([a, b, c], conjugate=[False, False, True],
-                                             out_cutoff=3 * cutoff),
-            [w1, w2, w3],
-        )
-        ratios.append(l2_spacetime_norm(prod) / rhs)
+        prod = physical_product([w1.coeffs, w2.coeffs, w3.coeffs],
+                                conjugate=[False, False, True], out_cutoff=3 * cutoff)
+        prod_traj = Trajectory(prod, w1.window, w1.cutoff_profile)
+        ratios.append(l2_spacetime_norm(prod_traj) / rhs)
     values = tuple(float(x) for x in ratios)
     summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
     grid = {"s": s, "b": b, "samples": samples, "cutoff": cutoff, "steps": steps, "window": window}
@@ -499,15 +492,14 @@ def quintic_ratio_scan(
         if rhs == 0.0:
             continue
         band = 5 * cutoff
+        factors = [w.coeffs for w in ws]
         if masked:
-            out = _stack_rows(lambda *fs: quintic_restricted(*fs, out_cutoff=band), ws)
+            out = quintic_restricted(*factors, out_cutoff=band)
         else:
-            out = _stack_rows(
-                lambda *fs: physical_product(list(fs), conjugate=[False, True, False, True, False],
-                                             out_cutoff=band),
-                ws,
-            )
-        ratios.append(xst_norm(out, lhs_spec, pad_factor) / rhs)
+            out = physical_product(factors, conjugate=[False, True, False, True, False],
+                                   out_cutoff=band)
+        out_traj = Trajectory(out, ws[0].window, ws[0].cutoff_profile)
+        ratios.append(xst_norm(out_traj, lhs_spec, pad_factor) / rhs)
     values = tuple(float(x) for x in ratios)
     summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
     grid = {"q": q, "r": r, "b": b, "samples": samples, "cutoff": cutoff,

@@ -96,31 +96,15 @@ class SpectralField:
     def pad_to(self, cutoff: int) -> "SpectralField":
         if cutoff < self.cutoff:
             raise ValueError("pad_to target smaller than current cutoff")
-        extra = cutoff - self.cutoff
-        return SpectralField(np.pad(self.coeffs, (extra, extra)), cutoff)
+        return self.truncate(cutoff)
 
     def truncate(self, cutoff: int) -> "SpectralField":
-        if cutoff >= self.cutoff:
-            return self.pad_to(cutoff)
-        drop = self.cutoff - cutoff
-        return SpectralField(self.coeffs[drop:-drop].copy(), cutoff)
-
-    def tail_l2(self, cutoff: int) -> float:
-        """l2 mass carried by frequencies |xi| > cutoff."""
-        if cutoff >= self.cutoff:
-            return 0.0
-        drop = self.cutoff - cutoff
-        tail = np.concatenate([self.coeffs[:drop], self.coeffs[-drop:]])
-        return float(np.linalg.norm(tail))
+        return SpectralField(resize(self.coeffs, cutoff), cutoff)
 
     # -- scalars -------------------------------------------------------
     def l2_norm(self) -> float:
         """L^2(0, 2pi) norm of the physical field (Parseval)."""
         return float(np.linalg.norm(self.coeffs))
-
-    def mass_mean(self) -> float:
-        """Mean value of |u|^2 over the torus, computed exactly from coefficients."""
-        return float(np.sum(np.abs(self.coeffs) ** 2) / TWO_PI)
 
 
 def match_cutoffs(a: SpectralField, b: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -129,15 +113,27 @@ def match_cutoffs(a: SpectralField, b: SpectralField) -> tuple[SpectralField, Sp
 
 
 # ---------------------------------------------------------------------------
-# physical <-> spectral conversion
+# operators on coefficient arrays
 # ---------------------------------------------------------------------------
+# Every operator below takes and returns coefficient arrays (..., 2*cutoff+1):
+# the last axis holds the band, any leading axes are a batch (one row per grid
+# time, say), and the cutoff is read from the width of the last axis.
 
-# The array-level pair below maps every row of a batch on its own: leading axes
-# are a batch, the last axis holds the band (2*cutoff+1) or the grid.
+def cutoff_of(coeffs: np.ndarray) -> int:
+    return (coeffs.shape[-1] - 1) // 2
 
-def band_to_grid(coeffs: np.ndarray, gridsize: int) -> np.ndarray:
+
+def resize(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficient arrays zero-padded or truncated along the last axis to |xi| <= cutoff."""
+    extra = cutoff - cutoff_of(coeffs)
+    if extra < 0:
+        return coeffs[..., -extra:extra]
+    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(extra, extra)])
+
+
+def to_physical(coeffs: np.ndarray, gridsize: int) -> np.ndarray:
     """Samples on the uniform grid x_j = 2*pi*j/gridsize of band coefficients."""
-    cutoff = (coeffs.shape[-1] - 1) // 2
+    cutoff = cutoff_of(coeffs)
     if gridsize < 2 * cutoff + 1:
         raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
     spectrum = np.zeros(coeffs.shape[:-1] + (gridsize,), dtype=complex)
@@ -146,8 +142,12 @@ def band_to_grid(coeffs: np.ndarray, gridsize: int) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=-1) * (gridsize / ROOT_TWO_PI)
 
 
-def grid_to_band(samples: np.ndarray, cutoff: int) -> np.ndarray:
-    """Band coefficients of uniform-grid samples; exact for data on a band that fits the grid."""
+def from_physical(samples: np.ndarray, cutoff: int) -> np.ndarray:
+    """Band coefficients of samples on the uniform grid x_j = 2*pi*j/G, G = samples.shape[-1].
+
+    Exact for band-limited data when G >= 2*cutoff + 1.
+    """
+    samples = np.asarray(samples, dtype=complex)
     gridsize = samples.shape[-1]
     if gridsize < 2 * cutoff + 1:
         raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
@@ -161,31 +161,52 @@ def product_gridsize(band: int, out_cutoff: int) -> int:
     return gridsize + gridsize % 2
 
 
-def from_physical(samples: np.ndarray, cutoff: int) -> SpectralField:
-    """Field from samples on the uniform grid x_j = 2*pi*j/G, G = len(samples).
-
-    Exact for band-limited data when G >= 2*cutoff + 1.
-    """
-    return SpectralField(grid_to_band(np.asarray(samples, dtype=complex), cutoff), cutoff)
-
-
-def to_physical(f: SpectralField, gridsize: int) -> np.ndarray:
-    """Samples of the field on the uniform grid of the given size."""
-    return band_to_grid(f.coeffs, gridsize)
+def product_coeffs(values: np.ndarray, band: int, out_cutoff: int) -> np.ndarray:
+    """Coefficients on |xi| <= out_cutoff of grid samples of a product of band `band`."""
+    return resize(from_physical(values, min(out_cutoff, band)), out_cutoff)
 
 
 def x_grid(gridsize: int) -> np.ndarray:
     return TWO_PI * np.arange(gridsize) / gridsize
 
 
-def derivative(f: SpectralField) -> SpectralField:
+def derivative(coeffs: np.ndarray) -> np.ndarray:
     """Exact spatial derivative: multiply coefficients by i*xi."""
-    return SpectralField(1j * f.xi * f.coeffs, f.cutoff)
+    return 1j * xi_range(cutoff_of(coeffs)) * coeffs
 
 
-def mean_value(f: SpectralField) -> complex:
-    """Mean of the field over the torus: (2*pi)**-0.5 * coeff(0)."""
-    return f.coeff(0) / ROOT_TWO_PI
+def mass_mean(coeffs: np.ndarray) -> np.ndarray:
+    """Mean of |u|^2 over the torus, exact from the coefficients, one value per row."""
+    return np.sum(np.abs(coeffs) ** 2, axis=-1) / TWO_PI
+
+
+def mean_value(coeffs: np.ndarray) -> np.ndarray:
+    """Mean over the torus: (2*pi)**-0.5 * coeff(0), one value per row."""
+    return coeffs[..., cutoff_of(coeffs)] / ROOT_TWO_PI
+
+
+def physical_product(
+    factors: Sequence[np.ndarray],
+    conjugate: Sequence[bool] | None = None,
+    out_cutoff: int | None = None,
+) -> np.ndarray:
+    """Pointwise product of the factors, dealiased, on |xi| <= out_cutoff.
+
+    The factors may have different cutoffs, and their leading axes broadcast.
+    The working grid is large enough that the kept band is alias-free.
+    """
+    if conjugate is None:
+        conjugate = [False] * len(factors)
+    cutoffs = [cutoff_of(f) for f in factors]
+    band = sum(cutoffs)
+    if out_cutoff is None:
+        out_cutoff = max(cutoffs)
+    gridsize = product_gridsize(band, out_cutoff)
+    values = np.ones(gridsize, dtype=complex)
+    for f, cj in zip(factors, conjugate):
+        v = to_physical(f, gridsize)
+        values = values * (np.conj(v) if cj else v)
+    return product_coeffs(values, band, out_cutoff)
 
 
 def plane_wave(cutoff: int, n: int, amplitude: complex = 1.0) -> SpectralField:
@@ -195,29 +216,6 @@ def plane_wave(cutoff: int, n: int, amplitude: complex = 1.0) -> SpectralField:
 
 def constant_field(cutoff: int, value: complex) -> SpectralField:
     return SpectralField.from_coeff_dict(cutoff, {0: value * ROOT_TWO_PI})
-
-
-def physical_product(
-    factors: Sequence[SpectralField],
-    conjugate: Sequence[bool] | None = None,
-    out_cutoff: int | None = None,
-) -> SpectralField:
-    """Pointwise product of fields, dealiased, truncated to out_cutoff.
-
-    The working grid is large enough that the kept band is alias-free.
-    """
-    if conjugate is None:
-        conjugate = [False] * len(factors)
-    band = sum(f.cutoff for f in factors)
-    if out_cutoff is None:
-        out_cutoff = max(f.cutoff for f in factors)
-    gridsize = product_gridsize(band, out_cutoff)
-    values = np.ones(gridsize, dtype=complex)
-    for f, cj in zip(factors, conjugate):
-        v = band_to_grid(f.coeffs, gridsize)
-        values *= np.conj(v) if cj else v
-    keep = min(out_cutoff, band)
-    return SpectralField(grid_to_band(values, keep), keep).pad_to(out_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +247,8 @@ class CutoffProfile:
     def __post_init__(self):
         if self.kind not in ("bump", "applied"):
             raise ValueError(f"unknown cutoff kind {self.kind!r}")
-        if self.kind == "bump" and self.scale <= 0:
-            raise ValueError("cutoff scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"cutoff scale must be finite and positive, got {self.scale}")
 
     def weights(self, times: np.ndarray) -> np.ndarray:
         if self.kind == "applied":
@@ -277,8 +275,8 @@ class Trajectory:
                 "trajectory needs a (steps+1, 2*cutoff+1) coefficient matrix with "
                 f"at least two samples, got shape {c.shape}"
             )
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not (math.isfinite(self.window) and self.window > 0):
+            raise ValueError(f"window must be finite and positive, got {self.window}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -296,7 +294,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return -self.window + self.dt * np.arange(self.steps + 1)
+        return time_grid(self.window, self.steps)
 
     def coeff_matrix(self) -> np.ndarray:
         """The stored (steps+1, 2*cutoff+1) coefficient matrix (no copy)."""
@@ -320,6 +318,13 @@ class Trajectory:
         return float(np.linalg.norm(self.coeffs - other.coeffs, axis=1).max())
 
 
+def time_grid(window: float, steps: int) -> np.ndarray:
+    """The uniform grid t_k = -window + k*dt, k = 0..steps, with dt = 2*window/steps."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    return -window + (2.0 * window / steps) * np.arange(steps + 1)
+
+
 def free_phase(times, cutoff: int) -> np.ndarray:
     """The free Schroedinger multiplier exp(-i*t*xi^2) on the band, one row per time.
 
@@ -340,8 +345,8 @@ def free_wave_trajectory(
 
     The profile scale window/2 makes the windowed samples vanish at the edges.
     """
-    times = -window + (2.0 * window / steps) * np.arange(steps + 1)
-    coeffs = amplitude * free_phase(times, cutoff) * plane_wave(cutoff, n).coeffs
+    phase = free_phase(time_grid(window, steps), cutoff)
+    coeffs = amplitude * phase * plane_wave(cutoff, n).coeffs
     return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))
 
 
@@ -391,8 +396,7 @@ def random_trajectory(
             + 1j * rng.standard_normal((2 * cutoff + 1, modes)))
     rates = rng.uniform(-max_rate, max_rate, size=(2 * cutoff + 1, modes))
     tiltw = bracket(xi) ** (-tilt)
-    times = -window + (2.0 * window / steps) * np.arange(steps + 1)
-    waves = np.exp(1j * rates * times[:, None, None])
+    waves = np.exp(1j * rates * time_grid(window, steps)[:, None, None])
     coeffs = np.sum(base * waves, axis=2) * tiltw / math.sqrt(modes)
     coeffs[:, np.abs(xi) > active] = 0.0
     return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))

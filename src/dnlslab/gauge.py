@@ -13,16 +13,21 @@ import numpy as np
 
 from .fields import (
     ROOT_TWO_PI,
-    TWO_PI,
-    SpectralField,
     Trajectory,
+    cutoff_of,
     from_physical,
+    mass_mean,
     physical_product,
     plane_wave,
     to_physical,
+    xi_range,
 )
-from .norms import NormSpec, h_norm
+from .norms import NormSpec, data_norms, h_norm
 from .reports import ScanReport
+
+# The maps below take and return coefficient arrays (..., 2*cutoff+1) whose
+# leading axes are a batch; the maps of one sample at time t take one time
+# per row, or one scalar time for every row.
 
 
 @dataclass(frozen=True)
@@ -46,97 +51,75 @@ class GaugeContext:
         return cls(cutoff=cutoff, gridsize=max(oversample * cutoff, 4 * cutoff + 1))
 
 
-def mass_primitive(u: SpectralField) -> SpectralField:
+def mass_primitive(u: np.ndarray) -> np.ndarray:
     """Mean-zero primitive of |u|^2 - mean(|u|^2), exact on the doubled band.
 
     In Fourier space: out(xi) = (i*xi)**-1 * coeff(|u|^2)(xi) for xi != 0 and 0
     at xi = 0.
     """
-    sq = physical_product([u, u], conjugate=[False, True], out_cutoff=2 * u.cutoff)
-    xi = sq.xi.astype(float)
-    out = np.zeros_like(sq.coeffs)
-    nz = xi != 0
-    out[nz] = sq.coeffs[nz] / (1j * xi[nz])
-    return SpectralField(out, sq.cutoff)
+    n = 2 * cutoff_of(u)
+    sq = physical_product([u, u], conjugate=[False, True], out_cutoff=n)
+    xi = xi_range(n).astype(float)
+    return np.divide(sq, 1j * xi, out=np.zeros_like(sq), where=xi != 0)
 
 
-def _phase_values(u: SpectralField, ctx: GaugeContext, sign: float) -> np.ndarray:
-    prim = mass_primitive(u)
-    return np.exp(sign * 1j * to_physical(prim, ctx.gridsize))
+def _phase_product(u: np.ndarray, ctx: GaugeContext, sign: float) -> np.ndarray:
+    """exp(sign * i * primitive(u)) * u on the gauge grid."""
+    phase = np.exp(sign * 1j * to_physical(mass_primitive(u), ctx.gridsize))
+    return phase * to_physical(u, ctx.gridsize)
 
 
-def gauge_phase(u: SpectralField, ctx: GaugeContext) -> SpectralField:
+def gauge_phase(u: np.ndarray, ctx: GaugeContext) -> np.ndarray:
     """exp(-i * primitive(u)) * u projected back to the working band."""
-    values = _phase_values(u, ctx, -1.0) * to_physical(u, ctx.gridsize)
-    return from_physical(values, u.cutoff)
+    return from_physical(_phase_product(u, ctx, -1.0), cutoff_of(u))
 
 
-def gauge_phase_inv(u: SpectralField, ctx: GaugeContext) -> SpectralField:
+def gauge_phase_inv(u: np.ndarray, ctx: GaugeContext) -> np.ndarray:
     """exp(+i * primitive(u)) * u projected back to the working band."""
-    values = _phase_values(u, ctx, +1.0) * to_physical(u, ctx.gridsize)
-    return from_physical(values, u.cutoff)
+    return from_physical(_phase_product(u, ctx, +1.0), cutoff_of(u))
 
 
-def gauge_phase_tail(u: SpectralField, ctx: GaugeContext) -> float:
-    """l2 mass of the phase product outside the working band (truncation report)."""
-    values = _phase_values(u, ctx, -1.0) * to_physical(u, ctx.gridsize)
-    full = from_physical(values, (ctx.gridsize - 1) // 2)
-    return full.tail_l2(u.cutoff)
+def gauge_phase_tail(u: np.ndarray, ctx: GaugeContext) -> np.ndarray:
+    """l2 mass of the phase product outside the working band, one value per row
+    (the truncation that gauge_phase makes)."""
+    n, k = cutoff_of(u), (ctx.gridsize - 1) // 2
+    full = from_physical(_phase_product(u, ctx, -1.0), k)
+    full[..., k - n : k + n + 1] = 0.0
+    return np.linalg.norm(full, axis=-1)
 
 
-def shift_field(u: SpectralField, amount: float) -> SpectralField:
-    """u(x - amount) via the exact Fourier multiplier exp(-i*amount*xi)."""
-    return SpectralField(np.exp(-1j * amount * u.xi) * u.coeffs, u.cutoff)
-
-
-def translate_field(u: SpectralField, t: float, sign: int) -> SpectralField:
-    """Mass-dependent translation of one sample at time t.
+def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:
+    """Mass-dependent translation of every row at its time, by its own mass mean.
 
     sign -1 evaluates at x - 2*t*mean(|u|^2) (multiplier exp(-2i*t*m*xi));
     sign +1 applies the opposite shift.
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")
-    return shift_field(u, -sign * 2.0 * t * u.mass_mean())
+    amount = -sign * 2.0 * times * mass_mean(coeffs)
+    return np.exp(-1j * np.multiply.outer(amount, xi_range(cutoff_of(coeffs)))) * coeffs
 
 
-def translate(traj: Trajectory, sign: int) -> Trajectory:
-    """Mass-dependent translation of every sample, each by its own mass mean."""
-    if sign not in (-1, +1):
-        raise ValueError("sign must be -1 or +1")
-    mass_mean = np.sum(np.abs(traj.coeffs) ** 2, axis=1) / TWO_PI
-    amount = -sign * 2.0 * traj.times * mass_mean
-    xi = np.arange(-traj.cutoff, traj.cutoff + 1)
-    return replace(traj, coeffs=np.exp(-1j * np.multiply.outer(amount, xi)) * traj.coeffs)
+def gauge_field(u: np.ndarray, t, ctx: GaugeContext) -> np.ndarray:
+    """Gauge transform of samples at their times (phase twist, then shift)."""
+    return translate(gauge_phase(u, ctx), t, -1)
 
 
-def gauge_field(u: SpectralField, t: float, ctx: GaugeContext) -> SpectralField:
-    """Gauge transform of a single sample at time t (phase twist, then shift)."""
-    return translate_field(gauge_phase(u, ctx), t, -1)
-
-
-def gauge_field_inv(v: SpectralField, t: float, ctx: GaugeContext) -> SpectralField:
-    return gauge_phase_inv(translate_field(v, t, +1), ctx)
+def gauge_field_inv(v: np.ndarray, t, ctx: GaugeContext) -> np.ndarray:
+    return gauge_phase_inv(translate(v, t, +1), ctx)
 
 
 def gauge(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
-    """Full gauge transform of a trajectory, sample by sample.
+    """Full gauge transform of a trajectory, every sample at its own time.
 
     The translation amount uses each sample's own mass mean, which both the
     phase twist and the shift leave unchanged.
     """
-    return _map_rows(gauge_field, traj, ctx)
+    return replace(traj, coeffs=gauge_field(traj.coeffs, traj.times, ctx))
 
 
 def gauge_inv(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
-    return _map_rows(gauge_field_inv, traj, ctx)
-
-
-def _map_rows(fn, traj: Trajectory, ctx: GaugeContext) -> Trajectory:
-    """Stack fn(sample, t, ctx) over the rows of the trajectory."""
-    rows = [fn(SpectralField(c, traj.cutoff), t, ctx).coeffs
-            for c, t in zip(traj.coeffs, traj.times)]
-    return replace(traj, coeffs=np.array(rows))
+    return replace(traj, coeffs=gauge_field_inv(traj.coeffs, traj.times, ctx))
 
 
 def gauge_roundtrip_error(traj: Trajectory, ctx: GaugeContext) -> float:
@@ -163,6 +146,8 @@ def translation_gap_probe(
     output gap is the sup over t in [-1, 1] of the same norm of the gap of
     the translated fields.
     """
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"n_list entries must be positive, got {list(n_list)}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
     spec = NormSpec(s=s, r=r)
@@ -173,15 +158,13 @@ def translation_gap_probe(
         u1 = wave + plane_wave(n, 0, 1.0 / math.sqrt(n))
         u2 = wave
         input_gap = h_norm(u1 - u2, spec)
-        out_gap = 0.0
+        d = translate(u1.coeffs, tgrid, -1) - translate(u2.coeffs, tgrid, -1)
+        out_gap = float(np.max(data_norms(d, spec)))
         gauge_gap = 0.0
-        ctx = GaugeContext.for_cutoff(n) if include_gauge_gap else None
-        for t in tgrid:
-            d = translate_field(u1, t, -1) - translate_field(u2, t, -1)
-            out_gap = max(out_gap, h_norm(d, spec))
-            if ctx is not None:
-                g = gauge_field(u1, t, ctx) - gauge_field(u2, t, ctx)
-                gauge_gap = max(gauge_gap, h_norm(g, spec))
+        if include_gauge_gap:
+            ctx = GaugeContext.for_cutoff(n)
+            g = gauge_field(u1.coeffs, tgrid, ctx) - gauge_field(u2.coeffs, tgrid, ctx)
+            gauge_gap = float(np.max(data_norms(g, spec)))
         rows.append((n, input_gap, out_gap, gauge_gap))
     values = tuple(row[2] for row in rows)
     summary = {

@@ -11,41 +11,52 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
-    SpectralField,
-    band_to_grid,
+    cutoff_of,
     derivative,
-    grid_to_band,
+    mass_mean,
+    product_coeffs,
     product_gridsize,
-    xi_range,
+    resize,
+    to_physical,
 )
 
 TWO_PI = 2.0 * np.pi
 
+# Every operator here takes and returns coefficient arrays (..., 2*cutoff+1):
+# the last axis holds the band, any leading axes are a batch.
 
-def _require_shared_cutoff(*fields: SpectralField) -> int:
-    cut = fields[0].cutoff
-    if any(f.cutoff != cut for f in fields):
+
+def _shared_cutoff(*factors: np.ndarray) -> int:
+    cut = cutoff_of(factors[0])
+    if any(cutoff_of(f) != cut for f in factors):
         raise ValueError("operands must share one frequency cutoff")
     return cut
 
 
-def _conj_coeffs(f: SpectralField) -> np.ndarray:
-    """Coefficients of conj(u) on the same band."""
-    return np.conj(f.coeffs[::-1])
+def _conj(u: np.ndarray) -> np.ndarray:
+    """Coefficients of conj(u) on the same band: conj(coeff(-xi))."""
+    return np.conj(u[..., ::-1])
 
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficient convolution; bands add."""
-    return np.convolve(a, b)
+    """Coefficient convolution along the last axis; bands add.
+
+    A direct sum, not an FFT, so the convolution forms stay an independent
+    check of the physical-space forms."""
+    if a.shape[-1] > b.shape[-1]:
+        a, b = b, a
+    width = b.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                   + (a.shape[-1] + width - 1,), dtype=complex)
+    for j in range(a.shape[-1]):
+        out[..., j : j + width] += a[..., j : j + 1] * b
+    return out
 
 
-def _zero_mode(a: np.ndarray, b: np.ndarray) -> complex:
-    """Sum over xi_a + xi_b = 0 of a(xi_a) * b(xi_b) for equal-band arrays."""
-    return complex(np.dot(a, b[::-1]))
-
-
-def _finish(coeffs_full: np.ndarray, band: int, out_cutoff: int) -> SpectralField:
-    return SpectralField(coeffs_full, band).truncate(out_cutoff)
+def _zero_mode(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over xi_a + xi_b = 0 of a(xi_a) * b(xi_b) for equal-band arrays,
+    kept as a trailing axis of length 1."""
+    return np.sum(a * b[..., ::-1], axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +64,11 @@ def _finish(coeffs_full: np.ndarray, band: int, out_cutoff: int) -> SpectralFiel
 # ---------------------------------------------------------------------------
 
 def cubic_restricted(
-    u1: SpectralField,
-    u2: SpectralField,
-    u3: SpectralField,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    u3: np.ndarray,
     out_cutoff: int | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     """Derivative-weighted triple convolution with xi1 != xi and xi2 != xi.
 
     out(xi) = (2*pi)**-1 * sum over xi = xi1+xi2+xi3, xi1 != xi, xi2 != xi of
@@ -68,61 +79,52 @@ def cubic_restricted(
 
 
 def cubic_diagonal(
-    u1: SpectralField,
-    u2: SpectralField,
-    u3: SpectralField,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    u3: np.ndarray,
     out_cutoff: int | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     """Diagonal complement: out(xi) = (2*pi)**-1 * c1(xi)*c2(xi)*i*xi*conj(u3)^(-xi)."""
-    n = _require_shared_cutoff(u1, u2, u3)
+    n = _shared_cutoff(u1, u2, u3)
     if out_cutoff is None:
         out_cutoff = n
-    xi = u1.xi
-    coeffs = u1.coeffs * u2.coeffs * (1j * xi) * np.conj(u3.coeffs) / TWO_PI
-    return SpectralField(coeffs, n).truncate(out_cutoff)
+    return resize(derivative(u1 * u2) * np.conj(u3) / TWO_PI, out_cutoff)
 
 
 def cubic_full(
-    u1: SpectralField,
-    u2: SpectralField,
-    u3: SpectralField,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    u3: np.ndarray,
     out_cutoff: int | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     return cubic_restricted(u1, u2, u3, out_cutoff) + cubic_diagonal(u1, u2, u3, out_cutoff)
 
 
 def product_restricted(
-    u1: SpectralField,
-    u2: SpectralField,
-    u3: SpectralField,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    u3: np.ndarray,
     out_cutoff: int | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     """Triple convolution of u1*u2*conj(u3) with xi1 != xi and xi2 != xi,
     without the derivative weight."""
-    n = _require_shared_cutoff(u1, u2, u3)
+    n = _shared_cutoff(u1, u2, u3)
     if out_cutoff is None:
         out_cutoff = n
-    a, b = u1.coeffs, u2.coeffs
-    w = _conj_coeffs(u3)
-    full = _conv(_conv(a, b), w)
-    s23 = _zero_mode(b, w)
-    s13 = _zero_mode(a, w)
-    band = 3 * n
-    out = full.copy()
-    pad = band - n
-    sl = slice(pad, pad + 2 * n + 1)
-    out[sl] -= a * s23 + b * s13
-    out[sl] += a * b * np.conj(u3.coeffs)
-    return _finish(out / TWO_PI, band, out_cutoff)
+    w = _conj(u3)
+    out = _conv(_conv(u1, u2), w)  # band 3n
+    diagonal = slice(2 * n, 4 * n + 1)
+    out[..., diagonal] -= u1 * _zero_mode(u2, w) + u2 * _zero_mode(u1, w)
+    out[..., diagonal] += u1 * u2 * np.conj(u3)
+    return resize(out / TWO_PI, out_cutoff)
 
 
-def mean_shifted_cubic_spectral(u: SpectralField, out_cutoff: int | None = None) -> SpectralField:
+def mean_shifted_cubic_spectral(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     """Convolution form: restricted triple product minus the double-diagonal term."""
     if out_cutoff is None:
-        out_cutoff = u.cutoff
-    rest = product_restricted(u, u, u, out_cutoff)
-    diag = SpectralField(u.coeffs * u.coeffs * np.conj(u.coeffs) / TWO_PI, u.cutoff)
-    return rest - diag.truncate(out_cutoff)
+        out_cutoff = cutoff_of(u)
+    diag = u * u * np.conj(u) / TWO_PI
+    return product_restricted(u, u, u, out_cutoff) - resize(diag, out_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -130,114 +132,83 @@ def mean_shifted_cubic_spectral(u: SpectralField, out_cutoff: int | None = None)
 # ---------------------------------------------------------------------------
 
 def quintic_restricted(
-    u1: SpectralField,
-    u2: SpectralField,
-    u3: SpectralField,
-    u4: SpectralField,
-    u5: SpectralField,
+    u1: np.ndarray,
+    u2: np.ndarray,
+    u3: np.ndarray,
+    u4: np.ndarray,
+    u5: np.ndarray,
     out_cutoff: int | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     """Five-fold convolution of u1*conj(u2)*u3*conj(u4)*u5 with the resonant
     slices xi1+xi2+xi3+xi4 = 0, xi1+xi2 = 0 and xi3+xi4 = 0 removed,
     assembled by inclusion-exclusion.
     """
-    n = _require_shared_cutoff(u1, u2, u3, u4, u5)
+    n = _shared_cutoff(u1, u2, u3, u4, u5)
     if out_cutoff is None:
         out_cutoff = n
-
-    a1, a3, a5 = u1.coeffs, u3.coeffs, u5.coeffs
-    a2, a4 = _conj_coeffs(u2), _conj_coeffs(u4)
-    conv12 = _conv(a1, a2)
-    conv34 = _conv(a3, a4)
-    full = _conv(_conv(conv12, conv34), a5)  # band 5n
-    s12 = _zero_mode(a1, a2)
-    s34 = _zero_mode(a3, a4)
+    a2, a4 = _conj(u2), _conj(u4)
+    conv12 = _conv(u1, a2)
+    conv34 = _conv(u3, a4)
+    out = _conv(_conv(conv12, conv34), u5)  # band 5n
+    s12 = _zero_mode(u1, a2)
+    s34 = _zero_mode(u3, a4)
     s1234 = _zero_mode(conv12, conv34)
-    conv345 = _conv(conv34, a5)  # band 3n
-    conv125 = _conv(conv12, a5)
-    band = 5 * n
-    out = full.copy()
-    pad3 = band - 3 * n
-    sl3 = slice(pad3, pad3 + 6 * n + 1)
-    out[sl3] -= s12 * conv345 + s34 * conv125
-    pad1 = band - n
-    sl1 = slice(pad1, pad1 + 2 * n + 1)
-    out[sl1] += (-s1234 + 2.0 * s12 * s34) * a5
-    return _finish(out / TWO_PI**2, band, out_cutoff)
+    out[..., 2 * n : 8 * n + 1] -= s12 * _conv(conv34, u5) + s34 * _conv(conv12, u5)
+    out[..., 4 * n : 6 * n + 1] += (-s1234 + 2.0 * s12 * s34) * u5
+    return resize(out / TWO_PI**2, out_cutoff)
 
 
 # ---------------------------------------------------------------------------
-# physical-space forcing operators on coefficient arrays
+# physical-space forcing operators
 # ---------------------------------------------------------------------------
-# These take and return coefficient arrays (..., 2*cutoff+1) with leading batch
-# axes (one row per grid time, say).  Each transforms its input once onto one
-# grid sized for its own band, multiplies pointwise and transforms back once.
-
-def _cutoff_of(coeffs: np.ndarray) -> int:
-    return (coeffs.shape[-1] - 1) // 2
-
-
-def _pad(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
-    """Coefficient arrays zero-padded along the last axis to |xi| <= cutoff."""
-    extra = cutoff - _cutoff_of(coeffs)
-    return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(extra, extra)])
-
-
-def _on_band(values: np.ndarray, band: int, out_cutoff: int) -> np.ndarray:
-    """Coefficients on |xi| <= out_cutoff of grid samples of a product of band `band`."""
-    return _pad(grid_to_band(values, min(out_cutoff, band)), out_cutoff)
-
-
-def _mass_mean(coeffs: np.ndarray) -> np.ndarray:
-    """Mean of |u|^2 over the torus for every row, kept as a trailing axis of length 1."""
-    return np.sum(np.abs(coeffs) ** 2, axis=-1, keepdims=True) / TWO_PI
-
+# Each transforms its input once onto one grid sized for its own band,
+# multiplies pointwise and transforms back once.
 
 def _cubic_kernel(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """|u|^2 u on |xi| <= out_cutoff."""
-    band = 3 * _cutoff_of(u)
-    x = band_to_grid(u, product_gridsize(band, out_cutoff))
-    return _on_band(x * np.conj(x) * x, band, out_cutoff)
+    band = 3 * cutoff_of(u)
+    x = to_physical(u, product_gridsize(band, out_cutoff))
+    return product_coeffs(x * np.conj(x) * x, band, out_cutoff)
 
 
 def dnls_forcing(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     """d/dx(|u|^2 u), the integral-equation forcing of the raw equation."""
     if out_cutoff is None:
-        out_cutoff = _cutoff_of(u)
-    return 1j * xi_range(out_cutoff) * _cubic_kernel(u, out_cutoff)
+        out_cutoff = cutoff_of(u)
+    return derivative(_cubic_kernel(u, out_cutoff))
 
 
 def mean_shifted_cubic(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     """(|u|^2 - 2*mean|u|^2) * u, evaluated in physical space."""
     if out_cutoff is None:
-        out_cutoff = _cutoff_of(u)
-    return _cubic_kernel(u, out_cutoff) - (2.0 * _mass_mean(u)) * _pad(u, out_cutoff)
+        out_cutoff = cutoff_of(u)
+    return _cubic_kernel(u, out_cutoff) - (2.0 * mass_mean(u)[..., None]) * resize(u, out_cutoff)
 
 
 def cubic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     """v^2 * d/dx conj(v) minus 2i * mean(Im(v * d/dx conj(v))) * v, dealiased."""
-    n = _cutoff_of(v)
+    n = cutoff_of(v)
     if out_cutoff is None:
         out_cutoff = n
     gridsize = product_gridsize(3 * n, out_cutoff)
-    x = band_to_grid(v, gridsize)
-    pair = x * band_to_grid(1j * xi_range(n) * np.conj(v[..., ::-1]), gridsize)
+    x = to_physical(v, gridsize)
+    pair = x * to_physical(derivative(_conj(v)), gridsize)
     mean_im = np.mean(pair, axis=-1, keepdims=True).imag
-    return _on_band(pair * x, 3 * n, out_cutoff) - (2j * mean_im) * _pad(v, out_cutoff)
+    return product_coeffs(pair * x, 3 * n, out_cutoff) - (2j * mean_im) * resize(v, out_cutoff)
 
 
 def quintic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     """(|v|^4 - mean|v|^4) v - 2*mean|v|^2 * (|v|^2 - mean|v|^2) v, dealiased."""
-    n = _cutoff_of(v)
+    n = cutoff_of(v)
     if out_cutoff is None:
         out_cutoff = n
-    m2 = _mass_mean(v)
-    x = band_to_grid(v, product_gridsize(5 * n, out_cutoff))
+    m2 = mass_mean(v)[..., None]
+    x = to_physical(v, product_gridsize(5 * n, out_cutoff))
     sq = x.real**2 + x.imag**2
     m4 = np.mean(sq * sq, axis=-1, keepdims=True)
     # the two terms share one grid: (|v|^4 - 2*m2*|v|^2) v - (m4 - 2*m2^2) v
     values = (sq - 2.0 * m2) * sq * x
-    return _on_band(values, 5 * n, out_cutoff) - (m4 - 2.0 * m2 * m2) * _pad(v, out_cutoff)
+    return product_coeffs(values, 5 * n, out_cutoff) - (m4 - 2.0 * m2 * m2) * resize(v, out_cutoff)
 
 
 # ---------------------------------------------------------------------------

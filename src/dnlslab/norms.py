@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROOT_TWO_PI, SpectralField, Trajectory, bracket
+from .fields import ROOT_TWO_PI, SpectralField, Trajectory, bracket, cutoff_of, xi_range
 from .reports import ScanReport
 
 INF = math.inf
@@ -52,16 +52,20 @@ class NormSpec:
         return dual_exponent(self.p)
 
 
-def _lp_sequence_norm(values: np.ndarray, p: float) -> float:
-    if p == INF:
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**p) ** (1.0 / p))
+def _lp_sequence_norm(values: np.ndarray, p: float) -> np.ndarray:
+    """l^p norm along the last axis; every caller has a finite p (r lies in (1, inf))."""
+    return np.sum(values**p, axis=-1) ** (1.0 / p)
+
+
+def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """|| <xi>**s coeff ||_{l^{r'}} of every coefficient row (..., 2*cutoff+1)."""
+    weighted = bracket(xi_range(cutoff_of(coeffs))) ** spec.s * np.abs(coeffs)
+    return _lp_sequence_norm(weighted, spec.r_dual)
 
 
 def h_norm(f: SpectralField, spec: NormSpec) -> float:
-    """|| <xi>**s coeff ||_{l^{r'}}."""
-    weighted = bracket(f.xi) ** spec.s * np.abs(f.coeffs)
-    return _lp_sequence_norm(weighted, spec.r_dual)
+    """|| <xi>**s coeff ||_{l^{r'}} of one field."""
+    return float(data_norms(f.coeffs, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +112,7 @@ def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4) -> float:
     else:
         dtau = tau[1] - tau[0]
         per_xi = (np.sum(weighted**p_dual, axis=0) * dtau) ** (1.0 / p_dual)
-    return _lp_sequence_norm(per_xi, spec.r_dual)
+    return float(_lp_sequence_norm(per_xi, spec.r_dual))
 
 
 def z_norm(traj: Trajectory, s: float, r: float, pad_factor: int = 4) -> float:

@@ -5,6 +5,7 @@ Reports never embed timestamps so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,12 +93,19 @@ def _cell(v) -> str:
 def save_field(path: str | Path, f) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [canonical_json({"kind": "field", "cutoff": f.cutoff, "version": __version__})]
-    lines.append("xi,re,im")
-    for xi, c in zip(f.xi, f.coeffs):
-        lines.append(f"{xi},{float(c.real)!r},{float(c.imag)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    head = canonical_json({"kind": "field", "cutoff": f.cutoff, "version": __version__})
+    path.write_text("\n".join([head, "xi,re,im", *_coeff_lines(f.coeffs)]) + "\n")
     return path
+
+
+def _coeff_lines(coeffs: np.ndarray) -> list[str]:
+    """One CSV line per coefficient: its grid index (k for a trajectory, then
+    xi from -cutoff), then the real and imaginary parts as repr floats."""
+    cutoff = coeffs.shape[-1] // 2
+    index = itertools.product(*(map(str, range(n)) for n in coeffs.shape[:-1]),
+                              map(str, range(-cutoff, cutoff + 1)))
+    return [",".join(ix) + f",{c.real!r},{c.imag!r}"
+            for ix, c in zip(index, coeffs.ravel().tolist())]
 
 
 def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
@@ -163,7 +171,8 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
         at = ",".join(map(str, (*k, j - cutoff)))
         raise ValueError(f"{path}: missing {coeffs.size - len(flat)} of {coeffs.size} rows, "
                          f"the first at {columns.removesuffix(',re,im')}={at}")
-    coeffs.flat[flat] = table[:, -2] + 1j * table[:, -1]
+    # (re, im) pairs viewed as complex numbers, so every bit, a zero's sign too, survives
+    coeffs.flat[flat] = np.ascontiguousarray(table[:, -2:]).view(complex)[:, 0]
     return header, coeffs
 
 
@@ -188,11 +197,7 @@ def save_trajectory(path: str | Path, traj) -> Path:
         "cutoff_profile": profile,
         "version": __version__,
     }
-    lines = [canonical_json(head), "k,xi,re,im"]
-    xi = range(-traj.cutoff, traj.cutoff + 1)
-    for k, row in enumerate(traj.coeffs):
-        for x, c in zip(xi, row):
-            lines.append(f"{k},{x},{float(c.real)!r},{float(c.imag)!r}")
+    lines = [canonical_json(head), "k,xi,re,im", *_coeff_lines(traj.coeffs)]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -205,5 +210,5 @@ def load_trajectory(path: str | Path):
         p = header.get("cutoff_profile")
         profile = CutoffProfile(kind=p["kind"], scale=p["scale"]) if p else None
         return Trajectory(coeffs, float(header["window"]), profile)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}:1: bad header ({exc!r})") from None

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import SpectralField, Trajectory, free_phase, plane_wave
-from .gauge import GaugeContext, gauge, gauge_field, gauge_inv
+from .fields import SpectralField, Trajectory, free_phase, plane_wave, time_grid
+from .gauge import GaugeContext, gauge, gauge_field, gauge_inv, gauge_phase_tail
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
 
@@ -64,6 +64,7 @@ class SolveReport:
     integral_residual: float
     truncated_tail_mass: float
     gauge_residual: float | None = None
+    gauge_tail: float | None = None
     cross_check_gap: float | None = None
 
     def to_json_dict(self) -> dict:
@@ -77,6 +78,7 @@ class SolveReport:
             "integral_residual": self.integral_residual,
             "truncated_tail_mass": self.truncated_tail_mass,
             "gauge_residual": self.gauge_residual,
+            "gauge_tail": self.gauge_tail,
             "cross_check_gap": self.cross_check_gap,
             "cutoff": self.trajectory.cutoff,
             "window": self.trajectory.window,
@@ -167,11 +169,6 @@ def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def _solver_times(cfg: SolveConfig) -> np.ndarray:
-    dt = 2.0 * cfg.horizon / cfg.steps
-    return -cfg.horizon + dt * np.arange(cfg.steps + 1)
-
-
 def picard_solve(
     u0: SpectralField, cfg: SolveConfig, initial: Trajectory | None = None
 ) -> SolveReport:
@@ -184,7 +181,7 @@ def picard_solve(
     """
     if u0.cutoff != cfg.cutoff:
         u0 = u0.truncate(cfg.cutoff)
-    times = _solver_times(cfg)
+    times = time_grid(cfg.horizon, cfg.steps)
     dt = times[1] - times[0]
     linear = free_phase(times, cfg.cutoff) * u0.coeffs
 
@@ -270,7 +267,7 @@ def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Traject
     """
     if u0.cutoff != cfg.cutoff:
         u0 = u0.truncate(cfg.cutoff)
-    times = _solver_times(cfg)
+    times = time_grid(cfg.horizon, cfg.steps)
     mid = cfg.steps // 2
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
@@ -306,13 +303,14 @@ def solve_via_gauge(u0: SpectralField, cfg: SolveConfig) -> SolveReport:
     """Gauge the datum, solve the transformed equation, and ungauge.
 
     Returns a report for the raw-equation solution, including its own
-    integral-equation residual and the gap between the gauged representation
-    and the directly transformed trajectory.
+    integral-equation residual, the gap between the gauged representation
+    and the directly transformed trajectory, and the worst out-of-band mass
+    of the phase product that gauging the solution truncates.
     """
     if cfg.equation is not Equation.DNLS:
         raise ValueError("the gauge pipeline solves the raw derivative equation")
     ctx = GaugeContext.for_cutoff(cfg.cutoff)
-    v0 = gauge_field(u0.truncate(cfg.cutoff), 0.0, ctx)
+    v0 = SpectralField(gauge_field(u0.truncate(cfg.cutoff).coeffs, 0.0, ctx), cfg.cutoff)
     inner = SolveConfig(
         cutoff=cfg.cutoff,
         horizon=cfg.horizon,
@@ -336,6 +334,7 @@ def solve_via_gauge(u0: SpectralField, cfg: SolveConfig) -> SolveReport:
         integral_residual=integral_residual(u_traj, Equation.DNLS),
         truncated_tail_mass=gauged_report.truncated_tail_mass,
         gauge_residual=gauge_res,
+        gauge_tail=float(np.max(gauge_phase_tail(u_traj.coeffs, ctx))),
     )
 
 
@@ -347,7 +346,5 @@ def plane_wave_solution(
     A*exp(i*(n*x + theta*t)) solves it exactly when theta = n*|A|^2 - n^2.
     """
     theta = n * amplitude**2 - n**2
-    dt = 2.0 * horizon / steps
-    times = -horizon + dt * np.arange(steps + 1)
-    amplitudes = amplitude * np.exp(1j * theta * times)
+    amplitudes = amplitude * np.exp(1j * theta * time_grid(horizon, steps))
     return Trajectory(np.outer(amplitudes, plane_wave(cutoff, n).coeffs), horizon)

@@ -53,7 +53,8 @@ def gauge_equivalence_solves():
         gauged_direct = lab.gauge(direct.trajectory, ctx)
         cfg_g = lab.SolveConfig(cutoff=32, horizon=0.05, steps=200, tol=1e-10,
                                 equation=lab.Equation.GAUGED)
-        transformed = lab.picard_solve(lab.gauge_field(u0, 0.0, ctx), cfg_g)
+        v0 = lab.SpectralField(lab.gauge_field(u0.coeffs, 0.0, ctx), 32)
+        transformed = lab.picard_solve(v0, cfg_g)
         gap = gauged_direct.sup_l2_distance(transformed.trajectory)
         pairs.append((cfg, direct, transformed, gap))
     return pairs
@@ -95,23 +96,24 @@ def test_criterion_4_operator_identities():
     rng = np.random.default_rng(SEED)
     worst_cubic = worst_quintic = 0.0
     for _ in range(100):
-        v = lab.random_field(16, rng, l2_norm=1.0)
+        v = lab.random_field(16, rng, l2_norm=1.0).coeffs
         worst_cubic = max(
             worst_cubic,
-            np.linalg.norm(lab.cubic_full(v, v, v).coeffs - lab.cubic_physical(v.coeffs)),
+            np.linalg.norm(lab.cubic_full(v, v, v) - lab.cubic_physical(v)),
         )
         worst_quintic = max(
             worst_quintic,
-            np.linalg.norm(lab.quintic_restricted(v, v, v, v, v).coeffs
-                           - lab.quintic_physical(v.coeffs)),
+            np.linalg.norm(lab.quintic_restricted(v, v, v, v, v) - lab.quintic_physical(v)),
         )
     # brute-force masked-sum oracles at cutoff 8
     from test_nonlinear import oracle_cubic, oracle_quintic
 
     u1, u2, u3 = (lab.random_field(8, rng, l2_norm=1.0) for _ in range(3))
-    cubic_gap = (lab.cubic_restricted(u1, u2, u3) - oracle_cubic(u1, u2, u3)).l2_norm()
+    cubic_gap = np.linalg.norm(lab.cubic_restricted(u1.coeffs, u2.coeffs, u3.coeffs)
+                               - oracle_cubic(u1, u2, u3).coeffs)
     us = [lab.random_field(8, rng, l2_norm=1.0) for _ in range(5)]
-    quintic_gap = (lab.quintic_restricted(*us) - oracle_quintic(us)).l2_norm()
+    quintic_gap = np.linalg.norm(lab.quintic_restricted(*(u.coeffs for u in us))
+                                 - oracle_quintic(us).coeffs)
     ok = (worst_cubic <= 1e-10 and worst_quintic <= 1e-10
           and cubic_gap <= 1e-12 and quintic_gap <= 1e-12)
     report_line(4, ok, f"identities {worst_cubic:.1e}/{worst_quintic:.1e}, "

@@ -1,0 +1,126 @@
+"""Leading batch axes: every spectral operator applied to a stack of coefficient
+rows equals the stack of its single-row results, and the whole-trajectory
+paths call their operator once per trajectory or sample group."""
+import importlib
+
+import numpy as np
+import pytest
+
+import dnlslab as lab
+import dnlslab.estimates as estimates_mod
+from dnlslab.gauge import gauge_phase_tail
+
+# the package exports a function named gauge over the submodule's name
+gauge_mod = importlib.import_module("dnlslab.gauge")
+
+CUTOFF = 4
+CTX = lab.GaugeContext.for_cutoff(CUTOFF)
+
+# name -> (operator on coefficient arrays, number of array operands)
+OPERATORS = {
+    "to_physical": (lambda u: lab.to_physical(u, 24), 1),
+    "from_physical": (lambda u: lab.from_physical(lab.to_physical(u, 24), 2 * CUTOFF), 1),
+    "derivative": (lab.derivative, 1),
+    "mean_value": (lab.mean_value, 1),
+    "physical_product": (
+        lambda a, b, c: lab.physical_product([a, b, c], [False, False, True], out_cutoff=10), 3),
+    "product_restricted": (lab.product_restricted, 3),
+    "cubic_restricted": (lambda a, b, c: lab.cubic_restricted(a, b, c, out_cutoff=3 * CUTOFF), 3),
+    "cubic_diagonal": (lab.cubic_diagonal, 3),
+    "cubic_full": (lambda a, b, c: lab.cubic_full(a, b, c, out_cutoff=3 * CUTOFF), 3),
+    "quintic_restricted": (
+        lambda *us: lab.quintic_restricted(*us, out_cutoff=5 * CUTOFF), 5),
+    "mean_shifted_cubic_spectral": (lab.mean_shifted_cubic_spectral, 1),
+    "mass_primitive": (lab.mass_primitive, 1),
+    "gauge_phase": (lambda u: lab.gauge_phase(u, CTX), 1),
+    "gauge_phase_inv": (lambda u: lab.gauge_phase_inv(u, CTX), 1),
+    "gauge_phase_tail": (lambda u: gauge_phase_tail(u, CTX), 1),
+}
+
+# maps of samples at times: one time per row, or one scalar time
+TIMED = {
+    "translate-": lambda u, t: lab.translate(u, t, -1),
+    "translate+": lambda u, t: lab.translate(u, t, +1),
+    "gauge_field": lambda u, t: lab.gauge_field(u, t, CTX),
+    "gauge_field_inv": lambda u, t: lab.gauge_field_inv(u, t, CTX),
+}
+
+BATCHES = [(5,), (2, 3)]
+
+
+def random_rows(rng, batch):
+    shape = batch + (2 * CUTOFF + 1,)
+    return 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def stacked(op, batch, *operands):
+    """op applied row by row; operands with a batch shape are split, others shared."""
+    rows = [op(*(x[index] if np.ndim(x) >= len(batch) else x for x in operands))
+            for index in np.ndindex(*batch)]
+    return np.array(rows).reshape(batch + np.shape(rows[0]))
+
+
+def assert_rows_match(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+@pytest.mark.parametrize("name", OPERATORS)
+def test_matrix_equals_stacked_rows(name, batch):
+    op, arity = OPERATORS[name]
+    rng = np.random.default_rng(len(name))
+    operands = [random_rows(rng, batch) for _ in range(arity)]
+    assert_rows_match(op(*operands), stacked(op, batch, *operands))
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+@pytest.mark.parametrize("name", TIMED)
+def test_timed_maps_take_one_time_per_row_or_a_scalar(name, batch):
+    op = TIMED[name]
+    rng = np.random.default_rng(len(name))
+    u = random_rows(rng, batch)
+    times = rng.uniform(-1.0, 1.0, size=batch)
+    assert_rows_match(op(u, times), stacked(op, batch, u, times))
+    assert_rows_match(op(u, 0.3), stacked(op, batch, u, 0.3))
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("fn,map_name", [(lab.gauge, "gauge_field"),
+                                         (lab.gauge_inv, "gauge_field_inv")])
+def test_gauge_maps_call_the_field_map_once_per_trajectory(monkeypatch, fn, map_name):
+    traj = lab.random_trajectory(CUTOFF, np.random.default_rng(1), window=0.5, steps=8)
+    calls = counting(monkeypatch, gauge_mod, map_name)
+    out = fn(traj, CTX)
+    assert len(calls) == 1
+    assert calls[0][0].shape == traj.coeffs.shape
+    assert out.coeffs.shape == traj.coeffs.shape
+
+
+@pytest.mark.parametrize("scan,op_name", [
+    (lambda: lab.cubic_ratio_scan(q=2.0, r=2.0, samples=3, cutoff=4, seed=5, steps=16),
+     "cubic_full"),
+    (lambda: lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=3, cutoff=4, seed=5, steps=16),
+     "physical_product"),
+    (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5, steps=16),
+     "physical_product"),
+    (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5, steps=16,
+                                    masked=True),
+     "quintic_restricted"),
+], ids=["cubic", "strichartz", "quintic", "quintic-masked"])
+def test_ratio_scan_calls_its_operator_once_per_sample_group(monkeypatch, scan, op_name):
+    calls = counting(monkeypatch, estimates_mod, op_name)
+    report = scan()
+    assert report.summary["samples_used"] == 3
+    assert len(calls) == 3

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dnlslab as lab
 from dnlslab.cli import main
@@ -202,6 +205,25 @@ class TestScanCommands:
         # JSON embeds the tag itself; compare after stripping it
         assert json1.replace(b"r1", b"rX") == json2.replace(b"r2", b"rX")
 
+    @pytest.mark.parametrize("argv,named", [
+        (["scan-sums", "--a-step", "0"], "--a-step"),
+        (["scan-sums", "--a-step", "-5"], "--a-step"),
+        (["scan-sums", "--anchor-step", "-1"], "--anchor-step"),
+        (["ratio-scan", "--steps", "0", "--samples", "2"], "steps"),
+        (["counterexample", "--mode", "translation", "--n-list", "0,4"], "n_list"),
+    ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "n-zero"])
+    def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
+        code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and named in err
+
+    def test_empty_sum_grid_exit_code(self, tmp_path, capsys):
+        code = main(["scan-sums", "--a-min", "10", "--a-max", "-10", "--truncations", "8",
+                     "--out", str(tmp_path), "--tag", "nope"])
+        assert code == 1
+        assert "a_values=[]" in capsys.readouterr().err
+
     def test_report_embeds_provenance(self, tmp_path):
         main(["ratio-scan", "--kind", "cubic", "--samples", "4", "--cutoff", "6",
               "--steps", "32", "--seed", "7", "--out", str(tmp_path), "--tag", "p"])
@@ -240,6 +262,54 @@ class TestVerifyCommand:
         assert code == 2
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+def finite_coeffs(shape):
+    """Complex arrays whose parts are any finite floats: signed zeros, subnormals, extremes."""
+    parts = hnp.arrays(np.float64, shape, elements=FINITE)
+    return st.tuples(parts, parts).map(lambda re_im: _complex(*re_im))
+
+
+def _complex(re, im):
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+PROFILES = st.one_of(st.none(), st.builds(lab.CutoffProfile,
+                                          kind=st.sampled_from(["bump", "applied"]),
+                                          scale=POSITIVE))
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFileRoundTripProperty:
+    @SETTINGS
+    @given(st.integers(0, 4).flatmap(lambda n: finite_coeffs((2 * n + 1,))))
+    @example(_complex(np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, -0.0])))
+    def test_field_round_trip_is_bit_exact(self, tmp_path, coeffs):
+        f = lab.SpectralField(coeffs, coeffs.shape[0] // 2)
+        lab.save_field(tmp_path / "f.csv", f)
+        back = lab.load_field(tmp_path / "f.csv")
+        assert back.cutoff == f.cutoff
+        assert back.coeffs.tobytes() == f.coeffs.tobytes()
+
+    @SETTINGS
+    @given(st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+               lambda ms: finite_coeffs((ms[0] + 1, 2 * ms[1] + 1))),
+           POSITIVE, PROFILES)
+    @example(_complex(np.array([[-0.0], [5e-324]]), np.array([[-0.0], [-1.7976931348623157e308]])),
+             5e-324, lab.CutoffProfile(scale=1.7976931348623157e308))
+    def test_trajectory_round_trip_is_bit_exact(self, tmp_path, coeffs, window, profile):
+        traj = lab.Trajectory(coeffs, window, profile)
+        lab.save_trajectory(tmp_path / "t.csv", traj)
+        back = lab.load_trajectory(tmp_path / "t.csv")
+        assert back.coeffs.tobytes() == traj.coeffs.tobytes()
+        assert (back.window, back.cutoff_profile) == (traj.window, traj.cutoff_profile)
+
+
 def _replace_line(lineno, text):
     return lambda lines: lines[: lineno - 1] + [text] + lines[lineno:]
 
@@ -259,6 +329,11 @@ MALFORMED_FILES = {
                          r"missing 3 of 9 rows, the first at k,xi=2,-1"),
     "field-nan": ("field", _replace_line(4, "0,nan,0.0"), r":4: non-finite"),
     "field-duplicate": ("field", lambda ls: ls[:4] + ls[2:3], r":5: duplicate"),
+    "window-nan": ("trajectory", lambda ls: [ls[0].replace('"window":2.0', '"window":NaN')]
+                   + ls[1:], r":1: bad header.*window must be finite and positive, got nan"),
+    "window-infinity": ("trajectory",
+                        lambda ls: [ls[0].replace('"window":2.0', '"window":Infinity')] + ls[1:],
+                        r":1: bad header.*window must be finite and positive, got inf"),
 }
 
 

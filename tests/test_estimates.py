@@ -65,6 +65,15 @@ class TestResonanceSums:
     def test_empty_truncation(self):
         assert lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, 0, 0) == 0.0
 
+    def test_scan_of_all_zero_sums_reports_its_argmax(self):
+        report = lab.resonance_sum_scan("wabs_xi", 0.5, [0.0], [0], [0])
+        assert report.values == (0.0,)
+        assert report.summary["argmax_by_truncation"] == {"0": [0.0, 0]}
+
+    def test_scan_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="empty"):
+            lab.resonance_sum_scan("wabs_xi", 0.5, [], [0], [8])
+
     def test_monotone_and_cauchy(self):
         vals = [lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, 0, k)
                 for k in (128, 256, 512)]
@@ -214,13 +223,9 @@ class TestRatioScans:
                   for _ in range(5)]
             spec_l = lab.NormSpec(s=0.5, r=2.0, b=-0.4, p=2.0)
             spec_r = lab.NormSpec(s=0.5, r=2.0, b=0.4, p=2.0)
-            from dnlslab.fields import Trajectory, physical_product
-
-            prod = Trajectory(
-                np.array([physical_product([lab.SpectralField(c, 4) for c in cs],
-                                           conjugate=[False, True, False, True, False],
-                                           out_cutoff=4).coeffs
-                          for cs in zip(*(w.coeffs for w in ws))]),
+            prod = lab.Trajectory(
+                lab.physical_product([w.coeffs for w in ws],
+                                     conjugate=[False, True, False, True, False], out_cutoff=4),
                 1.0, ws[0].cutoff_profile,
             )
             lhs = lab.xst_norm(prod, spec_l)

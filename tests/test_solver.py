@@ -17,6 +17,13 @@ def constant_forcing(cutoff, horizon, steps, amplitude=1.0, mode=1):
                       horizon)
 
 
+def tail_l2(coeffs, cutoff):
+    """l2 mass of every row outside |xi| <= cutoff."""
+    drop = (coeffs.shape[-1] - 1) // 2 - cutoff
+    tail = np.concatenate([coeffs[..., :drop], coeffs[..., -drop:]], axis=-1)
+    return np.linalg.norm(tail, axis=-1)
+
+
 def duhamel_at(traj, index):
     """The Duhamel integral of a forcing trajectory at one grid time, as a field."""
     return lab.SpectralField(lab.duhamel(traj.coeffs, traj.times, traj.dt)[index], traj.cutoff)
@@ -106,7 +113,7 @@ class TestPicard:
     def test_gauged_plane_wave(self):
         A, n = 0.8, 2
         ctx = lab.GaugeContext.for_cutoff(12)
-        v0 = lab.gauge_field(lab.plane_wave(12, n, A), 0.0, ctx)
+        v0 = lab.SpectralField(lab.gauge_field(lab.plane_wave(12, n, A).coeffs, 0.0, ctx), 12)
         cfg = lab.SolveConfig(cutoff=12, horizon=0.05, steps=80,
                               equation=lab.Equation.GAUGED, tol=1e-11)
         rep = lab.picard_solve(v0, cfg)
@@ -175,10 +182,8 @@ class TestPicard:
 
     def test_cross_check_on_gauged_equation(self):
         ctx = lab.GaugeContext.for_cutoff(8)
-        v0 = lab.gauge_field(
-            lab.random_field(8, np.random.default_rng(51), active_cutoff=3, l2_norm=0.3),
-            0.0, ctx,
-        )
+        u0 = lab.random_field(8, np.random.default_rng(51), active_cutoff=3, l2_norm=0.3)
+        v0 = lab.SpectralField(lab.gauge_field(u0.coeffs, 0.0, ctx), 8)
         cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=60, tol=1e-12,
                               equation=lab.Equation.GAUGED, cross_check=True)
         rep = lab.picard_solve(v0, cfg)
@@ -225,6 +230,18 @@ class TestGaugePipeline:
         assert rep.integral_residual <= 1e-7
         assert rep.gauge_residual is not None and rep.gauge_residual <= 1e-7
 
+    def test_gauge_tail_reported(self):
+        # a plane wave has zero mass primitive: the phase product stays in the band
+        cfg = lab.SolveConfig(cutoff=16, horizon=0.05, steps=40, tol=1e-10)
+        rep = lab.solve_via_gauge(lab.plane_wave(16, 1, 1.0), cfg)
+        assert rep.gauge_tail < 1e-14
+        assert rep.to_json_dict()["gauge_tail"] == rep.gauge_tail
+        u0 = lab.random_field(16, np.random.default_rng(17), active_cutoff=4, l2_norm=0.3)
+        rep = lab.solve_via_gauge(u0, cfg)
+        assert rep.converged and math.isfinite(rep.gauge_tail) and rep.gauge_tail < 1e-6
+        direct = lab.picard_solve(u0, cfg)
+        assert direct.gauge_tail is None and direct.to_json_dict()["gauge_tail"] is None
+
     def test_zero_datum(self):
         cfg = lab.SolveConfig(cutoff=8, horizon=0.1, steps=20)
         rep = lab.solve_via_gauge(lab.SpectralField.zeros(8), cfg)
@@ -250,8 +267,8 @@ class TestGaugePipeline:
 
     def test_forcing_band_accounting(self):
         u = lab.random_field(4, np.random.default_rng(41), l2_norm=1.0)
-        full = lab.SpectralField(forcing_field(u.coeffs, lab.Equation.DNLS, out_cutoff=12), 12)
-        assert full.tail_l2(4) > 0.0  # the cubic genuinely spills past the band
+        full = forcing_field(u.coeffs, lab.Equation.DNLS, out_cutoff=12)
+        assert tail_l2(full, 4) > 0.0  # the cubic genuinely spills past the band
         cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, tol=1e-11)
         rep = lab.picard_solve(lab.plane_wave(8, 1, 1.0), cfg)
         assert rep.truncated_tail_mass < 1e-12  # single mode: nothing to truncate
@@ -315,7 +332,6 @@ class TestBatchedForcing:
         assert rep.integral_residual > 1e-13
         assert abs(rep.integral_residual - lab.integral_residual(traj, equation)) <= 1e-16
         band = forcing_band(equation, 8)
-        tails = [lab.SpectralField(row, band).tail_l2(8)
-                 for row in forcing_field(traj.coeffs, equation, band)]
+        tails = tail_l2(forcing_field(traj.coeffs, equation, band), 8)
         assert max(tails) > 0.0
         assert rep.truncated_tail_mass == pytest.approx(max(tails), rel=1e-12)
