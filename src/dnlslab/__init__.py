@@ -2,7 +2,6 @@
 
 from .fields import (
     CutoffProfile,
-    SpectralField,
     Trajectory,
     bracket,
     bump,
@@ -47,8 +46,8 @@ from .nonlinear import (
 from .norms import (
     INF,
     NormSpec,
+    data_norms,
     embedding_scan,
-    h_norm,
     l2_spacetime_norm,
     space_time_transform,
     xst_norm,
@@ -67,7 +66,6 @@ from .solver import (
     SolveConfig,
     SolveReport,
     duhamel,
-    free_evolution,
     integral_residual,
     picard_solve,
     plane_wave_solution,

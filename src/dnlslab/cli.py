@@ -25,12 +25,13 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import CutoffProfile, SpectralField, plane_wave, random_field
+from .fields import CutoffProfile, cutoff_of, plane_wave, random_field
 from .gauge import GaugeContext, gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
-from .norms import INF, NormSpec, h_norm, xst_norm, z_norm
+from .norms import INF, NormSpec, data_norms, xst_norm, z_norm
 from .reports import (
     __version__,
     canonical_json,
+    file_kind,
     load_field,
     load_trajectory,
     save_field,
@@ -82,12 +83,13 @@ def _parse_plane_wave(text: str) -> tuple[float, int]:
         ) from exc
 
 
-def _datum_from_args(args) -> SpectralField:
+def _datum_from_args(args) -> np.ndarray:
+    """The initial datum; the solver resizes a loaded field to --cutoff."""
     if args.plane_wave is not None:
         amp, n = args.plane_wave
         return plane_wave(args.cutoff, n, amp)
     if args.datum is not None:
-        return load_field(args.datum).truncate(args.cutoff)
+        return load_field(args.datum)
     rng = np.random.default_rng(args.seed)
     return random_field(
         args.cutoff, rng, active_cutoff=args.active_band, l2_norm=args.amplitude
@@ -131,33 +133,27 @@ def cmd_solve(args, parser) -> int:
 
 def cmd_gauge(args, parser) -> int:
     out = _out_dir(args)
-    text = Path(args.input).read_text().splitlines()[0]
-    kind = json.loads(text).get("kind")
-    if kind == "field":
+    if file_kind(args.input) == "field":
         f = load_field(args.input)
-        ctx = GaugeContext.for_cutoff(f.cutoff)
-        g = (gauge_field_inv if args.inverse else gauge_field)(f.coeffs, args.time, ctx)
-        save_field(out / args.output, SpectralField(g, f.cutoff))
-    elif kind == "trajectory":
+        ctx = GaugeContext.for_cutoff(cutoff_of(f))
+        g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time, ctx)
+        save_field(out / args.output, g)
+    else:
         traj = load_trajectory(args.input)
         ctx = GaugeContext.for_cutoff(traj.cutoff)
         g = gauge_inv(traj, ctx) if args.inverse else gauge(traj, ctx)
         save_trajectory(out / args.output, g)
-    else:
-        parser.error(f"unrecognized input file kind {kind!r}")
     print(canonical_json({"written": str(out / args.output)}))
     return EXIT_OK
 
 
 def cmd_norms(args, parser) -> int:
-    text = Path(args.input).read_text().splitlines()[0]
-    kind = json.loads(text).get("kind")
     result: dict = {}
-    if kind == "field":
+    if file_kind(args.input) == "field":
         f = load_field(args.input)
-        result["h_norm"] = h_norm(f, NormSpec(s=args.s, r=args.r))
-        result["l2_norm"] = f.l2_norm()
-    elif kind == "trajectory":
+        result["h_norm"] = float(data_norms(f, NormSpec(s=args.s, r=args.r)))
+        result["l2_norm"] = float(np.linalg.norm(f))
+    else:
         traj = load_trajectory(args.input)
         if traj.cutoff_profile is None:
             traj = replace(traj, cutoff_profile=CutoffProfile(scale=traj.window / 2.0))
@@ -168,8 +164,6 @@ def cmd_norms(args, parser) -> int:
             result["z_norm"] = z_norm(traj, args.s, args.r)
         if not result:
             parser.error("trajectory input needs --b/--p or --z")
-    else:
-        parser.error(f"unrecognized input file kind {kind!r}")
     payload = _provenance(args)
     payload["norms"] = result
     out = _out_dir(args)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fields import Trajectory, bracket, physical_product, random_trajectory
 from .nonlinear import cubic_full, quintic_restricted
-from .norms import NormSpec, l2_spacetime_norm, xst_norm
+from .norms import NormSpec, _xst_norms, l2_spacetime_norm, xst_norm
 from .reports import EVIDENCE_CAVEAT, ScanReport
 
 
@@ -353,6 +353,8 @@ def _nested_trajectories(
 ) -> list[list[Trajectory]]:
     """count sample groups drawn sequentially from one seeded generator, so a
     longer scan extends a shorter one."""
+    if count < 1:
+        raise ValueError(f"samples must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     groups = []
     for _ in range(count):
@@ -480,8 +482,7 @@ def quintic_ratio_scan(
     ratios = []
     for us in groups:
         ws = [u.windowed() for u in us]
-        norms_r = [xst_norm(w, rhs_r, pad_factor) for w in ws]
-        norms_q = [xst_norm(w, rhs_q, pad_factor) for w in ws]
+        norms_r, norms_q = zip(*(_xst_norms(w, [rhs_r, rhs_q], pad_factor) for w in ws))
         rhs = 0.0
         for k in range(5):
             term = norms_r[k]

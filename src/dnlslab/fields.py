@@ -1,7 +1,8 @@
 """Band-limited periodic fields on the torus and their trajectories.
 
-A field is stored as complex Fourier coefficients on the symmetric band
-xi in {-N, ..., N} with the 1/sqrt(2*pi) transform convention:
+A field is a complex array of shape (2N+1,): coeffs[k] is its Fourier
+coefficient at xi = k - N on the symmetric band xi in {-N, ..., N}, with the
+1/sqrt(2*pi) transform convention:
 
     coeff(xi) = (2*pi)**-0.5 * integral_0^{2pi} u(x) exp(-i*x*xi) dx
 
@@ -27,89 +28,6 @@ def bracket(x):
 
 def xi_range(cutoff: int) -> np.ndarray:
     return np.arange(-cutoff, cutoff + 1)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Immutable band-limited field: coeffs[k] is the amplitude at xi = k - cutoff."""
-
-    coeffs: np.ndarray
-    cutoff: int
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=complex)  # a copy: the caller's array stays writable
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        if c.shape != (2 * self.cutoff + 1,):
-            raise ValueError(
-                f"expected {2 * self.cutoff + 1} coefficients for cutoff {self.cutoff}, "
-                f"got shape {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zeros(cls, cutoff: int) -> "SpectralField":
-        return cls(np.zeros(2 * cutoff + 1, dtype=complex), cutoff)
-
-    @classmethod
-    def from_coeff_dict(cls, cutoff: int, values: dict[int, complex]) -> "SpectralField":
-        c = np.zeros(2 * cutoff + 1, dtype=complex)
-        for xi, v in values.items():
-            if abs(xi) > cutoff:
-                raise ValueError(f"frequency {xi} outside cutoff {cutoff}")
-            c[xi + cutoff] = v
-        return cls(c, cutoff)
-
-    # -- accessors ----------------------------------------------------
-    @property
-    def xi(self) -> np.ndarray:
-        return xi_range(self.cutoff)
-
-    def coeff(self, xi: int) -> complex:
-        if abs(xi) > self.cutoff:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[xi + self.cutoff])
-
-    # -- algebra (pure, returns new fields) ----------------------------
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        a, b = match_cutoffs(self, other)
-        return SpectralField(a.coeffs + b.coeffs, a.cutoff)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        a, b = match_cutoffs(self, other)
-        return SpectralField(a.coeffs - b.coeffs, a.cutoff)
-
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.coeffs * scalar, self.cutoff)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(-self.coeffs, self.cutoff)
-
-    def conjugate(self) -> "SpectralField":
-        """Field of conj(u): coefficients conj(coeff(-xi))."""
-        return SpectralField(np.conj(self.coeffs[::-1]), self.cutoff)
-
-    def pad_to(self, cutoff: int) -> "SpectralField":
-        if cutoff < self.cutoff:
-            raise ValueError("pad_to target smaller than current cutoff")
-        return self.truncate(cutoff)
-
-    def truncate(self, cutoff: int) -> "SpectralField":
-        return SpectralField(resize(self.coeffs, cutoff), cutoff)
-
-    # -- scalars -------------------------------------------------------
-    def l2_norm(self) -> float:
-        """L^2(0, 2pi) norm of the physical field (Parseval)."""
-        return float(np.linalg.norm(self.coeffs))
-
-
-def match_cutoffs(a: SpectralField, b: SpectralField) -> tuple[SpectralField, SpectralField]:
-    n = max(a.cutoff, b.cutoff)
-    return a.pad_to(n), b.pad_to(n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +127,17 @@ def physical_product(
     return product_coeffs(values, band, out_cutoff)
 
 
-def plane_wave(cutoff: int, n: int, amplitude: complex = 1.0) -> SpectralField:
-    """A * exp(i*n*x) as a spectral field."""
-    return SpectralField.from_coeff_dict(cutoff, {n: amplitude * ROOT_TWO_PI})
+def plane_wave(cutoff: int, n: int, amplitude: complex = 1.0) -> np.ndarray:
+    """Coefficients of A * exp(i*n*x) on |xi| <= cutoff."""
+    if abs(n) > cutoff:
+        raise ValueError(f"frequency {n} outside cutoff {cutoff}")
+    coeffs = np.zeros(2 * cutoff + 1, dtype=complex)
+    coeffs[n + cutoff] = amplitude * ROOT_TWO_PI
+    return coeffs
 
 
-def constant_field(cutoff: int, value: complex) -> SpectralField:
-    return SpectralField.from_coeff_dict(cutoff, {0: value * ROOT_TWO_PI})
+def constant_field(cutoff: int, value: complex) -> np.ndarray:
+    return plane_wave(cutoff, 0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +222,9 @@ class Trajectory:
         """The stored (steps+1, 2*cutoff+1) coefficient matrix (no copy)."""
         return self.coeffs
 
-    def map_samples(self, fn: Callable[[SpectralField], SpectralField]) -> "Trajectory":
-        """Apply fn to the field of every row."""
-        rows = [fn(SpectralField(row, self.cutoff)).coeffs for row in self.coeffs]
-        return replace(self, coeffs=np.array(rows))
+    def map_samples(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Trajectory":
+        """Apply fn to the coefficient row of every sample."""
+        return replace(self, coeffs=np.array([fn(row) for row in self.coeffs]))
 
     def windowed(self) -> "Trajectory":
         """Bake the cutoff profile into the samples."""
@@ -346,7 +267,7 @@ def free_wave_trajectory(
     The profile scale window/2 makes the windowed samples vanish at the edges.
     """
     phase = free_phase(time_grid(window, steps), cutoff)
-    coeffs = amplitude * phase * plane_wave(cutoff, n).coeffs
+    coeffs = amplitude * phase * plane_wave(cutoff, n)
     return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))
 
 
@@ -360,19 +281,18 @@ def random_field(
     tilt: float = 1.0,
     active_cutoff: int | None = None,
     l2_norm: float | None = None,
-) -> SpectralField:
+) -> np.ndarray:
     """i.i.d. complex Gaussian coefficients with a <xi>**-tilt spectral profile."""
     active = cutoff if active_cutoff is None else min(active_cutoff, cutoff)
     xi = xi_range(cutoff)
     z = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
     c = z * bracket(xi) ** (-tilt)
     c[np.abs(xi) > active] = 0.0
-    f = SpectralField(c, cutoff)
     if l2_norm is not None:
-        cur = f.l2_norm()
+        cur = float(np.linalg.norm(c))
         if cur > 0:
-            f = f * (l2_norm / cur)
-    return f
+            c = c * (l2_norm / cur)
+    return c
 
 
 def random_trajectory(

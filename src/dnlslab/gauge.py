@@ -22,7 +22,7 @@ from .fields import (
     to_physical,
     xi_range,
 )
-from .norms import NormSpec, data_norms, h_norm
+from .norms import NormSpec, data_norms
 from .reports import ScanReport
 
 # The maps below take and return coefficient arrays (..., 2*cutoff+1) whose
@@ -157,13 +157,13 @@ def translation_gap_probe(
         wave = plane_wave(n, n, amplitude * float(n) ** (-s))
         u1 = wave + plane_wave(n, 0, 1.0 / math.sqrt(n))
         u2 = wave
-        input_gap = h_norm(u1 - u2, spec)
-        d = translate(u1.coeffs, tgrid, -1) - translate(u2.coeffs, tgrid, -1)
+        input_gap = float(data_norms(u1 - u2, spec))
+        d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
         out_gap = float(np.max(data_norms(d, spec)))
         gauge_gap = 0.0
         if include_gauge_gap:
             ctx = GaugeContext.for_cutoff(n)
-            g = gauge_field(u1.coeffs, tgrid, ctx) - gauge_field(u2.coeffs, tgrid, ctx)
+            g = gauge_field(u1, tgrid, ctx) - gauge_field(u2, tgrid, ctx)
             gauge_gap = float(np.max(data_norms(g, spec)))
         rows.append((n, input_gap, out_gap, gauge_gap))
     values = tuple(row[2] for row in rows)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROOT_TWO_PI, SpectralField, Trajectory, bracket, cutoff_of, xi_range
+from .fields import ROOT_TWO_PI, Trajectory, bracket, cutoff_of, xi_range
 from .reports import ScanReport
 
 INF = math.inf
@@ -63,11 +63,6 @@ def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
     return _lp_sequence_norm(weighted, spec.r_dual)
 
 
-def h_norm(f: SpectralField, spec: NormSpec) -> float:
-    """|| <xi>**s coeff ||_{l^{r'}} of one field."""
-    return float(data_norms(f.coeffs, spec))
-
-
 # ---------------------------------------------------------------------------
 # space-time transform
 # ---------------------------------------------------------------------------
@@ -98,28 +93,38 @@ def space_time_transform(
     return tau[order], F[order]
 
 
-def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4) -> float:
-    """Discrete X^{s,b}_{r,p} norm of the windowed trajectory."""
-    if spec.b is None or spec.p is None:
+def _xst_norms(traj: Trajectory, specs: list[NormSpec], pad_factor: int = 4) -> list[float]:
+    """Discrete X^{s,b}_{r,p} norms of the windowed trajectory, one per spec,
+    all from one space-time transform."""
+    if any(spec.b is None or spec.p is None for spec in specs):
         raise ValueError("space-time norm needs both b and p")
     tau, F = space_time_transform(traj, pad_factor)
     xi = np.arange(-traj.cutoff, traj.cutoff + 1)
-    sigma = tau[:, None] + xi[None, :] ** 2
-    weighted = bracket(sigma) ** spec.b * bracket(xi)[None, :] ** spec.s * np.abs(F)
-    p_dual = spec.p_dual
-    if p_dual == INF:
-        per_xi = np.max(weighted, axis=0)
-    else:
-        dtau = tau[1] - tau[0]
-        per_xi = (np.sum(weighted**p_dual, axis=0) * dtau) ** (1.0 / p_dual)
-    return float(_lp_sequence_norm(per_xi, spec.r_dual))
+    sigma_weight = bracket(tau[:, None] + xi[None, :] ** 2)
+    xi_weight = bracket(xi)[None, :]
+    size = np.abs(F)
+    norms = []
+    for spec in specs:
+        weighted = sigma_weight**spec.b * xi_weight**spec.s * size
+        p_dual = spec.p_dual
+        if p_dual == INF:
+            per_xi = np.max(weighted, axis=0)
+        else:
+            dtau = tau[1] - tau[0]
+            per_xi = (np.sum(weighted**p_dual, axis=0) * dtau) ** (1.0 / p_dual)
+        norms.append(float(_lp_sequence_norm(per_xi, spec.r_dual)))
+    return norms
+
+
+def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4) -> float:
+    """Discrete X^{s,b}_{r,p} norm of the windowed trajectory."""
+    return _xst_norms(traj, [spec], pad_factor)[0]
 
 
 def z_norm(traj: Trajectory, s: float, r: float, pad_factor: int = 4) -> float:
     """Intersection norm: max of the (b=1/2, p=2) and (b=0, p=inf) norms."""
-    a = xst_norm(traj, NormSpec(s=s, r=r, b=0.5, p=2.0), pad_factor)
-    b = xst_norm(traj, NormSpec(s=s, r=r, b=0.0, p=INF), pad_factor)
-    return max(a, b)
+    return max(_xst_norms(traj, [NormSpec(s=s, r=r, b=0.5, p=2.0),
+                                 NormSpec(s=s, r=r, b=0.0, p=INF)], pad_factor))
 
 
 def l2_spacetime_norm(traj: Trajectory) -> float:
@@ -148,13 +153,12 @@ def embedding_scan(
     """
     if not b1 > b2 + 0.5:
         raise ValueError("embedding scan requires b1 > b2 + 1/2")
+    specs = [NormSpec(s=s, r=r, b=b1, p=2.0), NormSpec(s=s, r=r, b=b2, p=INF)]
     ratios = []
     for traj in trajectories:
-        lo = xst_norm(traj, NormSpec(s=s, r=r, b=b1, p=2.0), pad_factor)
-        if lo == 0.0:
-            continue
-        hi = xst_norm(traj, NormSpec(s=s, r=r, b=b2, p=INF), pad_factor)
-        ratios.append(hi / lo)
+        lo, hi = _xst_norms(traj, specs, pad_factor)
+        if lo != 0.0:
+            ratios.append(hi / lo)
     values = tuple(float(x) for x in ratios)
     summary = {
         "max_ratio": max(values) if values else 0.0,

@@ -90,11 +90,11 @@ def _cell(v) -> str:
 # field / trajectory files: one-line JSON header followed by a CSV body
 # ---------------------------------------------------------------------------
 
-def save_field(path: str | Path, f) -> Path:
+def save_field(path: str | Path, coeffs: np.ndarray) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    head = canonical_json({"kind": "field", "cutoff": f.cutoff, "version": __version__})
-    path.write_text("\n".join([head, "xi,re,im", *_coeff_lines(f.coeffs)]) + "\n")
+    head = canonical_json({"kind": "field", "cutoff": len(coeffs) // 2, "version": __version__})
+    path.write_text("\n".join([head, "xi,re,im", *_coeff_lines(coeffs)]) + "\n")
     return path
 
 
@@ -108,6 +108,22 @@ def _coeff_lines(coeffs: np.ndarray) -> list[str]:
             for ix, c in zip(index, coeffs.ravel().tolist())]
 
 
+def _header(line: str, path: str | Path) -> dict:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:1: unreadable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}:1: header is not a JSON object")
+    return header
+
+
+def file_kind(path: str | Path):
+    """The "kind" that the header line of a file names; the loaders check it."""
+    with open(path) as fh:
+        return _header(fh.readline(), path).get("kind")
+
+
 def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     """Header and coefficient array of a field or trajectory file.
 
@@ -117,11 +133,8 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     """
     columns = "k,xi,re,im" if kind == "trajectory" else "xi,re,im"
     lines = Path(path).read_text().rstrip().splitlines()
-    try:
-        header = json.loads(lines[0])
-    except (IndexError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}:1: unreadable header ({exc})") from None
-    if not isinstance(header, dict) or header.get("kind") != kind:
+    header = _header(lines[0] if lines else "", path)
+    if header.get("kind") != kind:
         raise ValueError(f"{path} is not a {kind} file")
     try:
         cutoff = int(header["cutoff"])
@@ -176,11 +189,8 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     return header, coeffs
 
 
-def load_field(path: str | Path):
-    from .fields import SpectralField
-
-    _, coeffs = _read_coeffs(path, "field")
-    return SpectralField(coeffs, coeffs.shape[0] // 2)
+def load_field(path: str | Path) -> np.ndarray:
+    return _read_coeffs(path, "field")[1]
 
 
 def save_trajectory(path: str | Path, traj) -> Path:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import SpectralField, Trajectory, free_phase, plane_wave, time_grid
+from .fields import Trajectory, free_phase, plane_wave, resize, time_grid
 from .gauge import GaugeContext, gauge, gauge_field, gauge_inv, gauge_phase_tail
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
@@ -84,11 +84,6 @@ class SolveReport:
             "window": self.trajectory.window,
             "steps": self.trajectory.steps,
         }
-
-
-def free_evolution(u0: SpectralField, t: float) -> SpectralField:
-    """Coefficient-wise multiplication by exp(-i*t*xi^2); exact and unitary."""
-    return SpectralField(free_phase(t, u0.cutoff) * u0.coeffs, u0.cutoff)
 
 
 def forcing_field(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
@@ -169,8 +164,16 @@ def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
 # Picard iteration
 # ---------------------------------------------------------------------------
 
+def _datum(u0: np.ndarray, cfg: SolveConfig) -> np.ndarray:
+    """The datum, one coefficient row, resized to the solver band."""
+    u0 = np.asarray(u0, dtype=complex)
+    if u0.ndim != 1 or u0.shape[0] % 2 == 0:
+        raise ValueError(f"datum must be one (2*cutoff+1,) coefficient row, got shape {u0.shape}")
+    return resize(u0, cfg.cutoff)
+
+
 def picard_solve(
-    u0: SpectralField, cfg: SolveConfig, initial: Trajectory | None = None
+    u0: np.ndarray, cfg: SolveConfig, initial: Trajectory | None = None
 ) -> SolveReport:
     """Global-in-time Picard iteration of the integral equation on [-T, T].
 
@@ -179,11 +182,10 @@ def picard_solve(
     On blow-up the last finite iterate is kept, and iterations and residual
     describe that iterate; residual_history still lists every residual.
     """
-    if u0.cutoff != cfg.cutoff:
-        u0 = u0.truncate(cfg.cutoff)
+    u0 = _datum(u0, cfg)
     times = time_grid(cfg.horizon, cfg.steps)
     dt = times[1] - times[0]
-    linear = free_phase(times, cfg.cutoff) * u0.coeffs
+    linear = free_phase(times, cfg.cutoff) * u0
 
     if initial is not None:
         if initial.steps != cfg.steps or initial.cutoff != cfg.cutoff:
@@ -225,8 +227,8 @@ def picard_solve(
     )
 
 
-def _mass_drift(traj: Trajectory, u0: SpectralField) -> float:
-    return float(np.max(np.abs(np.linalg.norm(traj.coeffs, axis=1) - u0.l2_norm())))
+def _mass_drift(traj: Trajectory, u0: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.norm(traj.coeffs, axis=1) - np.linalg.norm(u0))))
 
 
 def _full_band_diagnostics(traj: Trajectory, equation: Equation) -> tuple[float, float]:
@@ -259,14 +261,13 @@ def integral_residual(traj: Trajectory, equation: Equation) -> float:
 # independent cross-check integrator
 # ---------------------------------------------------------------------------
 
-def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Trajectory:
+def rk4_solve(u0: np.ndarray, cfg: SolveConfig, substeps: int = 4) -> Trajectory:
     """Classical RK4 on the integrating-factor form, marched from t = 0 both ways.
 
     With w(t) = exp(-i*t*d_xx) u(t) the equation becomes
     w'(t) = exp(-i*t*d_xx) F(exp(i*t*d_xx) w), which RK4 integrates directly.
     """
-    if u0.cutoff != cfg.cutoff:
-        u0 = u0.truncate(cfg.cutoff)
+    u0 = _datum(u0, cfg)
     times = time_grid(cfg.horizon, cfg.steps)
     mid = cfg.steps // 2
 
@@ -275,9 +276,9 @@ def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Traject
         return np.conj(phase) * forcing_field(phase * w, cfg.equation)
 
     rows = np.empty((cfg.steps + 1, 2 * cfg.cutoff + 1), dtype=complex)
-    rows[mid] = u0.coeffs
+    rows[mid] = u0
     for direction in (+1, -1):
-        w = u0.coeffs.copy()
+        w = u0.copy()
         k = mid
         end = cfg.steps if direction > 0 else 0
         while k != end:
@@ -299,7 +300,7 @@ def rk4_solve(u0: SpectralField, cfg: SolveConfig, substeps: int = 4) -> Traject
 # solving the raw equation through the gauge
 # ---------------------------------------------------------------------------
 
-def solve_via_gauge(u0: SpectralField, cfg: SolveConfig) -> SolveReport:
+def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     """Gauge the datum, solve the transformed equation, and ungauge.
 
     Returns a report for the raw-equation solution, including its own
@@ -309,8 +310,9 @@ def solve_via_gauge(u0: SpectralField, cfg: SolveConfig) -> SolveReport:
     """
     if cfg.equation is not Equation.DNLS:
         raise ValueError("the gauge pipeline solves the raw derivative equation")
+    u0 = _datum(u0, cfg)
     ctx = GaugeContext.for_cutoff(cfg.cutoff)
-    v0 = SpectralField(gauge_field(u0.truncate(cfg.cutoff).coeffs, 0.0, ctx), cfg.cutoff)
+    v0 = gauge_field(u0, 0.0, ctx)
     inner = SolveConfig(
         cutoff=cfg.cutoff,
         horizon=cfg.horizon,
@@ -347,4 +349,4 @@ def plane_wave_solution(
     """
     theta = n * amplitude**2 - n**2
     amplitudes = amplitude * np.exp(1j * theta * time_grid(horizon, steps))
-    return Trajectory(np.outer(amplitudes, plane_wave(cutoff, n).coeffs), horizon)
+    return Trajectory(np.outer(amplitudes, plane_wave(cutoff, n)), horizon)

@@ -48,7 +48,7 @@ def run_battery(fast: bool = True) -> list[dict]:
     rng = np.random.default_rng(99)
 
     # spectral round trip and transform pins
-    f = random_field(16, rng, l2_norm=1.0).coeffs
+    f = random_field(16, rng, l2_norm=1.0)
     back = from_physical(to_physical(f, 64), 16)
     err = float(np.linalg.norm(back - f))
     checks.append(_check("physical-spectral round trip", err <= 1e-12, err))
@@ -57,12 +57,12 @@ def run_battery(fast: bool = True) -> list[dict]:
     err = abs(c[16] - ROOT_TWO_PI)
     checks.append(_check("constant transform pin", err <= 1e-12, err))
 
-    w = plane_wave(8, 2).coeffs
+    w = plane_wave(8, 2)
     err = float(np.linalg.norm(derivative(w) - 2j * w))
     checks.append(_check("derivative eigenvalue", err <= 1e-12, err))
 
     # mean-zero primitive of the squared modulus
-    u = (constant_field(4, 1.0) + plane_wave(4, 1)).coeffs
+    u = constant_field(4, 1.0) + plane_wave(4, 1)
     prim = mass_primitive(u)
     target = np.array(2.0 * np.sin(x_grid(32)), dtype=complex)
     err = float(np.max(np.abs(to_physical(prim, 32) - target)))
@@ -72,12 +72,12 @@ def run_battery(fast: bool = True) -> list[dict]:
 
     # gauge phase round trip
     ctx = GaugeContext.for_cutoff(16)
-    g = random_field(16, rng, active_cutoff=4, l2_norm=0.5).coeffs
+    g = random_field(16, rng, active_cutoff=4, l2_norm=0.5)
     err = float(np.linalg.norm(gauge_phase_inv(gauge_phase(g, ctx), ctx) - g))
     checks.append(_check("gauge phase round trip", err <= 1e-8, err))
 
     # operator identities on a random field
-    v = random_field(8, rng, l2_norm=0.8).coeffs
+    v = random_field(8, rng, l2_norm=0.8)
     err = float(np.linalg.norm(cubic_full(v, v, v) - cubic_physical(v)))
     checks.append(_check("cubic identity", err <= 1e-10, err))
     err = float(np.linalg.norm(quintic_restricted(v, v, v, v, v) - quintic_physical(v)))

@@ -53,7 +53,7 @@ def gauge_equivalence_solves():
         gauged_direct = lab.gauge(direct.trajectory, ctx)
         cfg_g = lab.SolveConfig(cutoff=32, horizon=0.05, steps=200, tol=1e-10,
                                 equation=lab.Equation.GAUGED)
-        v0 = lab.SpectralField(lab.gauge_field(u0.coeffs, 0.0, ctx), 32)
+        v0 = lab.gauge_field(u0, 0.0, ctx)
         transformed = lab.picard_solve(v0, cfg_g)
         gap = gauged_direct.sup_l2_distance(transformed.trajectory)
         pairs.append((cfg, direct, transformed, gap))
@@ -84,7 +84,7 @@ def test_criterion_3_gauge_round_trip():
     worst = 0.0
     for _ in range(100):
         coeffs = np.array([
-            lab.random_field(32, rng, active_cutoff=8, l2_norm=0.5).coeffs for _ in range(5)
+            lab.random_field(32, rng, active_cutoff=8, l2_norm=0.5) for _ in range(5)
         ])
         traj = Trajectory(coeffs, window=0.5)
         worst = max(worst, lab.gauge_roundtrip_error(traj, ctx))
@@ -96,7 +96,7 @@ def test_criterion_4_operator_identities():
     rng = np.random.default_rng(SEED)
     worst_cubic = worst_quintic = 0.0
     for _ in range(100):
-        v = lab.random_field(16, rng, l2_norm=1.0).coeffs
+        v = lab.random_field(16, rng, l2_norm=1.0)
         worst_cubic = max(
             worst_cubic,
             np.linalg.norm(lab.cubic_full(v, v, v) - lab.cubic_physical(v)),
@@ -109,11 +109,9 @@ def test_criterion_4_operator_identities():
     from test_nonlinear import oracle_cubic, oracle_quintic
 
     u1, u2, u3 = (lab.random_field(8, rng, l2_norm=1.0) for _ in range(3))
-    cubic_gap = np.linalg.norm(lab.cubic_restricted(u1.coeffs, u2.coeffs, u3.coeffs)
-                               - oracle_cubic(u1, u2, u3).coeffs)
+    cubic_gap = np.linalg.norm(lab.cubic_restricted(u1, u2, u3) - oracle_cubic(u1, u2, u3))
     us = [lab.random_field(8, rng, l2_norm=1.0) for _ in range(5)]
-    quintic_gap = np.linalg.norm(lab.quintic_restricted(*(u.coeffs for u in us))
-                                 - oracle_quintic(us).coeffs)
+    quintic_gap = np.linalg.norm(lab.quintic_restricted(*us) - oracle_quintic(us))
     ok = (worst_cubic <= 1e-10 and worst_quintic <= 1e-10
           and cubic_gap <= 1e-12 and quintic_gap <= 1e-12)
     report_line(4, ok, f"identities {worst_cubic:.1e}/{worst_quintic:.1e}, "

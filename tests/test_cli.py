@@ -29,7 +29,13 @@ class TestSolveCommand:
         traj = lab.load_trajectory(tmp_path / "pw.traj.csv")
         # theta = 1*1 - 1 = 0: the wave does not move
         w = lab.plane_wave(32, 1)
-        assert np.linalg.norm(traj.coeffs - w.coeffs, axis=1).max() <= 1e-6
+        assert np.linalg.norm(traj.coeffs - w, axis=1).max() <= 1e-6
+
+    def test_plane_wave_outside_the_band_exit_code(self, tmp_path, capsys):
+        code = main(["solve", "--plane-wave", "A=1,n=40", "--N", "32",
+                     "--out", str(tmp_path), "--tag", "nope"])
+        assert code == 1
+        assert "frequency 40 outside cutoff 32" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path):
         code = main([
@@ -110,7 +116,7 @@ class TestGaugeAndNormsCommands:
         assert main(["gauge", "--input", str(tmp_path / "g.csv"), "--output", "back.csv",
                      "--time", "0.3", "--inverse", "--out", str(tmp_path)]) == 0
         back = lab.load_field(tmp_path / "back.csv")
-        assert (back - f).l2_norm() <= 1e-8
+        assert np.linalg.norm(back - f) <= 1e-8
 
     def test_gauge_trajectory_file(self, tmp_path):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.05, 8)
@@ -149,7 +155,17 @@ class TestGaugeAndNormsCommands:
     def test_field_file_round_trip(self, tmp_path):
         f = lab.random_field(6, np.random.default_rng(8))
         lab.save_field(tmp_path / "x.csv", f)
-        assert (lab.load_field(tmp_path / "x.csv") - f).l2_norm() == 0.0
+        assert np.linalg.norm(lab.load_field(tmp_path / "x.csv") - f) == 0.0
+
+    @pytest.mark.parametrize("command", [["gauge"], ["norms", "--z"]], ids=["gauge", "norms"])
+    @pytest.mark.parametrize("text", ["", "[1]\n", '{"kind": "blob"}\n'],
+                             ids=["empty", "not-an-object", "unknown-kind"])
+    def test_unreadable_header_exit_code(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main([*command, "--input", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
 
     def test_trajectory_file_round_trip(self, tmp_path):
         traj = lab.random_trajectory(4, np.random.default_rng(9), window=1.0, steps=8)
@@ -211,7 +227,11 @@ class TestScanCommands:
         (["scan-sums", "--anchor-step", "-1"], "--anchor-step"),
         (["ratio-scan", "--steps", "0", "--samples", "2"], "steps"),
         (["counterexample", "--mode", "translation", "--n-list", "0,4"], "n_list"),
-    ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "n-zero"])
+        (["ratio-scan", "--samples", "0"], "samples"),
+        (["ratio-scan", "--kind", "strichartz", "--samples", "0"], "samples"),
+        (["ratio-scan", "--kind", "quintic", "--samples", "-3"], "samples"),
+    ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "n-zero",
+            "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -290,11 +310,10 @@ class TestFileRoundTripProperty:
     @given(st.integers(0, 4).flatmap(lambda n: finite_coeffs((2 * n + 1,))))
     @example(_complex(np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, -0.0])))
     def test_field_round_trip_is_bit_exact(self, tmp_path, coeffs):
-        f = lab.SpectralField(coeffs, coeffs.shape[0] // 2)
-        lab.save_field(tmp_path / "f.csv", f)
+        lab.save_field(tmp_path / "f.csv", coeffs)
         back = lab.load_field(tmp_path / "f.csv")
-        assert back.cutoff == f.cutoff
-        assert back.coeffs.tobytes() == f.coeffs.tobytes()
+        assert back.shape == coeffs.shape
+        assert back.tobytes() == coeffs.tobytes()
 
     @SETTINGS
     @given(st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
@@ -308,6 +327,15 @@ class TestFileRoundTripProperty:
         back = lab.load_trajectory(tmp_path / "t.csv")
         assert back.coeffs.tobytes() == traj.coeffs.tobytes()
         assert (back.window, back.cutoff_profile) == (traj.window, traj.cutoff_profile)
+
+
+def test_field_file_bytes(tmp_path):
+    coeffs = _complex(np.array([0.0, 1.5, -0.0, 0.25, 0.0]),
+                      np.array([0.0, -2.0, -0.0, 0.0, 1e-300]))
+    lab.save_field(tmp_path / "f.csv", coeffs)
+    assert (tmp_path / "f.csv").read_bytes() == (
+        b'{"cutoff":2,"kind":"field","version":"0.1.0"}\n'
+        b"xi,re,im\n-2,0.0,0.0\n-1,1.5,-2.0\n0,-0.0,-0.0\n1,0.25,0.0\n2,0.0,1e-300\n")
 
 
 def _replace_line(lineno, text):

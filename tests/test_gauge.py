@@ -23,30 +23,30 @@ def primitive_oracle(u, k_target, mesh=4096):
 
 class TestMassPrimitive:
     def test_constant_input(self):
-        assert np.linalg.norm(lab.mass_primitive(lab.constant_field(4, 2.5).coeffs)) < 1e-13
+        assert np.linalg.norm(lab.mass_primitive(lab.constant_field(4, 2.5))) < 1e-13
 
     def test_unimodular_wave(self):
-        assert np.linalg.norm(lab.mass_primitive(lab.plane_wave(4, 1).coeffs)) < 1e-13
+        assert np.linalg.norm(lab.mass_primitive(lab.plane_wave(4, 1))) < 1e-13
 
     def test_two_mode_closed_form(self):
-        u = (lab.constant_field(4, 1.0) + lab.plane_wave(4, 1)).coeffs
+        u = lab.constant_field(4, 1.0) + lab.plane_wave(4, 1)
         prim = lab.mass_primitive(u)
         vals = lab.to_physical(prim, 64)
         assert np.max(np.abs(vals - 2.0 * np.sin(x_grid(64)))) < 1e-12
 
     def test_against_double_integral_oracle(self):
         u = lab.constant_field(8, 0.7) + lab.plane_wave(8, 2, 0.4) + lab.plane_wave(8, -1, 0.3j)
-        vals = lab.to_physical(lab.mass_primitive(u.coeffs), 4096)
+        vals = lab.to_physical(lab.mass_primitive(u), 4096)
         for k in (333, 1111, 2600):
-            assert abs(vals[k] - primitive_oracle(u.coeffs, k)) < 5e-3  # quadrature-limited
+            assert abs(vals[k] - primitive_oracle(u, k)) < 5e-3  # quadrature-limited
 
     def test_derivative_identity_and_mean(self):
         # d/dx primitive + mean(|u|^2) = |u|^2 exactly on the doubled band
         u = lab.random_field(8, np.random.default_rng(6), l2_norm=1.3)
-        prim = lab.mass_primitive(u.coeffs)
-        sq = lab.physical_product([u.coeffs, u.coeffs], conjugate=[False, True], out_cutoff=16)
-        mass_mean = np.sum(np.abs(u.coeffs) ** 2) / (2 * math.pi)
-        recon = lab.derivative(prim) + lab.constant_field(16, mass_mean).coeffs
+        prim = lab.mass_primitive(u)
+        sq = lab.physical_product([u, u], conjugate=[False, True], out_cutoff=16)
+        mass_mean = np.sum(np.abs(u) ** 2) / (2 * math.pi)
+        recon = lab.derivative(prim) + lab.constant_field(16, mass_mean)
         assert np.linalg.norm(recon - sq) < 1e-12
         assert abs(lab.mean_value(prim)) < 1e-13
 
@@ -54,7 +54,7 @@ class TestMassPrimitive:
 class TestGaugePhase:
     def test_plane_wave_fixed(self):
         ctx = lab.GaugeContext.for_cutoff(8)
-        w = lab.plane_wave(8, 3, 1.7).coeffs
+        w = lab.plane_wave(8, 3, 1.7)
         assert np.linalg.norm(lab.gauge_phase(w, ctx) - w) < 1e-12
 
     def test_zero(self):
@@ -63,14 +63,14 @@ class TestGaugePhase:
 
     def test_two_mode_against_physical_oracle(self):
         ctx = lab.GaugeContext.for_cutoff(32)
-        u = (lab.constant_field(32, 1.0) + lab.plane_wave(32, 1)).coeffs
+        u = lab.constant_field(32, 1.0) + lab.plane_wave(32, 1)
         got = lab.to_physical(lab.gauge_phase(u, ctx), 256)
         grid = x_grid(256)
         expected = np.exp(-2j * np.sin(grid)) * (1.0 + np.exp(1j * grid))
         assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_unimodularity_before_truncation(self):
-        u = lab.random_field(16, np.random.default_rng(9), l2_norm=1.0).coeffs
+        u = lab.random_field(16, np.random.default_rng(9), l2_norm=1.0)
         prim = lab.mass_primitive(u)
         vals = lab.to_physical(prim, 128)
         assert np.max(np.abs(vals.imag)) < 1e-12
@@ -79,20 +79,20 @@ class TestGaugePhase:
     def test_l2_preserved(self):
         ctx = lab.GaugeContext.for_cutoff(32)
         u = lab.random_field(32, np.random.default_rng(10), active_cutoff=8, l2_norm=1.0)
-        assert abs(np.linalg.norm(lab.gauge_phase(u.coeffs, ctx)) - u.l2_norm()) < 1e-10
+        assert abs(np.linalg.norm(lab.gauge_phase(u, ctx)) - np.linalg.norm(u)) < 1e-10
 
     def test_roundtrip_random_unit_fields(self):
         ctx = lab.GaugeContext(cutoff=32, gridsize=256)
         rng = np.random.default_rng(12)
         for _ in range(10):
-            u = lab.random_field(32, rng, active_cutoff=8, l2_norm=1.0).coeffs
+            u = lab.random_field(32, rng, active_cutoff=8, l2_norm=1.0)
             back = lab.gauge_phase_inv(lab.gauge_phase(u, ctx), ctx)
             assert np.linalg.norm(back - u) <= 1e-8
 
     def test_truncation_tail_reported(self):
         ctx = lab.GaugeContext.for_cutoff(16)
         u = lab.random_field(16, np.random.default_rng(13), active_cutoff=4, l2_norm=0.8)
-        tail = gauge_phase_tail(u.coeffs, ctx)
+        tail = gauge_phase_tail(u, ctx)
         assert 0.0 <= tail < 1e-6
 
     def test_gridsize_guard(self):
@@ -102,12 +102,12 @@ class TestGaugePhase:
 
 class TestTranslate:
     def test_time_zero_identity(self):
-        u = lab.random_field(8, np.random.default_rng(1), l2_norm=1.0).coeffs
+        u = lab.random_field(8, np.random.default_rng(1), l2_norm=1.0)
         assert np.linalg.norm(lab.translate(u, 0.0, -1) - u) == 0.0
 
     def test_plane_wave_phase(self):
         A, n, t = 2.0, 3, 0.7
-        w = lab.plane_wave(8, n, A).coeffs
+        w = lab.plane_wave(8, n, A)
         for sign in (-1, +1):
             v = lab.translate(w, t, sign)
             expected = np.exp(sign * 2j * t * n * A * A)
@@ -115,7 +115,7 @@ class TestTranslate:
 
     def test_inverse_composition(self):
         rng = np.random.default_rng(3)
-        coeffs = np.array([lab.random_field(8, rng, l2_norm=1.0).coeffs for _ in range(9)])
+        coeffs = np.array([lab.random_field(8, rng, l2_norm=1.0) for _ in range(9)])
         traj = Trajectory(coeffs, window=0.5)
         shifted = lab.translate(traj.coeffs, traj.times, -1)
         back = Trajectory(lab.translate(shifted, traj.times, +1), traj.window)
@@ -130,7 +130,7 @@ class TestFullGauge:
         dt = 2 * window / steps
         times = -window + dt * np.arange(steps + 1)
         traj = Trajectory(
-            np.array([lab.plane_wave(cutoff, n, A * np.exp(1j * theta * t)).coeffs
+            np.array([lab.plane_wave(cutoff, n, A * np.exp(1j * theta * t))
                       for t in times]),
             window,
         )
@@ -157,8 +157,8 @@ class TestFullGauge:
         ctx = lab.GaugeContext.for_cutoff(16)
         worst = 0.0
         for _ in range(20):
-            u = lab.random_field(16, rng, active_cutoff=6, l2_norm=1.0).coeffs
-            v = lab.random_field(16, rng, active_cutoff=6, l2_norm=1.0).coeffs
+            u = lab.random_field(16, rng, active_cutoff=6, l2_norm=1.0)
+            v = lab.random_field(16, rng, active_cutoff=6, l2_norm=1.0)
             gap_in = np.linalg.norm(u - v)
             if gap_in < 1e-3:
                 continue
