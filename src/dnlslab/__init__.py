@@ -8,7 +8,6 @@ from .fields import (
     constant_field,
     derivative,
     free_phase,
-    free_wave_trajectory,
     from_physical,
     mean_value,
     physical_product,
@@ -25,7 +24,6 @@ from .gauge import (
     gauge_inv,
     gauge_phase,
     gauge_phase_inv,
-    gauge_roundtrip_error,
     mass_primitive,
     translate,
     translation_gap_probe,
@@ -47,7 +45,6 @@ from .norms import (
     INF,
     NormSpec,
     data_norms,
-    embedding_scan,
     l2_spacetime_norm,
     space_time_transform,
     xst_norm,
@@ -73,7 +70,6 @@ from .solver import (
     solve_via_gauge,
 )
 from .estimates import (
-    convolution_tail_bound,
     cubic_ratio_scan,
     divergence_report,
     divergent_mass_sum,

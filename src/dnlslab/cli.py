@@ -68,9 +68,13 @@ def _read_config(args, parser) -> dict:
     return data
 
 
-def _provenance(args) -> dict:
+def _write_report(args, **sections) -> Path:
+    """Write <tag>.json with the run's flags, the version and the given
+    sections, and return the output directory."""
+    out = _out_dir(args)
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    return {"config": cfg, "version": __version__}
+    write_json(out / f"{args.tag}.json", {"config": cfg, "version": __version__, **sections})
+    return out
 
 
 def _parse_plane_wave(text: str) -> tuple[float, int]:
@@ -100,7 +104,7 @@ def _datum_from_args(args) -> np.ndarray:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(args, parser) -> int:
+def cmd_solve(args) -> int:
     cfg = SolveConfig(
         cutoff=args.cutoff,
         horizon=args.horizon,
@@ -115,10 +119,7 @@ def cmd_solve(args, parser) -> int:
         report = solve_via_gauge(datum, cfg)
     else:
         report = picard_solve(datum, cfg)
-    out = _out_dir(args)
-    payload = _provenance(args)
-    payload["report"] = report.to_json_dict()
-    write_json(out / f"{args.tag}.json", payload)
+    out = _write_report(args, report=report)
     save_trajectory(out / f"{args.tag}.traj.csv", report.trajectory)
     print(canonical_json({"converged": report.converged,
                           "iterations": report.iterations,
@@ -131,7 +132,7 @@ def cmd_solve(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_gauge(args, parser) -> int:
+def cmd_gauge(args) -> int:
     out = _out_dir(args)
     if file_kind(args.input) == "field":
         f = load_field(args.input)
@@ -147,7 +148,7 @@ def cmd_gauge(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_norms(args, parser) -> int:
+def cmd_norms(args) -> int:
     result: dict = {}
     if file_kind(args.input) == "field":
         f = load_field(args.input)
@@ -163,21 +164,15 @@ def cmd_norms(args, parser) -> int:
         if args.z:
             result["z_norm"] = z_norm(traj, args.s, args.r)
         if not result:
-            parser.error("trajectory input needs --b/--p or --z")
-    payload = _provenance(args)
-    payload["norms"] = result
-    out = _out_dir(args)
-    write_json(out / f"{args.tag}.json", payload)
+            raise ValueError("trajectory input needs --b/--p or --z")
+    _write_report(args, norms=result)
     print(canonical_json(result))
     return EXIT_OK
 
 
-def cmd_divisors(args, parser) -> int:
-    out = _out_dir(args)
+def cmd_divisors(args) -> int:
     report = near_diagonal_scan(args.max)
-    payload = _provenance(args)
-    payload["report"] = report.to_json_dict()
-    write_json(out / f"{args.tag}.json", payload)
+    out = _write_report(args, report=report)
     if args.refined:
         hist = report.summary["count_histogram"]
         rows = [(k, hist[k]) for k in sorted(hist)]
@@ -187,36 +182,31 @@ def cmd_divisors(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_scan_sums(args, parser) -> int:
+def cmd_scan_sums(args) -> int:
     if not args.a_step > 0:
         raise ValueError(f"--a-step must be positive, got {args.a_step}")
     if args.anchor_step < 1:
         raise ValueError(f"--anchor-step must be positive, got {args.anchor_step}")
-    out = _out_dir(args)
     a_values = list(np.arange(args.a_min, args.a_max + 1e-12, args.a_step))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
     truncations = [int(t) for t in args.truncations.split(",")]
-    payload = _provenance(args)
-    rows = []
-    for variant in (SUM_VARIANTS if args.variant == "all" else [args.variant]):
-        report = resonance_sum_scan(variant, args.epsilon, a_values, anchors, truncations)
-        payload[variant] = report.to_json_dict()
-        for k in sorted(report.summary["sup_by_truncation"]):
-            rows.append((variant, k, report.summary["sup_by_truncation"][k]))
-    write_json(out / f"{args.tag}.json", payload)
+    reports = {v: resonance_sum_scan(v, args.epsilon, a_values, anchors, truncations)
+               for v in (SUM_VARIANTS if args.variant == "all" else [args.variant])}
+    out = _write_report(args, **reports)
+    sups = {v: report.summary["sup_by_truncation"] for v, report in reports.items()}
+    rows = [(v, k, sup[k]) for v, sup in sups.items() for k in sorted(sup)]
     write_csv(out / f"{args.tag}.csv", ["variant", "truncation", "sup"], rows)
-    print(canonical_json({v: payload[v]["summary"]["sup_by_truncation"]
-                          for v in payload if v not in ("config", "version")}))
+    print(canonical_json(sups))
     return EXIT_OK
 
 
-def cmd_counterexample(args, parser) -> int:
+def cmd_counterexample(args) -> int:
     out = _out_dir(args)
-    payload = _provenance(args)
+    sections = {}
     if args.mode in ("divergence", "both"):
         truncs = tuple(int(t) for t in args.truncations.split(","))
         div = divergence_report(truncs, log_shift=args.log_shift)
-        payload["divergence"] = div.to_json_dict()
+        sections["divergence"] = div
         rows = list(zip(div.summary["truncations"], div.summary["divergent_sums"],
                         div.summary["factor_norms"]))
         write_csv(out / f"{args.tag}-divergence.csv",
@@ -224,18 +214,17 @@ def cmd_counterexample(args, parser) -> int:
     if args.mode in ("translation", "both"):
         n_list = [int(n) for n in args.n_list.split(",")]
         probe = translation_gap_probe(args.amplitude, args.s, args.r, n_list)
-        payload["translation"] = probe.to_json_dict()
+        sections["translation"] = probe
         rows = list(zip(probe.summary["n"], probe.summary["input_gap"],
                         probe.summary["output_gap"], probe.summary["gauge_gap"]))
         write_csv(out / f"{args.tag}-translation.csv",
                   ["n", "input_gap", "output_gap", "gauge_gap"], rows)
-    write_json(out / f"{args.tag}.json", payload)
-    print(canonical_json({k: True for k in payload if k not in ("config", "version")}))
+    _write_report(args, **sections)
+    print(canonical_json({k: True for k in sections}))
     return EXIT_OK
 
 
-def cmd_ratio_scan(args, parser) -> int:
-    out = _out_dir(args)
+def cmd_ratio_scan(args) -> int:
     if args.kind == "cubic":
         report = cubic_ratio_scan(args.q, args.r, args.samples, args.cutoff,
                                   args.seed, steps=args.steps)
@@ -248,21 +237,16 @@ def cmd_ratio_scan(args, parser) -> int:
     else:
         truncs = tuple(int(t) for t in args.truncations.split(","))
         report = endpoint_injection_report(truncs, seed=args.seed)
-    payload = _provenance(args)
-    payload["report"] = report.to_json_dict()
-    write_json(out / f"{args.tag}.json", payload)
+    out = _write_report(args, report=report)
     write_csv(out / f"{args.tag}.csv", ["index", "value"],
               list(enumerate(report.values)))
     print(canonical_json(report.summary))
     return EXIT_OK
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     results = verify_mod.run_battery(fast=not args.full)
-    out = _out_dir(args)
-    payload = _provenance(args)
-    payload["checks"] = results
-    write_json(out / f"{args.tag}.json", payload)
+    _write_report(args, checks=results)
     ok = True
     for check in results:
         print(canonical_json(check))
@@ -391,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; 2 is reserved here
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -176,44 +176,6 @@ def resonance_sum_scan(
 
 
 # ---------------------------------------------------------------------------
-# convolution integral against its decay bound
-# ---------------------------------------------------------------------------
-
-def convolution_tail_bound(
-    alpha: float, beta: float, a: float, b: float, eps: float = 0.1
-) -> tuple[float, float]:
-    """Adaptive quadrature of integral <s-a>**-alpha <s-b>**-beta ds and the
-    matching decay bound <a-b>**-gamma.
-
-    gamma is alpha+beta-1 for beta < 1, alpha-eps for beta = 1, alpha for
-    beta > 1; requires 0 <= alpha <= beta and alpha + beta > 1.
-    """
-    if not (0.0 <= alpha <= beta):
-        raise ValueError("need 0 <= alpha <= beta")
-    if alpha + beta <= 1.0:
-        raise ValueError("need alpha + beta > 1 for an integrable product")
-    from scipy import integrate  # imported here: it dominates the package import time
-
-    def integrand(s):
-        return bracket(s - a) ** (-alpha) * bracket(s - b) ** (-beta)
-
-    lo, hi = sorted((a, b))
-    total = 0.0
-    total += integrate.quad(integrand, -np.inf, lo, limit=200)[0]
-    if hi > lo:
-        total += integrate.quad(integrand, lo, hi, limit=200)[0]
-    total += integrate.quad(integrand, hi, np.inf, limit=200)[0]
-    if beta < 1.0:
-        gamma = alpha + beta - 1.0
-    elif beta == 1.0:
-        gamma = alpha - eps
-    else:
-        gamma = alpha
-    bound = float(bracket(a - b) ** (-gamma))
-    return float(total), bound
-
-
-# ---------------------------------------------------------------------------
 # endpoint counterexample sums
 # ---------------------------------------------------------------------------
 
@@ -367,6 +329,14 @@ def _nested_trajectories(
     return groups
 
 
+def _ratio_report(name: str, grid: dict, ratios: list[float], seed: int) -> ScanReport:
+    """The evidence report of a ratio scan: every ratio, their maximum and count."""
+    values = tuple(float(x) for x in ratios)
+    summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
+    return ScanReport(name=name, grid=grid, values=values, summary=summary,
+                      seed=seed, caveat=EVIDENCE_CAVEAT)
+
+
 def cubic_ratio_scan(
     q: float,
     r: float,
@@ -401,14 +371,9 @@ def cubic_ratio_scan(
         out = cubic_full(w1.coeffs, w2.coeffs, w3.coeffs, out_cutoff=3 * cutoff)
         out_traj = Trajectory(out, w1.window, w1.cutoff_profile)
         ratios.append(xst_norm(out_traj, lhs_spec, pad_factor) / rhs)
-    values = tuple(float(x) for x in ratios)
-    summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
             "window": window, "delta": delta}
-    return ScanReport(
-        name="cubic-ratio", grid=grid, values=values, summary=summary,
-        seed=seed, caveat=EVIDENCE_CAVEAT,
-    )
+    return _ratio_report("cubic-ratio", grid, ratios, seed)
 
 
 def strichartz_ratio_scan(
@@ -443,13 +408,8 @@ def strichartz_ratio_scan(
                                 conjugate=[False, False, True], out_cutoff=3 * cutoff)
         prod_traj = Trajectory(prod, w1.window, w1.cutoff_profile)
         ratios.append(l2_spacetime_norm(prod_traj) / rhs)
-    values = tuple(float(x) for x in ratios)
-    summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
     grid = {"s": s, "b": b, "samples": samples, "cutoff": cutoff, "steps": steps, "window": window}
-    return ScanReport(
-        name="strichartz-ratio", grid=grid, values=values, summary=summary,
-        seed=seed, caveat=EVIDENCE_CAVEAT,
-    )
+    return _ratio_report("strichartz-ratio", grid, ratios, seed)
 
 
 def quintic_ratio_scan(
@@ -501,14 +461,9 @@ def quintic_ratio_scan(
                                    out_cutoff=band)
         out_traj = Trajectory(out, ws[0].window, ws[0].cutoff_profile)
         ratios.append(xst_norm(out_traj, lhs_spec, pad_factor) / rhs)
-    values = tuple(float(x) for x in ratios)
-    summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
     grid = {"q": q, "r": r, "b": b, "samples": samples, "cutoff": cutoff,
             "steps": steps, "window": window, "masked": masked}
-    return ScanReport(
-        name="quintic-ratio", grid=grid, values=values, summary=summary,
-        seed=seed, caveat=EVIDENCE_CAVEAT,
-    )
+    return _ratio_report("quintic-ratio", grid, ratios, seed)
 
 
 def endpoint_injection_report(

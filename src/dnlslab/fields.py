@@ -255,22 +255,6 @@ def free_phase(times, cutoff: int) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(times, xi_sq))
 
 
-def free_wave_trajectory(
-    n: int,
-    cutoff: int,
-    window: float = 2.0,
-    steps: int = 256,
-    amplitude: complex = 1.0,
-) -> Trajectory:
-    """exp(i*(n*x - n^2*t)) sampled on the grid, with the default bump profile.
-
-    The profile scale window/2 makes the windowed samples vanish at the edges.
-    """
-    phase = free_phase(time_grid(window, steps), cutoff)
-    coeffs = amplitude * phase * plane_wave(cutoff, n)
-    return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))
-
-
 # ---------------------------------------------------------------------------
 # seeded random ensembles
 # ---------------------------------------------------------------------------

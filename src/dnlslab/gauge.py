@@ -122,11 +122,6 @@ def gauge_inv(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
     return replace(traj, coeffs=gauge_field_inv(traj.coeffs, traj.times, ctx))
 
 
-def gauge_roundtrip_error(traj: Trajectory, ctx: GaugeContext) -> float:
-    """sup over samples of the L^2 gap of inverse(gauge(traj)) from traj."""
-    return gauge_inv(gauge(traj, ctx), ctx).sup_l2_distance(traj)
-
-
 # ---------------------------------------------------------------------------
 # failure of uniform continuity of the translation map
 # ---------------------------------------------------------------------------

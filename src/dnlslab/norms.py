@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ROOT_TWO_PI, Trajectory, bracket, cutoff_of, xi_range
-from .reports import ScanReport
 
 INF = math.inf
 
@@ -138,32 +137,3 @@ def l2_spacetime_norm(traj: Trajectory) -> float:
     weights[-1] *= 0.5
     return float(math.sqrt(np.sum(per_t * weights)))
 
-
-def embedding_scan(
-    trajectories: list[Trajectory],
-    s: float,
-    r: float,
-    b1: float,
-    b2: float,
-    pad_factor: int = 4,
-) -> ScanReport:
-    """Ratio of the (b2, p=inf) norm to the (b1, p=2) norm over a sample set.
-
-    Requires b1 > b2 + 1/2; zero trajectories are excluded from the ratios.
-    """
-    if not b1 > b2 + 0.5:
-        raise ValueError("embedding scan requires b1 > b2 + 1/2")
-    specs = [NormSpec(s=s, r=r, b=b1, p=2.0), NormSpec(s=s, r=r, b=b2, p=INF)]
-    ratios = []
-    for traj in trajectories:
-        lo, hi = _xst_norms(traj, specs, pad_factor)
-        if lo != 0.0:
-            ratios.append(hi / lo)
-    values = tuple(float(x) for x in ratios)
-    summary = {
-        "max_ratio": max(values) if values else 0.0,
-        "samples_used": len(values),
-        "samples_given": len(trajectories),
-    }
-    grid = {"s": s, "r": r, "b1": b1, "b2": b2}
-    return ScanReport(name="embedding", grid=grid, values=values, summary=summary)

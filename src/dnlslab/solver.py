@@ -11,7 +11,7 @@ i*d_t u + d_xx u = G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -112,34 +112,13 @@ def forcing_band(equation: Equation, cutoff: int) -> int:
 # Duhamel quadrature
 # ---------------------------------------------------------------------------
 
-def _segment_weights(n_cells: int, dt: float) -> np.ndarray:
-    """Composite Simpson weights on n_cells uniform cells (n_cells + 1 nodes).
-
-    An odd cell count gets Simpson on the leading even block and a trapezoid
-    on the final cell (the one adjacent to the evaluation time).
-    """
-    w = np.zeros(n_cells + 1)
-    if n_cells == 0:
-        return w
-    even = n_cells if n_cells % 2 == 0 else n_cells - 1
-    if even >= 2:
-        w[0] += 1.0
-        w[even] += 1.0
-        w[1:even:2] += 4.0
-        w[2:even:2] += 2.0
-        w[: even + 1] *= dt / 3.0
-    if even != n_cells:
-        w[-2] += 0.5 * dt
-        w[-1] += 0.5 * dt
-    return w
-
-
 def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
     """integral_0^{t_k} exp(i*(t_k - t')*d_xx) F(t') dt' at every grid time t_k.
 
     forcing[k] holds the coefficients of F(times[k]); the grid must put t = 0
-    at its middle index.  Composite Simpson on the cells between t = 0 and
-    t_k, with negative target times integrated with the signed measure.
+    at its middle index.  The integral is accumulated outward from t = 0 on
+    each side, negative times with the signed measure: composite Simpson up to
+    each even offset, and a trapezoid on the last cell for an odd offset.
     Returns an array like forcing.
     """
     m = forcing.shape[0] - 1
@@ -150,13 +129,10 @@ def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
     phase = free_phase(times, (forcing.shape[1] - 1) // 2)
     up = np.conj(phase) * forcing
     out = np.zeros_like(up)
-    for k in range(m + 1):
-        lo, hi = sorted((mid, k))
-        w = _segment_weights(hi - lo, dt)
-        if k < mid:
-            w = w[::-1] * -1.0
-        if hi > lo:
-            out[k] = w @ up[lo : hi + 1]
+    for sign, side in ((-1.0, slice(mid, None, -1)), (1.0, slice(mid, None))):
+        g, acc = up[side], out[side]  # offsets 0, 1, 2, ... from t = 0; acc is a view
+        acc[2::2] = np.cumsum(g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2], axis=0) * (sign * dt / 3.0)
+        acc[1::2] = acc[:-1:2] + (g[:-1:2] + g[1::2]) * (sign * 0.5 * dt)
     return out * phase
 
 
@@ -313,16 +289,7 @@ def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     u0 = _datum(u0, cfg)
     ctx = GaugeContext.for_cutoff(cfg.cutoff)
     v0 = gauge_field(u0, 0.0, ctx)
-    inner = SolveConfig(
-        cutoff=cfg.cutoff,
-        horizon=cfg.horizon,
-        steps=cfg.steps,
-        equation=Equation.GAUGED,
-        max_iter=cfg.max_iter,
-        tol=cfg.tol,
-        cross_check=False,
-    )
-    gauged_report = picard_solve(v0, inner)
+    gauged_report = picard_solve(v0, replace(cfg, equation=Equation.GAUGED, cross_check=False))
     u_traj = gauge_inv(gauged_report.trajectory, ctx)
     gauge_res = gauge(u_traj, ctx).sup_l2_distance(gauged_report.trajectory)
     return SolveReport(

@@ -15,6 +15,7 @@ import pytest
 import dnlslab as lab
 from dnlslab.estimates import SUM_VARIANTS
 from dnlslab.fields import Trajectory
+from support import gauge_roundtrip_error
 
 SEED = 20240
 
@@ -87,7 +88,7 @@ def test_criterion_3_gauge_round_trip():
             lab.random_field(32, rng, active_cutoff=8, l2_norm=0.5) for _ in range(5)
         ])
         traj = Trajectory(coeffs, window=0.5)
-        worst = max(worst, lab.gauge_roundtrip_error(traj, ctx))
+        worst = max(worst, gauge_roundtrip_error(traj, ctx))
     report_line(3, worst <= 1e-8, f"worst round-trip L2 error {worst:.2e}")
     assert worst <= 1e-8
 

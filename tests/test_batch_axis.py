@@ -129,10 +129,9 @@ def test_ratio_scan_calls_its_operator_once_per_sample_group(monkeypatch, scan, 
 
 @pytest.mark.parametrize("measure,transforms", [
     (lambda traj: lab.z_norm(traj, 0.5, 2.0), 1),
-    (lambda traj: lab.embedding_scan([traj, traj], s=0.5, r=2.0, b1=0.6, b2=0.0), 2),
     (lambda traj: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5,
                                          steps=16), 3 * 6),
-], ids=["z_norm", "embedding_scan", "quintic"])
+], ids=["z_norm", "quintic"])
 def test_one_space_time_transform_per_trajectory(monkeypatch, measure, transforms):
     calls = counting(monkeypatch, norms_mod, "space_time_transform")
     measure(lab.random_trajectory(CUTOFF, np.random.default_rng(2), window=0.5, steps=8))

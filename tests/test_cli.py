@@ -1,6 +1,10 @@
 """Command-line harness: subcommands, exit codes, file formats, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 import dnlslab as lab
 from dnlslab.cli import main
 from dnlslab.fields import ROOT_TWO_PI
+from support import free_wave_trajectory
 
 
 def read_json(path):
@@ -142,7 +147,7 @@ class TestGaugeAndNormsCommands:
         assert abs(out["norms"]["h_norm"] - math.sqrt(2) * ROOT_TWO_PI) < 1e-10
 
     def test_norms_of_saved_trajectory(self, tmp_path):
-        traj = lab.free_wave_trajectory(2, cutoff=4, window=2.0, steps=64)
+        traj = free_wave_trajectory(2, cutoff=4, window=2.0, steps=64)
         lab.save_trajectory(tmp_path / "t.csv", traj)
         code = main(["norms", "--input", str(tmp_path / "t.csv"), "--s", "0.5",
                      "--r", "2.0", "--b", "0.5", "--p", "2", "--z",
@@ -151,6 +156,12 @@ class TestGaugeAndNormsCommands:
         out = read_json(tmp_path / "tn.json")
         assert out["norms"]["xst_norm"] > 0.0
         assert out["norms"]["z_norm"] >= out["norms"]["xst_norm"] - 1e-12
+
+    def test_norms_of_trajectory_without_a_norm_exit_code(self, tmp_path, capsys):
+        lab.save_trajectory(tmp_path / "t.csv", free_wave_trajectory(2, cutoff=4, steps=16))
+        code = main(["norms", "--input", str(tmp_path / "t.csv"), "--out", str(tmp_path)])
+        assert code == 1
+        assert "needs --b/--p or --z" in capsys.readouterr().err
 
     def test_field_file_round_trip(self, tmp_path):
         f = lab.random_field(6, np.random.default_rng(8))
@@ -280,6 +291,40 @@ class TestVerifyCommand:
         code = main(["verify", "--out", str(tmp_path), "--tag", "vf"])
         capsys.readouterr()
         assert code == 2
+
+
+# blocks every scipy import in the child, as in an install without the test extra
+NO_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from dnlslab.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    traj = str(tmp_path / "s.traj.csv")
+    tiny_scan = ["--samples", "1", "--N", "2", "--steps", "8"]
+    commands = [
+        ["solve", "--N", "4", "--M", "8", "--tag", "s"],
+        ["gauge", "--input", traj],
+        ["norms", "--input", traj, "--z", "--tag", "n"],
+        ["divisors", "--max", "1000", "--tag", "d"],
+        ["scan-sums", "--truncations", "8", "--a-min", "0", "--a-max", "0",
+         "--anchor-min", "0", "--anchor-max", "0", "--tag", "ss"],
+        ["counterexample", "--truncations", "10,100", "--n-list", "2,4", "--tag", "c"],
+        ["ratio-scan", "--kind", "cubic", *tiny_scan, "--tag", "rc"],
+        ["ratio-scan", "--kind", "strichartz", *tiny_scan, "--tag", "rs"],
+        ["ratio-scan", "--kind", "quintic", *tiny_scan, "--tag", "rq"],
+        ["ratio-scan", "--kind", "endpoint", "--truncations", "10,100", "--tag", "re"],
+        ["verify", "--tag", "v"],
+    ]
+    argvs = json.dumps([[*c, "--out", str(tmp_path)] for c in commands])
+    env = {**os.environ, "PYTHONPATH": str(Path(lab.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY, argvs], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(commands), run.stderr
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import dnlslab as lab
 from dnlslab.estimates import SUM_VARIANTS
+from support import free_wave_trajectory
 
 
 def naive_divisor_pairs(r):
@@ -94,9 +95,40 @@ class TestResonanceSums:
             lab.resonance_weighted_sum("nope", 0.5, 0.0, 0, 8)
 
 
+def convolution_tail_bound(alpha, beta, a, b, eps=0.1):
+    """Adaptive quadrature of integral <s-a>**-alpha <s-b>**-beta ds and the
+    matching decay bound <a-b>**-gamma.
+
+    gamma is alpha+beta-1 for beta < 1, alpha-eps for beta = 1, alpha for
+    beta > 1; requires 0 <= alpha <= beta and alpha + beta > 1.
+    """
+    if not (0.0 <= alpha <= beta):
+        raise ValueError("need 0 <= alpha <= beta")
+    if alpha + beta <= 1.0:
+        raise ValueError("need alpha + beta > 1 for an integrable product")
+
+    def integrand(s):
+        return lab.bracket(s - a) ** (-alpha) * lab.bracket(s - b) ** (-beta)
+
+    lo, hi = sorted((a, b))
+    total = 0.0
+    total += quad(integrand, -np.inf, lo, limit=200)[0]
+    if hi > lo:
+        total += quad(integrand, lo, hi, limit=200)[0]
+    total += quad(integrand, hi, np.inf, limit=200)[0]
+    if beta < 1.0:
+        gamma = alpha + beta - 1.0
+    elif beta == 1.0:
+        gamma = alpha - eps
+    else:
+        gamma = alpha
+    bound = float(lab.bracket(a - b) ** (-gamma))
+    return float(total), bound
+
+
 class TestConvolutionBound:
     def test_coincident_centers(self):
-        integral, bound = lab.convolution_tail_bound(0.75, 0.75, 1.0, 1.0)
+        integral, bound = convolution_tail_bound(0.75, 0.75, 1.0, 1.0)
         oracle = 2.0 * quad(lambda s: (1 + s * s) ** -0.75, 0, np.inf)[0]
         assert bound == 1.0
         assert abs(integral - oracle) < 1e-8
@@ -106,7 +138,7 @@ class TestConvolutionBound:
         # |x|**-3/4 |x-1|**-3/4, about 17.9; partial ratios approach it
         ratios = []
         for gap in (1.0, 10.0, 100.0, 1000.0):
-            integral, bound = lab.convolution_tail_bound(0.75, 0.75, 0.0, gap)
+            integral, bound = convolution_tail_bound(0.75, 0.75, 0.0, gap)
             ratios.append(integral / bound)
         assert all(r < 18.0 for r in ratios)
         assert ratios[0] < ratios[1] < ratios[2] < ratios[3]
@@ -116,7 +148,7 @@ class TestConvolutionBound:
     def test_beta_above_one_far_field(self):
         vals = []
         for gap in (10.0, 1000.0):
-            integral, bound = lab.convolution_tail_bound(0.0, 2.0, 0.0, gap)
+            integral, bound = convolution_tail_bound(0.0, 2.0, 0.0, gap)
             assert bound == 1.0
             vals.append(integral)
         # integral of <s>**-2 is pi; far apart centers barely interact
@@ -124,9 +156,9 @@ class TestConvolutionBound:
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
-            lab.convolution_tail_bound(0.9, 0.5, 0.0, 1.0)
+            convolution_tail_bound(0.9, 0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
-            lab.convolution_tail_bound(0.2, 0.3, 0.0, 1.0)
+            convolution_tail_bound(0.2, 0.3, 0.0, 1.0)
 
 
 class TestEndpointSums:
@@ -194,8 +226,8 @@ class TestRatioScans:
         # free-wave triple: placing the high frequency in the unweighted slot
         # shrinks the right side while the product norm is symmetric
         hi, lo = 6, 1
-        w_hi = lab.free_wave_trajectory(hi, cutoff=8, window=1.0, steps=64).windowed()
-        w_lo = lab.free_wave_trajectory(lo, cutoff=8, window=1.0, steps=64).windowed()
+        w_hi = free_wave_trajectory(hi, cutoff=8, window=1.0, steps=64).windowed()
+        w_lo = free_wave_trajectory(lo, cutoff=8, window=1.0, steps=64).windowed()
         spec_s = lab.NormSpec(s=0.2, r=2.0, b=0.45, p=2.0)
         spec_0 = lab.NormSpec(s=0.0, r=2.0, b=0.45, p=2.0)
         rhs_hi_in_slot3 = (lab.xst_norm(w_lo, spec_s) * lab.xst_norm(w_lo, spec_s)
@@ -218,8 +250,8 @@ class TestRatioScans:
         # |A|**4 A, so both sides reduce to closed forms and their ratio is
         # amplitude-invariant and scales exactly like <n>**(1/2 - 5/2)
         def single_frequency_ratio(n, amp):
-            ws = [lab.free_wave_trajectory(n, cutoff=4, window=1.0,
-                                           steps=96, amplitude=amp).windowed()
+            ws = [free_wave_trajectory(n, cutoff=4, window=1.0,
+                                       steps=96, amplitude=amp).windowed()
                   for _ in range(5)]
             spec_l = lab.NormSpec(s=0.5, r=2.0, b=-0.4, p=2.0)
             spec_r = lab.NormSpec(s=0.5, r=2.0, b=0.4, p=2.0)

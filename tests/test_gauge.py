@@ -7,6 +7,7 @@ import pytest
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI, Trajectory, x_grid
 from dnlslab.gauge import gauge_phase_tail
+from support import gauge_roundtrip_error
 
 
 def primitive_oracle(u, k_target, mesh=4096):
@@ -149,7 +150,7 @@ class TestFullGauge:
         rep = lab.picard_solve(lab.random_field(16, np.random.default_rng(8),
                                                 active_cutoff=4, l2_norm=0.3), cfg)
         ctx = lab.GaugeContext.for_cutoff(16)
-        assert lab.gauge_roundtrip_error(rep.trajectory, ctx) <= 1e-7
+        assert gauge_roundtrip_error(rep.trajectory, ctx) <= 1e-7
 
     def test_lipschitz_on_fixed_mass_family(self):
         # pairs with one prescribed L2 norm: the gauge gap stays comparable

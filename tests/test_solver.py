@@ -7,7 +7,7 @@ import pytest
 
 import dnlslab as lab
 import dnlslab.solver as solver_mod
-from dnlslab.fields import Trajectory
+from dnlslab.fields import Trajectory, time_grid
 from dnlslab.solver import forcing_band, forcing_field
 
 
@@ -45,7 +45,36 @@ class TestFreeEvolution:
         assert abs(np.linalg.norm(lab.free_phase(0.37, 8) * u) - np.linalg.norm(u)) < 1e-13
 
 
+def composite_weights(n_cells, dt):
+    """Simpson weights on the leading even block of n_cells uniform cells and a
+    trapezoid on an odd last cell, written out node by node."""
+    w = np.zeros(n_cells + 1)
+    even = n_cells - n_cells % 2
+    for c in range(0, even, 2):
+        w[c : c + 3] += np.array([1.0, 4.0, 1.0]) * dt / 3.0
+    if even != n_cells:
+        w[-2:] += 0.5 * dt
+    return w
+
+
 class TestDuhamel:
+    @pytest.mark.parametrize("steps", [2, 4, 64])
+    def test_every_index_matches_the_composite_rule(self, steps):
+        rng = np.random.default_rng(steps)
+        cutoff, mid = 3, steps // 2
+        shape = (steps + 1, 2 * cutoff + 1)
+        forcing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        times = time_grid(0.4, steps)
+        dt = times[1] - times[0]
+        got = lab.duhamel(forcing, times, dt)
+        phase = lab.free_phase(times, cutoff)
+        up = np.conj(phase) * forcing
+        for k in range(steps + 1):
+            # rows ordered outward from t = 0; negative times take the signed measure
+            rows = up[mid : k + 1] if k >= mid else -up[mid : k - 1 if k else None : -1]
+            expected = phase[k] * (composite_weights(abs(k - mid), dt) @ rows)
+            assert np.linalg.norm(got[k] - expected) <= 1e-13 * np.linalg.norm(expected)
+
     def test_zero_forcing(self):
         traj = Trajectory(np.zeros((9, 9)), 0.1)
         assert np.linalg.norm(duhamel_at(traj, 7)) == 0.0

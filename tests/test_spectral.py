@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI, x_grid
+from support import embedding_scan, free_wave_trajectory
 
 RNG = np.random.default_rng(1111)
 
@@ -165,7 +166,7 @@ class TestHNorm:
 
 class TestSpaceTimeNorms:
     def test_zero_trajectory(self):
-        traj = lab.free_wave_trajectory(0, cutoff=2, steps=64, amplitude=0.0)
+        traj = free_wave_trajectory(0, cutoff=2, steps=64, amplitude=0.0)
         assert lab.xst_norm(traj, lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)) == 0.0
         assert lab.z_norm(traj, 0.5, 2.0) == 0.0
 
@@ -174,7 +175,7 @@ class TestSpaceTimeNorms:
         # the modulation shift cancels the weight: norm / <n>^s is n-independent
         vals = []
         for n in (0, 4, 16):
-            traj = lab.free_wave_trajectory(n, cutoff=max(n, 1), window=2.0, steps=512)
+            traj = free_wave_trajectory(n, cutoff=max(n, 1), window=2.0, steps=512)
             spec = lab.NormSpec(s=0.5, r=2.0, b=b, p=p)
             vals.append(lab.xst_norm(traj, spec, pad_factor=8) / lab.bracket(n) ** 0.5)
         spread = (max(vals) - min(vals)) / max(vals)
@@ -184,7 +185,7 @@ class TestSpaceTimeNorms:
         def spread(pad):
             vals = []
             for n in (0, 4):
-                traj = lab.free_wave_trajectory(n, cutoff=max(n, 1), window=2.0, steps=512)
+                traj = free_wave_trajectory(n, cutoff=max(n, 1), window=2.0, steps=512)
                 spec = lab.NormSpec(s=0.5, r=2.0, b=0.0, p=math.inf)
                 vals.append(lab.xst_norm(traj, spec, pad_factor=pad) / lab.bracket(n) ** 0.5)
             return abs(vals[1] - vals[0]) / max(vals)
@@ -201,7 +202,7 @@ class TestSpaceTimeNorms:
     def test_free_wave_z_norm_scales(self):
         vals = []
         for n in (1, 4):
-            traj = lab.free_wave_trajectory(n, cutoff=n, window=2.0, steps=512)
+            traj = free_wave_trajectory(n, cutoff=n, window=2.0, steps=512)
             vals.append(lab.z_norm(traj, 0.5, 2.0, pad_factor=8) / lab.bracket(n) ** 0.5)
         assert abs(vals[0] - vals[1]) / max(vals) < 1e-2
 
@@ -211,7 +212,7 @@ class TestSpaceTimeNorms:
 
         from dnlslab.fields import bump
 
-        traj = lab.free_wave_trajectory(0, cutoff=1, window=2.0, steps=256)
+        traj = free_wave_trajectory(0, cutoff=1, window=2.0, steps=256)
         val = lab.xst_norm(traj, lab.NormSpec(s=0.0, r=2.0, b=0.0, p=1.0))
         peak = quad(bump, -2, 2)[0]
         assert abs(val - peak) / peak < 1e-3
@@ -233,28 +234,28 @@ class TestSpaceTimeNorms:
 class TestEmbeddingScan:
     def test_parameter_guard(self):
         with pytest.raises(ValueError):
-            lab.embedding_scan([], s=0.5, r=2.0, b1=0.5, b2=0.1)
+            embedding_scan([], s=0.5, r=2.0, b1=0.5, b2=0.1)
 
     def test_zero_trajectory_excluded(self):
-        zero = lab.free_wave_trajectory(0, cutoff=2, steps=32, amplitude=0.0)
-        report = lab.embedding_scan([zero], s=0.5, r=2.0, b1=0.6, b2=0.0)
+        zero = free_wave_trajectory(0, cutoff=2, steps=32, amplitude=0.0)
+        report = embedding_scan([zero], s=0.5, r=2.0, b1=0.6, b2=0.0)
         assert report.summary["samples_used"] == 0
 
     def test_random_samples_bounded_and_stable(self):
         rng = np.random.default_rng(11)
         trajs = [lab.random_trajectory(16, rng, window=1.0, steps=256) for _ in range(20)]
-        report = lab.embedding_scan(trajs, s=0.5, r=2.0, b1=0.6, b2=0.0)
+        report = embedding_scan(trajs, s=0.5, r=2.0, b1=0.6, b2=0.0)
         assert report.summary["samples_used"] == 20
         assert 0.0 < report.summary["max_ratio"] < 10.0
         # same fields, finer time grid: recorded constant moves only a little
         rng = np.random.default_rng(11)
         finer = [lab.random_trajectory(16, rng, window=1.0, steps=512) for _ in range(20)]
-        report2 = lab.embedding_scan(finer, s=0.5, r=2.0, b1=0.6, b2=0.0)
+        report2 = embedding_scan(finer, s=0.5, r=2.0, b1=0.6, b2=0.0)
         rel = abs(report2.summary["max_ratio"] - report.summary["max_ratio"])
         assert rel / report.summary["max_ratio"] < 0.1
 
     def test_free_wave_finite_ratio(self):
-        traj = lab.free_wave_trajectory(3, cutoff=4, window=2.0, steps=256)
-        report = lab.embedding_scan([traj], s=0.5, r=2.0, b1=0.6, b2=0.0)
+        traj = free_wave_trajectory(3, cutoff=4, window=2.0, steps=256)
+        report = embedding_scan([traj], s=0.5, r=2.0, b1=0.6, b2=0.0)
         assert report.summary["samples_used"] == 1
         assert np.isfinite(report.summary["max_ratio"])
