@@ -17,7 +17,6 @@ from .fields import (
     to_physical,
 )
 from .gauge import (
-    GaugeContext,
     gauge,
     gauge_field,
     gauge_field_inv,

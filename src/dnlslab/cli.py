@@ -25,8 +25,8 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import CutoffProfile, cutoff_of, plane_wave, random_field
-from .gauge import GaugeContext, gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
+from .fields import CutoffProfile, plane_wave, random_field
+from .gauge import gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
 from .norms import INF, NormSpec, data_norms, xst_norm, z_norm
 from .reports import (
     __version__,
@@ -136,13 +136,11 @@ def cmd_gauge(args) -> int:
     out = _out_dir(args)
     if file_kind(args.input) == "field":
         f = load_field(args.input)
-        ctx = GaugeContext.for_cutoff(cutoff_of(f))
-        g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time, ctx)
+        g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time)
         save_field(out / args.output, g)
     else:
         traj = load_trajectory(args.input)
-        ctx = GaugeContext.for_cutoff(traj.cutoff)
-        g = gauge_inv(traj, ctx) if args.inverse else gauge(traj, ctx)
+        g = gauge_inv(traj) if args.inverse else gauge(traj)
         save_trajectory(out / args.output, g)
     print(canonical_json({"written": str(out / args.output)}))
     return EXIT_OK

@@ -20,17 +20,20 @@ from .reports import EVIDENCE_CAVEAT, ScanReport
 # divisor counting
 # ---------------------------------------------------------------------------
 
-def divisor_pair_count(r: int) -> int:
-    """Number of ordered pairs (n1, n2) of naturals with n1*n2 = r."""
+def _divisor_pairs(r: int):
+    """The divisor pairs (d, r // d) of r with d <= sqrt(r), by trial division."""
     if r < 1:
         raise ValueError("r must be a positive integer")
-    count = 0
     d = 1
     while d * d <= r:
         if r % d == 0:
-            count += 1 if d * d == r else 2
+            yield d, r // d
         d += 1
-    return count
+
+
+def divisor_pair_count(r: int) -> int:
+    """Number of ordered pairs (n1, n2) of naturals with n1*n2 = r."""
+    return sum(1 if d == q else 2 for d, q in _divisor_pairs(r))
 
 
 def near_diagonal_pair_count(r: int) -> int:
@@ -38,17 +41,7 @@ def near_diagonal_pair_count(r: int) -> int:
 
     The comparison is done in integers: 729*(n1 - n2)**6 <= r.
     """
-    if r < 1:
-        raise ValueError("r must be a positive integer")
-    count = 0
-    d = 1
-    while d * d <= r:
-        if r % d == 0:
-            q = r // d
-            if 729 * (q - d) ** 6 <= r:
-                count += 1 if d == q else 2
-        d += 1
-    return count
+    return sum(1 if d == q else 2 for d, q in _divisor_pairs(r) if 729 * (q - d) ** 6 <= r)
 
 
 def near_diagonal_scan(limit: int) -> ScanReport:
@@ -109,8 +102,8 @@ def resonance_weighted_sum(
     """
     if variant not in SUM_VARIANTS:
         raise ValueError(f"variant must be one of {SUM_VARIANTS}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     idx = np.arange(-truncation, truncation + 1)
@@ -184,27 +177,31 @@ def resonance_sum_scan(
 WINDOW_TRIPLE_OVERLAP = 16.0 / 3.0
 
 
-def _endpoint_weights(xi: np.ndarray, decay: float, log_power: float, log_shift: float) -> np.ndarray:
+def _log_bracket(br: np.ndarray, log_shift: float) -> np.ndarray:
+    """log(<xi> + log_shift), positive at every |xi| >= 1 (where <xi> >= sqrt(2))."""
+    if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
+        raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
+    return np.log(br + log_shift)
+
+
+def _endpoint_weights(xi: np.ndarray, log_shift: float) -> np.ndarray:
+    """The endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3."""
     br = bracket(xi)
-    return br ** (-decay) / np.log(br + log_shift) ** log_power
+    return br ** (-0.25) / _log_bracket(br, log_shift) ** (1.0 / 3.0)
 
 
-def divergent_mass_sum(
-    truncation: int, log_power: float = 2.0 / 3.0, log_shift: float = 0.0
-) -> float:
-    """Partial sum over 1 <= |xi| <= truncation of <xi>**-1 log(<xi>)**-power.
+def divergent_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
+    """Partial sum over 1 <= |xi| <= truncation of <xi>**-1 log(<xi>)**-2/3.
 
-    Diverges like log(truncation)**(1 - power); the optional shift inside the
+    Diverges like log(truncation)**(1/3); the optional shift inside the
     log is available for exploratory scans and defaults to off.
     """
     xi = np.arange(1, truncation + 1, dtype=float)
     br = bracket(xi)
-    return float(2.0 * np.sum(1.0 / (br * np.log(br + log_shift) ** log_power)))
+    return float(2.0 * np.sum(1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))))
 
 
-def endpoint_pairing(
-    truncation: int, decay: float = 0.25, log_power: float = 1.0 / 3.0, log_shift: float = 0.0
-) -> float:
+def endpoint_pairing(truncation: int, log_shift: float = 0.0) -> float:
     """Explicit lower bound for the endpoint quadriform at a given truncation.
 
     The four profiles sit at output frequency 0 and second input frequency 1;
@@ -218,8 +215,8 @@ def endpoint_pairing(
     xi3 = -1.0 - xi1
     keep = (xi3 != 0.0) & (np.abs(xi3) <= truncation)
     xi1, xi3 = xi1[keep], xi3[keep]
-    w1 = _endpoint_weights(xi1, decay, log_power, log_shift)
-    w3 = _endpoint_weights(xi3, decay, log_power, log_shift)
+    w1 = _endpoint_weights(xi1, log_shift)
+    w3 = _endpoint_weights(xi3, log_shift)
     sigma1_max = bracket(2.0 * np.abs(xi1) + 2.0)
     sigma2_max = bracket(2.0)
     sigma3_max = bracket(1.0)
@@ -235,20 +232,13 @@ def endpoint_pairing(
     return float(np.sum(summand))
 
 
-def endpoint_factor_norm(
-    truncation: int,
-    ell: float = 4.0,
-    time_dual: float = 2.0,
-    decay: float = 0.25,
-    log_power: float = 1.0 / 3.0,
-    log_shift: float = 0.0,
-) -> float:
-    """l^ell (over 1 <= |xi| <= truncation) of the profile weights, times the
-    L^{time_dual} norm of the unit window (width 2)."""
+def endpoint_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
+    """l^4 (over 1 <= |xi| <= truncation) of the profile weights, times the
+    L^2 norm of the unit window (width 2)."""
     xi = np.arange(1, truncation + 1, dtype=float)
-    w = _endpoint_weights(xi, decay, log_power, log_shift)
-    window_norm = 2.0 ** (1.0 / time_dual)
-    return float((2.0 * np.sum(w**ell)) ** (1.0 / ell) * window_norm)
+    w = _endpoint_weights(xi, log_shift)
+    window_norm = 2.0 ** (1.0 / 2.0)
+    return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * window_norm)
 
 
 def endpoint_ratio(truncation: int) -> float:
@@ -283,6 +273,8 @@ def divergence_report(
     log_shift: float = 0.0,
 ) -> ScanReport:
     """Divergent mass sum against the bounded factor norm across truncations."""
+    if any(n < 1 for n in truncations):
+        raise ValueError(f"truncations must be >= 1, got {list(truncations)}")
     truncs = sorted(truncations)
     sums = [divergent_mass_sum(n, log_shift=log_shift) for n in truncs]
     norms = [endpoint_factor_norm(n, log_shift=log_shift) for n in truncs]
@@ -310,23 +302,19 @@ def divergence_report(
 # estimate-ratio scans
 # ---------------------------------------------------------------------------
 
-def _nested_trajectories(
-    count: int, cutoff: int, seed: int, steps: int, window: float, per_sample: int
-) -> list[list[Trajectory]]:
+# half-width of the time grid of every ratio-scan trajectory
+SCAN_WINDOW = 1.0
+
+
+def _nested_trajectories(count: int, cutoff: int, seed: int, steps: int,
+                         per_sample: int) -> list[list[Trajectory]]:
     """count sample groups drawn sequentially from one seeded generator, so a
     longer scan extends a shorter one."""
     if count < 1:
         raise ValueError(f"samples must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    groups = []
-    for _ in range(count):
-        groups.append(
-            [
-                random_trajectory(cutoff, rng, window=window, steps=steps)
-                for _ in range(per_sample)
-            ]
-        )
-    return groups
+    return [[random_trajectory(cutoff, rng, window=SCAN_WINDOW, steps=steps)
+             for _ in range(per_sample)] for _ in range(count)]
 
 
 def _ratio_report(name: str, grid: dict, ratios: list[float], seed: int) -> ScanReport:
@@ -344,35 +332,31 @@ def cubic_ratio_scan(
     cutoff: int,
     seed: int,
     steps: int = 64,
-    window: float = 1.0,
-    delta: float = 0.0,
-    pad_factor: int = 4,
 ) -> ScanReport:
     """Ratio of the cubic operator's output norm to the product of input norms.
 
     LHS: (s=1/2, b=-1/2, r, p=2) norm of the per-sample full cubic operator at
-    its full output band; RHS: T**delta times the (1/2, 1/2, q, 2) norms of
-    the first two inputs and the (1/2, 1/2, r, 2) norm of the third, where T
-    is the half-width of the windowed supports.
+    its full output band; RHS: the (1/2, 1/2, q, 2) norms of the first two
+    inputs and the (1/2, 1/2, r, 2) norm of the third.  The time factor
+    T**delta of the estimate is 1 here (delta = 0, recorded in the grid).
     """
     if not (4.0 / 3.0 < q <= r <= 2.0):
         raise ValueError("scan requires 4/3 < q <= r <= 2")
     lhs_spec = NormSpec(s=0.5, r=r, b=-0.5, p=2.0)
     rhs_q = NormSpec(s=0.5, r=q, b=0.5, p=2.0)
     rhs_r = NormSpec(s=0.5, r=r, b=0.5, p=2.0)
-    groups = _nested_trajectories(samples, cutoff, seed, steps, window, per_sample=3)
-    tfactor = window**delta
+    groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=3)
     ratios = []
     for u1, u2, u3 in groups:
         w1, w2, w3 = u1.windowed(), u2.windowed(), u3.windowed()
-        rhs = tfactor * xst_norm(w1, rhs_q, pad_factor) * xst_norm(w2, rhs_q, pad_factor) * xst_norm(w3, rhs_r, pad_factor)
+        rhs = xst_norm(w1, rhs_q) * xst_norm(w2, rhs_q) * xst_norm(w3, rhs_r)
         if rhs == 0.0:
             continue
         out = cubic_full(w1.coeffs, w2.coeffs, w3.coeffs, out_cutoff=3 * cutoff)
         out_traj = Trajectory(out, w1.window, w1.cutoff_profile)
-        ratios.append(xst_norm(out_traj, lhs_spec, pad_factor) / rhs)
+        ratios.append(xst_norm(out_traj, lhs_spec) / rhs)
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
-            "window": window, "delta": delta}
+            "window": SCAN_WINDOW, "delta": 0.0}
     return _ratio_report("cubic-ratio", grid, ratios, seed)
 
 
@@ -383,8 +367,6 @@ def strichartz_ratio_scan(
     cutoff: int,
     seed: int,
     steps: int = 64,
-    window: float = 1.0,
-    pad_factor: int = 4,
 ) -> ScanReport:
     """Trilinear smoothing ratio with no derivative weight on the third slot.
 
@@ -397,18 +379,18 @@ def strichartz_ratio_scan(
         raise ValueError("scan requires s > 3*(1/2 - b)")
     spec_s = NormSpec(s=s, r=2.0, b=b, p=2.0)
     spec_0 = NormSpec(s=0.0, r=2.0, b=b, p=2.0)
-    groups = _nested_trajectories(samples, cutoff, seed, steps, window, per_sample=3)
+    groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=3)
     ratios = []
     for u1, u2, u3 in groups:
         w1, w2, w3 = u1.windowed(), u2.windowed(), u3.windowed()
-        rhs = xst_norm(w1, spec_s, pad_factor) * xst_norm(w2, spec_s, pad_factor) * xst_norm(w3, spec_0, pad_factor)
+        rhs = xst_norm(w1, spec_s) * xst_norm(w2, spec_s) * xst_norm(w3, spec_0)
         if rhs == 0.0:
             continue
         prod = physical_product([w1.coeffs, w2.coeffs, w3.coeffs],
                                 conjugate=[False, False, True], out_cutoff=3 * cutoff)
         prod_traj = Trajectory(prod, w1.window, w1.cutoff_profile)
         ratios.append(l2_spacetime_norm(prod_traj) / rhs)
-    grid = {"s": s, "b": b, "samples": samples, "cutoff": cutoff, "steps": steps, "window": window}
+    grid = {"s": s, "b": b, "samples": samples, "cutoff": cutoff, "steps": steps, "window": SCAN_WINDOW}
     return _ratio_report("strichartz-ratio", grid, ratios, seed)
 
 
@@ -420,8 +402,6 @@ def quintic_ratio_scan(
     cutoff: int,
     seed: int,
     steps: int = 64,
-    window: float = 1.0,
-    pad_factor: int = 4,
     masked: bool = False,
 ) -> ScanReport:
     """Quintic ratio with the sum-over-distinguished-slot right-hand side.
@@ -438,11 +418,11 @@ def quintic_ratio_scan(
     lhs_spec = NormSpec(s=0.5, r=r, b=-b, p=2.0)
     rhs_r = NormSpec(s=0.5, r=r, b=b, p=2.0)
     rhs_q = NormSpec(s=0.5, r=q, b=b, p=2.0)
-    groups = _nested_trajectories(samples, cutoff, seed, steps, window, per_sample=5)
+    groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=5)
     ratios = []
     for us in groups:
         ws = [u.windowed() for u in us]
-        norms_r, norms_q = zip(*(_xst_norms(w, [rhs_r, rhs_q], pad_factor) for w in ws))
+        norms_r, norms_q = zip(*(_xst_norms(w, [rhs_r, rhs_q]) for w in ws))
         rhs = 0.0
         for k in range(5):
             term = norms_r[k]
@@ -460,9 +440,9 @@ def quintic_ratio_scan(
             out = physical_product(factors, conjugate=[False, True, False, True, False],
                                    out_cutoff=band)
         out_traj = Trajectory(out, ws[0].window, ws[0].cutoff_profile)
-        ratios.append(xst_norm(out_traj, lhs_spec, pad_factor) / rhs)
+        ratios.append(xst_norm(out_traj, lhs_spec) / rhs)
     grid = {"q": q, "r": r, "b": b, "samples": samples, "cutoff": cutoff,
-            "steps": steps, "window": window, "masked": masked}
+            "steps": steps, "window": SCAN_WINDOW, "masked": masked}
     return _ratio_report("quintic-ratio", grid, ratios, seed)
 
 
@@ -477,8 +457,11 @@ def endpoint_injection_report(
     The baseline runs the cubic ratio scan at the smallest admissible interior
     parameters; the family ratios are the analytic lower bounds at l^4 input
     indices (the endpoint).  The report records the family-to-baseline
-    excess and the growth of the family ratio across truncations.
+    excess and the growth of the family ratio across truncations.  The
+    pairing is empty below truncation 2.
     """
+    if any(n < 2 for n in truncations):
+        raise ValueError(f"truncations must be >= 2, got {list(truncations)}")
     family = [endpoint_ratio(n) for n in truncations]
     base = cubic_ratio_scan(
         q=1.3334, r=1.3334, samples=baseline_samples, cutoff=baseline_cutoff,

@@ -259,18 +259,29 @@ def free_phase(times, cutoff: int) -> np.ndarray:
 # seeded random ensembles
 # ---------------------------------------------------------------------------
 
+# Both ensembles give the coefficient at xi a <xi>**-1 spectral profile. A
+# trajectory coefficient is a sum of TRAJECTORY_MODES oscillations in t with
+# rates drawn uniformly from [-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE].
+TRAJECTORY_MODES = 3
+TRAJECTORY_MAX_RATE = 8.0
+
+
 def random_field(
     cutoff: int,
     rng: np.random.Generator,
-    tilt: float = 1.0,
     active_cutoff: int | None = None,
     l2_norm: float | None = None,
 ) -> np.ndarray:
-    """i.i.d. complex Gaussian coefficients with a <xi>**-tilt spectral profile."""
+    """i.i.d. complex Gaussian coefficients with a <xi>**-1 spectral profile,
+    zero beyond the active band and rescaled to the given l2 norm."""
+    if active_cutoff is not None and active_cutoff < 0:
+        raise ValueError(f"active_cutoff must be >= 0, got {active_cutoff}")
+    if l2_norm is not None and not (math.isfinite(l2_norm) and l2_norm >= 0):
+        raise ValueError(f"l2_norm must be finite and >= 0, got {l2_norm}")
     active = cutoff if active_cutoff is None else min(active_cutoff, cutoff)
     xi = xi_range(cutoff)
     z = rng.standard_normal(2 * cutoff + 1) + 1j * rng.standard_normal(2 * cutoff + 1)
-    c = z * bracket(xi) ** (-tilt)
+    c = z * bracket(xi) ** -1.0
     c[np.abs(xi) > active] = 0.0
     if l2_norm is not None:
         cur = float(np.linalg.norm(c))
@@ -280,27 +291,13 @@ def random_field(
 
 
 def random_trajectory(
-    cutoff: int,
-    rng: np.random.Generator,
-    window: float = 2.0,
-    steps: int = 64,
-    tilt: float = 1.0,
-    active_cutoff: int | None = None,
-    modes: int = 3,
-    max_rate: float = 8.0,
+    cutoff: int, rng: np.random.Generator, window: float = 2.0, steps: int = 64
 ) -> Trajectory:
-    """Random space-time field, smooth in t, with the default bump profile.
-
-    Each spatial coefficient carries a random low-frequency temporal profile
-    (a short sum of oscillations with rates up to max_rate).
-    """
-    active = cutoff if active_cutoff is None else min(active_cutoff, cutoff)
-    xi = xi_range(cutoff)
-    base = (rng.standard_normal((2 * cutoff + 1, modes))
-            + 1j * rng.standard_normal((2 * cutoff + 1, modes)))
-    rates = rng.uniform(-max_rate, max_rate, size=(2 * cutoff + 1, modes))
-    tiltw = bracket(xi) ** (-tilt)
+    """Random space-time field, smooth in t, with the default bump profile."""
+    shape = (2 * cutoff + 1, TRAJECTORY_MODES)
+    base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
     waves = np.exp(1j * rates * time_grid(window, steps)[:, None, None])
-    coeffs = np.sum(base * waves, axis=2) * tiltw / math.sqrt(modes)
-    coeffs[:, np.abs(xi) > active] = 0.0
+    coeffs = np.sum(base * waves, axis=2) * bracket(xi_range(cutoff)) ** -1.0
+    coeffs = coeffs / math.sqrt(TRAJECTORY_MODES)
     return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))

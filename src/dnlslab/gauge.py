@@ -7,7 +7,7 @@ working band; the spatial translation is exact in Fourier space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,25 +30,14 @@ from .reports import ScanReport
 # per row, or one scalar time for every row.
 
 
-@dataclass(frozen=True)
-class GaugeContext:
-    """Operational parameters for the gauge maps.
+def gauge_gridsize(cutoff: int) -> int:
+    """The grid of the phase twist of a band |xi| <= cutoff.
 
-    gridsize must be at least 4*cutoff + 1 so |u|^2 and the phase product are
-    evaluated without aliasing in the kept band; the default 8*cutoff keeps
-    the aliasing of the non-polynomial phase factor negligible.
+    At least 4*cutoff + 1, so |u|^2 and the phase product are alias-free in
+    the kept band; 8*cutoff keeps the aliasing of the non-polynomial phase
+    factor negligible.
     """
-
-    cutoff: int
-    gridsize: int
-
-    def __post_init__(self):
-        if self.gridsize < 4 * self.cutoff + 1:
-            raise ValueError("gauge gridsize must be >= 4*cutoff + 1")
-
-    @classmethod
-    def for_cutoff(cls, cutoff: int, oversample: int = 8) -> "GaugeContext":
-        return cls(cutoff=cutoff, gridsize=max(oversample * cutoff, 4 * cutoff + 1))
+    return max(8 * cutoff, 4 * cutoff + 1)
 
 
 def mass_primitive(u: np.ndarray) -> np.ndarray:
@@ -63,27 +52,29 @@ def mass_primitive(u: np.ndarray) -> np.ndarray:
     return np.divide(sq, 1j * xi, out=np.zeros_like(sq), where=xi != 0)
 
 
-def _phase_product(u: np.ndarray, ctx: GaugeContext, sign: float) -> np.ndarray:
-    """exp(sign * i * primitive(u)) * u on the gauge grid."""
-    phase = np.exp(sign * 1j * to_physical(mass_primitive(u), ctx.gridsize))
-    return phase * to_physical(u, ctx.gridsize)
+def _phase_product(u: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign * i * primitive(u)) * u on the gauge grid of its band."""
+    gridsize = gauge_gridsize(cutoff_of(u))
+    phase = np.exp(sign * 1j * to_physical(mass_primitive(u), gridsize))
+    return phase * to_physical(u, gridsize)
 
 
-def gauge_phase(u: np.ndarray, ctx: GaugeContext) -> np.ndarray:
+def gauge_phase(u: np.ndarray) -> np.ndarray:
     """exp(-i * primitive(u)) * u projected back to the working band."""
-    return from_physical(_phase_product(u, ctx, -1.0), cutoff_of(u))
+    return from_physical(_phase_product(u, -1.0), cutoff_of(u))
 
 
-def gauge_phase_inv(u: np.ndarray, ctx: GaugeContext) -> np.ndarray:
+def gauge_phase_inv(u: np.ndarray) -> np.ndarray:
     """exp(+i * primitive(u)) * u projected back to the working band."""
-    return from_physical(_phase_product(u, ctx, +1.0), cutoff_of(u))
+    return from_physical(_phase_product(u, +1.0), cutoff_of(u))
 
 
-def gauge_phase_tail(u: np.ndarray, ctx: GaugeContext) -> np.ndarray:
+def gauge_phase_tail(u: np.ndarray) -> np.ndarray:
     """l2 mass of the phase product outside the working band, one value per row
     (the truncation that gauge_phase makes)."""
-    n, k = cutoff_of(u), (ctx.gridsize - 1) // 2
-    full = from_physical(_phase_product(u, ctx, -1.0), k)
+    n = cutoff_of(u)
+    k = (gauge_gridsize(n) - 1) // 2
+    full = from_physical(_phase_product(u, -1.0), k)
     full[..., k - n : k + n + 1] = 0.0
     return np.linalg.norm(full, axis=-1)
 
@@ -100,26 +91,26 @@ def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(amount, xi_range(cutoff_of(coeffs)))) * coeffs
 
 
-def gauge_field(u: np.ndarray, t, ctx: GaugeContext) -> np.ndarray:
+def gauge_field(u: np.ndarray, t) -> np.ndarray:
     """Gauge transform of samples at their times (phase twist, then shift)."""
-    return translate(gauge_phase(u, ctx), t, -1)
+    return translate(gauge_phase(u), t, -1)
 
 
-def gauge_field_inv(v: np.ndarray, t, ctx: GaugeContext) -> np.ndarray:
-    return gauge_phase_inv(translate(v, t, +1), ctx)
+def gauge_field_inv(v: np.ndarray, t) -> np.ndarray:
+    return gauge_phase_inv(translate(v, t, +1))
 
 
-def gauge(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
+def gauge(traj: Trajectory) -> Trajectory:
     """Full gauge transform of a trajectory, every sample at its own time.
 
     The translation amount uses each sample's own mass mean, which both the
     phase twist and the shift leave unchanged.
     """
-    return replace(traj, coeffs=gauge_field(traj.coeffs, traj.times, ctx))
+    return replace(traj, coeffs=gauge_field(traj.coeffs, traj.times))
 
 
-def gauge_inv(traj: Trajectory, ctx: GaugeContext) -> Trajectory:
-    return replace(traj, coeffs=gauge_field_inv(traj.coeffs, traj.times, ctx))
+def gauge_inv(traj: Trajectory) -> Trajectory:
+    return replace(traj, coeffs=gauge_field_inv(traj.coeffs, traj.times))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +148,7 @@ def translation_gap_probe(
         out_gap = float(np.max(data_norms(d, spec)))
         gauge_gap = 0.0
         if include_gauge_gap:
-            ctx = GaugeContext.for_cutoff(n)
-            g = gauge_field(u1, tgrid, ctx) - gauge_field(u2, tgrid, ctx)
+            g = gauge_field(u1, tgrid) - gauge_field(u2, tgrid)
             gauge_gap = float(np.max(data_norms(g, spec)))
         rows.append((n, input_gap, out_gap, gauge_gap))
     values = tuple(row[2] for row in rows)

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .fields import Trajectory, free_phase, plane_wave, resize, time_grid
-from .gauge import GaugeContext, gauge, gauge_field, gauge_inv, gauge_phase_tail
+from .gauge import gauge, gauge_field, gauge_inv, gauge_phase_tail
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
 
@@ -237,7 +237,10 @@ def integral_residual(traj: Trajectory, equation: Equation) -> float:
 # independent cross-check integrator
 # ---------------------------------------------------------------------------
 
-def rk4_solve(u0: np.ndarray, cfg: SolveConfig, substeps: int = 4) -> Trajectory:
+RK4_SUBSTEPS = 4  # RK4 steps per interval of the time grid
+
+
+def rk4_solve(u0: np.ndarray, cfg: SolveConfig) -> Trajectory:
     """Classical RK4 on the integrating-factor form, marched from t = 0 both ways.
 
     With w(t) = exp(-i*t*d_xx) u(t) the equation becomes
@@ -258,9 +261,9 @@ def rk4_solve(u0: np.ndarray, cfg: SolveConfig, substeps: int = 4) -> Trajectory
         k = mid
         end = cfg.steps if direction > 0 else 0
         while k != end:
-            h = direction * (times[1] - times[0]) / substeps
+            h = direction * (times[1] - times[0]) / RK4_SUBSTEPS
             t = times[k]
-            for _ in range(substeps):
+            for _ in range(RK4_SUBSTEPS):
                 k1 = rhs(t, w)
                 k2 = rhs(t + h / 2, w + h / 2 * k1)
                 k3 = rhs(t + h / 2, w + h / 2 * k2)
@@ -287,11 +290,10 @@ def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     if cfg.equation is not Equation.DNLS:
         raise ValueError("the gauge pipeline solves the raw derivative equation")
     u0 = _datum(u0, cfg)
-    ctx = GaugeContext.for_cutoff(cfg.cutoff)
-    v0 = gauge_field(u0, 0.0, ctx)
+    v0 = gauge_field(u0, 0.0)
     gauged_report = picard_solve(v0, replace(cfg, equation=Equation.GAUGED, cross_check=False))
-    u_traj = gauge_inv(gauged_report.trajectory, ctx)
-    gauge_res = gauge(u_traj, ctx).sup_l2_distance(gauged_report.trajectory)
+    u_traj = gauge_inv(gauged_report.trajectory)
+    gauge_res = gauge(u_traj).sup_l2_distance(gauged_report.trajectory)
     return SolveReport(
         trajectory=u_traj,
         equation=Equation.DNLS,
@@ -303,7 +305,7 @@ def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
         integral_residual=integral_residual(u_traj, Equation.DNLS),
         truncated_tail_mass=gauged_report.truncated_tail_mass,
         gauge_residual=gauge_res,
-        gauge_tail=float(np.max(gauge_phase_tail(u_traj.coeffs, ctx))),
+        gauge_tail=float(np.max(gauge_phase_tail(u_traj.coeffs))),
     )
 
 

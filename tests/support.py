@@ -20,9 +20,9 @@ def free_wave_trajectory(
     return lab.Trajectory(coeffs, window, lab.CutoffProfile(scale=window / 2.0))
 
 
-def gauge_roundtrip_error(traj: lab.Trajectory, ctx: lab.GaugeContext) -> float:
+def gauge_roundtrip_error(traj: lab.Trajectory) -> float:
     """sup over samples of the L^2 gap of inverse(gauge(traj)) from traj."""
-    return lab.gauge_inv(lab.gauge(traj, ctx), ctx).sup_l2_distance(traj)
+    return lab.gauge_inv(lab.gauge(traj)).sup_l2_distance(traj)
 
 
 def embedding_scan(

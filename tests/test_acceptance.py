@@ -44,17 +44,16 @@ def plane_wave_solves():
 @pytest.fixture(scope="module")
 def gauge_equivalence_solves():
     rng = np.random.default_rng(SEED)
-    ctx = lab.GaugeContext.for_cutoff(32)
     pairs = []
     for _ in range(5):
         u0 = lab.random_field(32, rng, active_cutoff=8, l2_norm=0.25)
         cfg = lab.SolveConfig(cutoff=32, horizon=0.05, steps=200, tol=1e-10,
                               equation=lab.Equation.DNLS)
         direct = lab.picard_solve(u0, cfg)
-        gauged_direct = lab.gauge(direct.trajectory, ctx)
+        gauged_direct = lab.gauge(direct.trajectory)
         cfg_g = lab.SolveConfig(cutoff=32, horizon=0.05, steps=200, tol=1e-10,
                                 equation=lab.Equation.GAUGED)
-        v0 = lab.gauge_field(u0, 0.0, ctx)
+        v0 = lab.gauge_field(u0, 0.0)
         transformed = lab.picard_solve(v0, cfg_g)
         gap = gauged_direct.sup_l2_distance(transformed.trajectory)
         pairs.append((cfg, direct, transformed, gap))
@@ -81,14 +80,13 @@ def test_criterion_2_gauge_equivalence(gauge_equivalence_solves):
 
 def test_criterion_3_gauge_round_trip():
     rng = np.random.default_rng(SEED)
-    ctx = lab.GaugeContext.for_cutoff(32)
     worst = 0.0
     for _ in range(100):
         coeffs = np.array([
             lab.random_field(32, rng, active_cutoff=8, l2_norm=0.5) for _ in range(5)
         ])
         traj = Trajectory(coeffs, window=0.5)
-        worst = max(worst, gauge_roundtrip_error(traj, ctx))
+        worst = max(worst, gauge_roundtrip_error(traj))
     report_line(3, worst <= 1e-8, f"worst round-trip L2 error {worst:.2e}")
     assert worst <= 1e-8
 

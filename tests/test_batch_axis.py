@@ -15,7 +15,6 @@ from dnlslab.gauge import gauge_phase_tail
 gauge_mod = importlib.import_module("dnlslab.gauge")
 
 CUTOFF = 4
-CTX = lab.GaugeContext.for_cutoff(CUTOFF)
 
 # name -> (operator on coefficient arrays, number of array operands)
 OPERATORS = {
@@ -33,17 +32,17 @@ OPERATORS = {
         lambda *us: lab.quintic_restricted(*us, out_cutoff=5 * CUTOFF), 5),
     "mean_shifted_cubic_spectral": (lab.mean_shifted_cubic_spectral, 1),
     "mass_primitive": (lab.mass_primitive, 1),
-    "gauge_phase": (lambda u: lab.gauge_phase(u, CTX), 1),
-    "gauge_phase_inv": (lambda u: lab.gauge_phase_inv(u, CTX), 1),
-    "gauge_phase_tail": (lambda u: gauge_phase_tail(u, CTX), 1),
+    "gauge_phase": (lab.gauge_phase, 1),
+    "gauge_phase_inv": (lab.gauge_phase_inv, 1),
+    "gauge_phase_tail": (gauge_phase_tail, 1),
 }
 
 # maps of samples at times: one time per row, or one scalar time
 TIMED = {
     "translate-": lambda u, t: lab.translate(u, t, -1),
     "translate+": lambda u, t: lab.translate(u, t, +1),
-    "gauge_field": lambda u, t: lab.gauge_field(u, t, CTX),
-    "gauge_field_inv": lambda u, t: lab.gauge_field_inv(u, t, CTX),
+    "gauge_field": lab.gauge_field,
+    "gauge_field_inv": lab.gauge_field_inv,
 }
 
 BATCHES = [(5,), (2, 3)]
@@ -103,7 +102,7 @@ def counting(monkeypatch, module, name):
 def test_gauge_maps_call_the_field_map_once_per_trajectory(monkeypatch, fn, map_name):
     traj = lab.random_trajectory(CUTOFF, np.random.default_rng(1), window=0.5, steps=8)
     calls = counting(monkeypatch, gauge_mod, map_name)
-    out = fn(traj, CTX)
+    out = fn(traj)
     assert len(calls) == 1
     assert calls[0][0].shape == traj.coeffs.shape
     assert out.coeffs.shape == traj.coeffs.shape

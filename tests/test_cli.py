@@ -129,8 +129,7 @@ class TestGaugeAndNormsCommands:
         assert main(["gauge", "--input", str(tmp_path / "t.csv"), "--output", "gt.csv",
                      "--out", str(tmp_path)]) == 0
         gauged = lab.load_trajectory(tmp_path / "gt.csv")
-        ctx = lab.GaugeContext.for_cutoff(8)
-        assert gauged.sup_l2_distance(lab.gauge(traj, ctx)) <= 1e-12
+        assert gauged.sup_l2_distance(lab.gauge(traj)) <= 1e-12
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DNLSLAB_OUT", str(tmp_path / "envout"))
@@ -241,8 +240,24 @@ class TestScanCommands:
         (["ratio-scan", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "strichartz", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "quintic", "--samples", "-3"], "samples"),
+        (["ratio-scan", "--kind", "endpoint", "--truncations", "0,10"], "truncations"),
+        (["ratio-scan", "--kind", "endpoint", "--truncations", "1,10"], "truncations"),
+        (["counterexample", "--mode", "divergence", "--truncations", "0,10"], "truncations"),
+        (["scan-sums", "--epsilon", "nan", "--truncations", "4"], "eps"),
+        (["scan-sums", "--epsilon", "inf", "--truncations", "4"], "eps"),
+        (["counterexample", "--mode", "divergence", "--truncations", "10,100",
+          "--log-shift", "-1"], "log_shift"),
+        (["counterexample", "--mode", "divergence", "--truncations", "10,100",
+          "--log-shift", "nan"], "log_shift"),
+        (["solve", "--N", "8", "--amplitude", "nan"], "l2_norm"),
+        (["solve", "--N", "8", "--amplitude", "inf"], "l2_norm"),
+        (["solve", "--N", "8", "--amplitude", "-0.2"], "l2_norm"),
+        (["solve", "--N", "8", "--active-band", "-1"], "active_cutoff"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "n-zero",
-            "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative"])
+            "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative",
+            "endpoint-truncation-zero", "endpoint-truncation-one", "divergence-truncation-zero",
+            "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",
+            "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI, Trajectory, x_grid
-from dnlslab.gauge import gauge_phase_tail
+from dnlslab.gauge import gauge_gridsize, gauge_phase_tail
 from support import gauge_roundtrip_error
 
 
@@ -54,18 +54,15 @@ class TestMassPrimitive:
 
 class TestGaugePhase:
     def test_plane_wave_fixed(self):
-        ctx = lab.GaugeContext.for_cutoff(8)
         w = lab.plane_wave(8, 3, 1.7)
-        assert np.linalg.norm(lab.gauge_phase(w, ctx) - w) < 1e-12
+        assert np.linalg.norm(lab.gauge_phase(w) - w) < 1e-12
 
     def test_zero(self):
-        ctx = lab.GaugeContext.for_cutoff(8)
-        assert np.linalg.norm(lab.gauge_phase(np.zeros(17, dtype=complex), ctx)) == 0.0
+        assert np.linalg.norm(lab.gauge_phase(np.zeros(17, dtype=complex))) == 0.0
 
     def test_two_mode_against_physical_oracle(self):
-        ctx = lab.GaugeContext.for_cutoff(32)
         u = lab.constant_field(32, 1.0) + lab.plane_wave(32, 1)
-        got = lab.to_physical(lab.gauge_phase(u, ctx), 256)
+        got = lab.to_physical(lab.gauge_phase(u), 256)
         grid = x_grid(256)
         expected = np.exp(-2j * np.sin(grid)) * (1.0 + np.exp(1j * grid))
         assert np.max(np.abs(got - expected)) < 1e-10
@@ -78,27 +75,27 @@ class TestGaugePhase:
         assert np.max(np.abs(np.abs(np.exp(-1j * vals)) - 1.0)) < 1e-12
 
     def test_l2_preserved(self):
-        ctx = lab.GaugeContext.for_cutoff(32)
         u = lab.random_field(32, np.random.default_rng(10), active_cutoff=8, l2_norm=1.0)
-        assert abs(np.linalg.norm(lab.gauge_phase(u, ctx)) - np.linalg.norm(u)) < 1e-10
+        assert abs(np.linalg.norm(lab.gauge_phase(u)) - np.linalg.norm(u)) < 1e-10
 
     def test_roundtrip_random_unit_fields(self):
-        ctx = lab.GaugeContext(cutoff=32, gridsize=256)
         rng = np.random.default_rng(12)
         for _ in range(10):
             u = lab.random_field(32, rng, active_cutoff=8, l2_norm=1.0)
-            back = lab.gauge_phase_inv(lab.gauge_phase(u, ctx), ctx)
+            back = lab.gauge_phase_inv(lab.gauge_phase(u))
             assert np.linalg.norm(back - u) <= 1e-8
 
     def test_truncation_tail_reported(self):
-        ctx = lab.GaugeContext.for_cutoff(16)
         u = lab.random_field(16, np.random.default_rng(13), active_cutoff=4, l2_norm=0.8)
-        tail = gauge_phase_tail(u, ctx)
+        tail = gauge_phase_tail(u)
         assert 0.0 <= tail < 1e-6
 
-    def test_gridsize_guard(self):
-        with pytest.raises(ValueError):
-            lab.GaugeContext(cutoff=8, gridsize=32)
+    def test_gridsize_follows_the_band(self):
+        # alias-free for |u|^2 and the phase product, and the 8*cutoff grid
+        # the maps have always used
+        for n in range(65):
+            assert gauge_gridsize(n) >= 4 * n + 1
+            assert gauge_gridsize(n) == max(8 * n, 4 * n + 1)
 
 
 class TestTranslate:
@@ -127,7 +124,6 @@ class TestFullGauge:
     def test_plane_wave_trajectory_closed_form(self):
         A, n, theta = 1.3, 2, 0.8
         cutoff, steps, window = 8, 32, 0.4
-        ctx = lab.GaugeContext.for_cutoff(cutoff)
         dt = 2 * window / steps
         times = -window + dt * np.arange(steps + 1)
         traj = Trajectory(
@@ -135,27 +131,24 @@ class TestFullGauge:
                       for t in times]),
             window,
         )
-        got = lab.gauge(traj, ctx)
+        got = lab.gauge(traj)
         for t, row in zip(times, got.coeffs):
             expected = A * np.exp(1j * (-2 * t * A * A * n + theta * t))
             assert abs(row[n + cutoff] - ROOT_TWO_PI * expected) < 1e-11
 
     def test_zero_trajectory(self):
         traj = Trajectory(np.zeros((5, 9)), 0.2)
-        ctx = lab.GaugeContext.for_cutoff(4)
-        assert lab.gauge(traj, ctx).sup_l2_distance(traj) == 0.0
+        assert lab.gauge(traj).sup_l2_distance(traj) == 0.0
 
     def test_roundtrip_on_solver_output(self):
         cfg = lab.SolveConfig(cutoff=16, horizon=0.05, steps=60, equation=lab.Equation.DNLS)
         rep = lab.picard_solve(lab.random_field(16, np.random.default_rng(8),
                                                 active_cutoff=4, l2_norm=0.3), cfg)
-        ctx = lab.GaugeContext.for_cutoff(16)
-        assert gauge_roundtrip_error(rep.trajectory, ctx) <= 1e-7
+        assert gauge_roundtrip_error(rep.trajectory) <= 1e-7
 
     def test_lipschitz_on_fixed_mass_family(self):
         # pairs with one prescribed L2 norm: the gauge gap stays comparable
         rng = np.random.default_rng(21)
-        ctx = lab.GaugeContext.for_cutoff(16)
         worst = 0.0
         for _ in range(20):
             u = lab.random_field(16, rng, active_cutoff=6, l2_norm=1.0)
@@ -164,7 +157,7 @@ class TestFullGauge:
             if gap_in < 1e-3:
                 continue
             t = rng.uniform(-1.0, 1.0)
-            gap_out = np.linalg.norm(lab.gauge_field(u, t, ctx) - lab.gauge_field(v, t, ctx))
+            gap_out = np.linalg.norm(lab.gauge_field(u, t) - lab.gauge_field(v, t))
             worst = max(worst, gap_out / gap_in)
         assert 0.0 < worst < 10.0
 

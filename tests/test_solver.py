@@ -141,12 +141,11 @@ class TestPicard:
 
     def test_gauged_plane_wave(self):
         A, n = 0.8, 2
-        ctx = lab.GaugeContext.for_cutoff(12)
-        v0 = lab.gauge_field(lab.plane_wave(12, n, A), 0.0, ctx)
+        v0 = lab.gauge_field(lab.plane_wave(12, n, A), 0.0)
         cfg = lab.SolveConfig(cutoff=12, horizon=0.05, steps=80,
                               equation=lab.Equation.GAUGED, tol=1e-11)
         rep = lab.picard_solve(v0, cfg)
-        exact = lab.gauge(lab.plane_wave_solution(12, n, A, 0.05, 80), ctx)
+        exact = lab.gauge(lab.plane_wave_solution(12, n, A, 0.05, 80))
         assert rep.converged
         assert rep.trajectory.sup_l2_distance(exact) <= 1e-7
 
@@ -210,9 +209,8 @@ class TestPicard:
         assert rep.cross_check_gap <= 1e-8
 
     def test_cross_check_on_gauged_equation(self):
-        ctx = lab.GaugeContext.for_cutoff(8)
         u0 = lab.random_field(8, np.random.default_rng(51), active_cutoff=3, l2_norm=0.3)
-        v0 = lab.gauge_field(u0, 0.0, ctx)
+        v0 = lab.gauge_field(u0, 0.0)
         cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=60, tol=1e-12,
                               equation=lab.Equation.GAUGED, cross_check=True)
         rep = lab.picard_solve(v0, cfg)
@@ -287,10 +285,9 @@ class TestGaugePipeline:
         cfg = lab.SolveConfig(cutoff=16, horizon=0.05, steps=80, tol=1e-11)
         u0 = lab.random_field(16, np.random.default_rng(31), active_cutoff=4, l2_norm=0.3)
         direct = lab.picard_solve(u0, cfg)
-        ctx = lab.GaugeContext.for_cutoff(16)
-        gauged_traj = lab.gauge(direct.trajectory, ctx)
+        gauged_traj = lab.gauge(direct.trajectory)
         assert lab.integral_residual(gauged_traj, lab.Equation.GAUGED) <= 1e-7
-        back = lab.gauge_inv(gauged_traj, ctx)
+        back = lab.gauge_inv(gauged_traj)
         assert lab.integral_residual(back, lab.Equation.DNLS) <= 1e-7
 
     def test_forcing_band_accounting(self):
