@@ -199,25 +199,24 @@ def cmd_scan_sums(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    out = _out_dir(args)
-    sections = {}
+    sections, tables = {}, {}
     if args.mode in ("divergence", "both"):
         truncs = tuple(int(t) for t in args.truncations.split(","))
         div = divergence_report(truncs, log_shift=args.log_shift)
         sections["divergence"] = div
-        rows = list(zip(div.summary["truncations"], div.summary["divergent_sums"],
-                        div.summary["factor_norms"]))
-        write_csv(out / f"{args.tag}-divergence.csv",
-                  ["truncation", "divergent_sum", "factor_norm"], rows)
+        tables["divergence"] = (["truncation", "divergent_sum", "factor_norm"], list(zip(
+            div.summary["truncations"], div.summary["divergent_sums"],
+            div.summary["factor_norms"])))
     if args.mode in ("translation", "both"):
         n_list = [int(n) for n in args.n_list.split(",")]
         probe = translation_gap_probe(args.amplitude, args.s, args.r, n_list)
         sections["translation"] = probe
-        rows = list(zip(probe.summary["n"], probe.summary["input_gap"],
-                        probe.summary["output_gap"], probe.summary["gauge_gap"]))
-        write_csv(out / f"{args.tag}-translation.csv",
-                  ["n", "input_gap", "output_gap", "gauge_gap"], rows)
-    _write_report(args, **sections)
+        tables["translation"] = (["n", "input_gap", "output_gap", "gauge_gap"], list(zip(
+            probe.summary["n"], probe.summary["input_gap"],
+            probe.summary["output_gap"], probe.summary["gauge_gap"])))
+    out = _write_report(args, **sections)
+    for name, (header, rows) in tables.items():
+        write_csv(out / f"{args.tag}-{name}.csv", header, rows)
     print(canonical_json({k: True for k in sections}))
     return EXIT_OK
 

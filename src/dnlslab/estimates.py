@@ -45,35 +45,35 @@ def near_diagonal_pair_count(r: int) -> int:
 
 
 def near_diagonal_scan(limit: int) -> ScanReport:
-    """Exhaustive near-diagonal pair counts for every r <= limit, vectorized.
+    """Exhaustive near-diagonal pair counts for every r <= limit.
 
-    A qualifying pair has both members within r**(1/6)/3 < limit**(1/6)/3 of
-    sqrt(r), so scanning a fixed window of offsets around isqrt(r) is exact.
+    The pairs are enumerated, not the r: a qualifying pair n1 <= n2 = n1 + d
+    has 729*d**6 <= r = n1*(n1 + d) <= limit, so for each gap d with
+    729*d**6 <= limit the admissible n1 form one interval.  Each such r
+    counts 1 for d = 0 and 2 (both orders) otherwise; every r that no pair
+    reaches counts 0.  The work is about limit**(2/3) pairs, and no array of
+    length limit is formed.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
-    r = np.arange(1, limit + 1, dtype=np.int64)
-    s = np.sqrt(r.astype(float)).astype(np.int64)
-    s = np.where((s + 1) * (s + 1) <= r, s + 1, s)
-    s = np.where(s * s > r, s - 1, s)
-    halfwidth = int(limit ** (1.0 / 6.0) / 3.0) + 2
-    counts = np.zeros(limit, dtype=np.int64)
-    for off in range(-halfwidth, halfwidth + 2):
-        n1 = s + off
-        ok = n1 >= 1
-        ok &= np.where(ok, r % np.where(ok, n1, 1) == 0, False)
-        n2 = np.where(ok, r // np.where(n1 > 0, n1, 1), 0)
-        # divisor pairs found in the window straddle sqrt(r), so the live
-        # differences are small; zeroing dead lanes keeps d**6 in range
-        diff = np.where(ok, n1 - n2, 0)
-        ok &= 729 * diff**6 <= r
-        counts += ok.astype(np.int64)
+    products = []
+    d = 0
+    while 729 * d**6 <= limit:
+        # n1*(n1 + d) <= x  <=>  n1 <= (isqrt(d*d + 4*x) - d) // 2, so the
+        # first n1 with n1*(n1 + d) >= 729*d**6 is one past x = 729*d**6 - 1
+        top = (math.isqrt(d * d + 4 * limit) - d) // 2
+        low = (math.isqrt(d * d + 4 * (729 * d**6 - 1)) - d) // 2 + 1 if d else 1
+        n1 = np.arange(low, top + 1, dtype=np.int64)
+        products.extend([n1 * (n1 + d)] * (2 if d else 1))
+        d += 1
+    r, counts = np.unique(np.concatenate(products), return_counts=True)
     max_count = int(counts.max())
-    argmax = int(r[np.argmax(counts)])
+    histogram = np.bincount(counts, minlength=max_count + 1)
+    histogram[0] = limit - len(r)
     summary = {
         "max_count": max_count,
-        "argmax": argmax,
-        "count_histogram": {str(k): int(np.sum(counts == k)) for k in range(max_count + 1)},
+        "argmax": int(r[np.argmax(counts)]),
+        "count_histogram": {str(k): int(n) for k, n in enumerate(histogram)},
     }
     return ScanReport(
         name="near-diagonal-divisors",
@@ -89,16 +89,64 @@ def near_diagonal_scan(limit: int) -> ScanReport:
 
 SUM_VARIANTS = ("wdiff_xi", "wdiff_xi1", "wabs_xi", "wabs_xi1")
 
+# a later grid point replaces the scan's best sum only when it is larger by
+# more than this relative margin, so exact ties (wdiff_xi at anchor 0 is even
+# in a, say) go to the first point in grid order, not to round-off
+ARGMAX_MARGIN = 1e-12
+
+
+def _resonance_bins(variant: str, eps: float, anchor: int,
+                    truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero products m = (xi-xi1)*(xi-xi2) over the truncated box and
+    the summed pair weights c(m) of each.
+
+    The excluded pairs xi1 = xi or xi2 = xi are exactly those with m = 0.
+    Along a row of the box m is an arithmetic progression with nonzero step
+    (or is 0 throughout), so one fancy-indexed add bins a row without loss.
+    """
+    K = truncation
+    idx = np.arange(-K, K + 1)
+    wdiff = variant.startswith("wdiff")
+    if variant.endswith("_xi"):
+        # xi = anchor, rows xi1, columns xi2: m = (xi - xi1)*(xi - xi2)
+        diff = anchor - idx
+        weight = bracket(diff if wdiff else idx) ** (-eps)
+        span = (abs(anchor) + K) ** 2
+        rows = ((diff[i], diff, weight[i] * weight) for i in range(2 * K + 1))
+    else:
+        # xi1 = anchor, rows xi, columns xi2: xi - xi2 = i - j on row i, column j
+        diff = idx - anchor
+        span = (abs(anchor) + K) * 2 * K
+        if wdiff:
+            gaps = bracket(np.arange(-2 * K, 2 * K + 1)) ** (-eps)
+            first = bracket(diff) ** (-eps)
+            rows = ((diff[i], idx[i] - idx, first[i] * gaps[i:i + 2 * K + 1][::-1])
+                    for i in range(2 * K + 1))
+        else:
+            weight = bracket(anchor) ** (-eps) * bracket(idx) ** (-eps)
+            rows = ((diff[i], idx[i] - idx, weight) for i in range(2 * K + 1))
+    bins = np.zeros(2 * span + 1)
+    for scale, other, w in rows:
+        if scale:
+            bins[scale * other + span] += w
+    bins[span] = 0.0
+    nz = np.flatnonzero(bins)
+    return (nz - span).astype(float), bins[nz]
+
 
 def resonance_weighted_sum(
-    variant: str, eps: float, a: float, anchor: int, truncation: int
-) -> float:
+    variant: str, eps: float, a: float | np.ndarray, anchor: int, truncation: int
+) -> float | np.ndarray:
     """Truncated lattice sum with weight <.>**-eps pairs against
     <a + 2*(xi-xi1)*(xi-xi2)>**-(1+eps), excluding xi1 = xi and xi2 = xi.
 
     Variants: "wdiff_*" weight the differences xi-xi1, xi-xi2; "wabs_*"
     weight xi1, xi2 themselves.  "*_xi" anchor the output frequency and sum
     over (xi1, xi2); "*_xi1" anchor xi1 and sum over (xi, xi2).
+
+    The core depends on a pair only through m = (xi-xi1)*(xi-xi2), so the
+    weights are binned by m once and each a costs one dot product over the
+    bins.  A scalar a gives a float, a 1-D array of a values an array.
     """
     if variant not in SUM_VARIANTS:
         raise ValueError(f"variant must be one of {SUM_VARIANTS}")
@@ -106,19 +154,10 @@ def resonance_weighted_sum(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
-    idx = np.arange(-truncation, truncation + 1)
-    v1, v2 = np.meshgrid(idx, idx, indexing="ij")
-    if variant.endswith("_xi"):
-        xi, xi1, xi2 = anchor, v1, v2
-    else:
-        xi, xi1, xi2 = v1, anchor, v2
-    mask = (xi1 != xi) & (xi2 != xi)
-    core = bracket(a + 2.0 * (xi - xi1) * (xi - xi2)) ** (-(1.0 + eps))
-    if variant.startswith("wdiff"):
-        weight = bracket(xi - xi1) ** (-eps) * bracket(xi - xi2) ** (-eps)
-    else:
-        weight = bracket(xi1) ** (-eps) * bracket(xi2) ** (-eps)
-    return float(np.sum(np.where(mask, weight * core, 0.0)))
+    m, c = _resonance_bins(variant, eps, anchor, truncation)
+    a_arr = np.asarray(a, dtype=float)
+    sums = np.array([c @ bracket(x + 2.0 * m) ** (-(1.0 + eps)) for x in a_arr.ravel()])
+    return float(sums[0]) if a_arr.ndim == 0 else sums
 
 
 def resonance_sum_scan(
@@ -128,18 +167,26 @@ def resonance_sum_scan(
     anchor_values: list[int],
     truncations: list[int],
 ) -> ScanReport:
-    """Sup of the truncated sum over an (a, anchor) grid, per truncation."""
+    """Sup of the truncated sum over an (a, anchor) grid, per truncation.
+
+    Each (anchor, truncation) bins its pairs once for every a.  The argmax is
+    the first grid point, a-major, whose sum no later point exceeds by more
+    than ARGMAX_MARGIN relative.
+    """
     if not (len(a_values) and len(anchor_values)):
         raise ValueError(f"empty (a, anchor) grid: a_values={list(a_values)}, "
                          f"anchor_values={list(anchor_values)}")
+    a_arr = np.asarray(a_values, dtype=float)
     sups = {}
     argmaxes = {}
     for K in truncations:
+        table = [resonance_weighted_sum(variant, eps, a_arr, anchor, K)
+                 for anchor in anchor_values]
         best, arg = -math.inf, None
-        for a in a_values:
-            for anchor in anchor_values:
-                val = resonance_weighted_sum(variant, eps, a, anchor, K)
-                if val > best:
+        for i, a in enumerate(a_values):
+            for j, anchor in enumerate(anchor_values):
+                val = float(table[j][i])
+                if arg is None or val - best > ARGMAX_MARGIN * abs(best):
                     best, arg = val, (a, anchor)
         sups[K] = best
         argmaxes[K] = arg

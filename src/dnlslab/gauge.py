@@ -132,6 +132,8 @@ def translation_gap_probe(
     output gap is the sup over t in [-1, 1] of the same norm of the gap of
     the translated fields.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     if any(n < 1 for n in n_list):
         raise ValueError(f"n_list entries must be positive, got {list(n_list)}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

@@ -35,6 +35,10 @@ class NormSpec:
     p: float | None = None
 
     def __post_init__(self):
+        for name in ("s", "b"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (1.0 < self.r < INF):
             raise ValueError(f"r must lie strictly between 1 and infinity, got {self.r}")
         if self.p is not None and not (1.0 <= self.p <= INF):

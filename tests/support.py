@@ -1,7 +1,10 @@
 """Test fixtures built on the public API: exact free waves, the gauge round-trip
-gap and the X^{s,b} embedding ratio scan."""
+gap, the X^{s,b} embedding ratio scan, and the direct lattice kernels that the
+product-indexed ones in ``dnlslab.estimates`` are checked against."""
+import numpy as np
+
 import dnlslab as lab
-from dnlslab.fields import time_grid
+from dnlslab.fields import bracket, time_grid
 
 
 def free_wave_trajectory(
@@ -54,3 +57,51 @@ def embedding_scan(
     }
     grid = {"s": s, "r": r, "b1": b1, "b2": b2}
     return lab.ScanReport(name="embedding", grid=grid, values=values, summary=summary)
+
+
+def near_diagonal_sweep(limit: int) -> dict:
+    """Near-diagonal pair counts for every r <= limit by sweeping r: the summary
+    of ``near_diagonal_scan``, from a window of trial divisors around isqrt(r).
+
+    A qualifying pair has both members within r**(1/6)/3 < limit**(1/6)/3 of
+    sqrt(r), so a fixed window of offsets around isqrt(r) finds every one.
+    """
+    r = np.arange(1, limit + 1, dtype=np.int64)
+    s = np.sqrt(r.astype(float)).astype(np.int64)
+    s = np.where((s + 1) * (s + 1) <= r, s + 1, s)
+    s = np.where(s * s > r, s - 1, s)
+    halfwidth = int(limit ** (1.0 / 6.0) / 3.0) + 2
+    counts = np.zeros(limit, dtype=np.int64)
+    for off in range(-halfwidth, halfwidth + 2):
+        n1 = s + off
+        ok = n1 >= 1
+        ok &= np.where(ok, r % np.where(ok, n1, 1) == 0, False)
+        n2 = np.where(ok, r // np.where(n1 > 0, n1, 1), 0)
+        # zeroing dead lanes keeps diff**6 in range
+        diff = np.where(ok, n1 - n2, 0)
+        ok &= 729 * diff**6 <= r
+        counts += ok.astype(np.int64)
+    max_count = int(counts.max())
+    return {
+        "max_count": max_count,
+        "argmax": int(r[np.argmax(counts)]),
+        "count_histogram": {str(k): int(np.sum(counts == k)) for k in range(max_count + 1)},
+    }
+
+
+def direct_resonance_sum(variant: str, eps: float, a: float, anchor: int,
+                         truncation: int) -> float:
+    """``resonance_weighted_sum`` as one masked sum over the whole (2K+1)**2 grid."""
+    idx = np.arange(-truncation, truncation + 1)
+    v1, v2 = np.meshgrid(idx, idx, indexing="ij")
+    if variant.endswith("_xi"):
+        xi, xi1, xi2 = anchor, v1, v2
+    else:
+        xi, xi1, xi2 = v1, anchor, v2
+    mask = (xi1 != xi) & (xi2 != xi)
+    core = bracket(a + 2.0 * (xi - xi1) * (xi - xi2)) ** (-(1.0 + eps))
+    if variant.startswith("wdiff"):
+        weight = bracket(xi - xi1) ** (-eps) * bracket(xi - xi2) ** (-eps)
+    else:
+        weight = bracket(xi1) ** (-eps) * bracket(xi2) ** (-eps)
+    return float(np.sum(np.where(mask, weight * core, 0.0)))

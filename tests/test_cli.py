@@ -162,6 +162,15 @@ class TestGaugeAndNormsCommands:
         assert code == 1
         assert "needs --b/--p or --z" in capsys.readouterr().err
 
+    def test_norms_with_a_non_finite_exponent_exit_code(self, tmp_path, capsys):
+        lab.save_field(tmp_path / "w.csv", lab.plane_wave(8, 1))
+        code = main(["norms", "--input", str(tmp_path / "w.csv"), "--s", "nan",
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: s must be finite")
+        assert captured.out == ""
+
     def test_field_file_round_trip(self, tmp_path):
         f = lab.random_field(6, np.random.default_rng(8))
         lab.save_field(tmp_path / "x.csv", f)
@@ -216,6 +225,24 @@ class TestScanCommands:
         assert (tmp_path / "ce-divergence.csv").exists()
         assert (tmp_path / "ce-translation.csv").exists()
 
+    def test_counterexample_failing_input_makes_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        code = main(["counterexample", "--truncations", "0", "--n-list", "4",
+                     "--out", str(out)])
+        assert code == 1
+        assert "truncations" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scan_sums_tie_goes_to_the_first_grid_point(self, tmp_path, capsys):
+        # wdiff_xi at anchor 0 is even in a, so a = -25 and a = 25 tie exactly
+        code = main(["scan-sums", "--variant", "wdiff_xi", "--truncations", "64,256",
+                     "--a-min", "-25", "--a-max", "25", "--a-step", "50",
+                     "--anchor-min", "0", "--anchor-max", "0",
+                     "--out", str(tmp_path), "--tag", "tie"])
+        assert code == 0
+        summary = read_json(tmp_path / "tie.json")["wdiff_xi"]["summary"]
+        assert summary["argmax_by_truncation"] == {"64": [-25.0, 0], "256": [-25.0, 0]}
+
     def test_ratio_scan_byte_identical_reports(self, tmp_path):
         argsets = []
         for tag in ("r1", "r2"):
@@ -237,6 +264,8 @@ class TestScanCommands:
         (["scan-sums", "--anchor-step", "-1"], "--anchor-step"),
         (["ratio-scan", "--steps", "0", "--samples", "2"], "steps"),
         (["counterexample", "--mode", "translation", "--n-list", "0,4"], "n_list"),
+        (["counterexample", "--mode", "translation", "--amplitude", "nan"], "amplitude"),
+        (["counterexample", "--mode", "translation", "--s", "nan"], "s must be finite"),
         (["ratio-scan", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "strichartz", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "quintic", "--samples", "-3"], "samples"),
@@ -254,6 +283,7 @@ class TestScanCommands:
         (["solve", "--N", "8", "--amplitude", "-0.2"], "l2_norm"),
         (["solve", "--N", "8", "--active-band", "-1"], "active_cutoff"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "n-zero",
+            "translation-amplitude-nan", "translation-s-nan",
             "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative",
             "endpoint-truncation-zero", "endpoint-truncation-one", "divergence-truncation-zero",
             "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import dnlslab as lab
 from dnlslab.estimates import SUM_VARIANTS
-from support import free_wave_trajectory
+from support import direct_resonance_sum, free_wave_trajectory, near_diagonal_sweep
 
 
 def naive_divisor_pairs(r):
@@ -56,6 +56,17 @@ class TestDivisorCounts:
         report = lab.near_diagonal_scan(10**5)
         assert report.summary["max_count"] == 2
 
+    @pytest.mark.parametrize("limit", [1, 2, 16, 3000, 10**5])
+    def test_pair_enumeration_matches_the_r_sweep(self, limit):
+        assert lab.near_diagonal_scan(limit).summary == near_diagonal_sweep(limit)
+
+    def test_scan_reaches_1e9(self):
+        # the only r counted once are the squares (gap 0), every one of them
+        summary = lab.near_diagonal_scan(10**9).summary
+        assert summary["max_count"] <= 2
+        assert summary["count_histogram"]["1"] == math.isqrt(10**9)
+        assert sum(summary["count_histogram"].values()) == 10**9
+
     def test_growth_witness(self):
         # soft witness: counts grow slower than r**0.2 over the scanned range
         worst = max(lab.divisor_pair_count(r) / r**0.2 for r in range(1, 20001))
@@ -89,6 +100,19 @@ class TestResonanceSums:
             )
             assert all(np.isfinite(v) for v in report.values)
             assert report.summary["relative_changes"][0] < 0.02
+
+    @pytest.mark.parametrize("variant", SUM_VARIANTS)
+    @pytest.mark.parametrize("truncation", [0, 1, 16, 64])
+    def test_binned_sum_matches_the_direct_sum(self, variant, truncation):
+        a_values = np.array([-300.0, -25.0, -1.5, 0.0, 0.5, 7.0, 130.0])
+        for anchor in (0, -truncation, 3, truncation + 2, -90):
+            got = lab.resonance_weighted_sum(variant, 0.5, a_values, anchor, truncation)
+            assert got.shape == a_values.shape
+            for a, value in zip(a_values, got):
+                want = direct_resonance_sum(variant, 0.5, a, anchor, truncation)
+                assert abs(value - want) <= 1e-12 * want
+            scalar = lab.resonance_weighted_sum(variant, 0.5, a_values[1], anchor, truncation)
+            assert isinstance(scalar, float) and scalar == got[1]
 
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError):

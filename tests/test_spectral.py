@@ -162,6 +162,10 @@ class TestHNorm:
             lab.NormSpec(s=0.0, r=1.0)
         with pytest.raises(ValueError):
             lab.NormSpec(s=0.0, r=math.inf)
+        for bad in ({"s": math.nan}, {"s": math.inf}, {"s": 0.5, "b": math.nan},
+                    {"s": 0.5, "b": -math.inf}):
+            with pytest.raises(ValueError, match="must be finite"):
+                lab.NormSpec(r=2.0, **bad)
 
 
 class TestSpaceTimeNorms:
