@@ -133,15 +133,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    out = _out_dir(args)
     if file_kind(args.input) == "field":
         f = load_field(args.input)
         g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time)
-        save_field(out / args.output, g)
+        save = save_field
     else:
         traj = load_trajectory(args.input)
         g = gauge_inv(traj) if args.inverse else gauge(traj)
-        save_trajectory(out / args.output, g)
+        save = save_trajectory
+    out = _out_dir(args)
+    save(out / args.output, g)
     print(canonical_json({"written": str(out / args.output)}))
     return EXIT_OK
 

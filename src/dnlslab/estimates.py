@@ -224,17 +224,58 @@ def resonance_sum_scan(
 WINDOW_TRIPLE_OVERLAP = 16.0 / 3.0
 
 
-def _log_bracket(br: np.ndarray, log_shift: float) -> np.ndarray:
-    """log(<xi> + log_shift), positive at every |xi| >= 1 (where <xi> >= sqrt(2))."""
+def _endpoint_sums(
+    truncations, log_shift: float = 0.0,
+) -> tuple[list[float], list[float], list[float]]:
+    """The divergent mass sums, the factor norms and the pairing lower bounds
+    at each truncation, in the order given, from one table pass over
+    1 <= |xi| <= max(truncations).
+
+    Every summand depends on |xi| only, so a truncation's sum is one np.sum
+    over slices of the tables, laid out in the order of the signed
+    frequencies.  The elementwise arithmetic is the per-frequency formula and
+    each np.sum runs over an array of the same length and order, so the sums
+    do not depend on which other truncations share the tables.  Each table is
+    dropped once it is read, which keeps the peak near seven tables.
+    """
+    if not truncations or min(truncations) < 1:
+        raise ValueError(f"truncations must be >= 1, got {list(truncations)}")
     if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
         raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
-    return np.log(br + log_shift)
-
-
-def _endpoint_weights(xi: np.ndarray, log_shift: float) -> np.ndarray:
-    """The endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3."""
+    xi = np.arange(1, max(truncations) + 1, dtype=float)
     br = bracket(xi)
-    return br ** (-0.25) / _log_bracket(br, log_shift) ** (1.0 / 3.0)
+    # log(<xi> + log_shift) is positive at every |xi| >= 1, where <xi> >= sqrt(2)
+    log_br = np.log(br + log_shift)
+    mass = 1.0 / (br * log_br ** (2.0 / 3.0))
+    sums = [float(2.0 * np.sum(mass[:n])) for n in truncations]
+    # the endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3
+    w = br ** (-0.25) / log_br ** (1.0 / 3.0)
+    del mass, log_br
+    w4 = w**4.0
+    # l^4 of the weights over both signs, times the L^2 norm of the unit window
+    norms = [float((2.0 * np.sum(w4[:n])) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
+             for n in truncations]
+    del w4
+
+    # xi3 = -1 - xi1 with 1 <= |xi3| <= n leaves |xi3| = |xi1| - 1 for
+    # xi1 = -n..-2 ("left", entry k at |xi1| = k + 2) and |xi3| = |xi1| + 1
+    # for xi1 = 1..n-1 ("right", entry k at |xi1| = k + 1)
+    root = br**0.5
+    sigma1_root = bracket(2.0 * xi + 2.0) ** 0.5
+    del br
+    root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
+
+    def summand(j1: slice, j3: slice) -> np.ndarray:
+        denom = root[j1] * root1 * root[j3] * sigma1_root[j1] * root2 * root1
+        return WINDOW_TRIPLE_OVERLAP * w[j1] * w[j3] * xi[j3] / denom
+
+    left = summand(slice(1, None), slice(None, -1))
+    right = summand(slice(None, -1), slice(1, None))
+    del xi, w, root, sigma1_root
+    # left[:n - 1] is empty at n = 1, where left[n - 2::-1] would be all of it
+    pairings = [float(np.sum(np.concatenate([left[:n - 1][::-1], right[:n - 1]])))
+                for n in truncations]
+    return sums, norms, pairings
 
 
 def divergent_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
@@ -243,9 +284,7 @@ def divergent_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
     Diverges like log(truncation)**(1/3); the optional shift inside the
     log is available for exploratory scans and defaults to off.
     """
-    xi = np.arange(1, truncation + 1, dtype=float)
-    br = bracket(xi)
-    return float(2.0 * np.sum(1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))))
+    return _endpoint_sums((truncation,), log_shift)[0][0]
 
 
 def endpoint_pairing(truncation: int, log_shift: float = 0.0) -> float:
@@ -258,34 +297,20 @@ def endpoint_pairing(truncation: int, log_shift: float = 0.0) -> float:
     replaced by its supremum over the support, so the sum is a true lower
     bound of the full integral expression.
     """
-    xi1 = np.concatenate([np.arange(-truncation, 0), np.arange(1, truncation + 1)]).astype(float)
-    xi3 = -1.0 - xi1
-    keep = (xi3 != 0.0) & (np.abs(xi3) <= truncation)
-    xi1, xi3 = xi1[keep], xi3[keep]
-    w1 = _endpoint_weights(xi1, log_shift)
-    w3 = _endpoint_weights(xi3, log_shift)
-    sigma1_max = bracket(2.0 * np.abs(xi1) + 2.0)
-    sigma2_max = bracket(2.0)
-    sigma3_max = bracket(1.0)
-    denom = (
-        bracket(xi1) ** 0.5
-        * bracket(1.0) ** 0.5
-        * bracket(xi3) ** 0.5
-        * sigma1_max**0.5
-        * sigma2_max**0.5
-        * sigma3_max**0.5
-    )
-    summand = WINDOW_TRIPLE_OVERLAP * w1 * w3 * np.abs(xi3) / denom
-    return float(np.sum(summand))
+    return _endpoint_sums((truncation,), log_shift)[2][0]
 
 
 def endpoint_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
     """l^4 (over 1 <= |xi| <= truncation) of the profile weights, times the
     L^2 norm of the unit window (width 2)."""
-    xi = np.arange(1, truncation + 1, dtype=float)
-    w = _endpoint_weights(xi, log_shift)
-    window_norm = 2.0 ** (1.0 / 2.0)
-    return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * window_norm)
+    return _endpoint_sums((truncation,), log_shift)[1][0]
+
+
+def _endpoint_ratios(truncations) -> list[float]:
+    """``endpoint_ratio`` at each truncation, from one table pass."""
+    _, norms, pairings = _endpoint_sums(truncations)
+    fixed = 2.0 ** 0.5 * 2.0 ** 0.5
+    return [pairing / (fixed * f * f) for f, pairing in zip(norms, pairings)]
 
 
 def endpoint_ratio(truncation: int) -> float:
@@ -293,11 +318,7 @@ def endpoint_ratio(truncation: int) -> float:
 
     Pairing lower bound divided by the product of the four profile norms (the
     two fixed single-frequency profiles each contribute sqrt(2))."""
-    pairing = endpoint_pairing(truncation)
-    f1 = endpoint_factor_norm(truncation)
-    f3 = endpoint_factor_norm(truncation)
-    fixed = 2.0 ** 0.5 * 2.0 ** 0.5
-    return pairing / (fixed * f1 * f3)
+    return _endpoint_ratios((truncation,))[0]
 
 
 def _fit_against_cuberoot_log(truncations: list[int], sums: list[float]) -> dict:
@@ -320,12 +341,8 @@ def divergence_report(
     log_shift: float = 0.0,
 ) -> ScanReport:
     """Divergent mass sum against the bounded factor norm across truncations."""
-    if any(n < 1 for n in truncations):
-        raise ValueError(f"truncations must be >= 1, got {list(truncations)}")
     truncs = sorted(truncations)
-    sums = [divergent_mass_sum(n, log_shift=log_shift) for n in truncs]
-    norms = [endpoint_factor_norm(n, log_shift=log_shift) for n in truncs]
-    pairings = [endpoint_pairing(n, log_shift=log_shift) for n in truncs]
+    sums, norms, pairings = _endpoint_sums(truncs, log_shift)
     fit = _fit_against_cuberoot_log(truncs, sums)
     norm_changes = [abs(b - a) / b for a, b in zip(norms, norms[1:])]
     summary = {
@@ -509,7 +526,7 @@ def endpoint_injection_report(
     """
     if any(n < 2 for n in truncations):
         raise ValueError(f"truncations must be >= 2, got {list(truncations)}")
-    family = [endpoint_ratio(n) for n in truncations]
+    family = _endpoint_ratios(truncations)
     base = cubic_ratio_scan(
         q=1.3334, r=1.3334, samples=baseline_samples, cutoff=baseline_cutoff,
         seed=seed, steps=48,

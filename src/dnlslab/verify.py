@@ -8,9 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from .estimates import (
-    divergent_mass_sum,
+    divergence_report,
     divisor_pair_count,
-    endpoint_factor_norm,
     near_diagonal_pair_count,
     near_diagonal_scan,
     resonance_weighted_sum,
@@ -110,8 +109,9 @@ def run_battery(fast: bool = True) -> list[dict]:
     checks.append(_check("lattice sum stability", rel <= 0.02, rel))
 
     # divergence vs bounded factor norm
-    d1, d2 = divergent_mass_sum(10**3), divergent_mass_sum(10**5)
-    f1, f2 = endpoint_factor_norm(10**3), endpoint_factor_norm(10**5)
+    endpoint = divergence_report((10**3, 10**5)).summary
+    d1, d2 = endpoint["divergent_sums"]
+    f1, f2 = endpoint["factor_norms"]
     ok = (d2 - d1) / d1 >= 0.15 and abs(f2 - f1) / f2 <= 0.02
     checks.append(_check("endpoint sums trend", ok, (d2 - d1) / d1))
 

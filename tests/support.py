@@ -1,6 +1,9 @@
 """Test fixtures built on the public API: exact free waves, the gauge round-trip
-gap, the X^{s,b} embedding ratio scan, and the direct lattice kernels that the
-product-indexed ones in ``dnlslab.estimates`` are checked against."""
+gap, the X^{s,b} embedding ratio scan, the direct lattice kernels that the
+product-indexed ones in ``dnlslab.estimates`` are checked against, and the
+per-truncation endpoint sums that its one-table-pass sums are checked against."""
+import math
+
 import numpy as np
 
 import dnlslab as lab
@@ -105,3 +108,51 @@ def direct_resonance_sum(variant: str, eps: float, a: float, anchor: int,
     else:
         weight = bracket(xi1) ** (-eps) * bracket(xi2) ** (-eps)
     return float(np.sum(np.where(mask, weight * core, 0.0)))
+
+
+def _log_bracket(br: np.ndarray, log_shift: float) -> np.ndarray:
+    if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
+        raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
+    return np.log(br + log_shift)
+
+
+def _endpoint_weights(xi: np.ndarray, log_shift: float) -> np.ndarray:
+    br = bracket(xi)
+    return br ** (-0.25) / _log_bracket(br, log_shift) ** (1.0 / 3.0)
+
+
+def direct_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
+    """``divergent_mass_sum`` from its own arrays over 1 <= xi <= truncation."""
+    xi = np.arange(1, truncation + 1, dtype=float)
+    br = bracket(xi)
+    return float(2.0 * np.sum(1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))))
+
+
+def direct_pairing(truncation: int, log_shift: float = 0.0) -> float:
+    """``endpoint_pairing`` summed over the signed xi1 with xi3 = -1 - xi1."""
+    xi1 = np.concatenate([np.arange(-truncation, 0), np.arange(1, truncation + 1)]).astype(float)
+    xi3 = -1.0 - xi1
+    keep = (xi3 != 0.0) & (np.abs(xi3) <= truncation)
+    xi1, xi3 = xi1[keep], xi3[keep]
+    w1 = _endpoint_weights(xi1, log_shift)
+    w3 = _endpoint_weights(xi3, log_shift)
+    sigma1_max = bracket(2.0 * np.abs(xi1) + 2.0)
+    sigma2_max = bracket(2.0)
+    sigma3_max = bracket(1.0)
+    denom = (
+        bracket(xi1) ** 0.5
+        * bracket(1.0) ** 0.5
+        * bracket(xi3) ** 0.5
+        * sigma1_max**0.5
+        * sigma2_max**0.5
+        * sigma3_max**0.5
+    )
+    summand = 16.0 / 3.0 * w1 * w3 * np.abs(xi3) / denom
+    return float(np.sum(summand))
+
+
+def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
+    """``endpoint_factor_norm`` from its own weights over 1 <= xi <= truncation."""
+    xi = np.arange(1, truncation + 1, dtype=float)
+    w = _endpoint_weights(xi, log_shift)
+    return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))

@@ -131,6 +131,13 @@ class TestGaugeAndNormsCommands:
         gauged = lab.load_trajectory(tmp_path / "gt.csv")
         assert gauged.sup_l2_distance(lab.gauge(traj)) <= 1e-12
 
+    def test_gauge_missing_input_makes_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        code = main(["gauge", "--input", str(tmp_path / "missing.csv"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DNLSLAB_OUT", str(tmp_path / "envout"))
         code = main(["divisors", "--max", "1000", "--tag", "envy"])

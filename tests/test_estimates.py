@@ -1,5 +1,6 @@
 """Counting bounds, lattice sums, endpoint sums, and the evidence scans."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from scipy.integrate import quad
 
 import dnlslab as lab
 from dnlslab.estimates import SUM_VARIANTS
-from support import direct_resonance_sum, free_wave_trajectory, near_diagonal_sweep
+from support import (
+    direct_factor_norm,
+    direct_mass_sum,
+    direct_pairing,
+    direct_resonance_sum,
+    free_wave_trajectory,
+    near_diagonal_sweep,
+)
 
 
 def naive_divisor_pairs(r):
@@ -218,6 +226,59 @@ class TestEndpointSums:
         shifted = lab.divergent_mass_sum(100, log_shift=math.e)
         plain = lab.divergent_mass_sum(100)
         assert shifted < plain  # larger log argument damps every term
+
+    @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
+    def test_one_table_pass_equals_the_per_truncation_sums(self, log_shift):
+        # unsorted, with a duplicate; 1 and 2 give an empty and a two-term pairing
+        truncations = (12345, 3, 1, 1000, 7, 3, 2)
+        summary = lab.divergence_report(truncations, log_shift=log_shift).summary
+        ordered = sorted(truncations)
+        assert summary["truncations"] == ordered
+        assert summary["divergent_sums"] == [direct_mass_sum(n, log_shift) for n in ordered]
+        assert summary["factor_norms"] == [direct_factor_norm(n, log_shift) for n in ordered]
+        assert summary["pairing_lower_bounds"] == [direct_pairing(n, log_shift) for n in ordered]
+        for n in (1, 2, 3, 7, 1000, 12345):
+            assert lab.divergent_mass_sum(n, log_shift) == direct_mass_sum(n, log_shift)
+            assert lab.endpoint_factor_norm(n, log_shift) == direct_factor_norm(n, log_shift)
+            assert lab.endpoint_pairing(n, log_shift) == direct_pairing(n, log_shift)
+        assert lab.endpoint_pairing(1, log_shift) == 0.0
+
+    def test_endpoint_ratios_equal_the_per_truncation_sums(self):
+        fixed = 2.0 ** 0.5 * 2.0 ** 0.5
+        expected = {n: direct_pairing(n) / (fixed * direct_factor_norm(n) * direct_factor_norm(n))
+                    for n in (2, 3, 7, 1000)}
+        for n, ratio in expected.items():
+            assert lab.endpoint_ratio(n) == ratio
+        report = lab.endpoint_injection_report(truncations=(1000, 2, 7, 3), baseline_samples=2,
+                                               baseline_cutoff=4, seed=3)
+        assert report.summary["family_ratios"] == [expected[n] for n in (1000, 2, 7, 3)]
+
+    @pytest.mark.parametrize("call", [
+        lambda: lab.divergence_report((10**7, 0)),
+        lambda: lab.divergence_report((10**7,), log_shift=math.nan),
+        lambda: lab.divergent_mass_sum(10**7, log_shift=-1.0),
+        lambda: lab.endpoint_pairing(-3),
+    ], ids=["truncation-zero", "log-shift-nan", "log-shift-negative", "truncation-negative"])
+    def test_bad_input_is_rejected_before_any_table(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncations|log_shift"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_default_report_memory_peak(self):
+        # the tables over 1..1e6 and one pairing slice; the per-truncation
+        # sums peaked at 124 MiB
+        tracemalloc.start()
+        try:
+            lab.divergence_report()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
     def test_endpoint_ratio_growth_rate(self):
         # the family ratio grows at the cube-root-log rate, about 1.4x per
