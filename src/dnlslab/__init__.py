@@ -71,12 +71,8 @@ from .solver import (
 from .estimates import (
     cubic_ratio_scan,
     divergence_report,
-    divergent_mass_sum,
     divisor_pair_count,
-    endpoint_factor_norm,
     endpoint_injection_report,
-    endpoint_pairing,
-    endpoint_ratio,
     near_diagonal_pair_count,
     near_diagonal_scan,
     quintic_ratio_scan,

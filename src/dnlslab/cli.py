@@ -89,6 +89,8 @@ def _parse_plane_wave(text: str) -> tuple[float, int]:
 
 def _datum_from_args(args) -> np.ndarray:
     """The initial datum; the solver resizes a loaded field to --cutoff."""
+    if args.plane_wave is not None and args.datum is not None:
+        raise ValueError("--plane-wave and --datum both name the initial datum; give one")
     if args.plane_wave is not None:
         amp, n = args.plane_wave
         return plane_wave(args.cutoff, n, amp)
@@ -151,6 +153,8 @@ def cmd_norms(args) -> int:
     result: dict = {}
     if file_kind(args.input) == "field":
         f = load_field(args.input)
+        if args.b is not None or args.z:
+            raise ValueError("--b/--z measure a trajectory, but the input is a field")
         result["h_norm"] = float(data_norms(f, NormSpec(s=args.s, r=args.r)))
         result["l2_norm"] = float(np.linalg.norm(f))
     else:
@@ -243,7 +247,7 @@ def cmd_ratio_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_battery(fast=not args.full)
+    results = verify_mod.run_battery()
     _write_report(args, checks=results)
     ok = True
     for check in results:
@@ -355,7 +359,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("verify", help="run the property-test battery")
     common(p)
-    p.add_argument("--full", action="store_true", help="include the slower checks")
     p.set_defaults(func=cmd_verify)
 
     return parser, sub.choices

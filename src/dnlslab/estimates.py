@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .fields import Trajectory, bracket, physical_product, random_trajectory
-from .nonlinear import cubic_full, quintic_restricted
+from .nonlinear import cubic_full
 from .norms import NormSpec, _xst_norms, l2_spacetime_norm, xst_norm
 from .reports import EVIDENCE_CAVEAT, ScanReport
 
@@ -231,6 +231,17 @@ def _endpoint_sums(
     at each truncation, in the order given, from one table pass over
     1 <= |xi| <= max(truncations).
 
+    The mass sum runs over 1 <= |xi| <= n of
+    <xi>**-1 log(<xi> + log_shift)**-2/3.  The factor norm is the l^4 norm
+    over the same range of the profile weights, times the L^2 norm of the
+    unit window (width 2).  The pairing is an explicit lower bound of the
+    endpoint quadriform: the four profiles sit at output frequency 0 and
+    second input frequency 1, the free frequency runs over 1 <= |xi1| <= n
+    and the third is xi3 = -1 - xi1.  Per tuple the time integral of the
+    stacked unit windows is exactly 16/3, and each modulation weight is
+    replaced by its supremum over the support, so the sum bounds the full
+    integral expression from below.  It is empty at n = 1.
+
     Every summand depends on |xi| only, so a truncation's sum is one np.sum
     over slices of the tables, laid out in the order of the signed
     frequencies.  The elementwise arithmetic is the per-frequency formula and
@@ -278,50 +289,11 @@ def _endpoint_sums(
     return sums, norms, pairings
 
 
-def divergent_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
-    """Partial sum over 1 <= |xi| <= truncation of <xi>**-1 log(<xi>)**-2/3.
-
-    Diverges like log(truncation)**(1/3); the optional shift inside the
-    log is available for exploratory scans and defaults to off.
-    """
-    return _endpoint_sums((truncation,), log_shift)[0][0]
-
-
-def endpoint_pairing(truncation: int, log_shift: float = 0.0) -> float:
-    """Explicit lower bound for the endpoint quadriform at a given truncation.
-
-    The four profiles sit at output frequency 0 and second input frequency 1;
-    the remaining free frequency runs over 1 <= |xi1| <= truncation with the
-    third frequency xi3 = -1 - xi1.  Per tuple the time integral of the
-    stacked unit windows is exactly 16/3, and each modulation weight is
-    replaced by its supremum over the support, so the sum is a true lower
-    bound of the full integral expression.
-    """
-    return _endpoint_sums((truncation,), log_shift)[2][0]
-
-
-def endpoint_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
-    """l^4 (over 1 <= |xi| <= truncation) of the profile weights, times the
-    L^2 norm of the unit window (width 2)."""
-    return _endpoint_sums((truncation,), log_shift)[1][0]
-
-
-def _endpoint_ratios(truncations) -> list[float]:
-    """``endpoint_ratio`` at each truncation, from one table pass."""
-    _, norms, pairings = _endpoint_sums(truncations)
-    fixed = 2.0 ** 0.5 * 2.0 ** 0.5
-    return [pairing / (fixed * f * f) for f, pairing in zip(norms, pairings)]
-
-
-def endpoint_ratio(truncation: int) -> float:
-    """Lower bound of the endpoint operator-norm ratio at l^4 input indices.
-
-    Pairing lower bound divided by the product of the four profile norms (the
-    two fixed single-frequency profiles each contribute sqrt(2))."""
-    return _endpoint_ratios((truncation,))[0]
-
-
-def _fit_against_cuberoot_log(truncations: list[int], sums: list[float]) -> dict:
+def _fit_against_cuberoot_log(truncations: list[int], sums: list[float]) -> dict | None:
+    """Least-squares line of the sums against log(n)**(1/3), or None below
+    three distinct truncations, where a two-parameter line fits exactly."""
+    if len(set(truncations)) < 3:
+        return None
     x = np.array([math.log(n) ** (1.0 / 3.0) for n in truncations])
     y = np.array(sums)
     design = np.vstack([x, np.ones_like(x)]).T
@@ -340,7 +312,13 @@ def divergence_report(
     truncations: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6),
     log_shift: float = 0.0,
 ) -> ScanReport:
-    """Divergent mass sum against the bounded factor norm across truncations."""
+    """Divergent mass sum against the bounded factor norm across truncations.
+
+    The mass sum diverges like log(n)**(1/3), while the factor norms
+    converge.  The optional shift inside the log is there for exploratory
+    scans and defaults to off.  The report also records the pairing lower
+    bounds.
+    """
     truncs = sorted(truncations)
     sums, norms, pairings = _endpoint_sums(truncs, log_shift)
     fit = _fit_against_cuberoot_log(truncs, sums)
@@ -466,14 +444,13 @@ def quintic_ratio_scan(
     cutoff: int,
     seed: int,
     steps: int = 64,
-    masked: bool = False,
 ) -> ScanReport:
     """Quintic ratio with the sum-over-distinguished-slot right-hand side.
 
-    LHS: (1/2, -b, r, 2) norm of the plain product u1*conj(u2)*u3*conj(u4)*u5
-    (or of the masked five-fold operator with masked=True); RHS: the sum over
-    k of the (1/2, b, r, 2) norm of slot k times the (1/2, b, q, 2) norms of
-    the rest.
+    LHS: (1/2, -b, r, 2) norm of the plain product u1*conj(u2)*u3*conj(u4)*u5;
+    RHS: the sum over k of the (1/2, b, r, 2) norm of slot k times the
+    (1/2, b, q, 2) norms of the rest.  The grid records masked = False: the
+    product is not restricted to the quintic operator's frequency mask.
     """
     if not (4.0 / 3.0 < q <= r <= 2.0):
         raise ValueError("scan requires 4/3 < q <= r <= 2")
@@ -496,17 +473,12 @@ def quintic_ratio_scan(
             rhs += term
         if rhs == 0.0:
             continue
-        band = 5 * cutoff
-        factors = [w.coeffs for w in ws]
-        if masked:
-            out = quintic_restricted(*factors, out_cutoff=band)
-        else:
-            out = physical_product(factors, conjugate=[False, True, False, True, False],
-                                   out_cutoff=band)
+        out = physical_product([w.coeffs for w in ws],
+                               conjugate=[False, True, False, True, False], out_cutoff=5 * cutoff)
         out_traj = Trajectory(out, ws[0].window, ws[0].cutoff_profile)
         ratios.append(xst_norm(out_traj, lhs_spec) / rhs)
     grid = {"q": q, "r": r, "b": b, "samples": samples, "cutoff": cutoff,
-            "steps": steps, "window": SCAN_WINDOW, "masked": masked}
+            "steps": steps, "window": SCAN_WINDOW, "masked": False}
     return _ratio_report("quintic-ratio", grid, ratios, seed)
 
 
@@ -520,13 +492,17 @@ def endpoint_injection_report(
 
     The baseline runs the cubic ratio scan at the smallest admissible interior
     parameters; the family ratios are the analytic lower bounds at l^4 input
-    indices (the endpoint).  The report records the family-to-baseline
-    excess and the growth of the family ratio across truncations.  The
-    pairing is empty below truncation 2.
+    indices (the endpoint): the pairing lower bound over the product of the
+    four profile norms, where the two fixed single-frequency profiles each
+    contribute sqrt(2) and the two free ones the factor norm.  The report
+    records the family-to-baseline excess and the growth of the family ratio
+    across truncations.  The pairing is empty below truncation 2.
     """
     if any(n < 2 for n in truncations):
         raise ValueError(f"truncations must be >= 2, got {list(truncations)}")
-    family = _endpoint_ratios(truncations)
+    _, norms, pairings = _endpoint_sums(truncations)
+    fixed = 2.0 ** 0.5 * 2.0 ** 0.5
+    family = [pairing / (fixed * f * f) for f, pairing in zip(norms, pairings)]
     base = cubic_ratio_scan(
         q=1.3334, r=1.3334, samples=baseline_samples, cutoff=baseline_cutoff,
         seed=seed, steps=48,

@@ -123,7 +123,6 @@ def translation_gap_probe(
     r: float,
     n_list: list[int],
     t_samples: int = 201,
-    include_gauge_gap: bool = True,
 ) -> ScanReport:
     """Two-parameter family whose inputs merge while translated outputs do not.
 
@@ -148,10 +147,8 @@ def translation_gap_probe(
         input_gap = float(data_norms(u1 - u2, spec))
         d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
         out_gap = float(np.max(data_norms(d, spec)))
-        gauge_gap = 0.0
-        if include_gauge_gap:
-            g = gauge_field(u1, tgrid) - gauge_field(u2, tgrid)
-            gauge_gap = float(np.max(data_norms(g, spec)))
+        g = gauge_field(u1, tgrid) - gauge_field(u2, tgrid)
+        gauge_gap = float(np.max(data_norms(g, spec)))
         rows.append((n, input_gap, out_gap, gauge_gap))
     values = tuple(row[2] for row in rows)
     summary = {

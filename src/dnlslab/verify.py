@@ -1,7 +1,7 @@
 """Machine-readable verification battery behind the `verify` subcommand.
 
-Each check is a named predicate with a scalar witness; the battery stays fast
-enough for routine use, with a few heavier checks behind the full flag.
+Each check is a named predicate with a scalar witness.  The battery is one
+fixed list, cheap enough to run in full every time.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ def _check(name: str, passed: bool, witness: float, detail: str = "") -> dict:
     return {"name": name, "passed": bool(passed), "witness": float(witness), "detail": detail}
 
 
-def run_battery(fast: bool = True) -> list[dict]:
+def run_battery() -> list[dict]:
     checks: list[dict] = []
     rng = np.random.default_rng(99)
 
@@ -97,9 +97,8 @@ def run_battery(fast: bool = True) -> list[dict]:
     ok = (divisor_pair_count(12) == 6 and divisor_pair_count(1) == 1
           and near_diagonal_pair_count(16) == 1 and near_diagonal_pair_count(12) == 0)
     checks.append(_check("divisor count pins", ok, 0.0))
-    limit = 10**6 if not fast else 10**4
-    scan = near_diagonal_scan(limit)
-    checks.append(_check(f"near-diagonal bound to {limit}",
+    scan = near_diagonal_scan(10**6)
+    checks.append(_check("near-diagonal bound to 1000000",
                          scan.summary["max_count"] <= 2, scan.summary["max_count"]))
 
     # lattice sum decreases little under doubling
@@ -116,7 +115,7 @@ def run_battery(fast: bool = True) -> list[dict]:
     checks.append(_check("endpoint sums trend", ok, (d2 - d1) / d1))
 
     # translation gap probe
-    probe = translation_gap_probe(1.0, 0.5, 2.0, [4, 16], t_samples=41, include_gauge_gap=False)
+    probe = translation_gap_probe(1.0, 0.5, 2.0, [4, 16], t_samples=41)
     gaps_in = probe.summary["input_gap"]
     gaps_out = probe.summary["output_gap"]
     ok = gaps_in[1] < 0.6 * gaps_in[0] and gaps_out[1] > 0.5 * gaps_out[0]

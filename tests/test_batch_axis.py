@@ -115,10 +115,7 @@ def test_gauge_maps_call_the_field_map_once_per_trajectory(monkeypatch, fn, map_
      "physical_product"),
     (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5, steps=16),
      "physical_product"),
-    (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5, steps=16,
-                                    masked=True),
-     "quintic_restricted"),
-], ids=["cubic", "strichartz", "quintic", "quintic-masked"])
+], ids=["cubic", "strichartz", "quintic"])
 def test_ratio_scan_calls_its_operator_once_per_sample_group(monkeypatch, scan, op_name):
     calls = counting(monkeypatch, estimates_mod, op_name)
     report = scan()

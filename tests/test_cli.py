@@ -76,6 +76,21 @@ class TestSolveCommand:
         assert report["iterations"] == 2
         assert report["residual"] == history[1]
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    def test_plane_wave_and_datum_together_exit_code(self, tmp_path, capsys, from_config):
+        lab.save_field(tmp_path / "f.csv", lab.plane_wave(8, 1))
+        out = tmp_path / "fresh"
+        argv = ["solve", "--plane-wave", "A=1,n=1", "--cutoff", "8", "--out", str(out)]
+        if from_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"datum": str(tmp_path / "f.csv")}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--datum", str(tmp_path / "f.csv")]
+        assert main(argv) == 1
+        assert "--plane-wave and --datum" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exit_code(self, tmp_path, capsys):
         code = main(["solve", "--no-such-flag"])
         capsys.readouterr()
@@ -168,6 +183,16 @@ class TestGaugeAndNormsCommands:
         code = main(["norms", "--input", str(tmp_path / "t.csv"), "--out", str(tmp_path)])
         assert code == 1
         assert "needs --b/--p or --z" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--b", "0.5"], ["--z"], ["--z", "--b", "0.5"]],
+                             ids=["b", "z", "both"])
+    def test_norms_of_field_with_a_trajectory_norm_exit_code(self, tmp_path, capsys, flags):
+        lab.save_field(tmp_path / "w.csv", lab.plane_wave(8, 1))
+        out = tmp_path / "fresh"
+        code = main(["norms", "--input", str(tmp_path / "w.csv"), *flags, "--out", str(out)])
+        assert code == 1
+        assert "--b/--z measure a trajectory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_norms_with_a_non_finite_exponent_exit_code(self, tmp_path, capsys):
         lab.save_field(tmp_path / "w.csv", lab.plane_wave(8, 1))
@@ -329,15 +354,16 @@ class TestVerifyCommand:
     def test_full_battery_passes(self):
         from dnlslab.verify import run_battery
 
-        results = run_battery(fast=False)
+        results = run_battery()
         assert all(check["passed"] for check in results)
+        assert "near-diagonal bound to 1000000" in [check["name"] for check in results]
 
     def test_verify_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         from dnlslab import verify as verify_mod
 
         monkeypatch.setattr(
             verify_mod, "run_battery",
-            lambda fast=True: [{"name": "forced", "passed": False,
+            lambda: [{"name": "forced", "passed": False,
                                 "witness": 1.0, "detail": ""}],
         )
         code = main(["verify", "--out", str(tmp_path), "--tag", "vf"])

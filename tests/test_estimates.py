@@ -197,10 +197,10 @@ class TestEndpointSums:
     def test_first_term_only(self):
         b = math.sqrt(2.0)
         expected = 2.0 / (b * math.log(b) ** (2.0 / 3.0))
-        assert abs(lab.divergent_mass_sum(1) - expected) < 1e-13
+        assert abs(lab.divergence_report((1,)).summary["divergent_sums"][0] - expected) < 1e-13
 
     def test_strictly_increasing_and_unbounded(self):
-        vals = [lab.divergent_mass_sum(n) for n in (10**3, 10**4, 10**5, 10**6)]
+        vals = lab.divergence_report((10**3, 10**4, 10**5, 10**6)).summary["divergent_sums"]
         assert all(a < b for a, b in zip(vals, vals[1:]))
         for threshold in (9.5, 11.0, 12.25):
             assert vals[-1] > threshold
@@ -219,12 +219,12 @@ class TestEndpointSums:
         assert report.summary["growth_first_to_last"] >= 1.25
 
     def test_pairing_lower_bound_increases(self):
-        vals = [lab.endpoint_pairing(n) for n in (100, 1000, 10000)]
+        vals = lab.divergence_report((100, 1000, 10000)).summary["pairing_lower_bounds"]
         assert vals[0] < vals[1] < vals[2]
 
     def test_log_shift_option(self):
-        shifted = lab.divergent_mass_sum(100, log_shift=math.e)
-        plain = lab.divergent_mass_sum(100)
+        shifted = lab.divergence_report((100,), log_shift=math.e).summary["divergent_sums"][0]
+        plain = lab.divergence_report((100,)).summary["divergent_sums"][0]
         assert shifted < plain  # larger log argument damps every term
 
     @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
@@ -237,18 +237,23 @@ class TestEndpointSums:
         assert summary["divergent_sums"] == [direct_mass_sum(n, log_shift) for n in ordered]
         assert summary["factor_norms"] == [direct_factor_norm(n, log_shift) for n in ordered]
         assert summary["pairing_lower_bounds"] == [direct_pairing(n, log_shift) for n in ordered]
+        # each truncation alone gives the same sums as when it shares the tables
         for n in (1, 2, 3, 7, 1000, 12345):
-            assert lab.divergent_mass_sum(n, log_shift) == direct_mass_sum(n, log_shift)
-            assert lab.endpoint_factor_norm(n, log_shift) == direct_factor_norm(n, log_shift)
-            assert lab.endpoint_pairing(n, log_shift) == direct_pairing(n, log_shift)
-        assert lab.endpoint_pairing(1, log_shift) == 0.0
+            alone = lab.divergence_report((n,), log_shift=log_shift).summary
+            assert alone["divergent_sums"] == [direct_mass_sum(n, log_shift)]
+            assert alone["factor_norms"] == [direct_factor_norm(n, log_shift)]
+            assert alone["pairing_lower_bounds"] == [direct_pairing(n, log_shift)]
+        assert lab.divergence_report((1,), log_shift=log_shift).summary[
+            "pairing_lower_bounds"] == [0.0]
 
     def test_endpoint_ratios_equal_the_per_truncation_sums(self):
         fixed = 2.0 ** 0.5 * 2.0 ** 0.5
         expected = {n: direct_pairing(n) / (fixed * direct_factor_norm(n) * direct_factor_norm(n))
                     for n in (2, 3, 7, 1000)}
         for n, ratio in expected.items():
-            assert lab.endpoint_ratio(n) == ratio
+            alone = lab.endpoint_injection_report(truncations=(n,), baseline_samples=2,
+                                                  baseline_cutoff=4)
+            assert alone.summary["family_ratios"] == [ratio]
         report = lab.endpoint_injection_report(truncations=(1000, 2, 7, 3), baseline_samples=2,
                                                baseline_cutoff=4, seed=3)
         assert report.summary["family_ratios"] == [expected[n] for n in (1000, 2, 7, 3)]
@@ -256,8 +261,8 @@ class TestEndpointSums:
     @pytest.mark.parametrize("call", [
         lambda: lab.divergence_report((10**7, 0)),
         lambda: lab.divergence_report((10**7,), log_shift=math.nan),
-        lambda: lab.divergent_mass_sum(10**7, log_shift=-1.0),
-        lambda: lab.endpoint_pairing(-3),
+        lambda: lab.divergence_report((10**7,), log_shift=-1.0),
+        lambda: lab.divergence_report((-3,)),
     ], ids=["truncation-zero", "log-shift-nan", "log-shift-negative", "truncation-negative"])
     def test_bad_input_is_rejected_before_any_table(self, call):
         tracemalloc.start()
@@ -268,6 +273,17 @@ class TestEndpointSums:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("truncations", [(1000,), (1000, 1000), (1000, 10000),
+                                             (1000, 10000, 100000)],
+                             ids=["one", "one-repeated", "two", "three"])
+    def test_fit_needs_three_distinct_truncations(self, truncations):
+        # a two-parameter line passes exactly through one or two points
+        fit = lab.divergence_report(truncations).summary["fit"]
+        if len(set(truncations)) < 3:
+            assert fit is None
+        else:
+            assert 0.99 <= fit["r_squared"] < 1.0
 
     def test_default_report_memory_peak(self):
         # the tables over 1..1e6 and one pairing slice; the per-truncation
@@ -283,7 +299,9 @@ class TestEndpointSums:
     def test_endpoint_ratio_growth_rate(self):
         # the family ratio grows at the cube-root-log rate, about 1.4x per
         # hundredfold truncation increase
-        r100, r10k = lab.endpoint_ratio(100), lab.endpoint_ratio(10**4)
+        report = lab.endpoint_injection_report(truncations=(100, 10**4), baseline_samples=2,
+                                               baseline_cutoff=4)
+        r100, r10k = report.summary["family_ratios"]
         assert 1.2 < r10k / r100 < 1.6
 
 

@@ -164,19 +164,17 @@ class TestFullGauge:
 
 class TestTranslationGapProbe:
     def test_input_gap_exact(self):
-        report = lab.translation_gap_probe(1.0, 0.5, 2.0, [4, 16], t_samples=11,
-                                           include_gauge_gap=False)
+        report = lab.translation_gap_probe(1.0, 0.5, 2.0, [4, 16], t_samples=11)
         for n, gap in zip(report.summary["n"], report.summary["input_gap"]):
             assert abs(gap - ROOT_TWO_PI / math.sqrt(n)) < 1e-12
 
     def test_output_gap_scale(self):
-        report = lab.translation_gap_probe(1.0, 0.5, 2.0, [4], t_samples=101,
-                                           include_gauge_gap=False)
+        report = lab.translation_gap_probe(1.0, 0.5, 2.0, [4], t_samples=101)
         assert report.summary["output_gap"][0] >= 0.5
 
     def test_gap_sequence_non_vanishing(self):
         report = lab.translation_gap_probe(1.0, 0.5, 2.0, [4, 16, 64, 256],
-                                           t_samples=41, include_gauge_gap=True)
+                                           t_samples=41)
         gaps_in = report.summary["input_gap"]
         gaps_out = report.summary["output_gap"]
         assert all(b < a for a, b in zip(gaps_in, gaps_in[1:]))

@@ -268,6 +268,14 @@ class TestGaugePipeline:
         direct = lab.picard_solve(u0, cfg)
         assert direct.gauge_tail is None and direct.to_json_dict()["gauge_tail"] is None
 
+    def test_cross_check_integrator_agrees(self):
+        u0 = lab.random_field(16, np.random.default_rng(53), active_cutoff=4, l2_norm=0.1)
+        cfg = lab.SolveConfig(cutoff=16, horizon=0.05, steps=40, tol=1e-12, cross_check=True)
+        rep = lab.solve_via_gauge(u0, cfg)
+        assert rep.converged
+        assert rep.cross_check_gap is not None
+        assert rep.cross_check_gap <= 1e-8
+
     def test_zero_datum(self):
         cfg = lab.SolveConfig(cutoff=8, horizon=0.1, steps=20)
         rep = lab.solve_via_gauge(np.zeros(17, dtype=complex), cfg)
