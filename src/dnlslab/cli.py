@@ -27,7 +27,7 @@ from .estimates import (
 )
 from .fields import CutoffProfile, plane_wave, random_field
 from .gauge import gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
-from .norms import INF, NormSpec, data_norms, xst_norm, z_norm
+from .norms import INF, NormSpec, data_norms, space_time_transform, xst_norm, z_norm
 from .reports import (
     __version__,
     canonical_json,
@@ -161,13 +161,14 @@ def cmd_norms(args) -> int:
         traj = load_trajectory(args.input)
         if traj.cutoff_profile is None:
             traj = replace(traj, cutoff_profile=CutoffProfile(scale=traj.window / 2.0))
-        if args.b is not None:
-            p = INF if args.p == "inf" else float(args.p)
-            result["xst_norm"] = xst_norm(traj, NormSpec(s=args.s, r=args.r, b=args.b, p=p))
-        if args.z:
-            result["z_norm"] = z_norm(traj, args.s, args.r)
-        if not result:
+        if args.b is None and not args.z:
             raise ValueError("trajectory input needs --b/--p or --z")
+        transform = space_time_transform(traj)  # one transform for every norm asked for
+        if args.b is not None:
+            spec = NormSpec(args.s, args.r, args.b, INF if args.p == "inf" else float(args.p))
+            result["xst_norm"] = xst_norm(traj, spec, transform=transform)
+        if args.z:
+            result["z_norm"] = z_norm(traj, args.s, args.r, transform=transform)
     _write_report(args, norms=result)
     print(canonical_json(result))
     return EXIT_OK

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fields import Trajectory, bracket, physical_product, random_trajectory
 from .nonlinear import cubic_full
-from .norms import NormSpec, _xst_norms, l2_spacetime_norm, xst_norm
+from .norms import NormSpec, _NormTables, l2_spacetime_norm
 from .reports import EVIDENCE_CAVEAT, ScanReport
 
 
@@ -388,15 +388,18 @@ def cubic_ratio_scan(
     rhs_q = NormSpec(s=0.5, r=q, b=0.5, p=2.0)
     rhs_r = NormSpec(s=0.5, r=r, b=0.5, p=2.0)
     groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=3)
+    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [rhs_q, rhs_r])
+    output = _NormTables(steps, SCAN_WINDOW, 3 * cutoff, [lhs_spec])
     ratios = []
     for u1, u2, u3 in groups:
         w1, w2, w3 = u1.windowed(), u2.windowed(), u3.windowed()
-        rhs = xst_norm(w1, rhs_q) * xst_norm(w2, rhs_q) * xst_norm(w3, rhs_r)
+        rhs = (inputs.norms(w1, [rhs_q])[0] * inputs.norms(w2, [rhs_q])[0]
+               * inputs.norms(w3, [rhs_r])[0])
         if rhs == 0.0:
             continue
         out = cubic_full(w1.coeffs, w2.coeffs, w3.coeffs, out_cutoff=3 * cutoff)
         out_traj = Trajectory(out, w1.window, w1.cutoff_profile)
-        ratios.append(xst_norm(out_traj, lhs_spec) / rhs)
+        ratios.append(output.norms(out_traj)[0] / rhs)
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
             "window": SCAN_WINDOW, "delta": 0.0}
     return _ratio_report("cubic-ratio", grid, ratios, seed)
@@ -422,10 +425,12 @@ def strichartz_ratio_scan(
     spec_s = NormSpec(s=s, r=2.0, b=b, p=2.0)
     spec_0 = NormSpec(s=0.0, r=2.0, b=b, p=2.0)
     groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=3)
+    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [spec_s, spec_0])
     ratios = []
     for u1, u2, u3 in groups:
         w1, w2, w3 = u1.windowed(), u2.windowed(), u3.windowed()
-        rhs = xst_norm(w1, spec_s) * xst_norm(w2, spec_s) * xst_norm(w3, spec_0)
+        rhs = (inputs.norms(w1, [spec_s])[0] * inputs.norms(w2, [spec_s])[0]
+               * inputs.norms(w3, [spec_0])[0])
         if rhs == 0.0:
             continue
         prod = physical_product([w1.coeffs, w2.coeffs, w3.coeffs],
@@ -460,10 +465,12 @@ def quintic_ratio_scan(
     rhs_r = NormSpec(s=0.5, r=r, b=b, p=2.0)
     rhs_q = NormSpec(s=0.5, r=q, b=b, p=2.0)
     groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=5)
+    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [rhs_r, rhs_q])
+    output = _NormTables(steps, SCAN_WINDOW, 5 * cutoff, [lhs_spec])
     ratios = []
     for us in groups:
         ws = [u.windowed() for u in us]
-        norms_r, norms_q = zip(*(_xst_norms(w, [rhs_r, rhs_q]) for w in ws))
+        norms_r, norms_q = zip(*(inputs.norms(w, [rhs_r, rhs_q]) for w in ws))
         rhs = 0.0
         for k in range(5):
             term = norms_r[k]
@@ -476,7 +483,7 @@ def quintic_ratio_scan(
         out = physical_product([w.coeffs for w in ws],
                                conjugate=[False, True, False, True, False], out_cutoff=5 * cutoff)
         out_traj = Trajectory(out, ws[0].window, ws[0].cutoff_profile)
-        ratios.append(xst_norm(out_traj, lhs_spec) / rhs)
+        ratios.append(output.norms(out_traj)[0] / rhs)
     grid = {"q": q, "r": r, "b": b, "samples": samples, "cutoff": cutoff,
             "steps": steps, "window": SCAN_WINDOW, "masked": False}
     return _ratio_report("quintic-ratio", grid, ratios, seed)

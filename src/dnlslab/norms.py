@@ -70,6 +70,15 @@ def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
 # space-time transform
 # ---------------------------------------------------------------------------
 
+def _tau_grid(samples: int, dt: float, pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending tau grid of the zero-padded temporal DFT, and the order that sorts it."""
+    if pad_factor < 1:
+        raise ValueError("pad_factor must be >= 1")
+    tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * samples, d=dt)
+    order = np.argsort(tau)
+    return tau[order], order
+
+
 def space_time_transform(
     traj: Trajectory, pad_factor: int = 4
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -80,54 +89,56 @@ def space_time_transform(
     """
     if traj.cutoff_profile is None:
         raise ValueError("trajectory has no cutoff profile; attach one before transforming")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
-    weights = traj.cutoff_profile.weights(traj.times)
-    data = traj.coeffs * weights[:, None]
-    n = data.shape[0]
-    padded = pad_factor * n
-    dt = traj.dt
-    spec = np.fft.fft(data, n=padded, axis=0)
-    tau = 2.0 * math.pi * np.fft.fftfreq(padded, d=dt)
+    data = traj.coeffs * traj.cutoff_profile.weights(traj.times)[:, None]
+    tau, order = _tau_grid(data.shape[0], traj.dt, pad_factor)
+    spec = np.fft.fft(data, n=len(tau), axis=0)[order]
     # quadrature phase for the grid starting at t_0 = -window
     phase = np.exp(-1j * tau * traj.times[0])
-    F = (dt / ROOT_TWO_PI) * phase[:, None] * spec
-    order = np.argsort(tau)
-    return tau[order], F[order]
+    return tau, (traj.dt / ROOT_TWO_PI) * phase[:, None] * spec
 
 
-def _xst_norms(traj: Trajectory, specs: list[NormSpec], pad_factor: int = 4) -> list[float]:
-    """Discrete X^{s,b}_{r,p} norms of the windowed trajectory, one per spec,
-    all from one space-time transform."""
-    if any(spec.b is None or spec.p is None for spec in specs):
-        raise ValueError("space-time norm needs both b and p")
-    tau, F = space_time_transform(traj, pad_factor)
-    xi = np.arange(-traj.cutoff, traj.cutoff + 1)
-    sigma_weight = bracket(tau[:, None] + xi[None, :] ** 2)
-    xi_weight = bracket(xi)[None, :]
-    size = np.abs(F)
-    norms = []
-    for spec in specs:
-        weighted = sigma_weight**spec.b * xi_weight**spec.s * size
-        p_dual = spec.p_dual
-        if p_dual == INF:
-            per_xi = np.max(weighted, axis=0)
-        else:
-            dtau = tau[1] - tau[0]
-            per_xi = (np.sum(weighted**p_dual, axis=0) * dtau) ** (1.0 / p_dual)
-        norms.append(float(_lp_sequence_norm(per_xi, spec.r_dual)))
-    return norms
+class _NormTables:
+    """Each spec's weights <tau + xi^2>**b * <xi>**s, built once for every trajectory on a grid."""
+
+    def __init__(self, steps: int, window: float, cutoff: int, specs: list[NormSpec],
+                 pad_factor: int = 4):
+        if any(spec.b is None or spec.p is None for spec in specs):
+            raise ValueError("space-time norm needs both b and p")
+        self.pad_factor, self.xi = pad_factor, xi_range(cutoff)
+        self.tau = _tau_grid(steps + 1, 2.0 * window / steps, pad_factor)[0]
+        sigma_weight = bracket(self.tau[:, None] + self.xi[None, :] ** 2)
+        self.weights = {spec: sigma_weight**spec.b * bracket(self.xi)[None, :]**spec.s
+                        for spec in specs}
+
+    def norms(self, traj: Trajectory, specs=None, transform=None) -> list[float]:
+        """X^{s,b}_{r,p} norms of the trajectory per spec (default: all), from one transform."""
+        tau, F = transform or space_time_transform(traj, self.pad_factor)
+        if not np.array_equal(tau, self.tau) or F.shape[1] != len(self.xi):
+            raise ValueError("the trajectory is not on the grid of these norm tables")
+        size = np.abs(F)
+        specs, norms = specs or list(self.weights), {}
+        for spec in dict.fromkeys(specs):  # each distinct spec once
+            weighted = self.weights[spec] * size
+            p_dual = spec.p_dual
+            if p_dual == INF:
+                per_xi = np.max(weighted, axis=0)
+            else:
+                per_xi = (np.sum(weighted**p_dual, axis=0) * (tau[1] - tau[0])) ** (1.0 / p_dual)
+            norms[spec] = float(_lp_sequence_norm(per_xi, spec.r_dual))
+        return [norms[spec] for spec in specs]
 
 
-def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4) -> float:
-    """Discrete X^{s,b}_{r,p} norm of the windowed trajectory."""
-    return _xst_norms(traj, [spec], pad_factor)[0]
+def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4, transform=None) -> float:
+    """Discrete X^{s,b}_{r,p} norm of the windowed trajectory, from its transform if given."""
+    tables = _NormTables(traj.steps, traj.window, traj.cutoff, [spec], pad_factor)
+    return tables.norms(traj, transform=transform)[0]
 
 
-def z_norm(traj: Trajectory, s: float, r: float, pad_factor: int = 4) -> float:
+def z_norm(traj: Trajectory, s: float, r: float, pad_factor: int = 4, transform=None) -> float:
     """Intersection norm: max of the (b=1/2, p=2) and (b=0, p=inf) norms."""
-    return max(_xst_norms(traj, [NormSpec(s=s, r=r, b=0.5, p=2.0),
-                                 NormSpec(s=s, r=r, b=0.0, p=INF)], pad_factor))
+    specs = [NormSpec(s=s, r=r, b=0.5, p=2.0), NormSpec(s=s, r=r, b=0.0, p=INF)]
+    return max(_NormTables(traj.steps, traj.window, traj.cutoff, specs, pad_factor)
+               .norms(traj, transform=transform))
 
 
 def l2_spacetime_norm(traj: Trajectory) -> float:

@@ -5,6 +5,7 @@ Reports never embed timestamps so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -149,15 +150,18 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
         raise ValueError(f"{path}:2: expected the column line {columns!r}")
     body = lines[2:]
     ncols = len(shape) + 2
+    # numpy's C reader; it skips blank rows, which the shape check below then catches
+    parse = functools.partial(np.loadtxt, delimiter=",", comments=None, ndmin=2)
     try:
-        table = np.array([line.split(",") for line in body], dtype=float).reshape(len(body), ncols)
+        table = parse(body) if body else np.empty((0, ncols))
+        if table.shape != (len(body), ncols):
+            raise ValueError(f"expected {len(body)} rows of {ncols} fields")
     except ValueError:
         for lineno, line in enumerate(body, start=3):
-            cells = line.split(",")
             try:
-                if len(cells) != ncols:
+                if len(line.split(",")) != ncols:
                     raise ValueError(f"expected {ncols} fields")
-                [float(c) for c in cells]
+                parse([line])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: cannot parse {line!r} ({exc})") from None
         raise

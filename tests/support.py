@@ -1,13 +1,14 @@
 """Test fixtures built on the public API: exact free waves, the gauge round-trip
 gap, the X^{s,b} embedding ratio scan, the direct lattice kernels that the
-product-indexed ones in ``dnlslab.estimates`` are checked against, and the
-per-truncation endpoint sums that its one-table-pass sums are checked against."""
+product-indexed ones in ``dnlslab.estimates`` are checked against, the
+per-truncation endpoint sums that its one-table-pass sums are checked against,
+and the per-call space-time norms that the norm tables are checked against."""
 import math
 
 import numpy as np
 
 import dnlslab as lab
-from dnlslab.fields import bracket, time_grid
+from dnlslab.fields import ROOT_TWO_PI, bracket, time_grid
 
 
 def free_wave_trajectory(
@@ -156,3 +157,49 @@ def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
     xi = np.arange(1, truncation + 1, dtype=float)
     w = _endpoint_weights(xi, log_shift)
     return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
+
+
+def direct_space_time_transform(traj: lab.Trajectory, pad_factor: int = 4):
+    """``space_time_transform`` in a second order of operations: the phase and the
+    scaling applied on the unsorted tau grid, then both sorted."""
+    weights = traj.cutoff_profile.weights(traj.times)
+    data = traj.coeffs * weights[:, None]
+    padded = pad_factor * data.shape[0]
+    spec = np.fft.fft(data, n=padded, axis=0)
+    tau = 2.0 * math.pi * np.fft.fftfreq(padded, d=traj.dt)
+    phase = np.exp(-1j * tau * traj.times[0])
+    F = (traj.dt / ROOT_TWO_PI) * phase[:, None] * spec
+    order = np.argsort(tau)
+    return tau[order], F[order]
+
+
+def direct_xst_norms(traj: lab.Trajectory, specs: list, pad_factor: int = 4) -> list[float]:
+    """The X^{s,b}_{r,p} norms of one trajectory with every weight built in the call:
+    the per-call form that the norm tables must match bit for bit."""
+    tau, F = direct_space_time_transform(traj, pad_factor)
+    xi = np.arange(-traj.cutoff, traj.cutoff + 1)
+    sigma_weight = bracket(tau[:, None] + xi[None, :] ** 2)
+    xi_weight = bracket(xi)[None, :]
+    size = np.abs(F)
+    norms = []
+    for spec in specs:
+        weighted = sigma_weight**spec.b * xi_weight**spec.s * size
+        p_dual = spec.p_dual
+        if p_dual == lab.INF:
+            per_xi = np.max(weighted, axis=0)
+        else:
+            dtau = tau[1] - tau[0]
+            per_xi = (np.sum(weighted**p_dual, axis=0) * dtau) ** (1.0 / p_dual)
+        norms.append(float(np.sum(per_xi**spec.r_dual) ** (1.0 / spec.r_dual)))
+    return norms
+
+
+class DirectNormTables:
+    """Stands in for ``dnlslab.norms._NormTables`` and builds nothing: each
+    trajectory's norms come from ``direct_xst_norms``."""
+
+    def __init__(self, steps, window, cutoff, specs, pad_factor=4):
+        self.pad_factor, self.specs = pad_factor, specs
+
+    def norms(self, traj, specs=None, transform=None):
+        return direct_xst_norms(traj, specs or self.specs, self.pad_factor)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dnlslab as lab
+import dnlslab.cli as cli_mod
 import dnlslab.estimates as estimates_mod
 import dnlslab.norms as norms_mod
 from dnlslab.gauge import gauge_phase_tail
@@ -132,3 +133,29 @@ def test_one_space_time_transform_per_trajectory(monkeypatch, measure, transform
     calls = counting(monkeypatch, norms_mod, "space_time_transform")
     measure(lab.random_trajectory(CUTOFF, np.random.default_rng(2), window=0.5, steps=8))
     assert len(calls) == transforms
+
+
+@pytest.mark.parametrize("scan,builds", [
+    (lambda: lab.cubic_ratio_scan(q=2.0, r=2.0, samples=3, cutoff=4, seed=5, steps=16), 2),
+    (lambda: lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=3, cutoff=4, seed=5, steps=16), 1),
+    (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5, steps=16),
+     2),
+], ids=["cubic", "strichartz", "quintic"])
+def test_ratio_scan_builds_each_norm_table_once(monkeypatch, scan, builds):
+    # one table set for the input band, and one for the output band where a
+    # space-time norm measures the output
+    calls = counting(monkeypatch, estimates_mod, "_NormTables")
+    assert scan().summary["samples_used"] == 3
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("flags", [["--b", "0.5"], ["--z"], ["--b", "-0.3", "--z"],
+                                   ["--b", "0.1", "--p", "inf", "--z"]],
+                         ids=["b", "z", "b-z", "p-inf-z"])
+def test_norms_command_runs_one_space_time_transform(tmp_path, monkeypatch, flags):
+    path = tmp_path / "traj.csv"
+    lab.save_trajectory(path, lab.random_trajectory(CUTOFF, np.random.default_rng(3), steps=8))
+    calls = [counting(monkeypatch, module, "space_time_transform")
+             for module in (cli_mod, norms_mod)]
+    assert cli_mod.main(["norms", "--input", str(path), *flags, "--out", str(tmp_path)]) == 0
+    assert sum(map(len, calls)) == 1

@@ -480,6 +480,14 @@ MALFORMED_FILES = {
                          r"missing 3 of 9 rows, the first at k,xi=2,-1"),
     "field-nan": ("field", _replace_line(4, "0,nan,0.0"), r":4: non-finite"),
     "field-duplicate": ("field", lambda ls: ls[:4] + ls[2:3], r":5: duplicate"),
+    # body cells are ASCII decimal numbers only, though float() also reads 1_0 and
+    # full-width digits
+    "field-underscore": ("field", _replace_line(4, "0,1_0,0.0"), r":4: cannot parse"),
+    "field-non-ascii-digit": ("field", _replace_line(4, "0,\uff11.5,0.0"), r":4: cannot parse"),
+    "trajectory-comment-row": ("trajectory", lambda ls: ls[:5] + ["# comment"] + ls[5:],
+                               r":6: cannot parse"),
+    "trajectory-blank-line": ("trajectory", lambda ls: ls[:4] + [""] + ls[4:],
+                              r":5: cannot parse ''"),
     "window-nan": ("trajectory", lambda ls: [ls[0].replace('"window":2.0', '"window":NaN')]
                    + ls[1:], r":1: bad header.*window must be finite and positive, got nan"),
     "window-infinity": ("trajectory",

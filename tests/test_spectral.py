@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnlslab as lab
+import dnlslab.estimates as estimates_mod
 from dnlslab.fields import ROOT_TWO_PI, x_grid
-from support import embedding_scan, free_wave_trajectory
+from support import (DirectNormTables, direct_space_time_transform, direct_xst_norms,
+                     embedding_scan, free_wave_trajectory)
 
 RNG = np.random.default_rng(1111)
 
@@ -233,6 +235,55 @@ class TestSpaceTimeNorms:
         assert once.sup_l2_distance(twice) == 0.0
         spec = lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)
         assert abs(lab.xst_norm(traj, spec) - lab.xst_norm(once, spec)) < 1e-12
+
+
+class TestNormTables:
+    """The tables path equals, bit for bit, the norms with every weight built per call."""
+
+    SPECS = [lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0), lab.NormSpec(s=0.3, r=1.5, b=-0.4, p=2.0),
+             lab.NormSpec(s=0.0, r=1.8, b=0.2, p=math.inf),
+             lab.NormSpec(s=0.5, r=2.0, b=-0.5, p=math.inf)]
+
+    @pytest.mark.parametrize("cutoff", [3, 8])
+    @pytest.mark.parametrize("pad_factor", [1, 4])
+    def test_every_norm_equals_the_per_call_oracle(self, cutoff, pad_factor):
+        traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff), window=1.0, steps=24)
+        tau, F = lab.space_time_transform(traj, pad_factor)
+        want_tau, want_F = direct_space_time_transform(traj, pad_factor)
+        assert np.array_equal(tau, want_tau) and np.array_equal(F, want_F)
+        want = direct_xst_norms(traj, self.SPECS, pad_factor)
+        assert [lab.xst_norm(traj, spec, pad_factor) for spec in self.SPECS] == want
+        assert lab.z_norm(traj, 0.3, 1.5, pad_factor) == max(direct_xst_norms(
+            traj, [lab.NormSpec(s=0.3, r=1.5, b=0.5, p=2.0),
+                   lab.NormSpec(s=0.3, r=1.5, b=0.0, p=math.inf)], pad_factor))
+
+    @pytest.mark.parametrize("scan", [
+        lambda: lab.cubic_ratio_scan(q=1.5, r=1.8, samples=4, cutoff=3, seed=8, steps=16),
+        lambda: lab.strichartz_ratio_scan(s=0.3, b=0.4, samples=4, cutoff=3, seed=8, steps=16),
+        lambda: lab.quintic_ratio_scan(q=1.5, r=1.8, b=0.45, samples=4, cutoff=3, seed=8,
+                                       steps=16),
+    ], ids=["cubic", "strichartz", "quintic"])
+    def test_ratio_scan_values_equal_the_per_call_oracle(self, monkeypatch, scan):
+        values = scan().values
+        monkeypatch.setattr(estimates_mod, "_NormTables", DirectNormTables)
+        assert values == scan().values
+
+    def test_a_transform_off_the_tables_grid_is_rejected(self):
+        traj = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
+        spec = lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)
+        other = lab.random_trajectory(3, np.random.default_rng(1), window=0.5, steps=16)
+        for transform in (lab.space_time_transform(traj, 2), lab.space_time_transform(other)):
+            with pytest.raises(ValueError, match="not on the grid"):
+                lab.xst_norm(traj, spec, transform=transform)
+
+    @pytest.mark.parametrize("pad_factor", [0, -1])
+    def test_a_pad_factor_below_one_is_rejected(self, pad_factor):
+        traj = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
+        for measure in (lambda: lab.space_time_transform(traj, pad_factor),
+                        lambda: lab.xst_norm(traj, lab.NormSpec(0.5, 2.0, 0.5, 2.0), pad_factor),
+                        lambda: lab.z_norm(traj, 0.5, 2.0, pad_factor)):
+            with pytest.raises(ValueError, match="pad_factor must be >= 1"):
+                measure()
 
 
 class TestEmbeddingScan:
