@@ -74,9 +74,22 @@ def from_physical(samples: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def product_gridsize(band: int, out_cutoff: int) -> int:
-    """Even grid on which a product of total band `band` is alias-free for |xi| <= out_cutoff."""
+    """Grid on which a product of total band `band` is alias-free for |xi| <= out_cutoff.
+
+    Any grid of at least band + min(out_cutoff, band) + 1 points is alias-free;
+    this is the least such size that is even and 5-smooth (no prime factor
+    above 5), so the FFTs never run on 2 * a large prime.
+    """
     gridsize = band + min(out_cutoff, band) + 1
-    return gridsize + gridsize % 2
+    gridsize += gridsize % 2
+    while True:
+        rest = gridsize
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return gridsize
+        gridsize += 2
 
 
 def product_coeffs(values: np.ndarray, band: int, out_cutoff: int) -> np.ndarray:
@@ -297,7 +310,11 @@ def random_trajectory(
     shape = (2 * cutoff + 1, TRAJECTORY_MODES)
     base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
-    waves = np.exp(1j * rates * time_grid(window, steps)[:, None, None])
-    coeffs = np.sum(base * waves, axis=2) * bracket(xi_range(cutoff)) ** -1.0
+    terms = base * np.exp(1j * rates * time_grid(window, steps)[:, None, None])
+    # plain adds, mode by mode: numpy reduces a short last axis far more slowly
+    total = terms[..., 0]
+    for mode in range(1, TRAJECTORY_MODES):
+        total = total + terms[..., mode]
+    coeffs = total * bracket(xi_range(cutoff)) ** -1.0
     coeffs = coeffs / math.sqrt(TRAJECTORY_MODES)
     return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))

@@ -7,6 +7,7 @@ integrals use trapezoid weights on the resulting uniform tau grid.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,13 +71,23 @@ def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
 # space-time transform
 # ---------------------------------------------------------------------------
 
-def _tau_grid(samples: int, dt: float, pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending tau grid of the zero-padded temporal DFT, and the order that sorts it."""
+@functools.lru_cache(maxsize=32)
+def _transform_grid(samples: int, dt: float, pad_factor: int, t0: float):
+    """The read-only grid arrays of the zero-padded temporal DFT, built once per grid.
+
+    Returns (tau, order, scale): the ascending tau grid, the order that sorts the
+    DFT's frequencies into it, and the quadrature scale
+    (dt / sqrt(2*pi)) * exp(-i*tau*t0) as a column, for a grid starting at t0.
+    """
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
     tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * samples, d=dt)
     order = np.argsort(tau)
-    return tau[order], order
+    tau = tau[order]
+    scale = (dt / ROOT_TWO_PI) * np.exp(-1j * tau * t0)[:, None]
+    for array in (tau, order, scale):
+        array.setflags(write=False)
+    return tau, order, scale
 
 
 def space_time_transform(
@@ -84,17 +95,18 @@ def space_time_transform(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete full transform of the windowed trajectory.
 
-    Returns (tau, F) with F[m, j] the transform at (tau_m, xi_j), tau ascending.
+    Returns (tau, F) with F[m, j] the transform at (tau_m, xi_j), tau ascending;
+    tau is read-only and shared by every trajectory on the grid.
     The cutoff profile is applied here, exactly once.
     """
     if traj.cutoff_profile is None:
         raise ValueError("trajectory has no cutoff profile; attach one before transforming")
-    data = traj.coeffs * traj.cutoff_profile.weights(traj.times)[:, None]
-    tau, order = _tau_grid(data.shape[0], traj.dt, pad_factor)
-    spec = np.fft.fft(data, n=len(tau), axis=0)[order]
-    # quadrature phase for the grid starting at t_0 = -window
-    phase = np.exp(-1j * tau * traj.times[0])
-    return tau, (traj.dt / ROOT_TWO_PI) * phase[:, None] * spec
+    data = traj.coeffs
+    if traj.cutoff_profile.kind != "applied":  # an applied profile's weights are all 1.0
+        data = data * traj.cutoff_profile.weights(traj.times)[:, None]
+    # t_0 = -window starts the grid
+    tau, order, scale = _transform_grid(data.shape[0], traj.dt, pad_factor, -traj.window)
+    return tau, scale * np.fft.fft(data, n=len(tau), axis=0)[order]
 
 
 class _NormTables:
@@ -105,7 +117,7 @@ class _NormTables:
         if any(spec.b is None or spec.p is None for spec in specs):
             raise ValueError("space-time norm needs both b and p")
         self.pad_factor, self.xi = pad_factor, xi_range(cutoff)
-        self.tau = _tau_grid(steps + 1, 2.0 * window / steps, pad_factor)[0]
+        self.tau = _transform_grid(steps + 1, 2.0 * window / steps, pad_factor, -window)[0]
         sigma_weight = bracket(self.tau[:, None] + self.xi[None, :] ** 2)
         self.weights = {spec: sigma_weight**spec.b * bracket(self.xi)[None, :]**spec.s
                         for spec in specs}
@@ -113,7 +125,8 @@ class _NormTables:
     def norms(self, traj: Trajectory, specs=None, transform=None) -> list[float]:
         """X^{s,b}_{r,p} norms of the trajectory per spec (default: all), from one transform."""
         tau, F = transform or space_time_transform(traj, self.pad_factor)
-        if not np.array_equal(tau, self.tau) or F.shape[1] != len(self.xi):
+        on_grid = tau is self.tau or np.array_equal(tau, self.tau)  # `is`: the memoized grid
+        if not on_grid or F.shape[1] != len(self.xi):
             raise ValueError("the trajectory is not on the grid of these norm tables")
         size = np.abs(F)
         specs, norms = specs or list(self.weights), {}

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnlslab as lab
-from dnlslab.fields import ROOT_TWO_PI, cutoff_of
+from dnlslab.fields import ROOT_TWO_PI, cutoff_of, product_gridsize, resize
+from dnlslab.nonlinear import _conj, _conv
 
 TWO_PI = 2.0 * math.pi
 
@@ -175,6 +176,40 @@ class TestCubicPhysicalIdentity:
         for seed in range(8):
             (v,) = fields(seed + 100, 16, 1, norm=0.9)
             assert gap(lab.cubic_physical(v), lab.cubic_full(v, v, v)) < 1e-10
+
+
+class TestProductGrid:
+    """Product grids are the least even 5-smooth size at or above the alias-free minimum."""
+
+    @staticmethod
+    def smooth(n):
+        for prime in (2, 3, 5):
+            while n % prime == 0:
+                n //= prime
+        return n == 1
+
+    def test_least_even_5_smooth_size(self):
+        for band in range(0, 400):
+            for out_cutoff in (0, band // 3, band, band + 7):
+                least = band + min(out_cutoff, band) + 1
+                size = product_gridsize(band, out_cutoff)
+                assert size >= least and size % 2 == 0 and self.smooth(size)
+                assert not any(self.smooth(n) for n in range(least + least % 2, size, 2))
+
+    @pytest.mark.parametrize("least,size", [(129, 144), (513, 540), (193, 200), (81, 90)])
+    def test_sizes_round_up(self, least, size):
+        band = least // 2
+        assert product_gridsize(band, band) == size
+
+    # the alias-free minimum rounded up to even was 2 * prime here: 194 and 514
+    @pytest.mark.parametrize("cutoff,out_cutoff,size", [(32, 96, 200), (128, 128, 540)])
+    def test_physical_product_matches_convolution(self, cutoff, out_cutoff, size):
+        assert product_gridsize(3 * cutoff, out_cutoff) == size
+        u1, u2, u3 = fields(cutoff, cutoff, 3)
+        got = lab.physical_product([u1, u2, u3], conjugate=[False, False, True],
+                                   out_cutoff=out_cutoff)
+        want = resize(_conv(_conv(u1, u2), _conj(u3)) / TWO_PI, out_cutoff)
+        assert gap(got, want) < 1e-12
 
 
 class TestQuintic:

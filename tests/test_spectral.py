@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import dnlslab as lab
 import dnlslab.estimates as estimates_mod
-from dnlslab.fields import ROOT_TWO_PI, x_grid
+from dnlslab.fields import (ROOT_TWO_PI, TRAJECTORY_MAX_RATE, TRAJECTORY_MODES, time_grid,
+                            x_grid)
 from support import (DirectNormTables, direct_space_time_transform, direct_xst_norms,
                      embedding_scan, free_wave_trajectory)
 
@@ -284,6 +285,50 @@ class TestNormTables:
                         lambda: lab.z_norm(traj, 0.5, 2.0, pad_factor)):
             with pytest.raises(ValueError, match="pad_factor must be >= 1"):
                 measure()
+
+
+class TestTransformGrid:
+    """The memoized grid arrays give the per-call transform and draw, bit for bit."""
+
+    @pytest.mark.parametrize("cutoff,window,steps,pad_factor", [(3, 1.0, 24, 4), (5, 0.5, 15, 2)],
+                             ids=["window-1-steps-24-pad-4", "window-0.5-steps-15-pad-2"])
+    @pytest.mark.parametrize("applied", [False, True], ids=["bump", "applied"])
+    def test_transform_equals_the_inline_reference(self, cutoff, window, steps, pad_factor,
+                                                   applied):
+        traj = lab.random_trajectory(cutoff, np.random.default_rng(steps), window, steps)
+        if applied:
+            traj = traj.windowed()
+        data = traj.coeffs * traj.cutoff_profile.weights(traj.times)[:, None]
+        tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * (steps + 1), d=traj.dt)
+        order = np.argsort(tau)
+        tau = tau[order]
+        spec = np.fft.fft(data, n=len(tau), axis=0)[order]
+        want = (traj.dt / ROOT_TWO_PI) * np.exp(-1j * tau * traj.times[0])[:, None] * spec
+        for _ in range(2):  # the second call reads the memoized grid
+            got_tau, got = lab.space_time_transform(traj, pad_factor)
+            assert got_tau.tobytes() == tau.tobytes() and got.tobytes() == want.tobytes()
+
+    def test_memoized_tau_is_shared_and_read_only(self):
+        first = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
+        second = lab.random_trajectory(3, np.random.default_rng(2), window=1.0, steps=16)
+        tau = lab.space_time_transform(first)[0]
+        assert lab.space_time_transform(second)[0] is tau
+        assert not tau.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tau[0] = 0.0
+
+    @pytest.mark.parametrize("cutoff,window,steps", [(0, 2.0, 1), (4, 1.0, 16), (9, 0.3, 33)])
+    def test_random_trajectory_equals_the_summed_formula(self, cutoff, window, steps):
+        rng = np.random.default_rng(cutoff + steps)
+        shape = (2 * cutoff + 1, TRAJECTORY_MODES)
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
+        waves = np.exp(1j * rates * time_grid(window, steps)[:, None, None])
+        want = np.sum(base * waves, axis=2) * lab.bracket(np.arange(-cutoff, cutoff + 1)) ** -1.0
+        want = want / math.sqrt(TRAJECTORY_MODES)
+        traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff + steps), window, steps)
+        assert traj.coeffs.tobytes() == want.tobytes()
+        assert traj.cutoff_profile == lab.CutoffProfile(scale=window / 2.0)
 
 
 class TestEmbeddingScan:
