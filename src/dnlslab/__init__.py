@@ -44,7 +44,6 @@ from .norms import (
     INF,
     NormSpec,
     data_norms,
-    l2_spacetime_norm,
     space_time_transform,
     xst_norm,
     z_norm,

@@ -227,7 +227,23 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+# the kind-specific ratio-scan flags with their defaults, and the ones each kind reads
+RATIO_SCAN_DEFAULTS = {"q": 2.0, "r": 2.0, "s": 0.2, "b": 0.45, "samples": 100, "cutoff": 8,
+                       "steps": 64, "truncations": "100,1000,10000"}
+RATIO_SCAN_FLAGS = {
+    "cubic": ("q", "r", "samples", "cutoff", "steps"),
+    "strichartz": ("s", "b", "samples", "cutoff", "steps"),
+    "quintic": ("q", "r", "b", "samples", "cutoff", "steps"),
+    "endpoint": ("truncations",),
+}
+
+
 def cmd_ratio_scan(args) -> int:
+    # compared with the declared defaults, because a --config file changes the parser's
+    unused = [f"--{flag}" for flag, default in RATIO_SCAN_DEFAULTS.items()
+              if flag not in RATIO_SCAN_FLAGS[args.kind] and getattr(args, flag) != default]
+    if unused:
+        raise ValueError(f"ratio-scan --kind {args.kind} does not read {', '.join(unused)}")
     if args.kind == "cubic":
         report = cubic_ratio_scan(args.q, args.r, args.samples, args.cutoff,
                                   args.seed, steps=args.steps)
@@ -347,16 +363,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p)
     p.add_argument("--kind", choices=["cubic", "strichartz", "quintic", "endpoint"],
                    default="cubic")
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--s", type=float, default=0.2)
-    p.add_argument("--b", type=float, default=0.45)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--cutoff", "-N", "--N", type=int, default=8)
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--q", type=float)
+    p.add_argument("--r", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--b", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--cutoff", "-N", "--N", type=int)
+    p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--truncations", default="100,1000,10000")
-    p.set_defaults(func=cmd_ratio_scan)
+    p.add_argument("--truncations")
+    p.set_defaults(func=cmd_ratio_scan, **RATIO_SCAN_DEFAULTS)
 
     p = sub.add_parser("verify", help="run the property-test battery")
     common(p)

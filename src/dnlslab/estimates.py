@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from .fields import Trajectory, bracket, physical_product, random_trajectory
+from .fields import CutoffProfile, bracket, physical_product, random_trajectory, time_grid
 from .nonlinear import cubic_full
-from .norms import NormSpec, _NormTables, l2_spacetime_norm
+from .norms import NormSpec, _l2_norm, _NormTables
 from .reports import EVIDENCE_CAVEAT, ScanReport
 
 
@@ -348,22 +348,44 @@ def divergence_report(
 SCAN_WINDOW = 1.0
 
 
-def _nested_trajectories(count: int, cutoff: int, seed: int, steps: int,
-                         per_sample: int) -> list[list[Trajectory]]:
-    """count sample groups drawn sequentially from one seeded generator, so a
-    longer scan extends a shorter one."""
-    if count < 1:
-        raise ValueError(f"samples must be >= 1, got {count}")
+def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], operator,
+                out_spec: NormSpec | None, rhs) -> ScanReport:
+    """The evidence report of a ratio scan: per sample group, the output norm of
+    the operator over the right-hand side, with their maximum and count.
+
+    A group holds one random trajectory per slot, and the groups are drawn in
+    turn from one seeded generator, so a longer scan extends a shorter one.
+    Slot k is measured in each of slots[k]; rhs takes those norms, slot by slot,
+    and a group whose rhs is 0 is skipped.  The operator takes the windowed
+    slots and the output cutoff len(slots) * cutoff; its output is measured in
+    out_spec, or in L^2(dt dx) when out_spec is None.
+    """
+    samples, cutoff, steps = grid["samples"], grid["cutoff"], grid["steps"]
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    out_cutoff, dt = len(slots) * cutoff, 2.0 * SCAN_WINDOW / steps
+    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [spec for specs in slots for spec in specs])
+    output = None if out_spec is None else _NormTables(steps, SCAN_WINDOW, out_cutoff, [out_spec])
+    # the bump profile random_trajectory attaches, as a column over the time grid
+    times = time_grid(SCAN_WINDOW, steps)
+    profile = CutoffProfile(scale=SCAN_WINDOW / 2.0).weights(times)[:, None]
     rng = np.random.default_rng(seed)
-    return [[random_trajectory(cutoff, rng, window=SCAN_WINDOW, steps=steps)
-             for _ in range(per_sample)] for _ in range(count)]
-
-
-def _ratio_report(name: str, grid: dict, ratios: list[float], seed: int) -> ScanReport:
-    """The evidence report of a ratio scan: every ratio, their maximum and count."""
-    values = tuple(float(x) for x in ratios)
-    summary = {"max_ratio": max(values) if values else 0.0, "samples_used": len(values)}
-    return ScanReport(name=name, grid=grid, values=values, summary=summary,
+    ratios = []
+    for _ in range(samples):
+        ws = [random_trajectory(cutoff, rng, window=SCAN_WINDOW, steps=steps).coeffs * profile
+              for _ in slots]
+        bound = rhs([inputs.norms(inputs.transform(w), specs) for w, specs in zip(ws, slots)])
+        if bound == 0.0:
+            continue
+        out = operator(*ws, out_cutoff=out_cutoff)
+        norm = _l2_norm(out, dt) if output is None else output.norms(output.transform(out))[0]
+        ratios.append(norm / bound)
+    summary = {"max_ratio": max(ratios) if ratios else 0.0, "samples_used": len(ratios)}
+    return ScanReport(name=name, grid=grid, values=tuple(ratios), summary=summary,
                       seed=seed, caveat=EVIDENCE_CAVEAT)
 
 
@@ -384,25 +406,13 @@ def cubic_ratio_scan(
     """
     if not (4.0 / 3.0 < q <= r <= 2.0):
         raise ValueError("scan requires 4/3 < q <= r <= 2")
-    lhs_spec = NormSpec(s=0.5, r=r, b=-0.5, p=2.0)
     rhs_q = NormSpec(s=0.5, r=q, b=0.5, p=2.0)
     rhs_r = NormSpec(s=0.5, r=r, b=0.5, p=2.0)
-    groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=3)
-    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [rhs_q, rhs_r])
-    output = _NormTables(steps, SCAN_WINDOW, 3 * cutoff, [lhs_spec])
-    ratios = []
-    for u1, u2, u3 in groups:
-        w1, w2, w3 = u1.windowed(), u2.windowed(), u3.windowed()
-        rhs = (inputs.norms(w1, [rhs_q])[0] * inputs.norms(w2, [rhs_q])[0]
-               * inputs.norms(w3, [rhs_r])[0])
-        if rhs == 0.0:
-            continue
-        out = cubic_full(w1.coeffs, w2.coeffs, w3.coeffs, out_cutoff=3 * cutoff)
-        out_traj = Trajectory(out, w1.window, w1.cutoff_profile)
-        ratios.append(output.norms(out_traj)[0] / rhs)
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
             "window": SCAN_WINDOW, "delta": 0.0}
-    return _ratio_report("cubic-ratio", grid, ratios, seed)
+    return _ratio_scan("cubic-ratio", grid, seed, [[rhs_q], [rhs_q], [rhs_r]], cubic_full,
+                       NormSpec(s=0.5, r=r, b=-0.5, p=2.0),
+                       lambda n: n[0][0] * n[1][0] * n[2][0])
 
 
 def strichartz_ratio_scan(
@@ -424,21 +434,11 @@ def strichartz_ratio_scan(
         raise ValueError("scan requires s > 3*(1/2 - b)")
     spec_s = NormSpec(s=s, r=2.0, b=b, p=2.0)
     spec_0 = NormSpec(s=0.0, r=2.0, b=b, p=2.0)
-    groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=3)
-    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [spec_s, spec_0])
-    ratios = []
-    for u1, u2, u3 in groups:
-        w1, w2, w3 = u1.windowed(), u2.windowed(), u3.windowed()
-        rhs = (inputs.norms(w1, [spec_s])[0] * inputs.norms(w2, [spec_s])[0]
-               * inputs.norms(w3, [spec_0])[0])
-        if rhs == 0.0:
-            continue
-        prod = physical_product([w1.coeffs, w2.coeffs, w3.coeffs],
-                                conjugate=[False, False, True], out_cutoff=3 * cutoff)
-        prod_traj = Trajectory(prod, w1.window, w1.cutoff_profile)
-        ratios.append(l2_spacetime_norm(prod_traj) / rhs)
     grid = {"s": s, "b": b, "samples": samples, "cutoff": cutoff, "steps": steps, "window": SCAN_WINDOW}
-    return _ratio_report("strichartz-ratio", grid, ratios, seed)
+    return _ratio_scan(
+        "strichartz-ratio", grid, seed, [[spec_s], [spec_s], [spec_0]],
+        lambda *ws, out_cutoff: physical_product(ws, [False, False, True], out_cutoff),
+        None, lambda n: n[0][0] * n[1][0] * n[2][0])
 
 
 def quintic_ratio_scan(
@@ -461,32 +461,26 @@ def quintic_ratio_scan(
         raise ValueError("scan requires 4/3 < q <= r <= 2")
     if not b > 1.0 / 6.0 + 1.0 / (3.0 * q):
         raise ValueError("scan requires b > 1/6 + 1/(3q)")
-    lhs_spec = NormSpec(s=0.5, r=r, b=-b, p=2.0)
     rhs_r = NormSpec(s=0.5, r=r, b=b, p=2.0)
     rhs_q = NormSpec(s=0.5, r=q, b=b, p=2.0)
-    groups = _nested_trajectories(samples, cutoff, seed, steps, per_sample=5)
-    inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [rhs_r, rhs_q])
-    output = _NormTables(steps, SCAN_WINDOW, 5 * cutoff, [lhs_spec])
-    ratios = []
-    for us in groups:
-        ws = [u.windowed() for u in us]
-        norms_r, norms_q = zip(*(inputs.norms(w, [rhs_r, rhs_q]) for w in ws))
-        rhs = 0.0
+
+    def rhs(norms):  # term by term in this order, which the reported bits depend on
+        total = 0.0
         for k in range(5):
-            term = norms_r[k]
+            term = norms[k][0]
             for i in range(5):
                 if i != k:
-                    term *= norms_q[i]
-            rhs += term
-        if rhs == 0.0:
-            continue
-        out = physical_product([w.coeffs for w in ws],
-                               conjugate=[False, True, False, True, False], out_cutoff=5 * cutoff)
-        out_traj = Trajectory(out, ws[0].window, ws[0].cutoff_profile)
-        ratios.append(output.norms(out_traj)[0] / rhs)
+                    term *= norms[i][1]
+            total += term
+        return total
+
     grid = {"q": q, "r": r, "b": b, "samples": samples, "cutoff": cutoff,
             "steps": steps, "window": SCAN_WINDOW, "masked": False}
-    return _ratio_report("quintic-ratio", grid, ratios, seed)
+    return _ratio_scan(
+        "quintic-ratio", grid, seed, [[rhs_r, rhs_q]] * 5,
+        lambda *ws, out_cutoff: physical_product(ws, [False, True, False, True, False],
+                                                 out_cutoff),
+        NormSpec(s=0.5, r=r, b=-b, p=2.0), rhs)
 
 
 def endpoint_injection_report(

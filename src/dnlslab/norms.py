@@ -7,7 +7,6 @@ integrals use trapezoid weights on the resulting uniform tau grid.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -71,23 +70,54 @@ def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
 # space-time transform
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _transform_grid(samples: int, dt: float, pad_factor: int, t0: float):
-    """The read-only grid arrays of the zero-padded temporal DFT, built once per grid.
+class _NormTables:
+    """The transform grid of one time grid and band, and each spec's weights
+    <tau + xi^2>**b * <xi>**s, built once for every trajectory on the grid."""
 
-    Returns (tau, order, scale): the ascending tau grid, the order that sorts the
-    DFT's frequencies into it, and the quadrature scale
-    (dt / sqrt(2*pi)) * exp(-i*tau*t0) as a column, for a grid starting at t0.
-    """
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
-    tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * samples, d=dt)
-    order = np.argsort(tau)
-    tau = tau[order]
-    scale = (dt / ROOT_TWO_PI) * np.exp(-1j * tau * t0)[:, None]
-    for array in (tau, order, scale):
-        array.setflags(write=False)
-    return tau, order, scale
+    def __init__(self, steps: int, window: float, cutoff: int, specs: list[NormSpec],
+                 pad_factor: int = 4):
+        if any(spec.b is None or spec.p is None for spec in specs):
+            raise ValueError("space-time norm needs both b and p")
+        if pad_factor < 1:
+            raise ValueError("pad_factor must be >= 1")
+        dt, t0 = 2.0 * window / steps, -window  # t_0 = -window starts the grid
+        tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * (steps + 1), d=dt)
+        self.order = np.argsort(tau)
+        self.tau, self.xi = tau[self.order], xi_range(cutoff)
+        self.scale = (dt / ROOT_TWO_PI) * np.exp(-1j * self.tau * t0)[:, None]
+        # a transform-only table (no specs) skips the weights
+        sigma_weight = bracket(self.tau[:, None] + self.xi[None, :] ** 2) if specs else None
+        self.weights = {spec: sigma_weight**spec.b * bracket(self.xi)[None, :]**spec.s
+                        for spec in specs}
+
+    def transform(self, samples: np.ndarray) -> np.ndarray:
+        """F[m, j], the transform at (tau_m, xi_j) of windowed samples (steps+1, 2*cutoff+1)."""
+        return self.scale * np.fft.fft(samples, n=len(self.tau), axis=0)[self.order]
+
+    def transform_of(self, traj: Trajectory, transform=None) -> np.ndarray:
+        """F of the windowed trajectory, or of the given (tau, F) once it is checked
+        to lie on these tables' grid."""
+        if transform is None:
+            return self.transform(traj.windowed().coeffs)
+        tau, F = transform
+        if not np.array_equal(tau, self.tau) or F.shape[1] != len(self.xi):
+            raise ValueError("the trajectory is not on the grid of these norm tables")
+        return F
+
+    def norms(self, F: np.ndarray, specs=None) -> list[float]:
+        """X^{s,b}_{r,p} norms of the transform F per spec (default: all)."""
+        size = np.abs(F)
+        specs, norms = specs or list(self.weights), {}
+        dtau = self.tau[1] - self.tau[0]
+        for spec in dict.fromkeys(specs):  # each distinct spec once
+            weighted = self.weights[spec] * size
+            p_dual = spec.p_dual
+            if p_dual == INF:
+                per_xi = np.max(weighted, axis=0)
+            else:
+                per_xi = (np.sum(weighted**p_dual, axis=0) * dtau) ** (1.0 / p_dual)
+            norms[spec] = float(_lp_sequence_norm(per_xi, spec.r_dual))
+        return [norms[spec] for spec in specs]
 
 
 def space_time_transform(
@@ -95,73 +125,29 @@ def space_time_transform(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete full transform of the windowed trajectory.
 
-    Returns (tau, F) with F[m, j] the transform at (tau_m, xi_j), tau ascending;
-    tau is read-only and shared by every trajectory on the grid.
-    The cutoff profile is applied here, exactly once.
+    Returns (tau, F) with F[m, j] the transform at (tau_m, xi_j), tau ascending.
     """
-    if traj.cutoff_profile is None:
-        raise ValueError("trajectory has no cutoff profile; attach one before transforming")
-    data = traj.coeffs
-    if traj.cutoff_profile.kind != "applied":  # an applied profile's weights are all 1.0
-        data = data * traj.cutoff_profile.weights(traj.times)[:, None]
-    # t_0 = -window starts the grid
-    tau, order, scale = _transform_grid(data.shape[0], traj.dt, pad_factor, -traj.window)
-    return tau, scale * np.fft.fft(data, n=len(tau), axis=0)[order]
-
-
-class _NormTables:
-    """Each spec's weights <tau + xi^2>**b * <xi>**s, built once for every trajectory on a grid."""
-
-    def __init__(self, steps: int, window: float, cutoff: int, specs: list[NormSpec],
-                 pad_factor: int = 4):
-        if any(spec.b is None or spec.p is None for spec in specs):
-            raise ValueError("space-time norm needs both b and p")
-        self.pad_factor, self.xi = pad_factor, xi_range(cutoff)
-        self.tau = _transform_grid(steps + 1, 2.0 * window / steps, pad_factor, -window)[0]
-        sigma_weight = bracket(self.tau[:, None] + self.xi[None, :] ** 2)
-        self.weights = {spec: sigma_weight**spec.b * bracket(self.xi)[None, :]**spec.s
-                        for spec in specs}
-
-    def norms(self, traj: Trajectory, specs=None, transform=None) -> list[float]:
-        """X^{s,b}_{r,p} norms of the trajectory per spec (default: all), from one transform."""
-        tau, F = transform or space_time_transform(traj, self.pad_factor)
-        on_grid = tau is self.tau or np.array_equal(tau, self.tau)  # `is`: the memoized grid
-        if not on_grid or F.shape[1] != len(self.xi):
-            raise ValueError("the trajectory is not on the grid of these norm tables")
-        size = np.abs(F)
-        specs, norms = specs or list(self.weights), {}
-        for spec in dict.fromkeys(specs):  # each distinct spec once
-            weighted = self.weights[spec] * size
-            p_dual = spec.p_dual
-            if p_dual == INF:
-                per_xi = np.max(weighted, axis=0)
-            else:
-                per_xi = (np.sum(weighted**p_dual, axis=0) * (tau[1] - tau[0])) ** (1.0 / p_dual)
-            norms[spec] = float(_lp_sequence_norm(per_xi, spec.r_dual))
-        return [norms[spec] for spec in specs]
+    tables = _NormTables(traj.steps, traj.window, traj.cutoff, [], pad_factor)
+    return tables.tau, tables.transform_of(traj)
 
 
 def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4, transform=None) -> float:
     """Discrete X^{s,b}_{r,p} norm of the windowed trajectory, from its transform if given."""
     tables = _NormTables(traj.steps, traj.window, traj.cutoff, [spec], pad_factor)
-    return tables.norms(traj, transform=transform)[0]
+    return tables.norms(tables.transform_of(traj, transform))[0]
 
 
 def z_norm(traj: Trajectory, s: float, r: float, pad_factor: int = 4, transform=None) -> float:
     """Intersection norm: max of the (b=1/2, p=2) and (b=0, p=inf) norms."""
     specs = [NormSpec(s=s, r=r, b=0.5, p=2.0), NormSpec(s=s, r=r, b=0.0, p=INF)]
-    return max(_NormTables(traj.steps, traj.window, traj.cutoff, specs, pad_factor)
-               .norms(traj, transform=transform))
+    tables = _NormTables(traj.steps, traj.window, traj.cutoff, specs, pad_factor)
+    return max(tables.norms(tables.transform_of(traj, transform)))
 
 
-def l2_spacetime_norm(traj: Trajectory) -> float:
-    """L^2(dt dx) norm of the windowed trajectory by trapezoid in time."""
-    if traj.cutoff_profile is None:
-        raise ValueError("trajectory has no cutoff profile")
-    w = traj.cutoff_profile.weights(traj.times)
-    per_t = np.sum(np.abs(traj.coeffs * w[:, None]) ** 2, axis=1)
-    weights = np.full(per_t.shape, traj.dt)
+def _l2_norm(samples: np.ndarray, dt: float) -> float:
+    """L^2(dt dx) norm of windowed samples (steps+1, 2*cutoff+1) by trapezoid in time."""
+    per_t = np.sum(np.abs(samples) ** 2, axis=1)
+    weights = np.full(per_t.shape, dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return float(math.sqrt(np.sum(per_t * weights)))
-

@@ -195,11 +195,15 @@ def direct_xst_norms(traj: lab.Trajectory, specs: list, pad_factor: int = 4) -> 
 
 
 class DirectNormTables:
-    """Stands in for ``dnlslab.norms._NormTables`` and builds nothing: each
-    trajectory's norms come from ``direct_xst_norms``."""
+    """Stands in for ``dnlslab.norms._NormTables`` and builds nothing: its
+    ``transform`` keeps the windowed samples as a trajectory, and their norms
+    come from ``direct_xst_norms``."""
 
     def __init__(self, steps, window, cutoff, specs, pad_factor=4):
-        self.pad_factor, self.specs = pad_factor, specs
+        self.window, self.pad_factor, self.specs = window, pad_factor, specs
 
-    def norms(self, traj, specs=None, transform=None):
+    def transform(self, samples):
+        return lab.Trajectory(samples, self.window, lab.CutoffProfile(kind="applied"))
+
+    def norms(self, traj, specs=None):
         return direct_xst_norms(traj, specs or self.specs, self.pad_factor)

@@ -130,7 +130,7 @@ def test_ratio_scan_calls_its_operator_once_per_sample_group(monkeypatch, scan, 
                                          steps=16), 3 * 6),
 ], ids=["z_norm", "quintic"])
 def test_one_space_time_transform_per_trajectory(monkeypatch, measure, transforms):
-    calls = counting(monkeypatch, norms_mod, "space_time_transform")
+    calls = counting(monkeypatch, norms_mod._NormTables, "transform")
     measure(lab.random_trajectory(CUTOFF, np.random.default_rng(2), window=0.5, steps=8))
     assert len(calls) == transforms
 

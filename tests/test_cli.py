@@ -295,6 +295,8 @@ class TestScanCommands:
         (["scan-sums", "--a-step", "-5"], "--a-step"),
         (["scan-sums", "--anchor-step", "-1"], "--anchor-step"),
         (["ratio-scan", "--steps", "0", "--samples", "2"], "steps"),
+        (["ratio-scan", "--steps", "1", "--samples", "2"], "steps must be >= 2"),
+        (["ratio-scan", "--N", "-1", "--samples", "2"], "cutoff must be >= 0"),
         (["counterexample", "--mode", "translation", "--n-list", "0,4"], "n_list"),
         (["counterexample", "--mode", "translation", "--amplitude", "nan"], "amplitude"),
         (["counterexample", "--mode", "translation", "--s", "nan"], "s must be finite"),
@@ -314,7 +316,8 @@ class TestScanCommands:
         (["solve", "--N", "8", "--amplitude", "inf"], "l2_norm"),
         (["solve", "--N", "8", "--amplitude", "-0.2"], "l2_norm"),
         (["solve", "--N", "8", "--active-band", "-1"], "active_cutoff"),
-    ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "n-zero",
+    ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
+            "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan",
             "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative",
             "endpoint-truncation-zero", "endpoint-truncation-one", "divergence-truncation-zero",
@@ -325,6 +328,34 @@ class TestScanCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--kind", "endpoint", "--samples", "3", "--N", "4", "--steps", "16"],
+         "--samples, --cutoff, --steps"),
+        (["--kind", "cubic", "--b", "0.4"], "--b"),
+        (["--kind", "strichartz", "--r", "1.5"], "--r"),
+        (["--kind", "quintic", "--s", "0.3"], "--s"),
+        (["--kind", "endpoint", "--q", "1.5"], "--q"),
+        (["--kind", "cubic", "--truncations", "10,100"], "--truncations"),
+    ], ids=["endpoint-grid", "cubic-b", "strichartz-r", "quintic-s", "endpoint-q",
+            "cubic-truncations"])
+    def test_a_flag_the_kind_does_not_read_exits_1(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        code = main(["ratio-scan", *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ratio-scan --kind ") and named in err
+        assert not out.exists()
+
+    def test_a_config_value_the_kind_does_not_read_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"s": 0.3}')
+        out = tmp_path / "out"
+        code = main(["ratio-scan", "--kind", "cubic", "--samples", "2", "--config", str(config),
+                     "--out", str(out)])
+        assert code == 1
+        assert "does not read --s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_sum_grid_exit_code(self, tmp_path, capsys):
         code = main(["scan-sums", "--a-min", "10", "--a-max", "-10", "--truncations", "8",

@@ -318,6 +318,19 @@ class TestRatioScans:
         big = lab.cubic_ratio_scan(q=2.0, r=2.0, samples=16, cutoff=8, seed=5, steps=48)
         assert big.values[: len(small.values)] == small.values
 
+    @pytest.mark.parametrize("scan,hexes", [
+        (lambda: lab.cubic_ratio_scan(q=2.0, r=2.0, samples=3, cutoff=4, seed=5, steps=16),
+         ["0x1.d69e58b3c365bp-9", "0x1.35df9eba36b58p-9", "0x1.733fe1b272c1ep-9"]),
+        (lambda: lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=3, cutoff=4, seed=5, steps=16),
+         ["0x1.45865e414d098p-7", "0x1.31281f41e0bc7p-7", "0x1.77e58a5839238p-7"]),
+        (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5,
+                                        steps=16),
+         ["0x1.875a3e41492a0p-17", "0x1.82a6550e3275dp-17", "0x1.a19eed9a3e3bep-17"]),
+    ], ids=["cubic", "strichartz", "quintic"])
+    def test_scan_values_keep_their_bits(self, scan, hexes):
+        # recorded from the separate per-scan loops; a reordered float operation shows here
+        assert [value.hex() for value in scan().values] == hexes
+
     def test_cubic_parameter_guard(self):
         with pytest.raises(ValueError):
             lab.cubic_ratio_scan(q=1.2, r=2.0, samples=2, cutoff=4, seed=1)
