@@ -44,9 +44,8 @@ from .norms import (
     INF,
     NormSpec,
     data_norms,
-    space_time_transform,
     xst_norm,
-    z_norm,
+    z_specs,
 )
 from .reports import (
     ScanReport,

@@ -27,7 +27,7 @@ from .estimates import (
 )
 from .fields import CutoffProfile, plane_wave, random_field
 from .gauge import gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
-from .norms import INF, NormSpec, data_norms, space_time_transform, xst_norm, z_norm
+from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
     __version__,
     canonical_json,
@@ -77,6 +77,36 @@ def _write_report(args, **sections) -> Path:
     return out
 
 
+# the flags that only some runs of a command read, with their declared defaults
+SOLVE_RANDOM_DATUM_DEFAULTS = {"seed": 7, "amplitude": 0.1, "active_band": 8}
+GAUGE_FIELD_DEFAULTS = {"time": 0.0}
+NORMS_XST_DEFAULTS = {"p": "2"}
+COUNTEREXAMPLE_DEFAULTS = {
+    "divergence": {"truncations": "1000,10000,100000,1000000", "log_shift": 0.0},
+    "translation": {"n_list": "4,16,64,256", "amplitude": 1.0, "s": 0.5, "r": 2.0},
+}
+
+# the kind-specific ratio-scan flags with their defaults, and the ones each kind reads
+RATIO_SCAN_DEFAULTS = {"q": 2.0, "r": 2.0, "s": 0.2, "b": 0.45, "samples": 100, "cutoff": 8,
+                       "steps": 64, "truncations": "100,1000,10000"}
+RATIO_SCAN_FLAGS = {
+    "cubic": ("q", "r", "samples", "cutoff", "steps"),
+    "strichartz": ("s", "b", "samples", "cutoff", "steps"),
+    "quintic": ("q", "r", "b", "samples", "cutoff", "steps"),
+    "endpoint": ("truncations",),
+}
+
+
+def _reject_unread(args, run: str, defaults: dict, read=()) -> None:
+    """Raise a ValueError naming every flag in defaults but those in read whose value
+    differs from its declared default (not the parser's, which a --config file changes):
+    the run would silently ignore it."""
+    unread = [f"--{flag.replace('_', '-')}" for flag, default in defaults.items()
+              if flag not in read and getattr(args, flag) != default]
+    if unread:
+        raise ValueError(f"{run} does not read {', '.join(unread)}")
+
+
 def _parse_plane_wave(text: str) -> tuple[float, int]:
     try:
         parts = dict(item.split("=") for item in text.split(","))
@@ -91,15 +121,17 @@ def _datum_from_args(args) -> np.ndarray:
     """The initial datum; the solver resizes a loaded field to --cutoff."""
     if args.plane_wave is not None and args.datum is not None:
         raise ValueError("--plane-wave and --datum both name the initial datum; give one")
+    if args.plane_wave is None and args.datum is None:
+        rng = np.random.default_rng(args.seed)
+        return random_field(
+            args.cutoff, rng, active_cutoff=args.active_band, l2_norm=args.amplitude
+        )
+    given = "--plane-wave" if args.plane_wave is not None else "--datum"
+    _reject_unread(args, f"solve {given}", SOLVE_RANDOM_DATUM_DEFAULTS)
     if args.plane_wave is not None:
         amp, n = args.plane_wave
         return plane_wave(args.cutoff, n, amp)
-    if args.datum is not None:
-        return load_field(args.datum)
-    rng = np.random.default_rng(args.seed)
-    return random_field(
-        args.cutoff, rng, active_cutoff=args.active_band, l2_norm=args.amplitude
-    )
+    return load_field(args.datum)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +172,7 @@ def cmd_gauge(args) -> int:
         g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time)
         save = save_field
     else:
+        _reject_unread(args, "gauge of a trajectory", GAUGE_FIELD_DEFAULTS)
         traj = load_trajectory(args.input)
         g = gauge_inv(traj) if args.inverse else gauge(traj)
         save = save_trajectory
@@ -150,6 +183,8 @@ def cmd_gauge(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    if args.b is None:
+        _reject_unread(args, "norms without --b", NORMS_XST_DEFAULTS)
     result: dict = {}
     if file_kind(args.input) == "field":
         f = load_field(args.input)
@@ -163,12 +198,15 @@ def cmd_norms(args) -> int:
             traj = replace(traj, cutoff_profile=CutoffProfile(scale=traj.window / 2.0))
         if args.b is None and not args.z:
             raise ValueError("trajectory input needs --b/--p or --z")
-        transform = space_time_transform(traj)  # one transform for every norm asked for
-        if args.b is not None:
-            spec = NormSpec(args.s, args.r, args.b, INF if args.p == "inf" else float(args.p))
-            result["xst_norm"] = xst_norm(traj, spec, transform=transform)
+        specs = [] if args.b is None else [
+            NormSpec(args.s, args.r, args.b, INF if args.p == "inf" else float(args.p))]
         if args.z:
-            result["z_norm"] = z_norm(traj, args.s, args.r, transform=transform)
+            specs += z_specs(args.s, args.r)
+        norms = xst_norm(traj.windowed(), traj.window, specs)  # one transform for them all
+        if args.b is not None:
+            result["xst_norm"] = norms[0]
+        if args.z:
+            result["z_norm"] = max(norms[-2:])
     _write_report(args, norms=result)
     print(canonical_json(result))
     return EXIT_OK
@@ -205,6 +243,9 @@ def cmd_scan_sums(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    for mode, defaults in COUNTEREXAMPLE_DEFAULTS.items():
+        if args.mode not in (mode, "both"):
+            _reject_unread(args, f"counterexample --mode {args.mode}", defaults)
     sections, tables = {}, {}
     if args.mode in ("divergence", "both"):
         truncs = tuple(int(t) for t in args.truncations.split(","))
@@ -227,23 +268,9 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-# the kind-specific ratio-scan flags with their defaults, and the ones each kind reads
-RATIO_SCAN_DEFAULTS = {"q": 2.0, "r": 2.0, "s": 0.2, "b": 0.45, "samples": 100, "cutoff": 8,
-                       "steps": 64, "truncations": "100,1000,10000"}
-RATIO_SCAN_FLAGS = {
-    "cubic": ("q", "r", "samples", "cutoff", "steps"),
-    "strichartz": ("s", "b", "samples", "cutoff", "steps"),
-    "quintic": ("q", "r", "b", "samples", "cutoff", "steps"),
-    "endpoint": ("truncations",),
-}
-
-
 def cmd_ratio_scan(args) -> int:
-    # compared with the declared defaults, because a --config file changes the parser's
-    unused = [f"--{flag}" for flag, default in RATIO_SCAN_DEFAULTS.items()
-              if flag not in RATIO_SCAN_FLAGS[args.kind] and getattr(args, flag) != default]
-    if unused:
-        raise ValueError(f"ratio-scan --kind {args.kind} does not read {', '.join(unused)}")
+    _reject_unread(args, f"ratio-scan --kind {args.kind}", RATIO_SCAN_DEFAULTS,
+                   RATIO_SCAN_FLAGS[args.kind])
     if args.kind == "cubic":
         report = cubic_ratio_scan(args.q, args.r, args.samples, args.cutoff,
                                   args.seed, steps=args.steps)
@@ -297,9 +324,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--equation", choices=[e.value for e in Equation], default="dnls")
     p.add_argument("--plane-wave", type=_parse_plane_wave, default=None, metavar="A=1,n=1")
     p.add_argument("--datum", default=None, help="field file to use as initial datum")
-    p.add_argument("--seed", type=int, default=7, help="seed for a random datum")
-    p.add_argument("--amplitude", type=float, default=0.1, help="L2 size of a random datum")
-    p.add_argument("--active-band", type=int, default=8, help="active band of a random datum")
+    p.add_argument("--seed", type=int, help="seed for a random datum")
+    p.add_argument("--amplitude", type=float, help="L2 size of a random datum")
+    p.add_argument("--active-band", type=int, help="active band of a random datum")
     p.add_argument("--cutoff", "-N", "--N", type=int, default=32)
     p.add_argument("--horizon", "-T", "--T", type=float, default=0.1)
     p.add_argument("--steps", "-M", "--M", type=int, default=200)
@@ -309,15 +336,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="gauge the datum, solve the transformed equation, ungauge")
     p.add_argument("--cross-check", action="store_true",
                    help="also integrate with the Runge-Kutta stepper and report the gap")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, **SOLVE_RANDOM_DATUM_DEFAULTS)
 
     p = sub.add_parser("gauge", help="apply the gauge map or its inverse to a file")
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="gauged.csv")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--time", type=float, default=0.0, help="evaluation time for a single field")
-    p.set_defaults(func=cmd_gauge)
+    p.add_argument("--time", type=float, help="evaluation time for a single field")
+    p.set_defaults(func=cmd_gauge, **GAUGE_FIELD_DEFAULTS)
 
     p = sub.add_parser("norms", help="evaluate norms of a field or trajectory file")
     common(p)
@@ -325,9 +352,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--p", default="2", help="temporal exponent, a number or 'inf'")
+    p.add_argument("--p", help="temporal exponent, a number or 'inf'; read with --b")
     p.add_argument("--z", action="store_true", help="also report the intersection norm")
-    p.set_defaults(func=cmd_norms)
+    p.set_defaults(func=cmd_norms, **NORMS_XST_DEFAULTS)
 
     p = sub.add_parser("divisors", help="near-diagonal divisor-pair scan")
     common(p)
@@ -351,13 +378,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("counterexample", help="divergence sums and the translation gap probe")
     common(p)
     p.add_argument("--mode", choices=["divergence", "translation", "both"], default="both")
-    p.add_argument("--truncations", default="1000,10000,100000,1000000")
-    p.add_argument("--log-shift", type=float, default=0.0)
-    p.add_argument("--n-list", default="4,16,64,256")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--r", type=float, default=2.0)
-    p.set_defaults(func=cmd_counterexample)
+    p.add_argument("--truncations")
+    p.add_argument("--log-shift", type=float)
+    p.add_argument("--n-list")
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--r", type=float)
+    p.set_defaults(func=cmd_counterexample, **COUNTEREXAMPLE_DEFAULTS["divergence"],
+                   **COUNTEREXAMPLE_DEFAULTS["translation"])
 
     p = sub.add_parser("ratio-scan", help="estimate-ratio evidence scans")
     common(p)

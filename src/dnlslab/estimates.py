@@ -382,7 +382,8 @@ def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], o
         if bound == 0.0:
             continue
         out = operator(*ws, out_cutoff=out_cutoff)
-        norm = _l2_norm(out, dt) if output is None else output.norms(output.transform(out))[0]
+        norm = (_l2_norm(out, dt) if output is None
+                else output.norms(output.transform(out), [out_spec])[0])
         ratios.append(norm / bound)
     summary = {"max_ratio": max(ratios) if ratios else 0.0, "samples_used": len(ratios)}
     return ScanReport(name=name, grid=grid, values=tuple(ratios), summary=summary,

@@ -170,24 +170,15 @@ def bump(t):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Time window applied before space-time transforms.
+    """Time window bump(t/scale) that windowed() applies before a space-time transform."""
 
-    kind "bump": multiply by bump(t/scale) at transform time.
-    kind "applied": samples are already compactly supported; use them as-is.
-    """
-
-    kind: str = "bump"
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("bump", "applied"):
-            raise ValueError(f"unknown cutoff kind {self.kind!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"cutoff scale must be finite and positive, got {self.scale}")
 
     def weights(self, times: np.ndarray) -> np.ndarray:
-        if self.kind == "applied":
-            return np.ones_like(np.asarray(times, dtype=float))
         return bump(np.asarray(times, dtype=float) / self.scale)
 
 
@@ -239,12 +230,11 @@ class Trajectory:
         """Apply fn to the coefficient row of every sample."""
         return replace(self, coeffs=np.array([fn(row) for row in self.coeffs]))
 
-    def windowed(self) -> "Trajectory":
-        """Bake the cutoff profile into the samples."""
+    def windowed(self) -> np.ndarray:
+        """The coefficient matrix with the cutoff profile applied to every sample."""
         if self.cutoff_profile is None:
             raise ValueError("trajectory has no cutoff profile to apply")
-        w = self.cutoff_profile.weights(self.times)
-        return Trajectory(self.coeffs * w[:, None], self.window, CutoffProfile(kind="applied"))
+        return self.coeffs * self.cutoff_profile.weights(self.times)[:, None]
 
     def sup_l2_distance(self, other: "Trajectory") -> float:
         if self.coeffs.shape != other.coeffs.shape:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROOT_TWO_PI, Trajectory, bracket, cutoff_of, xi_range
+from .fields import ROOT_TWO_PI, bracket, cutoff_of, xi_range
 
 INF = math.inf
 
@@ -85,29 +85,17 @@ class _NormTables:
         self.order = np.argsort(tau)
         self.tau, self.xi = tau[self.order], xi_range(cutoff)
         self.scale = (dt / ROOT_TWO_PI) * np.exp(-1j * self.tau * t0)[:, None]
-        # a transform-only table (no specs) skips the weights
-        sigma_weight = bracket(self.tau[:, None] + self.xi[None, :] ** 2) if specs else None
+        sigma_weight = bracket(self.tau[:, None] + self.xi[None, :] ** 2)
         self.weights = {spec: sigma_weight**spec.b * bracket(self.xi)[None, :]**spec.s
-                        for spec in specs}
+                        for spec in dict.fromkeys(specs)}
 
     def transform(self, samples: np.ndarray) -> np.ndarray:
         """F[m, j], the transform at (tau_m, xi_j) of windowed samples (steps+1, 2*cutoff+1)."""
         return self.scale * np.fft.fft(samples, n=len(self.tau), axis=0)[self.order]
 
-    def transform_of(self, traj: Trajectory, transform=None) -> np.ndarray:
-        """F of the windowed trajectory, or of the given (tau, F) once it is checked
-        to lie on these tables' grid."""
-        if transform is None:
-            return self.transform(traj.windowed().coeffs)
-        tau, F = transform
-        if not np.array_equal(tau, self.tau) or F.shape[1] != len(self.xi):
-            raise ValueError("the trajectory is not on the grid of these norm tables")
-        return F
-
-    def norms(self, F: np.ndarray, specs=None) -> list[float]:
-        """X^{s,b}_{r,p} norms of the transform F per spec (default: all)."""
-        size = np.abs(F)
-        specs, norms = specs or list(self.weights), {}
+    def norms(self, F: np.ndarray, specs: list[NormSpec]) -> list[float]:
+        """X^{s,b}_{r,p} norms of the transform F, one per given spec."""
+        size, norms = np.abs(F), {}
         dtau = self.tau[1] - self.tau[0]
         for spec in dict.fromkeys(specs):  # each distinct spec once
             weighted = self.weights[spec] * size
@@ -120,28 +108,16 @@ class _NormTables:
         return [norms[spec] for spec in specs]
 
 
-def space_time_transform(
-    traj: Trajectory, pad_factor: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete full transform of the windowed trajectory.
-
-    Returns (tau, F) with F[m, j] the transform at (tau_m, xi_j), tau ascending.
-    """
-    tables = _NormTables(traj.steps, traj.window, traj.cutoff, [], pad_factor)
-    return tables.tau, tables.transform_of(traj)
+def z_specs(s: float, r: float) -> list[NormSpec]:
+    """The two specs whose norms' max is the intersection norm Z: (b=1/2, p=2), (b=0, p=inf)."""
+    return [NormSpec(s=s, r=r, b=0.5, p=2.0), NormSpec(s=s, r=r, b=0.0, p=INF)]
 
 
-def xst_norm(traj: Trajectory, spec: NormSpec, pad_factor: int = 4, transform=None) -> float:
-    """Discrete X^{s,b}_{r,p} norm of the windowed trajectory, from its transform if given."""
-    tables = _NormTables(traj.steps, traj.window, traj.cutoff, [spec], pad_factor)
-    return tables.norms(tables.transform_of(traj, transform))[0]
-
-
-def z_norm(traj: Trajectory, s: float, r: float, pad_factor: int = 4, transform=None) -> float:
-    """Intersection norm: max of the (b=1/2, p=2) and (b=0, p=inf) norms."""
-    specs = [NormSpec(s=s, r=r, b=0.5, p=2.0), NormSpec(s=s, r=r, b=0.0, p=INF)]
-    tables = _NormTables(traj.steps, traj.window, traj.cutoff, specs, pad_factor)
-    return max(tables.norms(tables.transform_of(traj, transform)))
+def xst_norm(samples: np.ndarray, window: float, specs: list[NormSpec]) -> list[float]:
+    """Discrete X^{s,b}_{r,p} norms, one per spec, of windowed samples (steps+1, 2*cutoff+1)
+    on the grid t_k = -window + k*dt; all specs share one table build and one transform."""
+    tables = _NormTables(samples.shape[0] - 1, window, cutoff_of(samples), specs)
+    return tables.norms(tables.transform(samples), specs)
 
 
 def _l2_norm(samples: np.ndarray, dt: float) -> float:

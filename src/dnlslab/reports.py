@@ -202,7 +202,7 @@ def save_trajectory(path: str | Path, traj) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     profile = None
     if traj.cutoff_profile is not None:
-        profile = {"kind": traj.cutoff_profile.kind, "scale": traj.cutoff_profile.scale}
+        profile = {"kind": "bump", "scale": traj.cutoff_profile.scale}
     head = {
         "kind": "trajectory",
         "cutoff": traj.cutoff,
@@ -222,7 +222,9 @@ def load_trajectory(path: str | Path):
     header, coeffs = _read_coeffs(path, "trajectory")
     try:
         p = header.get("cutoff_profile")
-        profile = CutoffProfile(kind=p["kind"], scale=p["scale"]) if p else None
+        if p and p["kind"] != "bump":
+            raise ValueError(f"unknown cutoff kind {p['kind']!r}")
+        profile = CutoffProfile(scale=p["scale"]) if p else None
         return Trajectory(coeffs, float(header["window"]), profile)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}:1: bad header ({exc!r})") from None

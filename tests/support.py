@@ -38,7 +38,6 @@ def embedding_scan(
     r: float,
     b1: float,
     b2: float,
-    pad_factor: int = 4,
 ) -> lab.ScanReport:
     """Ratio of the (b2, p=inf) norm to the (b1, p=2) norm over a sample set.
 
@@ -50,9 +49,9 @@ def embedding_scan(
     hi_spec = lab.NormSpec(s=s, r=r, b=b2, p=lab.INF)
     ratios = []
     for traj in trajectories:
-        lo = lab.xst_norm(traj, lo_spec, pad_factor)
+        lo, hi = lab.xst_norm(traj.windowed(), traj.window, [lo_spec, hi_spec])
         if lo != 0.0:
-            ratios.append(lab.xst_norm(traj, hi_spec, pad_factor) / lo)
+            ratios.append(hi / lo)
     values = tuple(float(x) for x in ratios)
     summary = {
         "max_ratio": max(values) if values else 0.0,
@@ -159,25 +158,27 @@ def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
     return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
 
 
-def direct_space_time_transform(traj: lab.Trajectory, pad_factor: int = 4):
-    """``space_time_transform`` in a second order of operations: the phase and the
-    scaling applied on the unsorted tau grid, then both sorted."""
-    weights = traj.cutoff_profile.weights(traj.times)
-    data = traj.coeffs * weights[:, None]
-    padded = pad_factor * data.shape[0]
-    spec = np.fft.fft(data, n=padded, axis=0)
-    tau = 2.0 * math.pi * np.fft.fftfreq(padded, d=traj.dt)
-    phase = np.exp(-1j * tau * traj.times[0])
-    F = (traj.dt / ROOT_TWO_PI) * phase[:, None] * spec
+def direct_space_time_transform(samples: np.ndarray, window: float, pad_factor: int = 4):
+    """The norm tables' transform of windowed samples on the grid t_k = -window + k*dt,
+    in a second order of operations: the phase and the scaling applied on the
+    unsorted tau grid, then both sorted."""
+    dt = 2.0 * window / (samples.shape[0] - 1)
+    padded = pad_factor * samples.shape[0]
+    spec = np.fft.fft(samples, n=padded, axis=0)
+    tau = 2.0 * math.pi * np.fft.fftfreq(padded, d=dt)
+    phase = np.exp(-1j * tau * -window)
+    F = (dt / ROOT_TWO_PI) * phase[:, None] * spec
     order = np.argsort(tau)
     return tau[order], F[order]
 
 
-def direct_xst_norms(traj: lab.Trajectory, specs: list, pad_factor: int = 4) -> list[float]:
-    """The X^{s,b}_{r,p} norms of one trajectory with every weight built in the call:
+def direct_xst_norms(samples: np.ndarray, window: float, specs: list,
+                     pad_factor: int = 4) -> list[float]:
+    """The X^{s,b}_{r,p} norms of windowed samples with every weight built in the call:
     the per-call form that the norm tables must match bit for bit."""
-    tau, F = direct_space_time_transform(traj, pad_factor)
-    xi = np.arange(-traj.cutoff, traj.cutoff + 1)
+    tau, F = direct_space_time_transform(samples, window, pad_factor)
+    cutoff = samples.shape[1] // 2
+    xi = np.arange(-cutoff, cutoff + 1)
     sigma_weight = bracket(tau[:, None] + xi[None, :] ** 2)
     xi_weight = bracket(xi)[None, :]
     size = np.abs(F)
@@ -196,14 +197,14 @@ def direct_xst_norms(traj: lab.Trajectory, specs: list, pad_factor: int = 4) -> 
 
 class DirectNormTables:
     """Stands in for ``dnlslab.norms._NormTables`` and builds nothing: its
-    ``transform`` keeps the windowed samples as a trajectory, and their norms
-    come from ``direct_xst_norms``."""
+    ``transform`` keeps the windowed samples, and their norms come from
+    ``direct_xst_norms``."""
 
     def __init__(self, steps, window, cutoff, specs, pad_factor=4):
-        self.window, self.pad_factor, self.specs = window, pad_factor, specs
+        self.window, self.pad_factor = window, pad_factor
 
     def transform(self, samples):
-        return lab.Trajectory(samples, self.window, lab.CutoffProfile(kind="applied"))
+        return samples
 
-    def norms(self, traj, specs=None):
-        return direct_xst_norms(traj, specs or self.specs, self.pad_factor)
+    def norms(self, samples, specs):
+        return direct_xst_norms(samples, self.window, specs, self.pad_factor)

@@ -125,7 +125,7 @@ def test_ratio_scan_calls_its_operator_once_per_sample_group(monkeypatch, scan, 
 
 
 @pytest.mark.parametrize("measure,transforms", [
-    (lambda traj: lab.z_norm(traj, 0.5, 2.0), 1),
+    (lambda traj: lab.xst_norm(traj.windowed(), traj.window, lab.z_specs(0.5, 2.0)), 1),
     (lambda traj: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5,
                                          steps=16), 3 * 6),
 ], ids=["z_norm", "quintic"])
@@ -155,7 +155,7 @@ def test_ratio_scan_builds_each_norm_table_once(monkeypatch, scan, builds):
 def test_norms_command_runs_one_space_time_transform(tmp_path, monkeypatch, flags):
     path = tmp_path / "traj.csv"
     lab.save_trajectory(path, lab.random_trajectory(CUTOFF, np.random.default_rng(3), steps=8))
-    calls = [counting(monkeypatch, module, "space_time_transform")
-             for module in (cli_mod, norms_mod)]
+    transforms = counting(monkeypatch, norms_mod._NormTables, "transform")
+    builds = counting(monkeypatch, norms_mod, "_NormTables")
     assert cli_mod.main(["norms", "--input", str(path), *flags, "--out", str(tmp_path)]) == 0
-    assert sum(map(len, calls)) == 1
+    assert (len(builds), len(transforms)) == (1, 1)

@@ -194,6 +194,23 @@ class TestGaugeAndNormsCommands:
         assert "--b/--z measure a trajectory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,kind,named", [
+        (["norms", "--p", "5"], "field", "norms without --b does not read --p"),
+        (["norms", "--z", "--p", "inf"], "trajectory", "norms without --b does not read --p"),
+        (["gauge", "--time", "0.7"], "trajectory", "gauge of a trajectory does not read --time"),
+    ], ids=["norms-field-p", "norms-z-p", "gauge-trajectory-time"])
+    def test_a_flag_the_input_does_not_read_exits_1(self, tmp_path, capsys, command, kind, named):
+        path = tmp_path / "in.csv"
+        if kind == "field":
+            lab.save_field(path, lab.plane_wave(8, 1))
+        else:
+            lab.save_trajectory(path, free_wave_trajectory(2, cutoff=4, steps=16))
+        out = tmp_path / "fresh"
+        code = main([*command, "--input", str(path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
     def test_norms_with_a_non_finite_exponent_exit_code(self, tmp_path, capsys):
         lab.save_field(tmp_path / "w.csv", lab.plane_wave(8, 1))
         code = main(["norms", "--input", str(tmp_path / "w.csv"), "--s", "nan",
@@ -316,13 +333,27 @@ class TestScanCommands:
         (["solve", "--N", "8", "--amplitude", "inf"], "l2_norm"),
         (["solve", "--N", "8", "--amplitude", "-0.2"], "l2_norm"),
         (["solve", "--N", "8", "--active-band", "-1"], "active_cutoff"),
+        # a flag the run does not read
+        (["counterexample", "--mode", "divergence", "--truncations", "10,100", "--n-list", "2,4",
+          "--amplitude", "2", "--s", "0.3", "--r", "1.5"],
+         "counterexample --mode divergence does not read --n-list, --amplitude, --s, --r"),
+        (["counterexample", "--mode", "translation", "--n-list", "2,4", "--truncations", "10,100",
+          "--log-shift", "1"],
+         "counterexample --mode translation does not read --truncations, --log-shift"),
+        (["solve", "--N", "8", "--plane-wave", "A=1,n=1", "--seed", "3", "--amplitude", "0.2",
+          "--active-band", "4"],
+         "solve --plane-wave does not read --seed, --amplitude, --active-band"),
+        (["solve", "--N", "8", "--datum", "missing.csv", "--amplitude", "0.2"],
+         "solve --datum does not read --amplitude"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan",
             "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative",
             "endpoint-truncation-zero", "endpoint-truncation-one", "divergence-truncation-zero",
             "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",
-            "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative"])
+            "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative",
+            "divergence-translation-flags", "translation-divergence-flags",
+            "plane-wave-random-datum-flags", "datum-amplitude"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -452,9 +483,7 @@ def _complex(re, im):
     return out
 
 
-PROFILES = st.one_of(st.none(), st.builds(lab.CutoffProfile,
-                                          kind=st.sampled_from(["bump", "applied"]),
-                                          scale=POSITIVE))
+PROFILES = st.one_of(st.none(), st.builds(lab.CutoffProfile, scale=POSITIVE))
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -524,6 +553,10 @@ MALFORMED_FILES = {
     "window-infinity": ("trajectory",
                         lambda ls: [ls[0].replace('"window":2.0', '"window":Infinity')] + ls[1:],
                         r":1: bad header.*window must be finite and positive, got inf"),
+    # windowed() returns a matrix, so no trajectory carries an already-applied profile
+    "profile-kind-applied": ("trajectory",
+                             lambda ls: [ls[0].replace('"kind":"bump"', '"kind":"applied"')]
+                             + ls[1:], r":1: bad header.*unknown cutoff kind 'applied'"),
 }
 
 

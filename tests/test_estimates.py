@@ -344,12 +344,12 @@ class TestRatioScans:
         hi, lo = 6, 1
         w_hi = free_wave_trajectory(hi, cutoff=8, window=1.0, steps=64).windowed()
         w_lo = free_wave_trajectory(lo, cutoff=8, window=1.0, steps=64).windowed()
-        spec_s = lab.NormSpec(s=0.2, r=2.0, b=0.45, p=2.0)
-        spec_0 = lab.NormSpec(s=0.0, r=2.0, b=0.45, p=2.0)
-        rhs_hi_in_slot3 = (lab.xst_norm(w_lo, spec_s) * lab.xst_norm(w_lo, spec_s)
-                           * lab.xst_norm(w_hi, spec_0))
-        rhs_hi_in_slot1 = (lab.xst_norm(w_hi, spec_s) * lab.xst_norm(w_lo, spec_s)
-                           * lab.xst_norm(w_lo, spec_0))
+        specs = [lab.NormSpec(s=0.2, r=2.0, b=0.45, p=2.0),
+                 lab.NormSpec(s=0.0, r=2.0, b=0.45, p=2.0)]
+        hi_s, hi_0 = lab.xst_norm(w_hi, 1.0, specs)
+        lo_s, lo_0 = lab.xst_norm(w_lo, 1.0, specs)
+        rhs_hi_in_slot3 = lo_s * lo_s * hi_0
+        rhs_hi_in_slot1 = hi_s * lo_s * lo_0
         assert rhs_hi_in_slot3 < rhs_hi_in_slot1
 
     def test_strichartz_parameter_guards(self):
@@ -371,13 +371,10 @@ class TestRatioScans:
                   for _ in range(5)]
             spec_l = lab.NormSpec(s=0.5, r=2.0, b=-0.4, p=2.0)
             spec_r = lab.NormSpec(s=0.5, r=2.0, b=0.4, p=2.0)
-            prod = lab.Trajectory(
-                lab.physical_product([w.coeffs for w in ws],
-                                     conjugate=[False, True, False, True, False], out_cutoff=4),
-                1.0, ws[0].cutoff_profile,
-            )
-            lhs = lab.xst_norm(prod, spec_l)
-            rhs = 5.0 * lab.xst_norm(ws[0], spec_r) ** 5
+            prod = lab.physical_product(ws, conjugate=[False, True, False, True, False],
+                                        out_cutoff=4)
+            [lhs] = lab.xst_norm(prod, 1.0, [spec_l])
+            rhs = 5.0 * lab.xst_norm(ws[0], 1.0, [spec_r])[0] ** 5
             return lhs / rhs
 
         base = single_frequency_ratio(1, 1.0)

@@ -8,12 +8,20 @@ from hypothesis import strategies as st
 
 import dnlslab as lab
 import dnlslab.estimates as estimates_mod
+import dnlslab.norms as norms_mod
 from dnlslab.fields import (ROOT_TWO_PI, TRAJECTORY_MAX_RATE, TRAJECTORY_MODES, time_grid,
                             x_grid)
 from support import (DirectNormTables, direct_space_time_transform, direct_xst_norms,
                      embedding_scan, free_wave_trajectory)
 
 RNG = np.random.default_rng(1111)
+
+
+def padded_xst_norm(traj: lab.Trajectory, specs: list, pad_factor: int) -> list[float]:
+    """``xst_norm`` of the windowed trajectory at another time-padding factor, through
+    the private norm tables it wraps."""
+    tables = norms_mod._NormTables(traj.steps, traj.window, traj.cutoff, specs, pad_factor)
+    return tables.norms(tables.transform(traj.windowed()), specs)
 
 
 def quadrature_transform(samples, grid, xi):
@@ -109,11 +117,10 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             lab.Trajectory(np.zeros(shape), window)
 
-    @pytest.mark.parametrize("kind", ["bump", "applied"])
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_profile_rejects_scale_that_is_not_finite_and_positive(self, kind, scale):
+    def test_profile_rejects_scale_that_is_not_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="scale"):
-            lab.CutoffProfile(kind=kind, scale=scale)
+            lab.CutoffProfile(scale=scale)
 
     def test_grid_from_shape_and_read_only_copy(self):
         coeffs = np.zeros((5, 9), dtype=complex)
@@ -174,8 +181,8 @@ class TestHNorm:
 class TestSpaceTimeNorms:
     def test_zero_trajectory(self):
         traj = free_wave_trajectory(0, cutoff=2, steps=64, amplitude=0.0)
-        assert lab.xst_norm(traj, lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)) == 0.0
-        assert lab.z_norm(traj, 0.5, 2.0) == 0.0
+        specs = [lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0), *lab.z_specs(0.5, 2.0)]
+        assert lab.xst_norm(traj.windowed(), traj.window, specs) == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("b,p", [(0.5, 2.0), (0.0, math.inf)])
     def test_free_wave_scaling(self, b, p):
@@ -184,7 +191,7 @@ class TestSpaceTimeNorms:
         for n in (0, 4, 16):
             traj = free_wave_trajectory(n, cutoff=max(n, 1), window=2.0, steps=512)
             spec = lab.NormSpec(s=0.5, r=2.0, b=b, p=p)
-            vals.append(lab.xst_norm(traj, spec, pad_factor=8) / lab.bracket(n) ** 0.5)
+            vals.append(padded_xst_norm(traj, [spec], 8)[0] / lab.bracket(n) ** 0.5)
         spread = (max(vals) - min(vals)) / max(vals)
         assert spread < 1e-2
 
@@ -194,23 +201,25 @@ class TestSpaceTimeNorms:
             for n in (0, 4):
                 traj = free_wave_trajectory(n, cutoff=max(n, 1), window=2.0, steps=512)
                 spec = lab.NormSpec(s=0.5, r=2.0, b=0.0, p=math.inf)
-                vals.append(lab.xst_norm(traj, spec, pad_factor=pad) / lab.bracket(n) ** 0.5)
+                vals.append(padded_xst_norm(traj, [spec], pad)[0] / lab.bracket(n) ** 0.5)
             return abs(vals[1] - vals[0]) / max(vals)
 
         assert spread(8) < spread(2) + 1e-12
 
     def test_z_norm_dominates_components(self):
         traj = lab.random_trajectory(8, np.random.default_rng(4), window=1.0, steps=128)
-        z = lab.z_norm(traj, 0.5, 2.0)
-        a = lab.xst_norm(traj, lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0))
-        c = lab.xst_norm(traj, lab.NormSpec(s=0.5, r=2.0, b=0.0, p=math.inf))
+        w = traj.windowed()
+        z = max(lab.xst_norm(w, traj.window, lab.z_specs(0.5, 2.0)))
+        [a] = lab.xst_norm(w, traj.window, [lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)])
+        [c] = lab.xst_norm(w, traj.window, [lab.NormSpec(s=0.5, r=2.0, b=0.0, p=math.inf)])
         assert z + 1e-12 >= a and z + 1e-12 >= c and z <= a + c
 
     def test_free_wave_z_norm_scales(self):
         vals = []
         for n in (1, 4):
             traj = free_wave_trajectory(n, cutoff=n, window=2.0, steps=512)
-            vals.append(lab.z_norm(traj, 0.5, 2.0, pad_factor=8) / lab.bracket(n) ** 0.5)
+            vals.append(max(padded_xst_norm(traj, lab.z_specs(0.5, 2.0), 8))
+                        / lab.bracket(n) ** 0.5)
         assert abs(vals[0] - vals[1]) / max(vals) < 1e-2
 
     def test_sup_dual_exponent(self):
@@ -220,22 +229,23 @@ class TestSpaceTimeNorms:
         from dnlslab.fields import bump
 
         traj = free_wave_trajectory(0, cutoff=1, window=2.0, steps=256)
-        val = lab.xst_norm(traj, lab.NormSpec(s=0.0, r=2.0, b=0.0, p=1.0))
+        [val] = lab.xst_norm(traj.windowed(), traj.window,
+                             [lab.NormSpec(s=0.0, r=2.0, b=0.0, p=1.0)])
         peak = quad(bump, -2, 2)[0]
         assert abs(val - peak) / peak < 1e-3
 
     def test_missing_profile_rejected(self):
         traj = lab.plane_wave_solution(2, 1, 1.0, 0.1, 16)
-        with pytest.raises(ValueError):
-            lab.xst_norm(traj, lab.NormSpec(s=0.0, r=2.0, b=0.5, p=2.0))
+        with pytest.raises(ValueError, match="no cutoff profile"):
+            traj.windowed()
 
-    def test_windowing_is_idempotent(self):
-        traj = lab.random_trajectory(4, np.random.default_rng(6), window=1.0, steps=16)
-        once = traj.windowed()
-        twice = once.windowed()
-        assert once.sup_l2_distance(twice) == 0.0
-        spec = lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)
-        assert abs(lab.xst_norm(traj, spec) - lab.xst_norm(once, spec)) < 1e-12
+    def test_one_call_gives_each_spec_its_single_spec_value(self):
+        traj = lab.random_trajectory(5, np.random.default_rng(6), window=1.0, steps=16)
+        w = traj.windowed()
+        a = lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)
+        b = lab.NormSpec(s=0.2, r=1.6, b=-0.3, p=math.inf)
+        want = [lab.xst_norm(w, traj.window, [spec])[0] for spec in (a, a, b)]
+        assert lab.xst_norm(w, traj.window, [a, a, b]) == want
 
 
 class TestNormTables:
@@ -249,14 +259,18 @@ class TestNormTables:
     @pytest.mark.parametrize("pad_factor", [1, 4])
     def test_every_norm_equals_the_per_call_oracle(self, cutoff, pad_factor):
         traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff), window=1.0, steps=24)
-        tau, F = lab.space_time_transform(traj, pad_factor)
-        want_tau, want_F = direct_space_time_transform(traj, pad_factor)
-        assert np.array_equal(tau, want_tau) and np.array_equal(F, want_F)
-        want = direct_xst_norms(traj, self.SPECS, pad_factor)
-        assert [lab.xst_norm(traj, spec, pad_factor) for spec in self.SPECS] == want
-        assert lab.z_norm(traj, 0.3, 1.5, pad_factor) == max(direct_xst_norms(
-            traj, [lab.NormSpec(s=0.3, r=1.5, b=0.5, p=2.0),
-                   lab.NormSpec(s=0.3, r=1.5, b=0.0, p=math.inf)], pad_factor))
+        w = traj.windowed()
+        tables = norms_mod._NormTables(traj.steps, traj.window, cutoff, self.SPECS, pad_factor)
+        want_tau, want_F = direct_space_time_transform(w, traj.window, pad_factor)
+        assert np.array_equal(tables.tau, want_tau)
+        assert np.array_equal(tables.transform(w), want_F)
+        want = direct_xst_norms(w, traj.window, self.SPECS, pad_factor)
+        assert padded_xst_norm(traj, self.SPECS, pad_factor) == want
+        assert lab.xst_norm(w, traj.window, self.SPECS) == direct_xst_norms(
+            w, traj.window, self.SPECS)
+        assert max(lab.xst_norm(w, traj.window, lab.z_specs(0.3, 1.5))) == max(direct_xst_norms(
+            w, traj.window, [lab.NormSpec(s=0.3, r=1.5, b=0.5, p=2.0),
+                             lab.NormSpec(s=0.3, r=1.5, b=0.0, p=math.inf)]))
 
     @pytest.mark.parametrize("scan", [
         lambda: lab.cubic_ratio_scan(q=1.5, r=1.8, samples=4, cutoff=3, seed=8, steps=16),
@@ -269,22 +283,11 @@ class TestNormTables:
         monkeypatch.setattr(estimates_mod, "_NormTables", DirectNormTables)
         assert values == scan().values
 
-    def test_a_transform_off_the_tables_grid_is_rejected(self):
-        traj = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
-        spec = lab.NormSpec(s=0.5, r=2.0, b=0.5, p=2.0)
-        other = lab.random_trajectory(3, np.random.default_rng(1), window=0.5, steps=16)
-        for transform in (lab.space_time_transform(traj, 2), lab.space_time_transform(other)):
-            with pytest.raises(ValueError, match="not on the grid"):
-                lab.xst_norm(traj, spec, transform=transform)
-
     @pytest.mark.parametrize("pad_factor", [0, -1])
     def test_a_pad_factor_below_one_is_rejected(self, pad_factor):
         traj = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
-        for measure in (lambda: lab.space_time_transform(traj, pad_factor),
-                        lambda: lab.xst_norm(traj, lab.NormSpec(0.5, 2.0, 0.5, 2.0), pad_factor),
-                        lambda: lab.z_norm(traj, 0.5, 2.0, pad_factor)):
-            with pytest.raises(ValueError, match="pad_factor must be >= 1"):
-                measure()
+        with pytest.raises(ValueError, match="pad_factor must be >= 1"):
+            padded_xst_norm(traj, [lab.NormSpec(0.5, 2.0, 0.5, 2.0)], pad_factor)
 
 
 class TestTransformGrid:
@@ -292,28 +295,24 @@ class TestTransformGrid:
 
     @pytest.mark.parametrize("cutoff,window,steps,pad_factor", [(3, 1.0, 24, 4), (5, 0.5, 15, 2)],
                              ids=["window-1-steps-24-pad-4", "window-0.5-steps-15-pad-2"])
-    @pytest.mark.parametrize("applied", [False, True], ids=["bump", "applied"])
-    def test_transform_equals_the_inline_reference(self, cutoff, window, steps, pad_factor,
-                                                   applied):
+    def test_transform_equals_the_inline_reference(self, cutoff, window, steps, pad_factor):
         traj = lab.random_trajectory(cutoff, np.random.default_rng(steps), window, steps)
-        if applied:
-            traj = traj.windowed()
-        data = traj.coeffs * traj.cutoff_profile.weights(traj.times)[:, None]
+        data = traj.coeffs * lab.bump(traj.times / (window / 2.0))[:, None]
+        assert traj.windowed().tobytes() == data.tobytes()
         tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * (steps + 1), d=traj.dt)
         order = np.argsort(tau)
         tau = tau[order]
         spec = np.fft.fft(data, n=len(tau), axis=0)[order]
         want = (traj.dt / ROOT_TWO_PI) * np.exp(-1j * tau * traj.times[0])[:, None] * spec
-        for _ in range(2):  # the second call builds its grid again
-            got_tau, got = lab.space_time_transform(traj, pad_factor)
-            assert got_tau.tobytes() == tau.tobytes() and got.tobytes() == want.tobytes()
+        for _ in range(2):  # the second build makes its grid again
+            tables = norms_mod._NormTables(steps, window, cutoff, [], pad_factor)
+            got = tables.transform(traj.windowed())
+            assert tables.tau.tobytes() == tau.tobytes() and got.tobytes() == want.tobytes()
 
     def test_two_transforms_share_no_state(self):
-        first = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
-        second = lab.random_trajectory(3, np.random.default_rng(2), window=1.0, steps=16)
-        want = np.sort(2.0 * math.pi * np.fft.fftfreq(4 * 17, d=first.dt))
-        lab.space_time_transform(first)[0][:] = 0.0
-        tau = lab.space_time_transform(second)[0]
+        want = np.sort(2.0 * math.pi * np.fft.fftfreq(4 * 17, d=2.0 / 16))
+        norms_mod._NormTables(16, 1.0, 3, []).tau[:] = 0.0
+        tau = norms_mod._NormTables(16, 1.0, 3, []).tau
         assert tau.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cutoff,window,steps", [(0, 2.0, 1), (4, 1.0, 16), (9, 0.3, 33)])
