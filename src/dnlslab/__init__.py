@@ -1,7 +1,6 @@
 """Spectral laboratory for a gauged derivative Schroedinger equation on the torus."""
 
 from .fields import (
-    CutoffProfile,
     Trajectory,
     bracket,
     bump,

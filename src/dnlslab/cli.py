@@ -9,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import CutoffProfile, plane_wave, random_field
+from .fields import plane_wave, random_field
 from .gauge import gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
 from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
@@ -167,6 +166,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    _reject_unread(args, "gauge", {"tag": "report"})  # --output names its one file
     if file_kind(args.input) == "field":
         f = load_field(args.input)
         g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time)
@@ -194,8 +194,6 @@ def cmd_norms(args) -> int:
         result["l2_norm"] = float(np.linalg.norm(f))
     else:
         traj = load_trajectory(args.input)
-        if traj.cutoff_profile is None:
-            traj = replace(traj, cutoff_profile=CutoffProfile(scale=traj.window / 2.0))
         if args.b is None and not args.z:
             raise ValueError("trajectory input needs --b/--p or --z")
         specs = [] if args.b is None else [

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .fields import CutoffProfile, bracket, physical_product, random_trajectory, time_grid
+from .fields import bracket, physical_product, random_trajectory, time_cutoff
 from .nonlinear import cubic_full
 from .norms import NormSpec, _l2_norm, _NormTables
 from .reports import EVIDENCE_CAVEAT, ScanReport
@@ -370,13 +370,11 @@ def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], o
     out_cutoff, dt = len(slots) * cutoff, 2.0 * SCAN_WINDOW / steps
     inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [spec for specs in slots for spec in specs])
     output = None if out_spec is None else _NormTables(steps, SCAN_WINDOW, out_cutoff, [out_spec])
-    # the bump profile random_trajectory attaches, as a column over the time grid
-    times = time_grid(SCAN_WINDOW, steps)
-    profile = CutoffProfile(scale=SCAN_WINDOW / 2.0).weights(times)[:, None]
+    weights = time_cutoff(SCAN_WINDOW, steps)  # the column that windowed() applies
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(samples):
-        ws = [random_trajectory(cutoff, rng, window=SCAN_WINDOW, steps=steps).coeffs * profile
+        ws = [random_trajectory(cutoff, rng, window=SCAN_WINDOW, steps=steps).coeffs * weights
               for _ in slots]
         bound = rhs([inputs.norms(inputs.transform(w), specs) for w, specs in zip(ws, slots)])
         if bound == 0.0:

@@ -169,20 +169,6 @@ def bump(t):
 
 
 @dataclass(frozen=True)
-class CutoffProfile:
-    """Time window bump(t/scale) that windowed() applies before a space-time transform."""
-
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"cutoff scale must be finite and positive, got {self.scale}")
-
-    def weights(self, times: np.ndarray) -> np.ndarray:
-        return bump(np.asarray(times, dtype=float) / self.scale)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A field sampled on the uniform grid t_k = -window + k*dt, k = 0..steps.
 
@@ -192,7 +178,6 @@ class Trajectory:
 
     coeffs: np.ndarray
     window: float
-    cutoff_profile: CutoffProfile | None = None
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=complex)  # a copy: the caller's array stays writable
@@ -231,10 +216,8 @@ class Trajectory:
         return replace(self, coeffs=np.array([fn(row) for row in self.coeffs]))
 
     def windowed(self) -> np.ndarray:
-        """The coefficient matrix with the cutoff profile applied to every sample."""
-        if self.cutoff_profile is None:
-            raise ValueError("trajectory has no cutoff profile to apply")
-        return self.coeffs * self.cutoff_profile.weights(self.times)[:, None]
+        """The coefficient matrix with the time cutoff applied to every sample."""
+        return self.coeffs * time_cutoff(self.window, self.steps)
 
     def sup_l2_distance(self, other: "Trajectory") -> float:
         if self.coeffs.shape != other.coeffs.shape:
@@ -247,6 +230,14 @@ def time_grid(window: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     return -window + (2.0 * window / steps) * np.arange(steps + 1)
+
+
+def time_cutoff(window: float, steps: int) -> np.ndarray:
+    """The time cutoff bump(t/(window/2)) on the grid, as a (steps+1, 1) column.
+
+    It is 1 on the middle half of the window and vanishes at its edges.
+    """
+    return bump(time_grid(window, steps) / (window / 2.0))[:, None]
 
 
 def free_phase(times, cutoff: int) -> np.ndarray:
@@ -296,7 +287,7 @@ def random_field(
 def random_trajectory(
     cutoff: int, rng: np.random.Generator, window: float = 2.0, steps: int = 64
 ) -> Trajectory:
-    """Random space-time field, smooth in t, with the default bump profile."""
+    """Random space-time field, smooth in t, on the grid of the given window and steps."""
     shape = (2 * cutoff + 1, TRAJECTORY_MODES)
     base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
@@ -307,4 +298,4 @@ def random_trajectory(
         total = total + terms[..., mode]
     coeffs = total * bracket(xi_range(cutoff)) ** -1.0
     coeffs = coeffs / math.sqrt(TRAJECTORY_MODES)
-    return Trajectory(coeffs, window, CutoffProfile(scale=window / 2.0))
+    return Trajectory(coeffs, window)

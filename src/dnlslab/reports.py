@@ -8,7 +8,7 @@ import csv
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -34,15 +34,7 @@ class ScanReport:
     caveat: str | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "grid": self.grid,
-            "values": list(self.values),
-            "summary": self.summary,
-            "seed": self.seed,
-            "caveat": self.caveat,
-            "version": __version__,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "version": __version__}
 
 
 def canonical_json(obj: Any) -> str:
@@ -91,7 +83,14 @@ def _cell(v) -> str:
 # field / trajectory files: one-line JSON header followed by a CSV body
 # ---------------------------------------------------------------------------
 
+def _check_finite(path: str | Path, coeffs: np.ndarray) -> None:
+    """The loaders reject a non-finite value, so the writers never produce one."""
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"{path}: refusing to write non-finite coefficients")
+
+
 def save_field(path: str | Path, coeffs: np.ndarray) -> Path:
+    _check_finite(path, coeffs)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     head = canonical_json({"kind": "field", "cutoff": len(coeffs) // 2, "version": __version__})
@@ -125,6 +124,15 @@ def file_kind(path: str | Path):
         return _header(fh.readline(), path).get("kind")
 
 
+def _header_value(header: dict, key: str, types: type | tuple[type, ...]):
+    """header[key], which must be a JSON value of the given types; a bool is not a number."""
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        name = "integer" if types is int else "number"
+        raise TypeError(f"{key} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     """Header and coefficient array of a field or trajectory file.
 
@@ -138,11 +146,11 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     if header.get("kind") != kind:
         raise ValueError(f"{path} is not a {kind} file")
     try:
-        cutoff = int(header["cutoff"])
+        cutoff = _header_value(header, "cutoff", int)
         shape = (2 * cutoff + 1,)
         if kind == "trajectory":
-            shape = (int(header["steps"]) + 1,) + shape
-    except (KeyError, TypeError, ValueError) as exc:
+            shape = (_header_value(header, "steps", int) + 1,) + shape
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}:1: bad grid in header ({exc!r})") from None
     if cutoff < 0 or (kind == "trajectory" and shape[0] < 2):
         raise ValueError(f"{path}:1: header needs cutoff >= 0 and steps >= 1")
@@ -198,17 +206,16 @@ def load_field(path: str | Path) -> np.ndarray:
 
 
 def save_trajectory(path: str | Path, traj) -> Path:
+    _check_finite(path, traj.coeffs)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    profile = None
-    if traj.cutoff_profile is not None:
-        profile = {"kind": "bump", "scale": traj.cutoff_profile.scale}
+    # the time cutoff is fixed by the window, so the header names no profile
     head = {
         "kind": "trajectory",
         "cutoff": traj.cutoff,
         "window": traj.window,
         "steps": traj.steps,
-        "cutoff_profile": profile,
+        "cutoff_profile": None,
         "version": __version__,
     }
     lines = [canonical_json(head), "k,xi,re,im", *_coeff_lines(traj.coeffs)]
@@ -217,14 +224,18 @@ def save_trajectory(path: str | Path, traj) -> Path:
 
 
 def load_trajectory(path: str | Path):
-    from .fields import CutoffProfile, Trajectory
+    """The trajectory in a file.  Its header's cutoff_profile must be null or the
+    bump at half the window, the cutoff that Trajectory.windowed() applies."""
+    from .fields import Trajectory
 
     header, coeffs = _read_coeffs(path, "trajectory")
     try:
-        p = header.get("cutoff_profile")
-        if p and p["kind"] != "bump":
-            raise ValueError(f"unknown cutoff kind {p['kind']!r}")
-        profile = CutoffProfile(scale=p["scale"]) if p else None
-        return Trajectory(coeffs, float(header["window"]), profile)
-    except (KeyError, TypeError, ValueError) as exc:
+        window = float(_header_value(header, "window", (int, float)))
+        profile = header["cutoff_profile"]
+        if profile is not None and (profile != {"kind": "bump", "scale": window / 2.0}
+                                    or isinstance(profile["scale"], bool)):
+            raise ValueError(f"cutoff profile must be null or the bump at half the window, "
+                             f"got {profile!r}")
+        return Trajectory(coeffs, window)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}:1: bad header ({exc!r})") from None

@@ -11,7 +11,7 @@ i*d_t u + d_xx u = G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -68,22 +68,9 @@ class SolveReport:
     cross_check_gap: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "equation": self.equation.value,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "residual_history": list(self.residual_history),
-            "mass_drift": self.mass_drift,
-            "integral_residual": self.integral_residual,
-            "truncated_tail_mass": self.truncated_tail_mass,
-            "gauge_residual": self.gauge_residual,
-            "gauge_tail": self.gauge_tail,
-            "cross_check_gap": self.cross_check_gap,
-            "cutoff": self.trajectory.cutoff,
-            "window": self.trajectory.window,
-            "steps": self.trajectory.steps,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trajectory"}
+        traj = self.trajectory
+        return {**out, "cutoff": traj.cutoff, "window": traj.window, "steps": traj.steps}
 
 
 def forcing_field(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
@@ -145,6 +132,8 @@ def _datum(u0: np.ndarray, cfg: SolveConfig) -> np.ndarray:
     u0 = np.asarray(u0, dtype=complex)
     if u0.ndim != 1 or u0.shape[0] % 2 == 0:
         raise ValueError(f"datum must be one (2*cutoff+1,) coefficient row, got shape {u0.shape}")
+    if not np.isfinite(u0).all():
+        raise ValueError("datum has a non-finite coefficient")
     return resize(u0, cfg.cutoff)
 
 

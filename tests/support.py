@@ -18,13 +18,13 @@ def free_wave_trajectory(
     steps: int = 256,
     amplitude: complex = 1.0,
 ) -> lab.Trajectory:
-    """exp(i*(n*x - n^2*t)) sampled on the grid, with the default bump profile.
+    """exp(i*(n*x - n^2*t)) sampled on the grid.
 
-    The profile scale window/2 makes the windowed samples vanish at the edges.
+    The time cutoff bump(t/(window/2)) makes the windowed samples vanish at the edges.
     """
     phase = lab.free_phase(time_grid(window, steps), cutoff)
     coeffs = amplitude * phase * lab.plane_wave(cutoff, n)
-    return lab.Trajectory(coeffs, window, lab.CutoffProfile(scale=window / 2.0))
+    return lab.Trajectory(coeffs, window)
 
 
 def gauge_roundtrip_error(traj: lab.Trajectory) -> float:

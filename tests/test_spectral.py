@@ -1,4 +1,5 @@
 """Transforms, derivatives, and the weighted norm evaluators."""
+import json
 import math
 
 import numpy as np
@@ -118,9 +119,16 @@ class TestTrajectory:
             lab.Trajectory(np.zeros(shape), window)
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_profile_rejects_scale_that_is_not_finite_and_positive(self, scale):
-        with pytest.raises(ValueError, match="scale"):
-            lab.CutoffProfile(scale=scale)
+    def test_profile_rejects_scale_that_is_not_finite_and_positive(self, tmp_path, scale):
+        # a file's profile can only restate the bump at half the window
+        path = tmp_path / "t.csv"
+        lab.save_trajectory(path, lab.Trajectory(np.zeros((3, 3)), 1.0))
+        head, body = path.read_text().split("\n", 1)
+        profile = json.dumps({"kind": "bump", "scale": scale})
+        path.write_text(head.replace('"cutoff_profile":null', f'"cutoff_profile":{profile}')
+                        + "\n" + body)
+        with pytest.raises(ValueError, match="cutoff profile must be null or the bump"):
+            lab.load_trajectory(path)
 
     def test_grid_from_shape_and_read_only_copy(self):
         coeffs = np.zeros((5, 9), dtype=complex)
@@ -234,10 +242,11 @@ class TestSpaceTimeNorms:
         peak = quad(bump, -2, 2)[0]
         assert abs(val - peak) / peak < 1e-3
 
-    def test_missing_profile_rejected(self):
+    def test_solver_trajectory_is_windowed_by_the_bump_at_half_its_window(self):
         traj = lab.plane_wave_solution(2, 1, 1.0, 0.1, 16)
-        with pytest.raises(ValueError, match="no cutoff profile"):
-            traj.windowed()
+        weights = lab.bump(traj.times / (traj.window / 2.0))
+        assert traj.windowed().tobytes() == (traj.coeffs * weights[:, None]).tobytes()
+        assert weights[0] == weights[-1] == 0.0 and weights[8] == 1.0
 
     def test_one_call_gives_each_spec_its_single_spec_value(self):
         traj = lab.random_trajectory(5, np.random.default_rng(6), window=1.0, steps=16)
@@ -326,7 +335,6 @@ class TestTransformGrid:
         want = want / math.sqrt(TRAJECTORY_MODES)
         traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff + steps), window, steps)
         assert traj.coeffs.tobytes() == want.tobytes()
-        assert traj.cutoff_profile == lab.CutoffProfile(scale=window / 2.0)
 
 
 class TestEmbeddingScan:
