@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import plane_wave, random_field
+from .fields import cutoff_of, mass_mean, plane_wave, random_field
 from .gauge import gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
 from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
@@ -154,10 +155,9 @@ def cmd_solve(args) -> int:
         report = picard_solve(datum, cfg)
     out = _write_report(args, report=report)
     save_trajectory(out / f"{args.tag}.traj.csv", report.trajectory)
-    print(canonical_json({"converged": report.converged,
-                          "iterations": report.iterations,
-                          "residual": report.residual,
-                          "mass_drift": report.mass_drift}))
+    summary = report.to_json_dict()
+    print(canonical_json({k: summary[k] for k in ("converged", "iterations", "residual",
+                                                  "mass_drift")}))
     if not report.converged:
         print("solver did not converge; halving the time horizon usually helps",
               file=sys.stderr)
@@ -169,6 +169,10 @@ def cmd_gauge(args) -> int:
     _reject_unread(args, "gauge", {"tag": "report"})  # --output names its one file
     if file_kind(args.input) == "field":
         f = load_field(args.input)
+        mass = float(mass_mean(f))
+        if math.isfinite(mass) and not math.isfinite(2.0 * args.time * mass * cutoff_of(f)):
+            raise ValueError(f"--time {args.time} makes the translation phase "
+                             "2*t*mean(|u|^2)*N of this field non-finite")
         g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time)
         save = save_field
     else:

@@ -70,18 +70,18 @@ def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
 # space-time transform
 # ---------------------------------------------------------------------------
 
+PAD_FACTOR = 4  # the temporal transform zero-pads the samples to 4 times their count
+
+
 class _NormTables:
     """The transform grid of one time grid and band, and each spec's weights
     <tau + xi^2>**b * <xi>**s, built once for every trajectory on the grid."""
 
-    def __init__(self, steps: int, window: float, cutoff: int, specs: list[NormSpec],
-                 pad_factor: int = 4):
+    def __init__(self, steps: int, window: float, cutoff: int, specs: list[NormSpec]):
         if any(spec.b is None or spec.p is None for spec in specs):
             raise ValueError("space-time norm needs both b and p")
-        if pad_factor < 1:
-            raise ValueError("pad_factor must be >= 1")
         dt, t0 = 2.0 * window / steps, -window  # t_0 = -window starts the grid
-        tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * (steps + 1), d=dt)
+        tau = 2.0 * math.pi * np.fft.fftfreq(PAD_FACTOR * (steps + 1), d=dt)
         self.order = np.argsort(tau)
         self.tau, self.xi = tau[self.order], xi_range(cutoff)
         self.scale = (dt / ROOT_TWO_PI) * np.exp(-1j * self.tau * t0)[:, None]

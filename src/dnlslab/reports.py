@@ -38,8 +38,10 @@ class ScanReport:
 
 
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, repr-stable floats."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce)
+    """Deterministic JSON text: sorted keys, repr-stable floats.  A non-finite
+    float raises a ValueError: JSON has no NaN or Infinity."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce,
+                      allow_nan=False)
 
 
 def _coerce(obj):

@@ -68,9 +68,17 @@ class SolveReport:
     cross_check_gap: float | None = None
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trajectory"}
+        """The fields but the trajectory, a non-finite number as None (JSON null), and its grid."""
+        out = {f.name: _finite_or_none(getattr(self, f.name))
+               for f in fields(self) if f.name != "trajectory"}
         traj = self.trajectory
         return {**out, "cutoff": traj.cutoff, "window": traj.window, "steps": traj.steps}
+
+
+def _finite_or_none(value):
+    if isinstance(value, tuple):
+        return tuple(map(_finite_or_none, value))
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def forcing_field(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
@@ -99,13 +107,14 @@ def forcing_band(equation: Equation, cutoff: int) -> int:
 # Duhamel quadrature
 # ---------------------------------------------------------------------------
 
-def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
+def duhamel(forcing: np.ndarray, phase: np.ndarray, dt: float) -> np.ndarray:
     """integral_0^{t_k} exp(i*(t_k - t')*d_xx) F(t') dt' at every grid time t_k.
 
-    forcing[k] holds the coefficients of F(times[k]); the grid must put t = 0
-    at its middle index.  The integral is accumulated outward from t = 0 on
-    each side, negative times with the signed measure: composite Simpson up to
-    each even offset, and a trapezoid on the last cell for an odd offset.
+    forcing[k] holds the coefficients of F(t_k) and phase[k] the free phase
+    free_phase(t_k, cutoff) of the same grid, whose middle index is t = 0 and
+    whose step is dt.  The integral is accumulated outward from t = 0 on each
+    side, negative times with the signed measure: composite Simpson up to each
+    even offset, and a trapezoid on the last cell for an odd offset.
     Returns an array like forcing.
     """
     m = forcing.shape[0] - 1
@@ -113,7 +122,6 @@ def duhamel(forcing: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
         raise ValueError("forcing grid must have an even step count (t = 0 on grid)")
     mid = m // 2
     # integrating-factor form: phases relative to t = 0
-    phase = free_phase(times, (forcing.shape[1] - 1) // 2)
     up = np.conj(phase) * forcing
     out = np.zeros_like(up)
     for sign, side in ((-1.0, slice(mid, None, -1)), (1.0, slice(mid, None))):
@@ -137,32 +145,21 @@ def _datum(u0: np.ndarray, cfg: SolveConfig) -> np.ndarray:
     return resize(u0, cfg.cutoff)
 
 
-def picard_solve(
-    u0: np.ndarray, cfg: SolveConfig, initial: Trajectory | None = None
-) -> SolveReport:
+def picard_solve(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     """Global-in-time Picard iteration of the integral equation on [-T, T].
 
-    The default first iterate is the free evolution of the datum; a perturbed
-    initial trajectory can be supplied to probe uniqueness of the fixed point.
-    On blow-up the last finite iterate is kept, and iterations and residual
-    describe that iterate; residual_history still lists every residual.
+    The first iterate is the free evolution of the datum.  On blow-up the last
+    finite iterate is kept, and iterations and residual describe that iterate;
+    residual_history still lists every residual.
     """
     u0 = _datum(u0, cfg)
-    times = time_grid(cfg.horizon, cfg.steps)
-    dt = times[1] - times[0]
-    linear = free_phase(times, cfg.cutoff) * u0
-
-    if initial is not None:
-        if initial.steps != cfg.steps or initial.cutoff != cfg.cutoff:
-            raise ValueError("initial iterate must live on the solver grid")
-        current = initial.coeffs
-    else:
-        current = linear
+    phase = free_phase(time_grid(cfg.horizon, cfg.steps), cfg.cutoff)
+    dt = 2.0 * cfg.horizon / cfg.steps  # Trajectory.dt of the solution
+    current = linear = phase * u0
     history: list[float] = []
-    converged = False
-    saved = 0
+    converged, saved = False, 0
     for iterations in range(1, cfg.max_iter + 1):
-        nxt = linear + duhamel(forcing_field(current, cfg.equation), times, dt)
+        nxt = linear + duhamel(forcing_field(current, cfg.equation), phase, dt)
         residual = float(np.max(np.linalg.norm(nxt - current, axis=1)))
         history.append(residual)
         if not np.isfinite(residual) or residual > 1e8:
@@ -173,7 +170,7 @@ def picard_solve(
             break
 
     traj = Trajectory(current, cfg.horizon)
-    in_band_residual, tail = _full_band_diagnostics(traj, cfg.equation)
+    in_band_residual, tail = _full_band_diagnostics(traj, cfg.equation, phase)
     return SolveReport(
         trajectory=traj,
         equation=cfg.equation,
@@ -198,30 +195,23 @@ def _mass_drift(traj: Trajectory, u0: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.norm(traj.coeffs, axis=1) - np.linalg.norm(u0))))
 
 
-def _full_band_diagnostics(traj: Trajectory, equation: Equation) -> tuple[float, float]:
+def _full_band_diagnostics(traj: Trajectory, equation: Equation,
+                           phase: np.ndarray) -> tuple[float, float]:
     """integral_residual and the largest l2 mass the forcing truncation discards,
-    from one evaluation of the untruncated forcing: kept band and tail."""
+    from one evaluation of the untruncated forcing: kept band and tail.  phase
+    is free_phase(traj.times, traj.cutoff)."""
     band = forcing_band(equation, traj.cutoff)
     full = forcing_field(traj.coeffs, equation, out_cutoff=band)
     kept = slice(band - traj.cutoff, band + traj.cutoff + 1)
-    residual = _integral_defect(traj, full[:, kept])
+    integ = duhamel(full[:, kept], phase, traj.dt)
+    defect = traj.coeffs - phase * traj.coeffs[traj.steps // 2] - integ
     full[:, kept] = 0.0
-    return residual, float(np.max(np.linalg.norm(full, axis=1)))
-
-
-def _integral_defect(traj: Trajectory, forcing: np.ndarray) -> float:
-    """sup over grid times of the L^2 defect in the integral equation with this forcing."""
-    if traj.steps % 2 != 0:
-        raise ValueError("trajectory must have an even step count")
-    u0 = traj.coeffs[traj.steps // 2]
-    integ = duhamel(forcing, traj.times, traj.dt)
-    defect = traj.coeffs - free_phase(traj.times, traj.cutoff) * u0 - integ
-    return float(np.max(np.linalg.norm(defect, axis=1)))
+    return float(np.max(np.linalg.norm(defect, axis=1))), float(np.max(np.linalg.norm(full, axis=1)))
 
 
 def integral_residual(traj: Trajectory, equation: Equation) -> float:
     """sup over grid times of the L^2 defect in the integral equation."""
-    return _integral_defect(traj, forcing_field(traj.coeffs, equation))
+    return _full_band_diagnostics(traj, equation, free_phase(traj.times, traj.cutoff))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +275,13 @@ def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     v0 = gauge_field(u0, 0.0)
     gauged_report = picard_solve(v0, replace(cfg, equation=Equation.GAUGED, cross_check=False))
     u_traj = gauge_inv(gauged_report.trajectory)
-    gauge_res = gauge(u_traj).sup_l2_distance(gauged_report.trajectory)
-    return SolveReport(
+    return replace(
+        gauged_report,
         trajectory=u_traj,
         equation=Equation.DNLS,
-        converged=gauged_report.converged,
-        iterations=gauged_report.iterations,
-        residual=gauged_report.residual,
-        residual_history=gauged_report.residual_history,
         mass_drift=_mass_drift(u_traj, u0),
         integral_residual=integral_residual(u_traj, Equation.DNLS),
-        truncated_tail_mass=gauged_report.truncated_tail_mass,
-        gauge_residual=gauge_res,
+        gauge_residual=gauge(u_traj).sup_l2_distance(gauged_report.trajectory),
         gauge_tail=float(np.max(gauge_phase_tail(u_traj.coeffs))),
         cross_check_gap=_cross_check_gap(u_traj, u0, cfg),
     )

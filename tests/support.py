@@ -200,11 +200,11 @@ class DirectNormTables:
     ``transform`` keeps the windowed samples, and their norms come from
     ``direct_xst_norms``."""
 
-    def __init__(self, steps, window, cutoff, specs, pad_factor=4):
-        self.window, self.pad_factor = window, pad_factor
+    def __init__(self, steps, window, cutoff, specs):
+        self.window = window
 
     def transform(self, samples):
         return samples
 
     def norms(self, samples, specs):
-        return direct_xst_norms(samples, self.window, specs, self.pad_factor)
+        return direct_xst_norms(samples, self.window, specs)

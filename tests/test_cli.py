@@ -84,6 +84,27 @@ class TestSolveCommand:
         assert report["iterations"] == 2
         assert report["residual"] == history[1]
 
+    @pytest.mark.parametrize("amplitude,nulls", [
+        ("5000", {"residual"}),
+        ("1e120", {"residual", "integral_residual", "truncated_tail_mass"}),
+    ])
+    def test_a_report_without_a_saved_iterate_is_valid_json(self, tmp_path, capsys,
+                                                             amplitude, nulls):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # at A = 1e120 the cubic forcing overflows on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", "--plane-wave", f"A={amplitude},n=3", "--N", "8", "--T", "1",
+                         "--M", "20", "--max-iter", "3", "--out", str(tmp_path), "--tag", "r"])
+        assert code == 3
+        line = json.loads(capsys.readouterr().out, parse_constant=reject)
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)["report"]
+        assert line["residual"] is None and report["iterations"] == 0
+        assert {k for k, v in report.items() if v is None} == nulls | {
+            "gauge_residual", "gauge_tail", "cross_check_gap"}
+        assert (report["residual_history"] == [None]) == (amplitude == "1e120")
+
     @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
     def test_plane_wave_and_datum_together_exit_code(self, tmp_path, capsys, from_config):
         lab.save_field(tmp_path / "f.csv", lab.plane_wave(8, 1))
@@ -146,16 +167,29 @@ class TestGaugeAndNormsCommands:
         back = lab.load_field(tmp_path / "back.csv")
         assert np.linalg.norm(back - f) <= 1e-8
 
-    @pytest.mark.parametrize("time", ["nan", "1e308"])
+    @pytest.mark.parametrize("time", ["nan", "inf", "1e308"])
     def test_gauge_to_a_non_finite_field_writes_nothing(self, tmp_path, capsys, time):
-        # at t = 1e308 the gauge phase overflows
+        # at t = 1e308 the translation phase overflows
         lab.save_field(tmp_path / "f.csv", lab.random_field(4, np.random.default_rng(3)))
-        with np.errstate(invalid="ignore", over="ignore"):
-            code = main(["gauge", "--input", str(tmp_path / "f.csv"), "--output", "g.csv",
-                         "--time", time, "--out", str(tmp_path)])
+        code = main(["gauge", "--input", str(tmp_path / "f.csv"), "--output", "g.csv",
+                     "--time", time, "--out", str(tmp_path)])
         assert code == 1
-        assert "refusing to write non-finite coefficients" in capsys.readouterr().err
+        assert "--time" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+    def test_gauge_at_a_large_finite_time_succeeds(self, tmp_path):
+        lab.save_field(tmp_path / "f.csv", lab.random_field(4, np.random.default_rng(3)))
+        assert main(["gauge", "--input", str(tmp_path / "f.csv"), "--output", "g.csv",
+                     "--time", "1e20", "--out", str(tmp_path)]) == 0
+        assert np.isfinite(lab.load_field(tmp_path / "g.csv")).all()
+
+    def test_norms_that_overflow_exit_1_and_write_nothing(self, tmp_path, capsys):
+        lab.save_field(tmp_path / "f.csv", lab.plane_wave(4, 1, 1e200))
+        with np.errstate(over="ignore"):  # |coefficient|**2 overflows on purpose
+            code = main(["norms", "--input", str(tmp_path / "f.csv"), "--out", str(tmp_path)])
+        assert code == 1
+        assert "JSON" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_gauge_trajectory_file(self, tmp_path):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.05, 8)

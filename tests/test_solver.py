@@ -26,7 +26,7 @@ def tail_l2(coeffs, cutoff):
 
 def duhamel_at(traj, index):
     """The Duhamel integral of a forcing trajectory at one grid time, as a coefficient row."""
-    return lab.duhamel(traj.coeffs, traj.times, traj.dt)[index]
+    return lab.duhamel(traj.coeffs, lab.free_phase(traj.times, traj.cutoff), traj.dt)[index]
 
 
 class TestFreeEvolution:
@@ -66,8 +66,8 @@ class TestDuhamel:
         forcing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         times = time_grid(0.4, steps)
         dt = times[1] - times[0]
-        got = lab.duhamel(forcing, times, dt)
         phase = lab.free_phase(times, cutoff)
+        got = lab.duhamel(forcing, phase, dt)
         up = np.conj(phase) * forcing
         for k in range(steps + 1):
             # rows ordered outward from t = 0; negative times take the signed measure
@@ -194,12 +194,17 @@ class TestPicard:
         u0 = lab.plane_wave(8, 1, 1.0)
         base = lab.picard_solve(u0, cfg)
         rng = np.random.default_rng(17)
-        noisy = base.trajectory.map_samples(
-            lambda s: s + lab.random_field(8, rng, l2_norm=1e-3)
-        )
-        again = lab.picard_solve(u0, cfg, initial=noisy)
-        assert again.converged
-        assert base.trajectory.sup_l2_distance(again.trajectory) <= 1e-10
+        cur = base.trajectory.coeffs + np.array(
+            [lab.random_field(8, rng, l2_norm=1e-3) for _ in range(cfg.steps + 1)])
+        phase = lab.free_phase(time_grid(cfg.horizon, cfg.steps), 8)
+        linear, dt = phase * u0, 2.0 * cfg.horizon / cfg.steps
+        for _ in range(cfg.max_iter):
+            nxt = linear + lab.duhamel(forcing_field(cur, cfg.equation), phase, dt)
+            step, cur = np.max(np.linalg.norm(nxt - cur, axis=1)), nxt
+            if step <= cfg.tol:
+                break
+        assert step <= cfg.tol
+        assert base.trajectory.sup_l2_distance(Trajectory(cur, cfg.horizon)) <= 1e-10
 
     def test_cross_check_integrator_agrees(self):
         cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=60, tol=1e-12,
@@ -236,6 +241,11 @@ class TestIntegralResidual:
         coeffs[10, 8 + 2] += 1e-3
         corrupted = Trajectory(coeffs, 0.1)
         assert lab.integral_residual(corrupted, lab.Equation.DNLS) >= 1e-4
+
+    def test_odd_step_trajectory_is_rejected(self):
+        traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 41)
+        with pytest.raises(ValueError, match="even step count"):
+            lab.integral_residual(traj, lab.Equation.DNLS)
 
     def test_time_reversal_symmetry(self):
         # conj(u(-t, -x)) solves the same equation; check via the residual
@@ -354,6 +364,27 @@ class TestBatchedForcing:
         assert len(calls) == len(rep.residual_history) + 1
         assert all(shape == (41, 17) for shape in calls)
 
+    def test_one_free_phase_per_solve(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return lab.free_phase(*args)
+
+        monkeypatch.setattr(solver_mod, "free_phase", counting)
+        cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, tol=1e-11)
+        u0 = lab.random_field(8, np.random.default_rng(53), active_cutoff=4, l2_norm=0.3)
+        rep = lab.picard_solve(u0, cfg)
+        assert len(rep.residual_history) == 5
+        assert len(calls) == 1
+
+    def test_via_gauge_residual_matches_a_fresh_evaluation(self):
+        cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, tol=1e-6)
+        u0 = lab.random_field(8, np.random.default_rng(54), active_cutoff=4, l2_norm=0.5)
+        rep = lab.solve_via_gauge(u0, cfg)
+        assert rep.integral_residual > 1e-13
+        assert rep.integral_residual == lab.integral_residual(rep.trajectory, lab.Equation.DNLS)
+
     @pytest.mark.parametrize("equation", [lab.Equation.DNLS, lab.Equation.GAUGED,
                                           lab.Equation.SHIFTED_NLS])
     def test_report_diagnostics_match_fresh_evaluations(self, equation):
@@ -363,7 +394,7 @@ class TestBatchedForcing:
         rep = lab.picard_solve(u0, cfg)
         traj = rep.trajectory
         assert rep.integral_residual > 1e-13
-        assert abs(rep.integral_residual - lab.integral_residual(traj, equation)) <= 1e-16
+        assert rep.integral_residual == lab.integral_residual(traj, equation)
         band = forcing_band(equation, 8)
         tails = tail_l2(forcing_field(traj.coeffs, equation, band), 8)
         assert max(tails) > 0.0

@@ -19,10 +19,9 @@ RNG = np.random.default_rng(1111)
 
 
 def padded_xst_norm(traj: lab.Trajectory, specs: list, pad_factor: int) -> list[float]:
-    """``xst_norm`` of the windowed trajectory at another time-padding factor, through
-    the private norm tables it wraps."""
-    tables = norms_mod._NormTables(traj.steps, traj.window, traj.cutoff, specs, pad_factor)
-    return tables.norms(tables.transform(traj.windowed()), specs)
+    """The X^{s,b}_{r,p} norms of the windowed trajectory at another time-padding factor
+    than the package's fixed one, by the per-call oracle that the norm tables match."""
+    return direct_xst_norms(traj.windowed(), traj.window, specs, pad_factor)
 
 
 def quadrature_transform(samples, grid, xi):
@@ -265,16 +264,15 @@ class TestNormTables:
              lab.NormSpec(s=0.5, r=2.0, b=-0.5, p=math.inf)]
 
     @pytest.mark.parametrize("cutoff", [3, 8])
-    @pytest.mark.parametrize("pad_factor", [1, 4])
-    def test_every_norm_equals_the_per_call_oracle(self, cutoff, pad_factor):
-        traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff), window=1.0, steps=24)
+    @pytest.mark.parametrize("window", [1.0, 4.0], ids=["1", "4"])
+    def test_every_norm_equals_the_per_call_oracle(self, cutoff, window):
+        traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff), window=window,
+                                     steps=24)
         w = traj.windowed()
-        tables = norms_mod._NormTables(traj.steps, traj.window, cutoff, self.SPECS, pad_factor)
-        want_tau, want_F = direct_space_time_transform(w, traj.window, pad_factor)
+        tables = norms_mod._NormTables(traj.steps, traj.window, cutoff, self.SPECS)
+        want_tau, want_F = direct_space_time_transform(w, traj.window)
         assert np.array_equal(tables.tau, want_tau)
         assert np.array_equal(tables.transform(w), want_F)
-        want = direct_xst_norms(w, traj.window, self.SPECS, pad_factor)
-        assert padded_xst_norm(traj, self.SPECS, pad_factor) == want
         assert lab.xst_norm(w, traj.window, self.SPECS) == direct_xst_norms(
             w, traj.window, self.SPECS)
         assert max(lab.xst_norm(w, traj.window, lab.z_specs(0.3, 1.5))) == max(direct_xst_norms(
@@ -292,29 +290,23 @@ class TestNormTables:
         monkeypatch.setattr(estimates_mod, "_NormTables", DirectNormTables)
         assert values == scan().values
 
-    @pytest.mark.parametrize("pad_factor", [0, -1])
-    def test_a_pad_factor_below_one_is_rejected(self, pad_factor):
-        traj = lab.random_trajectory(3, np.random.default_rng(1), window=1.0, steps=16)
-        with pytest.raises(ValueError, match="pad_factor must be >= 1"):
-            padded_xst_norm(traj, [lab.NormSpec(0.5, 2.0, 0.5, 2.0)], pad_factor)
-
 
 class TestTransformGrid:
     """The tables' grid arrays give the per-call transform and draw, bit for bit."""
 
-    @pytest.mark.parametrize("cutoff,window,steps,pad_factor", [(3, 1.0, 24, 4), (5, 0.5, 15, 2)],
-                             ids=["window-1-steps-24-pad-4", "window-0.5-steps-15-pad-2"])
-    def test_transform_equals_the_inline_reference(self, cutoff, window, steps, pad_factor):
+    @pytest.mark.parametrize("cutoff,window,steps", [(3, 1.0, 24), (5, 0.5, 15)],
+                             ids=["window-1-steps-24-pad-4", "window-0.5-steps-15-pad-4"])
+    def test_transform_equals_the_inline_reference(self, cutoff, window, steps):
         traj = lab.random_trajectory(cutoff, np.random.default_rng(steps), window, steps)
         data = traj.coeffs * lab.bump(traj.times / (window / 2.0))[:, None]
         assert traj.windowed().tobytes() == data.tobytes()
-        tau = 2.0 * math.pi * np.fft.fftfreq(pad_factor * (steps + 1), d=traj.dt)
+        tau = 2.0 * math.pi * np.fft.fftfreq(4 * (steps + 1), d=traj.dt)
         order = np.argsort(tau)
         tau = tau[order]
         spec = np.fft.fft(data, n=len(tau), axis=0)[order]
         want = (traj.dt / ROOT_TWO_PI) * np.exp(-1j * tau * traj.times[0])[:, None] * spec
         for _ in range(2):  # the second build makes its grid again
-            tables = norms_mod._NormTables(steps, window, cutoff, [], pad_factor)
+            tables = norms_mod._NormTables(steps, window, cutoff, [])
             got = tables.transform(traj.windowed())
             assert tables.tau.tobytes() == tau.tobytes() and got.tobytes() == want.tobytes()
 
