@@ -48,10 +48,8 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("DNLSLAB_OUT", ".")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the writers make it with their first file."""
+    return Path(args.out or os.environ.get("DNLSLAB_OUT", "."))
 
 
 def _read_config(args, parser) -> dict:

@@ -346,6 +346,9 @@ def divergence_report(
 
 # half-width of the time grid of every ratio-scan trajectory
 SCAN_WINDOW = 1.0
+# samples and cutoff of the cubic scan that endpoint_injection_report compares against
+ENDPOINT_BASELINE_SAMPLES = 50
+ENDPOINT_BASELINE_CUTOFF = 8
 
 
 def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], operator,
@@ -483,10 +486,7 @@ def quintic_ratio_scan(
 
 
 def endpoint_injection_report(
-    truncations: tuple[int, ...] = (10**2, 10**3, 10**4),
-    baseline_samples: int = 50,
-    baseline_cutoff: int = 8,
-    seed: int = 20240,
+    truncations: tuple[int, ...] = (10**2, 10**3, 10**4), seed: int = 20240
 ) -> ScanReport:
     """Endpoint-family ratio lower bounds against a same-parameters baseline.
 
@@ -504,8 +504,8 @@ def endpoint_injection_report(
     fixed = 2.0 ** 0.5 * 2.0 ** 0.5
     family = [pairing / (fixed * f * f) for f, pairing in zip(norms, pairings)]
     base = cubic_ratio_scan(
-        q=1.3334, r=1.3334, samples=baseline_samples, cutoff=baseline_cutoff,
-        seed=seed, steps=48,
+        q=1.3334, r=1.3334, samples=ENDPOINT_BASELINE_SAMPLES,
+        cutoff=ENDPOINT_BASELINE_CUTOFF, seed=seed, steps=48,
     )
     baseline_max = base.summary["max_ratio"]
     summary = {
@@ -517,8 +517,8 @@ def endpoint_injection_report(
     }
     return ScanReport(
         name="endpoint-injection",
-        grid={"truncations": list(truncations), "baseline_samples": baseline_samples,
-              "baseline_cutoff": baseline_cutoff},
+        grid={"truncations": list(truncations), "baseline_samples": ENDPOINT_BASELINE_SAMPLES,
+              "baseline_cutoff": ENDPOINT_BASELINE_CUTOFF},
         values=tuple(family),
         summary=summary,
         seed=seed,

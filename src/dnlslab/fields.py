@@ -116,22 +116,15 @@ def mean_value(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., cutoff_of(coeffs)] / ROOT_TWO_PI
 
 
-def physical_product(
-    factors: Sequence[np.ndarray],
-    conjugate: Sequence[bool] | None = None,
-    out_cutoff: int | None = None,
-) -> np.ndarray:
-    """Pointwise product of the factors, dealiased, on |xi| <= out_cutoff.
+def physical_product(factors: Sequence[np.ndarray], conjugate: Sequence[bool],
+                     out_cutoff: int) -> np.ndarray:
+    """Pointwise product of the factors, each conjugated where conjugate says,
+    dealiased, on |xi| <= out_cutoff.
 
     The factors may have different cutoffs, and their leading axes broadcast.
     The working grid is large enough that the kept band is alias-free.
     """
-    if conjugate is None:
-        conjugate = [False] * len(factors)
-    cutoffs = [cutoff_of(f) for f in factors]
-    band = sum(cutoffs)
-    if out_cutoff is None:
-        out_cutoff = max(cutoffs)
+    band = sum(cutoff_of(f) for f in factors)
     gridsize = product_gridsize(band, out_cutoff)
     values = np.ones(gridsize, dtype=complex)
     for f, cj in zip(factors, conjugate):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
+    TWO_PI,
     cutoff_of,
     derivative,
     mass_mean,
@@ -19,8 +20,6 @@ from .fields import (
     resize,
     to_physical,
 )
-
-TWO_PI = 2.0 * np.pi
 
 # Every operator here takes and returns coefficient arrays (..., 2*cutoff+1):
 # the last axis holds the band, any leading axes are a batch.

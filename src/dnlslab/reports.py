@@ -8,6 +8,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
@@ -39,25 +40,37 @@ class ScanReport:
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, repr-stable floats.  A non-finite
-    float raises a ValueError: JSON has no NaN or Infinity."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce,
-                      allow_nan=False)
+    float raises a ValueError that names its key: JSON has no NaN or Infinity."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce,
+                          allow_nan=False)
+    except ValueError:
+        plain = json.loads(json.dumps(obj, default=_coerce))  # NaN and Infinity let through
+        key = next(k for k, v in _leaves(plain) if isinstance(v, float) and not math.isfinite(v))
+        raise ValueError(f"{key} is not finite, and JSON has no NaN or Infinity") from None
 
 
 def _coerce(obj):
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
-    if hasattr(obj, "item"):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _leaves(obj, key="") -> list[tuple]:
+    """(dotted key path, value) of every scalar in decoded JSON data, in canonical order."""
+    if isinstance(obj, dict):
+        return [leaf for k, v in sorted(obj.items())
+                for leaf in _leaves(v, f"{key}.{k}" if key else k)]
+    if isinstance(obj, list):
+        return [leaf for v in obj for leaf in _leaves(v, key)]
+    return [(key, obj)]
+
+
 def write_json(path: str | Path, obj: Any) -> Path:
+    text = canonical_json(obj)  # first, so a report that cannot be written makes no directory
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(canonical_json(obj) + "\n")
+    path.write_text(text + "\n")
     return path
 
 
@@ -67,18 +80,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[A
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
     return path
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if hasattr(v, "item"):
-        v = v.item()
-        return repr(v) if isinstance(v, float) else str(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------

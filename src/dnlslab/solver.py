@@ -81,9 +81,11 @@ def _finite_or_none(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def forcing_field(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None = None) -> np.ndarray:
-    """Right-hand side F for d_t u = i*d_xx u + F of the selected equation, for
-    one coefficient row or a matrix of rows such as a trajectory's."""
+def forcing_field(coeffs: np.ndarray, equation: Equation | str,
+                  out_cutoff: int | None = None) -> np.ndarray:
+    """Right-hand side F for d_t u = i*d_xx u + F of the equation (an Equation or
+    its name), for one coefficient row or a matrix of rows such as a trajectory's."""
+    equation = Equation(equation)
     if out_cutoff is None:
         out_cutoff = (coeffs.shape[-1] - 1) // 2
     if equation is Equation.FREE:
@@ -92,9 +94,7 @@ def forcing_field(coeffs: np.ndarray, equation: Equation, out_cutoff: int | None
         return dnls_forcing(coeffs, out_cutoff)
     if equation is Equation.GAUGED:
         return -1.0 * cubic_physical(coeffs, out_cutoff) + 0.5j * quintic_physical(coeffs, out_cutoff)
-    if equation is Equation.SHIFTED_NLS:
-        return -1j * mean_shifted_cubic(coeffs, out_cutoff)
-    raise ValueError(f"unknown equation {equation}")
+    return -1j * mean_shifted_cubic(coeffs, out_cutoff)  # Equation.SHIFTED_NLS
 
 
 def forcing_band(equation: Equation, cutoff: int) -> int:

@@ -231,9 +231,7 @@ def test_criterion_11a_evidence_scans():
            "(see notes/decisions ledger)",
 )
 def test_criterion_11b_endpoint_growth_as_stated():
-    report = lab.endpoint_injection_report(truncations=(10**2, 10**3, 10**4),
-                                           baseline_samples=50, baseline_cutoff=8,
-                                           seed=SEED)
+    report = lab.endpoint_injection_report(truncations=(10**2, 10**3, 10**4), seed=SEED)
     family = report.summary["family_ratios"]
     growth = report.summary["family_growth_first_to_last"]
     over_baseline = min(report.summary["family_over_baseline"])

@@ -42,6 +42,13 @@ class TestSolveCommand:
         assert code == 1
         assert "frequency 40 outside cutoff 32" in capsys.readouterr().err
 
+    def test_plane_wave_spec_without_a_frequency_exit_code(self, tmp_path, capsys):
+        # argparse rejects the spec, so the usage line comes before the message
+        code = main(["solve", "--plane-wave", "A=1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "plane wave spec must look like A=1.0,n=1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("amplitude", ["nan", "inf"])
     def test_non_finite_datum_exit_code(self, tmp_path, capsys, amplitude):
         out = tmp_path / "fresh"
@@ -185,11 +192,22 @@ class TestGaugeAndNormsCommands:
 
     def test_norms_that_overflow_exit_1_and_write_nothing(self, tmp_path, capsys):
         lab.save_field(tmp_path / "f.csv", lab.plane_wave(4, 1, 1e200))
-        with np.errstate(over="ignore"):  # |coefficient|**2 overflows on purpose
-            code = main(["norms", "--input", str(tmp_path / "f.csv"), "--out", str(tmp_path)])
+        out = tmp_path / "fresh"
+        with np.errstate(over="ignore", invalid="ignore"):  # |coefficient|**2 overflows on purpose
+            code = main(["norms", "--input", str(tmp_path / "f.csv"), "--out", str(out)])
         assert code == 1
-        assert "JSON" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+        assert "norms.h_norm is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_counterexample_that_overflows_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        with np.errstate(over="ignore", invalid="ignore"):  # the mass of the probe overflows
+            code = main(["counterexample", "--mode", "translation", "--amplitude", "1e200",
+                         "--out", str(out)])
+        assert code == 1
+        # the first non-finite value in the report's key order, a list entry
+        assert "translation.summary.gauge_gap is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gauge_trajectory_file(self, tmp_path):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.05, 8)
@@ -409,6 +427,12 @@ class TestScanCommands:
          "solve --plane-wave does not read --seed, --amplitude, --active-band"),
         (["solve", "--N", "8", "--datum", "missing.csv", "--amplitude", "0.2"],
          "solve --datum does not read --amplitude"),
+        (["solve", "--N", "8", "--M", "41"], "steps must be even"),
+        (["solve", "--N", "8", "--via-gauge", "--equation", "shifted-nls"],
+         "the gauge pipeline solves the raw derivative equation"),
+        (["divisors", "--max", "0"], "limit must be positive"),
+        (["ratio-scan", "--kind", "quintic", "--q", "1.2", "--samples", "2"], "4/3 < q"),
+        (["ratio-scan", "--kind", "quintic", "--b", "0.3", "--samples", "2"], "b > 1/6"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan",
@@ -417,7 +441,8 @@ class TestScanCommands:
             "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",
             "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative",
             "divergence-translation-flags", "translation-divergence-flags",
-            "plane-wave-random-datum-flags", "datum-amplitude"])
+            "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd",
+            "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -585,6 +610,14 @@ def test_field_file_bytes(tmp_path):
         b"xi,re,im\n-2,0.0,0.0\n-1,1.5,-2.0\n0,-0.0,-0.0\n1,0.25,0.0\n2,0.0,1e-300\n")
 
 
+def test_non_finite_field_is_not_written(tmp_path):
+    coeffs = lab.plane_wave(2, 1)
+    coeffs[0] = complex(math.nan, 0.0)
+    with pytest.raises(ValueError, match="refusing to write non-finite coefficients"):
+        lab.save_field(tmp_path / "f.csv", coeffs)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def _replace_line(lineno, text):
     return lambda lines: lines[: lineno - 1] + [text] + lines[lineno:]
 
@@ -634,6 +667,12 @@ MALFORMED_FILES = {
                     r":1: bad grid in header.*steps must be a JSON integer, got 1.9"),
     "steps-bool": ("trajectory", _edit_header('"steps":1', '"steps":true'),
                    r":1: bad grid in header.*steps must be a JSON integer, got True"),
+    "cutoff-negative": ("field", _edit_header('"cutoff":1', '"cutoff":-1'),
+                        r":1: header needs cutoff >= 0 and steps >= 1"),
+    "steps-zero": ("trajectory", _edit_header('"steps":1', '"steps":0'),
+                   r":1: header needs cutoff >= 0 and steps >= 1"),
+    "column-line": ("trajectory", _replace_line(2, "xi,re,im"),
+                    r":2: expected the column line 'k,xi,re,im'"),
     "window-bool": ("trajectory", _edit_header('"window":2.0', '"window":true'),
                     r":1: bad header.*window must be a JSON number, got True"),
     "window-string": ("trajectory", _edit_header('"window":2.0', '"window":"2.0"'),

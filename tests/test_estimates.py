@@ -40,6 +40,10 @@ class TestDivisorCounts:
         for p in (2, 3, 5, 7, 997):
             assert lab.divisor_pair_count(p) == 2
 
+    def test_non_positive_rejected(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            lab.divisor_pair_count(0)
+
     def test_refined_pins(self):
         assert lab.near_diagonal_pair_count(16) == 1
         assert lab.near_diagonal_pair_count(12) == 0
@@ -125,6 +129,10 @@ class TestResonanceSums:
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError):
             lab.resonance_weighted_sum("nope", 0.5, 0.0, 0, 8)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="truncation must be nonnegative"):
+            lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, 0, truncation=-1)
 
 
 def convolution_tail_bound(alpha, beta, a, b, eps=0.1):
@@ -251,11 +259,9 @@ class TestEndpointSums:
         expected = {n: direct_pairing(n) / (fixed * direct_factor_norm(n) * direct_factor_norm(n))
                     for n in (2, 3, 7, 1000)}
         for n, ratio in expected.items():
-            alone = lab.endpoint_injection_report(truncations=(n,), baseline_samples=2,
-                                                  baseline_cutoff=4)
+            alone = lab.endpoint_injection_report(truncations=(n,))
             assert alone.summary["family_ratios"] == [ratio]
-        report = lab.endpoint_injection_report(truncations=(1000, 2, 7, 3), baseline_samples=2,
-                                               baseline_cutoff=4, seed=3)
+        report = lab.endpoint_injection_report(truncations=(1000, 2, 7, 3), seed=3)
         assert report.summary["family_ratios"] == [expected[n] for n in (1000, 2, 7, 3)]
 
     @pytest.mark.parametrize("call", [
@@ -299,8 +305,7 @@ class TestEndpointSums:
     def test_endpoint_ratio_growth_rate(self):
         # the family ratio grows at the cube-root-log rate, about 1.4x per
         # hundredfold truncation increase
-        report = lab.endpoint_injection_report(truncations=(100, 10**4), baseline_samples=2,
-                                               baseline_cutoff=4)
+        report = lab.endpoint_injection_report(truncations=(100, 10**4))
         r100, r10k = report.summary["family_ratios"]
         assert 1.2 < r10k / r100 < 1.6
 
@@ -384,9 +389,7 @@ class TestRatioScans:
         assert abs(scaled / base - expected) / expected < 2e-2
 
     def test_endpoint_injection_report(self):
-        report = lab.endpoint_injection_report(truncations=(100, 1000),
-                                               baseline_samples=6, baseline_cutoff=6,
-                                               seed=11)
+        report = lab.endpoint_injection_report(truncations=(100, 1000), seed=11)
         fam = report.summary["family_ratios"]
         assert fam[0] < fam[1]
         assert report.summary["baseline_max_ratio"] > 0.0

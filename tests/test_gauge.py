@@ -111,6 +111,10 @@ class TestTranslate:
             expected = np.exp(sign * 2j * t * n * A * A)
             assert abs(v[n + 8] / w[n + 8] - expected) < 1e-12
 
+    def test_sign_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+            lab.translate(lab.plane_wave(4, 1), 0.1, 0)
+
     def test_inverse_composition(self):
         rng = np.random.default_rng(3)
         coeffs = np.array([lab.random_field(8, rng, l2_norm=1.0) for _ in range(9)])

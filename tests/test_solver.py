@@ -308,6 +308,13 @@ class TestGaugePipeline:
         back = lab.gauge_inv(gauged_traj)
         assert lab.integral_residual(back, lab.Equation.DNLS) <= 1e-7
 
+    def test_forcing_takes_the_equation_or_its_name(self):
+        u = lab.random_field(4, np.random.default_rng(42), l2_norm=1.0)
+        for equation in lab.Equation:
+            assert np.array_equal(forcing_field(u, equation.value), forcing_field(u, equation))
+        with pytest.raises(ValueError, match="'bogus' is not a valid Equation"):
+            forcing_field(u, "bogus")
+
     def test_forcing_band_accounting(self):
         u = lab.random_field(4, np.random.default_rng(41), l2_norm=1.0)
         full = forcing_field(u, lab.Equation.DNLS, out_cutoff=12)

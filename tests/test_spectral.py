@@ -129,6 +129,15 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="cutoff profile must be null or the bump"):
             lab.load_trajectory(path)
 
+    def test_grid_needs_a_step(self):
+        with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+            time_grid(1.0, 0)
+
+    def test_distance_needs_equal_shapes(self):
+        a, b = lab.Trajectory(np.zeros((3, 3)), 1.0), lab.Trajectory(np.zeros((5, 3)), 1.0)
+        with pytest.raises(ValueError, match="different sample counts or cutoffs"):
+            a.sup_l2_distance(b)
+
     def test_grid_from_shape_and_read_only_copy(self):
         coeffs = np.zeros((5, 9), dtype=complex)
         traj = lab.Trajectory(coeffs, 1.0)
@@ -183,6 +192,12 @@ class TestHNorm:
                     {"s": 0.5, "b": -math.inf}):
             with pytest.raises(ValueError, match="must be finite"):
                 lab.NormSpec(r=2.0, **bad)
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\], got 0.5"):
+            lab.NormSpec(0.0, 2.0, 0.0, 0.5)
+        with pytest.raises(ValueError, match="space-time exponent p not set"):
+            lab.NormSpec(0.0, 2.0).p_dual
+        with pytest.raises(ValueError, match="space-time norm needs both b and p"):
+            lab.xst_norm(np.zeros((9, 5)), 1.0, [lab.NormSpec(0.0, 2.0)])
 
 
 class TestSpaceTimeNorms:
