@@ -170,10 +170,8 @@ def _cubic_kernel(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     return product_coeffs(x * np.conj(x) * x, band, out_cutoff)
 
 
-def dnls_forcing(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
-    """d/dx(|u|^2 u), the integral-equation forcing of the raw equation."""
-    if out_cutoff is None:
-        out_cutoff = cutoff_of(u)
+def dnls_forcing(u: np.ndarray, out_cutoff: int) -> np.ndarray:
+    """d/dx(|u|^2 u) on |xi| <= out_cutoff, the integral-equation forcing of the raw equation."""
     return derivative(_cubic_kernel(u, out_cutoff))
 
 

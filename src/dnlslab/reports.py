@@ -1,12 +1,14 @@
 """Report containers and deterministic JSON/CSV emission.
 
 Reports never embed timestamps so identical inputs give byte-identical files.
+Every float cell of a field or trajectory body is exactly Python's repr text.
+A vectorized encoder writes it a block of coefficients at a time; the bytes are
+those a repr per float gives.
 """
 from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -96,21 +98,218 @@ def _check_finite(path: str | Path, coeffs: np.ndarray) -> None:
 
 def save_field(path: str | Path, coeffs: np.ndarray) -> Path:
     _check_finite(path, coeffs)
+    head = {"kind": "field", "cutoff": len(coeffs) // 2, "version": __version__}
+    return _write_coeffs(path, head, "xi,re,im", coeffs)
+
+
+def _write_coeffs(path: str | Path, head: dict, columns: str, coeffs: np.ndarray) -> Path:
+    text = f"{canonical_json(head)}\n{columns}\n".encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    head = canonical_json({"kind": "field", "cutoff": len(coeffs) // 2, "version": __version__})
-    path.write_text("\n".join([head, "xi,re,im", *_coeff_lines(coeffs)]) + "\n")
+    with path.open("wb") as fh:
+        fh.write(text)
+        for block in _coeff_text(coeffs):
+            fh.write(block)
     return path
 
 
-def _coeff_lines(coeffs: np.ndarray) -> list[str]:
-    """One CSV line per coefficient: its grid index (k for a trajectory, then
-    xi from -cutoff), then the real and imaginary parts as repr floats."""
-    cutoff = coeffs.shape[-1] // 2
-    index = itertools.product(*(map(str, range(n)) for n in coeffs.shape[:-1]),
-                              map(str, range(-cutoff, cutoff + 1)))
-    return [",".join(ix) + f",{c.real!r},{c.imag!r}"
-            for ix, c in zip(index, coeffs.ravel().tolist())]
+# ---------------------------------------------------------------------------
+# CSV body text: every float cell is exactly its repr, made on whole arrays
+# ---------------------------------------------------------------------------
+# repr prints the shortest decimal that reads back as the same double, and the
+# closest one to it when several are that short.  Schubfach (Giulietti 2020)
+# finds those digits with a 64x128-bit product per bound; here it runs on
+# uint64 arrays, the high words built from 32-bit limbs.  A table of byte
+# positions per layout then places sign, digits, point and exponent as repr does.
+
+_U = np.uint64
+_M32 = _U(2**32 - 1)
+_M63 = _U(2**63 - 1)
+_POW10 = np.array([10**j for j in range(18)], dtype=np.uint64)
+_BLOCK = 2048  # coefficients encoded at a time: the uint64 temporaries stay in cache
+_EXP2, _EXP3 = 20, 21  # layout classes of e-notation; 0..19 are fixed, decpt + 3
+
+
+@functools.cache
+def _schubfach_constants() -> np.ndarray:
+    """Four rows with one column per 2*(biased exponent) + irregular, where
+    irregular marks a significand of 2**52, whose gap below is half the gap
+    above: the low and high words of g, h + 1, and k as uint64 bits.  k is the
+    decimal exponent of the digits, g * 4*c*2**h / 2**127 is 4*|x|/10**k, and
+    the bounds of the decimals that read back as x lie g * 2**(h+1) from it,
+    the lower one half as far when irregular.
+
+    g = floor(10**-k * 2**-r) + 1 with 2**125 <= g < 2**126, for k in [-324, 292].
+    """
+    rows = []
+    for index in range(2 * 2047):
+        bq, irregular = divmod(index, 2)
+        q = max(bq, 1) - 1075  # value = c * 2**q
+        k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10((3/4)**irr * 2**q))
+        r = ((-k * 913124641741) >> 38) - 125  # floor(log2(10**-k)) - 125
+        g = (10**-k >> r if r >= 0 else 10**-k << -r) if k <= 0 else (1 << -r) // 10**k
+        g += 1
+        h = q + r + 127
+        rows.append((g & (2**64 - 1), g >> 64, h + 1, k % 2**64))
+    return np.array(rows, dtype=np.uint64).T.copy()
+
+
+def _mul_hi(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray):
+    """High words of the 128-bit products a*b, from their 32-bit limbs."""
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> _U(32)) + (lh & _M32) + (hl & _M32)
+    return a_hi * b_hi + (lh >> _U(32)) + (hl >> _U(32)) + (mid >> _U(32))
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, k): the shortest s * 10**k that reads back as |x|, the closest to |x|
+    among the shortest (ties to even s).  s = 0 for a zero."""
+    mag = x.view(np.uint64) & _M63
+    bq = mag >> _U(52)
+    t = mag & _U(2**52 - 1)
+    irregular = (t == 0) & (bq > 1)
+    g_lo, g_hi, right, k = np.take(_schubfach_constants(), (bq << _U(1)) + irregular, axis=1)
+    c = t | (np.minimum(bq, 1) << _U(52))
+    cp = c << (right + _U(1))  # 4*c*2**h
+    cp_h, cp_l = cp >> _U(32), cp & _M32
+    # p = g * cp in three words, exactly
+    lo_hi = _mul_hi(g_lo >> _U(32), g_lo & _M32, cp_h, cp_l)
+    hi_lo = g_hi * cp
+    p0 = g_lo * cp
+    p1 = hi_lo + lo_hi
+    p2 = _mul_hi(g_hi >> _U(32), g_hi & _M32, cp_h, cp_l) + (p1 < lo_hi)
+
+    def round_to_odd(w1, w2):
+        """floor(w / 2**127), its last bit set when bits 64..126 of w are not
+        all zero.  Bits 0..63 are left out, as in the reference implementation:
+        g is rounded up, and its excess stays in them, so an exact tie reads as one."""
+        return (w2 << _U(1)) | (w1 >> _U(63)) | ((w1 & _M63) != 0)
+
+    def g_shifted(a):  # g * 2**a in three words, 1 <= a <= 5
+        return g_lo << a, (g_hi << a) | (g_lo >> (_U(64) - a)), g_hi >> (_U(64) - a)
+
+    d0, d1, d2 = g_shifted(right - irregular)  # the lower bound, half as far when irregular
+    w0 = p0 - d0
+    borrow = p0 < d0
+    w1 = p1 - d1 - borrow
+    vbl = round_to_odd(w1, p2 - d2 - ((p1 < d1) | ((p1 == d1) & borrow)))
+    vb = round_to_odd(p1, p2)
+    d0, d1, d2 = g_shifted(right)  # the upper bound: p + g * 2**(h+1)
+    w0 = p0 + d0
+    t1 = p1 + d1
+    w1 = t1 + (w0 < d0)
+    vbr = round_to_odd(w1, p2 + d2 + (t1 < d1) + (w1 < t1))
+    odd = c & _U(1)  # an odd c excludes the bounds: they do not read back as x
+    lower = vbl + odd
+    upper = vbr - odd
+    s = vb >> _U(2)
+    s1 = s + _U(1)
+    # one digit shorter: at most one multiple of 10 lies in the bounds.  Tried for
+    # every s >= 10, since repr has no two-digit minimum (8e-323, not 7.9e-323)
+    s10 = s // _U(10) * _U(10)
+    lower_in = lower <= s10 << _U(2)
+    shorter = (s >= _U(10)) & (lower_in != ((s10 << _U(2)) + _U(40) <= upper))
+    # otherwise s or s + 1, whichever is in the bounds, or the closer (ties to even)
+    mid = (s << _U(2)) + _U(2)
+    pick_s = (lower <= s << _U(2)) & (
+        ((s1 << _U(2)) > upper) | (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0)))
+    digits = np.where(shorter, s10 + _U(10) * ~lower_in, s + ~pick_s)
+    digits[mag == 0] = 0
+    return digits, k.view(np.int64)
+
+
+# each float's source row, 32 bytes: digits d1..d16, d0, the constants below,
+# and the exponent text ("e-05", "e+308") at bytes 24..28
+_DOT, _ZERO, _MINUS, _COMMA, _NEWLINE, _PAD = range(17, 23)
+_ROW_CONSTANTS = int.from_bytes(b"\0.0-,\n\0\0", "little")  # byte 16 is d0
+
+
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Byte positions in the source row of each repr cell and its terminator,
+    indexed by ((negative * 22 + class) * 17 + significant digits - 1) * 2 + imag,
+    and the exponent text for each decimal point position decpt in [-323, 309]."""
+    digit = [16, *range(16)]
+    rows = []
+    for negative in (0, 1):
+        for cls in range(22):
+            for nsig in range(1, 18):
+                if cls >= _EXP2:
+                    body = digit[:1] + ([_DOT] + digit[1:nsig] if nsig > 1 else [])
+                    body += range(24, 28 + (cls == _EXP3))
+                elif cls >= 4:  # decpt >= 1: integer digits, point, at least one more
+                    decpt = cls - 3
+                    body = digit[:decpt] + [_DOT] + digit[decpt:max(nsig, decpt + 1)]
+                else:  # decpt <= 0: "0.", -decpt zeros, the digits
+                    body = [_ZERO, _DOT] + [_ZERO] * (3 - cls) + digit[:nsig]
+                for end in (_COMMA, _NEWLINE):
+                    row = [_MINUS] * negative + body + [end]
+                    rows.append(row + [_PAD] * (25 - len(row)))
+    exponents = [int.from_bytes(f"e{decpt - 1:+03d}".encode(), "little")
+                 for decpt in range(-323, 310)]
+    return np.array(rows, dtype=np.intp), np.array(exponents, dtype=np.uint64)
+
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    """repr of each float of x, followed by "," at even and "\\n" at odd indices,
+    as an array of bytes."""
+    n = len(x)
+    digits, k = _shortest(x)
+    zero = digits == 0
+    digits |= zero
+    # 17 digits, d0 first: ndig from the bit length, then shifted to the top
+    bits = (digits.astype(np.float64).view(np.uint64) >> _U(52)).astype(np.int64) - 1022
+    ndig = bits * 1233 >> 12
+    ndig += digits >= _POW10[ndig]
+    digits *= _POW10[17 - ndig]
+    lead = digits // _U(10**16)
+    rest = digits - lead * _U(10**16)
+    # d1..d8 and d9..d16, one digit per byte (SWAR: 4 + 4, 2 + 2, 1 + 1 lanes)
+    words = np.empty((2, n), dtype=np.uint64)
+    np.floor_divide(rest, _U(10**8), out=words[0])
+    np.subtract(rest, words[0] * _U(10**8), out=words[1])
+    high = words // _U(10**4)
+    words = high | ((words - high * _U(10**4)) << _U(32))
+    high = ((words * _U(5243)) >> _U(19)) & _U(0x0000007F0000007F)
+    words = high | ((words - high * _U(100)) << _U(16))
+    high = ((words * _U(103)) >> _U(10)) & _U(0x000F000F000F000F)
+    words = high | ((words - high * _U(10)) << _U(8))
+    # the last nonzero digit: the top nonzero byte, from the float exponent
+    top = (words.astype(np.float64).view(np.uint64) >> _U(52)).astype(np.int64)
+    last = (top - 1023) >> 3
+    nsig = np.where(top[1] > 0, last[1] + 10, np.where(top[0] > 0, last[0] + 2, 1))
+    decpt = k + ndig
+    fixed = (decpt > -4) & (decpt <= 16)
+    cls = np.where(fixed, decpt + 3, _EXP2 + (np.abs(decpt - 1) >= 100))
+    cls[zero] = 4  # "0.0"
+    nsig[zero] = 1
+    positions, exponents = _layouts()
+    source = np.empty((n, 4), dtype=np.uint64)
+    source[:, 0] = words[0] | _U(0x3030303030303030)
+    source[:, 1] = words[1] | _U(0x3030303030303030)
+    source[:, 2] = (lead - zero + _U(48)) | _U(_ROW_CONSTANTS)
+    source[:, 3] = exponents[decpt + 323]
+    negative = (x.view(np.uint64) >> _U(63)).astype(np.intp)
+    index = np.take(positions, (((negative * 22 + cls) * 17 + nsig - 1) << 1) | (np.arange(n) & 1),
+                    axis=0)
+    index += np.arange(0, 32 * n, 32)[:, None]
+    return np.take(source.view(np.uint8).ravel(), index).view("S25").ravel()
+
+
+def _coeff_text(coeffs: np.ndarray):
+    """The CSV body in blocks of bytes: one line per coefficient, its grid index
+    (k for a trajectory, then xi from -cutoff), then the repr of its real and
+    imaginary parts."""
+    *steps, size = coeffs.shape
+    labels = [np.array([f"{i}," for i in range(n)], dtype="S") for n in steps]
+    labels.append(np.array([f"{xi}," for xi in range(-(size // 2), size - size // 2)], dtype="S"))
+    # "k,xi," of every coefficient, in the order of the flat array
+    prefix = functools.reduce(lambda a, b: np.char.add(a[..., None], b), labels).reshape(-1)
+    flat = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        cells = _repr_cells(flat[start:start + _BLOCK].view(np.float64))
+        lines = np.char.add(prefix[start:start + _BLOCK], np.char.add(cells[0::2], cells[1::2]))
+        yield b"".join(lines.tolist())
 
 
 def _header(line: str, path: str | Path) -> dict:
@@ -212,8 +411,6 @@ def load_field(path: str | Path) -> np.ndarray:
 
 def save_trajectory(path: str | Path, traj) -> Path:
     _check_finite(path, traj.coeffs)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # the time cutoff is fixed by the window, so the header names no profile
     head = {
         "kind": "trajectory",
@@ -223,9 +420,7 @@ def save_trajectory(path: str | Path, traj) -> Path:
         "cutoff_profile": None,
         "version": __version__,
     }
-    lines = [canonical_json(head), "k,xi,re,im", *_coeff_lines(traj.coeffs)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_coeffs(path, head, "k,xi,re,im", traj.coeffs)
 
 
 def load_trajectory(path: str | Path):

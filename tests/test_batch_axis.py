@@ -32,7 +32,7 @@ OPERATORS = {
     "quintic_restricted": (
         lambda *us: lab.quintic_restricted(*us, out_cutoff=5 * CUTOFF), 5),
     "mean_shifted_cubic_spectral": (lab.mean_shifted_cubic_spectral, 1),
-    "dnls_forcing": (lab.dnls_forcing, 1),
+    "dnls_forcing": (lambda u: lab.dnls_forcing(u, out_cutoff=CUTOFF), 1),
     "mass_primitive": (lab.mass_primitive, 1),
     "gauge_phase": (lab.gauge_phase, 1),
     "gauge_phase_inv": (lab.gauge_phase_inv, 1),
