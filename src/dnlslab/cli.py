@@ -258,10 +258,14 @@ def cmd_counterexample(args) -> int:
         n_list = [int(n) for n in args.n_list.split(",")]
         if math.isfinite(args.amplitude) and math.isfinite(args.s):  # else the probe rejects them
             for n in (n for n in n_list if n >= 1):
-                wave = args.amplitude * float(n) ** -args.s
-                if not math.isfinite(wave * wave + 1.0 / n):  # 2*pi * mean(|u|^2) of the probe
-                    raise ValueError(f"--amplitude {args.amplitude} makes the mass "
-                                     f"mean(|u|^2) of the probe at n={n} non-finite")
+                try:
+                    wave = args.amplitude * float(n) ** -args.s
+                    mass = wave * wave + 1.0 / n  # 2*pi * mean(|u|^2) of the probe at n
+                except OverflowError:  # float ** raises where * gives inf
+                    mass = math.inf
+                if not math.isfinite(mass):
+                    raise ValueError(f"--amplitude {args.amplitude} with --s {args.s} makes the "
+                                     f"mass mean(|u|^2) of the probe at n={n} non-finite")
         probe = translation_gap_probe(args.amplitude, args.s, args.r, n_list)
         sections["translation"] = probe
         tables["translation"] = (["n", "input_gap", "output_gap", "gauge_gap"], list(zip(

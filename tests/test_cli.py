@@ -205,9 +205,20 @@ class TestGaugeAndNormsCommands:
         code = main(["counterexample", "--mode", "translation", "--amplitude", "1e200",
                      "--out", str(out)])
         assert code == 1
-        assert ("--amplitude 1e+200 makes the mass mean(|u|^2) of the probe at n=4 non-finite"
-                in capsys.readouterr().err)
+        assert ("--amplitude 1e+200 with --s 0.5 makes the mass mean(|u|^2) of the probe at n=4 "
+                "non-finite" in capsys.readouterr().err)
         assert not out.exists()
+
+    # 64.0**100 squares to inf; 256.0**200 raises OverflowError
+    @pytest.mark.parametrize("s,n_list,n", [("-100", "4,16,64,256", 64), ("-200", "256", 256)])
+    def test_counterexample_whose_probe_mass_overflows_by_s_exits_1(self, tmp_path, capsys,
+                                                                    s, n_list, n):
+        code = main(["counterexample", "--mode", "translation", "--s", s, "--n-list", n_list,
+                     "--out", str(tmp_path / "fresh")])
+        assert code == 1
+        assert (f"with --s {float(s)} makes the mass mean(|u|^2) of the probe at n={n} non-finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fresh").exists()
 
     def test_gauge_trajectory_file(self, tmp_path):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.05, 8)
