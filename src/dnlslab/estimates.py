@@ -89,6 +89,10 @@ def near_diagonal_scan(limit: int) -> ScanReport:
 
 SUM_VARIANTS = ("wdiff_xi", "wdiff_xi1", "wabs_xi", "wabs_xi1")
 
+# elements per block of the lattice tables, so each block's temporaries stay in
+# cache; no value depends on it
+BLOCK = 1 << 15
+
 # a later grid point replaces the scan's best sum only when it is larger by
 # more than this relative margin, so exact ties (wdiff_xi at anchor 0 is even
 # in a, say) go to the first point in grid order, not to round-off
@@ -101,8 +105,9 @@ def _resonance_bins(variant: str, eps: float, anchor: int,
     the summed pair weights c(m) of each.
 
     The excluded pairs xi1 = xi or xi2 = xi are exactly those with m = 0.
-    Along a row of the box m is an arithmetic progression with nonzero step
-    (or is 0 throughout), so one fancy-indexed add bins a row without loss.
+    np.add.at bins the box BLOCK elements of whole rows at a time, in
+    row-major order; it is unbuffered and adds in index order, so every bin
+    sums its weights row by row, in the same order at any block size.
     """
     K = truncation
     idx = np.arange(-K, K + 1)
@@ -112,23 +117,32 @@ def _resonance_bins(variant: str, eps: float, anchor: int,
         diff = anchor - idx
         weight = bracket(diff if wdiff else idx) ** (-eps)
         span = (abs(anchor) + K) ** 2
-        rows = ((diff[i], diff, weight[i] * weight) for i in range(2 * K + 1))
+
+        def rows(r: slice) -> tuple[np.ndarray, np.ndarray]:
+            return diff[r, None] * diff, weight[r, None] * weight
     else:
-        # xi1 = anchor, rows xi, columns xi2: xi - xi2 = i - j on row i, column j
+        # xi1 = anchor, rows xi, columns xi2: m = (xi - anchor)*(xi - xi2)
         diff = idx - anchor
         span = (abs(anchor) + K) * 2 * K
         if wdiff:
+            # gaps[g + 2K] is the weight of the gap xi - xi2 = g
             gaps = bracket(np.arange(-2 * K, 2 * K + 1)) ** (-eps)
             first = bracket(diff) ** (-eps)
-            rows = ((diff[i], idx[i] - idx, first[i] * gaps[i:i + 2 * K + 1][::-1])
-                    for i in range(2 * K + 1))
         else:
             weight = bracket(anchor) ** (-eps) * bracket(idx) ** (-eps)
-            rows = ((diff[i], idx[i] - idx, weight) for i in range(2 * K + 1))
+
+        def rows(r: slice) -> tuple[np.ndarray, np.ndarray]:
+            gap = idx[r, None] - idx
+            w = first[r, None] * gaps[gap + 2 * K] if wdiff else weight
+            return diff[r, None] * gap, w
     bins = np.zeros(2 * span + 1)
-    for scale, other, w in rows:
-        if scale:
-            bins[scale * other + span] += w
+    step = max(1, BLOCK // (2 * K + 1))
+    for lo in range(0, 2 * K + 1, step):
+        m, w = rows(slice(lo, lo + step))
+        # flat indices take np.add.at's fast path, and flat values of the same
+        # length avoid its misreading of broadcast values (numpy 2.4); the row
+        # with xi1 = xi has m = 0 throughout, and bin 0 is cleared below
+        np.add.at(bins, (m + span).ravel(), np.broadcast_to(w, m.shape).ravel())
     bins[span] = 0.0
     nz = np.flatnonzero(bins)
     return (nz - span).astype(float), bins[nz]
@@ -228,7 +242,7 @@ def _endpoint_sums(
     truncations, log_shift: float = 0.0,
 ) -> tuple[list[float], list[float], list[float]]:
     """The divergent mass sums, the factor norms and the pairing lower bounds
-    at each truncation, in the order given, from one table pass over
+    at each truncation, in the order given, from two block passes over
     1 <= |xi| <= max(truncations).
 
     The mass sum runs over 1 <= |xi| <= n of
@@ -243,49 +257,66 @@ def _endpoint_sums(
     integral expression from below.  It is empty at n = 1.
 
     Every summand depends on |xi| only, so a truncation's sum is one np.sum
-    over slices of the tables, laid out in the order of the signed
-    frequencies.  The elementwise arithmetic is the per-frequency formula and
-    each np.sum runs over an array of the same length and order, so the sums
-    do not depend on which other truncations share the tables.  Each table is
-    dropped once it is read, which keeps the peak near seven tables.
+    over a slice of a table, laid out in the order of the signed frequencies.
+    The tables are filled BLOCK frequencies at a time into preallocated
+    arrays: first the mass and fourth-power weight tables, which give the
+    sums and norms and are then freed, then one pairing table.  The
+    elementwise arithmetic is the per-frequency formula and each np.sum runs
+    over an array of the same length and order, so the sums do not depend on
+    the block size or on which other truncations share the tables.
     """
     if not truncations or min(truncations) < 1:
         raise ValueError(f"truncations must be >= 1, got {list(truncations)}")
     if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
         raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
-    xi = np.arange(1, max(truncations) + 1, dtype=float)
-    br = bracket(xi)
-    # log(<xi> + log_shift) is positive at every |xi| >= 1, where <xi> >= sqrt(2)
-    log_br = np.log(br + log_shift)
-    mass = 1.0 / (br * log_br ** (2.0 / 3.0))
+    top = max(truncations)
+
+    def tables(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """xi = lo..hi, <xi> and log(<xi> + log_shift), which is positive at
+        every |xi| >= 1, where <xi> >= sqrt(2)."""
+        xi = np.arange(lo, hi + 1, dtype=float)
+        br = bracket(xi)
+        return xi, br, np.log(br + log_shift)
+
+    def weights(br: np.ndarray, log_br: np.ndarray) -> np.ndarray:
+        """The endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3."""
+        return br ** (-0.25) / log_br ** (1.0 / 3.0)
+
+    mass, w4 = np.empty(top), np.empty(top)
+    for lo in range(0, top, BLOCK):
+        block = slice(lo, min(lo + BLOCK, top))
+        _, br, log_br = tables(block.start + 1, block.stop)
+        mass[block] = 1.0 / (br * log_br ** (2.0 / 3.0))
+        w4[block] = weights(br, log_br) ** 4.0
     sums = [float(2.0 * np.sum(mass[:n])) for n in truncations]
-    # the endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3
-    w = br ** (-0.25) / log_br ** (1.0 / 3.0)
-    del mass, log_br
-    w4 = w**4.0
     # l^4 of the weights over both signs, times the L^2 norm of the unit window
     norms = [float((2.0 * np.sum(w4[:n])) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
              for n in truncations]
-    del w4
+    del mass, w4
 
     # xi3 = -1 - xi1 with 1 <= |xi3| <= n leaves |xi3| = |xi1| - 1 for
     # xi1 = -n..-2 ("left", entry k at |xi1| = k + 2) and |xi3| = |xi1| + 1
-    # for xi1 = 1..n-1 ("right", entry k at |xi1| = k + 1)
-    root = br**0.5
-    sigma1_root = bracket(2.0 * xi + 2.0) ** 0.5
-    del br
+    # for xi1 = 1..n-1 ("right", entry k at |xi1| = k + 1).  The table holds
+    # left reversed, then right, so xi1 ascends and truncation n pairs the
+    # slice [half - (n-1), half + (n-1)), which is empty at n = 1.
+    half = top - 1
+    pairing = np.empty(2 * half)
     root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
+    for lo in range(0, half, BLOCK):
+        hi = min(lo + BLOCK, half)
+        # entries lo..hi-1 of left and right read |xi| = lo+1..hi+1
+        xi, br, log_br = tables(lo + 1, hi + 1)
+        w = weights(br, log_br)
+        root = br**0.5
+        sigma1_root = bracket(2.0 * xi + 2.0) ** 0.5
 
-    def summand(j1: slice, j3: slice) -> np.ndarray:
-        denom = root[j1] * root1 * root[j3] * sigma1_root[j1] * root2 * root1
-        return WINDOW_TRIPLE_OVERLAP * w[j1] * w[j3] * xi[j3] / denom
+        def summand(j1: slice, j3: slice) -> np.ndarray:
+            denom = root[j1] * root1 * root[j3] * sigma1_root[j1] * root2 * root1
+            return WINDOW_TRIPLE_OVERLAP * w[j1] * w[j3] * xi[j3] / denom
 
-    left = summand(slice(1, None), slice(None, -1))
-    right = summand(slice(None, -1), slice(1, None))
-    del xi, w, root, sigma1_root
-    # left[:n - 1] is empty at n = 1, where left[n - 2::-1] would be all of it
-    pairings = [float(np.sum(np.concatenate([left[:n - 1][::-1], right[:n - 1]])))
-                for n in truncations]
+        pairing[half - hi:half - lo] = summand(slice(1, None), slice(None, -1))[::-1]
+        pairing[half + lo:half + hi] = summand(slice(None, -1), slice(1, None))
+    pairings = [float(np.sum(pairing[half - (n - 1):half + (n - 1)])) for n in truncations]
     return sums, norms, pairings
 
 

@@ -103,6 +103,11 @@ def save_field(path: str | Path, coeffs: np.ndarray) -> Path:
 
 
 def _write_coeffs(path: str | Path, head: dict, columns: str, coeffs: np.ndarray) -> Path:
+    # the loaders read one index column per axis and 2*cutoff + 1 rows per band
+    if coeffs.ndim != columns.count(",") - 1 or coeffs.shape[-1] % 2 == 0:
+        raise ValueError(f"{path}: refusing to write coefficients of shape {coeffs.shape} "
+                         f"as {columns} rows: they need one axis per index column and a "
+                         f"last axis of odd length 2*cutoff + 1")
     text = f"{canonical_json(head)}\n{columns}\n".encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -627,6 +628,15 @@ def test_non_finite_field_is_not_written(tmp_path):
     with pytest.raises(ValueError, match="refusing to write non-finite coefficients"):
         lab.save_field(tmp_path / "f.csv", coeffs)
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("shape", [(0,), (4,), (3, 5)], ids=["empty", "even", "2d"])
+def test_field_that_the_loader_would_reject_is_not_written(tmp_path, shape):
+    # the loaders read one index column per axis and 2*cutoff + 1 rows per band
+    path = tmp_path / "new" / "f.csv"
+    with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))} as xi,re,im rows"):
+        lab.save_field(path, np.ones(shape, complex))
+    assert not path.parent.exists()
 
 
 def _replace_line(lineno, text):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dnlslab as lab
-from dnlslab.estimates import SUM_VARIANTS
+from dnlslab.estimates import BLOCK, SUM_VARIANTS
 from support import (
     direct_factor_norm,
     direct_mass_sum,
@@ -18,6 +18,39 @@ from support import (
     free_wave_trajectory,
     near_diagonal_sweep,
 )
+
+
+# float.hex of resonance_sum_scan's sup_by_truncation at eps 0.5, a in
+# (-40, 0, 3.5), anchors (-5, 0, 70) and truncations (16, 64), as the per-row
+# binning gave them
+SCAN_BITS = {
+    "wdiff_xi": {"16": "0x1.160c635b3011bp+2", "64": "0x1.35dcc84f6b886p+2"},
+    "wdiff_xi1": {"16": "0x1.1522c22174f44p+2", "64": "0x1.35d145bde7e5bp+2"},
+    "wabs_xi": {"16": "0x1.1e47e603c566ap+2", "64": "0x1.440c97dc152eap+2"},
+    "wabs_xi1": {"16": "0x1.e86ee68fcabd7p+2", "64": "0x1.3a8278bf21674p+3"},
+}
+
+# float.hex of divergence_report()'s sums, as the whole-array tables gave them
+DIVERGENCE_BITS = {
+    "divergent_sums": [
+        "0x1.2c69afcae4a21p+3",
+        "0x1.5134b49b3932bp+3",
+        "0x1.704849bb46a31p+3",
+        "0x1.8b7285b4e2e78p+3",
+    ],
+    "factor_norms": [
+        "0x1.41142738f6d44p+1",
+        "0x1.4363a92e81685p+1",
+        "0x1.4501725d774fep+1",
+        "0x1.4639513db6218p+1",
+    ],
+    "pairing_lower_bounds": [
+        "0x1.89ab98ccafffbp+3",
+        "0x1.cb48e72870876p+3",
+        "0x1.015a1602880bbp+4",
+        "0x1.1992db0c27a52p+4",
+    ],
+}
 
 
 def naive_divisor_pairs(r):
@@ -125,6 +158,13 @@ class TestResonanceSums:
                 assert abs(value - want) <= 1e-12 * want
             scalar = lab.resonance_weighted_sum(variant, 0.5, a_values[1], anchor, truncation)
             assert isinstance(scalar, float) and scalar == got[1]
+
+    @pytest.mark.parametrize("variant", SUM_VARIANTS)
+    def test_scan_keeps_its_bits(self, variant):
+        # anchors on both sides of 0 and one beyond both truncations
+        report = lab.resonance_sum_scan(variant, 0.5, [-40.0, 0.0, 3.5], [-5, 0, 70], [16, 64])
+        got = {k: v.hex() for k, v in report.summary["sup_by_truncation"].items()}
+        assert got == SCAN_BITS[variant]
 
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -237,8 +277,9 @@ class TestEndpointSums:
 
     @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
     def test_one_table_pass_equals_the_per_truncation_sums(self, log_shift):
-        # unsorted, with a duplicate; 1 and 2 give an empty and a two-term pairing
-        truncations = (12345, 3, 1, 1000, 7, 3, 2)
+        # unsorted, with a duplicate; 1 and 2 give an empty and a two-term pairing,
+        # and the last four end on either side of a table block's edge
+        truncations = (12345, 3, 1, 1000, 7, 3, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
         summary = lab.divergence_report(truncations, log_shift=log_shift).summary
         ordered = sorted(truncations)
         assert summary["truncations"] == ordered
@@ -246,7 +287,7 @@ class TestEndpointSums:
         assert summary["factor_norms"] == [direct_factor_norm(n, log_shift) for n in ordered]
         assert summary["pairing_lower_bounds"] == [direct_pairing(n, log_shift) for n in ordered]
         # each truncation alone gives the same sums as when it shares the tables
-        for n in (1, 2, 3, 7, 1000, 12345):
+        for n in (1, 2, 3, 7, 1000, 12345, BLOCK, 2 * BLOCK + 3):
             alone = lab.divergence_report((n,), log_shift=log_shift).summary
             assert alone["divergent_sums"] == [direct_mass_sum(n, log_shift)]
             assert alone["factor_norms"] == [direct_factor_norm(n, log_shift)]
@@ -301,6 +342,22 @@ class TestEndpointSums:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
+
+    def test_default_report_builds_its_tables_in_blocks(self):
+        # the mass and weight tables, then the pairing table, each about 16 MB
+        # at 1e6; the whole-array tables of one pass peaked at 53.4 MiB
+        tracemalloc.start()
+        try:
+            lab.divergence_report()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
+    def test_default_report_keeps_its_bits(self):
+        summary = lab.divergence_report().summary
+        got = {key: [x.hex() for x in summary[key]] for key in DIVERGENCE_BITS}
+        assert got == DIVERGENCE_BITS
 
     def test_endpoint_ratio_growth_rate(self):
         # the family ratio grows at the cube-root-log rate, about 1.4x per
