@@ -21,8 +21,8 @@ from support import (
 
 
 # float.hex of resonance_sum_scan's sup_by_truncation at eps 0.5, a in
-# (-40, 0, 3.5), anchors (-5, 0, 70) and truncations (16, 64), as the per-row
-# binning gave them
+# (-40, 0, 3.5), anchors (-5, 0, 70) and truncations (16, 64): they pin the
+# order in which each bin adds its weights, row by row
 SCAN_BITS = {
     "wdiff_xi": {"16": "0x1.160c635b3011bp+2", "64": "0x1.35dcc84f6b886p+2"},
     "wdiff_xi1": {"16": "0x1.1522c22174f44p+2", "64": "0x1.35d145bde7e5bp+2"},
@@ -30,7 +30,8 @@ SCAN_BITS = {
     "wabs_xi1": {"16": "0x1.e86ee68fcabd7p+2", "64": "0x1.3a8278bf21674p+3"},
 }
 
-# float.hex of divergence_report()'s sums, as the whole-array tables gave them
+# float.hex of divergence_report()'s sums: they pin the order of each table
+# sum's additions
 DIVERGENCE_BITS = {
     "divergent_sums": [
         "0x1.2c69afcae4a21p+3",
