@@ -55,7 +55,8 @@ def mass_primitive(u: np.ndarray) -> np.ndarray:
 def _phase_product(u: np.ndarray, sign: float) -> np.ndarray:
     """exp(sign * i * primitive(u)) * u on the gauge grid of its band."""
     gridsize = gauge_gridsize(cutoff_of(u))
-    phase = np.exp(sign * 1j * to_physical(mass_primitive(u), gridsize))
+    # the primitive of a real function is real: its samples' imaginary part is round-off
+    phase = np.exp(sign * 1j * to_physical(mass_primitive(u), gridsize).real)
     return phase * to_physical(u, gridsize)
 
 

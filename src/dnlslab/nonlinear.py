@@ -66,7 +66,7 @@ def cubic_restricted(
     u1: np.ndarray,
     u2: np.ndarray,
     u3: np.ndarray,
-    out_cutoff: int | None = None,
+    out_cutoff: int,
 ) -> np.ndarray:
     """Derivative-weighted triple convolution with xi1 != xi and xi2 != xi.
 
@@ -81,12 +81,10 @@ def cubic_diagonal(
     u1: np.ndarray,
     u2: np.ndarray,
     u3: np.ndarray,
-    out_cutoff: int | None = None,
+    out_cutoff: int,
 ) -> np.ndarray:
     """Diagonal complement: out(xi) = (2*pi)**-1 * c1(xi)*c2(xi)*i*xi*conj(u3)^(-xi)."""
-    n = _shared_cutoff(u1, u2, u3)
-    if out_cutoff is None:
-        out_cutoff = n
+    _shared_cutoff(u1, u2, u3)
     return resize(derivative(u1 * u2) * np.conj(u3) / TWO_PI, out_cutoff)
 
 
@@ -94,7 +92,7 @@ def cubic_full(
     u1: np.ndarray,
     u2: np.ndarray,
     u3: np.ndarray,
-    out_cutoff: int | None = None,
+    out_cutoff: int,
 ) -> np.ndarray:
     return cubic_restricted(u1, u2, u3, out_cutoff) + cubic_diagonal(u1, u2, u3, out_cutoff)
 
@@ -103,13 +101,11 @@ def product_restricted(
     u1: np.ndarray,
     u2: np.ndarray,
     u3: np.ndarray,
-    out_cutoff: int | None = None,
+    out_cutoff: int,
 ) -> np.ndarray:
     """Triple convolution of u1*u2*conj(u3) with xi1 != xi and xi2 != xi,
     without the derivative weight."""
     n = _shared_cutoff(u1, u2, u3)
-    if out_cutoff is None:
-        out_cutoff = n
     w = _conj(u3)
     out = _conv(_conv(u1, u2), w)  # band 3n
     diagonal = slice(2 * n, 4 * n + 1)
@@ -118,10 +114,8 @@ def product_restricted(
     return resize(out / TWO_PI, out_cutoff)
 
 
-def mean_shifted_cubic_spectral(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+def mean_shifted_cubic_spectral(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """Convolution form: restricted triple product minus the double-diagonal term."""
-    if out_cutoff is None:
-        out_cutoff = cutoff_of(u)
     diag = u * u * np.conj(u) / TWO_PI
     return product_restricted(u, u, u, out_cutoff) - resize(diag, out_cutoff)
 
@@ -136,15 +130,13 @@ def quintic_restricted(
     u3: np.ndarray,
     u4: np.ndarray,
     u5: np.ndarray,
-    out_cutoff: int | None = None,
+    out_cutoff: int,
 ) -> np.ndarray:
     """Five-fold convolution of u1*conj(u2)*u3*conj(u4)*u5 with the resonant
     slices xi1+xi2+xi3+xi4 = 0, xi1+xi2 = 0 and xi3+xi4 = 0 removed,
     assembled by inclusion-exclusion.
     """
     n = _shared_cutoff(u1, u2, u3, u4, u5)
-    if out_cutoff is None:
-        out_cutoff = n
     a2, a4 = _conj(u2), _conj(u4)
     conv12 = _conv(u1, a2)
     conv34 = _conv(u3, a4)
@@ -175,18 +167,14 @@ def dnls_forcing(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     return derivative(_cubic_kernel(u, out_cutoff))
 
 
-def mean_shifted_cubic(u: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+def mean_shifted_cubic(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """(|u|^2 - 2*mean|u|^2) * u, evaluated in physical space."""
-    if out_cutoff is None:
-        out_cutoff = cutoff_of(u)
     return _cubic_kernel(u, out_cutoff) - (2.0 * mass_mean(u)[..., None]) * resize(u, out_cutoff)
 
 
-def cubic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+def cubic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
     """v^2 * d/dx conj(v) minus 2i * mean(Im(v * d/dx conj(v))) * v, dealiased."""
     n = cutoff_of(v)
-    if out_cutoff is None:
-        out_cutoff = n
     gridsize = product_gridsize(3 * n, out_cutoff)
     x = to_physical(v, gridsize)
     pair = x * to_physical(derivative(_conj(v)), gridsize)
@@ -194,11 +182,9 @@ def cubic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
     return product_coeffs(pair * x, 3 * n, out_cutoff) - (2j * mean_im) * resize(v, out_cutoff)
 
 
-def quintic_physical(v: np.ndarray, out_cutoff: int | None = None) -> np.ndarray:
+def quintic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
     """(|v|^4 - mean|v|^4) v - 2*mean|v|^2 * (|v|^2 - mean|v|^2) v, dealiased."""
     n = cutoff_of(v)
-    if out_cutoff is None:
-        out_cutoff = n
     m2 = mass_mean(v)[..., None]
     x = to_physical(v, product_gridsize(5 * n, out_cutoff))
     sq = x.real**2 + x.imag**2

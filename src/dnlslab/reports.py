@@ -90,19 +90,15 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence[A
 # field / trajectory files: one-line JSON header followed by a CSV body
 # ---------------------------------------------------------------------------
 
-def _check_finite(path: str | Path, coeffs: np.ndarray) -> None:
-    """The loaders reject a non-finite value, so the writers never produce one."""
-    if not np.isfinite(coeffs).all():
-        raise ValueError(f"{path}: refusing to write non-finite coefficients")
-
-
 def save_field(path: str | Path, coeffs: np.ndarray) -> Path:
-    _check_finite(path, coeffs)
     head = {"kind": "field", "cutoff": len(coeffs) // 2, "version": __version__}
     return _write_coeffs(path, head, "xi,re,im", coeffs)
 
 
 def _write_coeffs(path: str | Path, head: dict, columns: str, coeffs: np.ndarray) -> Path:
+    # the loaders reject a non-finite value, so the writers never produce one
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"{path}: refusing to write non-finite coefficients")
     # the loaders read one index column per axis and 2*cutoff + 1 rows per band
     if coeffs.ndim != columns.count(",") - 1 or coeffs.shape[-1] % 2 == 0:
         raise ValueError(f"{path}: refusing to write coefficients of shape {coeffs.shape} "
@@ -415,7 +411,6 @@ def load_field(path: str | Path) -> np.ndarray:
 
 
 def save_trajectory(path: str | Path, traj) -> Path:
-    _check_finite(path, traj.coeffs)
     # the time cutoff is fixed by the window, so the header names no profile
     head = {
         "kind": "trajectory",

@@ -81,13 +81,10 @@ def _finite_or_none(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def forcing_field(coeffs: np.ndarray, equation: Equation | str,
-                  out_cutoff: int | None = None) -> np.ndarray:
+def forcing_field(coeffs: np.ndarray, equation: Equation | str, out_cutoff: int) -> np.ndarray:
     """Right-hand side F for d_t u = i*d_xx u + F of the equation (an Equation or
     its name), for one coefficient row or a matrix of rows such as a trajectory's."""
     equation = Equation(equation)
-    if out_cutoff is None:
-        out_cutoff = (coeffs.shape[-1] - 1) // 2
     if equation is Equation.FREE:
         return np.zeros(coeffs.shape[:-1] + (2 * out_cutoff + 1,), dtype=complex)
     if equation is Equation.DNLS:
@@ -159,7 +156,7 @@ def picard_solve(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     history: list[float] = []
     converged, saved = False, 0
     for iterations in range(1, cfg.max_iter + 1):
-        nxt = linear + duhamel(forcing_field(current, cfg.equation), phase, dt)
+        nxt = linear + duhamel(forcing_field(current, cfg.equation, cfg.cutoff), phase, dt)
         residual = float(np.max(np.linalg.norm(nxt - current, axis=1)))
         history.append(residual)
         if not np.isfinite(residual) or residual > 1e8:
@@ -233,7 +230,7 @@ def rk4_solve(u0: np.ndarray, cfg: SolveConfig) -> Trajectory:
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
         phase = free_phase(t, cfg.cutoff)
-        return np.conj(phase) * forcing_field(phase * w, cfg.equation)
+        return np.conj(phase) * forcing_field(phase * w, cfg.equation, cfg.cutoff)
 
     rows = np.empty((cfg.steps + 1, 2 * cfg.cutoff + 1), dtype=complex)
     rows[mid] = u0

@@ -75,12 +75,13 @@ def run_battery() -> list[dict]:
     checks.append(_check("gauge phase round trip", err <= 1e-8, err))
 
     # operator identities on a random field
-    v = random_field(8, rng, l2_norm=0.8)
-    err = float(np.linalg.norm(cubic_full(v, v, v) - cubic_physical(v)))
+    n = 8
+    v = random_field(n, rng, l2_norm=0.8)
+    err = float(np.linalg.norm(cubic_full(v, v, v, n) - cubic_physical(v, n)))
     checks.append(_check("cubic identity", err <= 1e-10, err))
-    err = float(np.linalg.norm(quintic_restricted(v, v, v, v, v) - quintic_physical(v)))
+    err = float(np.linalg.norm(quintic_restricted(v, v, v, v, v, n) - quintic_physical(v, n)))
     checks.append(_check("quintic identity", err <= 1e-10, err))
-    err = float(np.linalg.norm(mean_shifted_cubic(v) - mean_shifted_cubic_spectral(v)))
+    err = float(np.linalg.norm(mean_shifted_cubic(v, n) - mean_shifted_cubic_spectral(v, n)))
     checks.append(_check("mean-shifted cubic identity", err <= 1e-12, err))
 
     # resonance identity on random tuples

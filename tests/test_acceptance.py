@@ -98,19 +98,19 @@ def test_criterion_4_operator_identities():
         v = lab.random_field(16, rng, l2_norm=1.0)
         worst_cubic = max(
             worst_cubic,
-            np.linalg.norm(lab.cubic_full(v, v, v) - lab.cubic_physical(v)),
+            np.linalg.norm(lab.cubic_full(v, v, v, 16) - lab.cubic_physical(v, 16)),
         )
         worst_quintic = max(
             worst_quintic,
-            np.linalg.norm(lab.quintic_restricted(v, v, v, v, v) - lab.quintic_physical(v)),
+            np.linalg.norm(lab.quintic_restricted(v, v, v, v, v, 16) - lab.quintic_physical(v, 16)),
         )
     # brute-force masked-sum oracles at cutoff 8
     from test_nonlinear import oracle_cubic, oracle_quintic
 
     u1, u2, u3 = (lab.random_field(8, rng, l2_norm=1.0) for _ in range(3))
-    cubic_gap = np.linalg.norm(lab.cubic_restricted(u1, u2, u3) - oracle_cubic(u1, u2, u3))
+    cubic_gap = np.linalg.norm(lab.cubic_restricted(u1, u2, u3, 8) - oracle_cubic(u1, u2, u3))
     us = [lab.random_field(8, rng, l2_norm=1.0) for _ in range(5)]
-    quintic_gap = np.linalg.norm(lab.quintic_restricted(*us) - oracle_quintic(us))
+    quintic_gap = np.linalg.norm(lab.quintic_restricted(*us, 8) - oracle_quintic(us))
     ok = (worst_cubic <= 1e-10 and worst_quintic <= 1e-10
           and cubic_gap <= 1e-12 and quintic_gap <= 1e-12)
     report_line(4, ok, f"identities {worst_cubic:.1e}/{worst_quintic:.1e}, "

@@ -25,13 +25,14 @@ OPERATORS = {
     "mean_value": (lab.mean_value, 1),
     "physical_product": (
         lambda a, b, c: lab.physical_product([a, b, c], [False, False, True], out_cutoff=10), 3),
-    "product_restricted": (lab.product_restricted, 3),
+    "product_restricted": (lambda a, b, c: lab.product_restricted(a, b, c, out_cutoff=CUTOFF), 3),
     "cubic_restricted": (lambda a, b, c: lab.cubic_restricted(a, b, c, out_cutoff=3 * CUTOFF), 3),
-    "cubic_diagonal": (lab.cubic_diagonal, 3),
+    "cubic_diagonal": (lambda a, b, c: lab.cubic_diagonal(a, b, c, out_cutoff=CUTOFF), 3),
     "cubic_full": (lambda a, b, c: lab.cubic_full(a, b, c, out_cutoff=3 * CUTOFF), 3),
     "quintic_restricted": (
         lambda *us: lab.quintic_restricted(*us, out_cutoff=5 * CUTOFF), 5),
-    "mean_shifted_cubic_spectral": (lab.mean_shifted_cubic_spectral, 1),
+    "mean_shifted_cubic_spectral": (
+        lambda u: lab.mean_shifted_cubic_spectral(u, out_cutoff=CUTOFF), 1),
     "dnls_forcing": (lambda u: lab.dnls_forcing(u, out_cutoff=CUTOFF), 1),
     "mass_primitive": (lab.mass_primitive, 1),
     "gauge_phase": (lab.gauge_phase, 1),

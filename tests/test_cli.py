@@ -210,6 +210,15 @@ class TestGaugeAndNormsCommands:
                 "non-finite" in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_counterexample_at_a_large_amplitude_keeps_the_gauge_gap_finite(self, tmp_path):
+        # the mass primitive's samples carry round-off that grows with the mass: an
+        # imaginary part of it in the phase would scale the twist off the unit circle
+        code = main(["counterexample", "--mode", "translation", "--amplitude", "1e10",
+                     "--out", str(tmp_path), "--tag", "big"])
+        assert code == 0
+        gaps = read_json(tmp_path / "big.json")["translation"]["summary"]["gauge_gap"]
+        assert len(gaps) == 4 and all(math.isfinite(gap) for gap in gaps)
+
     # 64.0**100 squares to inf; 256.0**200 raises OverflowError
     @pytest.mark.parametrize("s,n_list,n", [("-100", "4,16,64,256", 64), ("-200", "256", 256)])
     def test_counterexample_whose_probe_mass_overflows_by_s_exits_1(self, tmp_path, capsys,

@@ -100,17 +100,17 @@ def gap(a, b):
 class TestCubicRestricted:
     def test_single_mode_excluded(self):
         w = lab.plane_wave(4, 1)
-        assert np.linalg.norm(lab.cubic_restricted(w, w, w)) == 0.0
+        assert np.linalg.norm(lab.cubic_restricted(w, w, w, 4)) == 0.0
 
     def test_multilinear_zero(self):
         u1, u2 = fields(1, 4, 2)
         zero = np.zeros(9, dtype=complex)
-        assert np.linalg.norm(lab.cubic_restricted(u1, u2, zero)) == 0.0
-        assert np.linalg.norm(lab.cubic_restricted(zero, u1, u2)) == 0.0
+        assert np.linalg.norm(lab.cubic_restricted(u1, u2, zero, 4)) == 0.0
+        assert np.linalg.norm(lab.cubic_restricted(zero, u1, u2, 4)) == 0.0
 
     def test_matches_bruteforce(self):
         u1, u2, u3 = fields(2, 4, 3)
-        got = lab.cubic_restricted(u1, u2, u3)
+        got = lab.cubic_restricted(u1, u2, u3, 4)
         want = oracle_cubic(u1, u2, u3)
         assert gap(got, want) < 1e-12
 
@@ -122,60 +122,60 @@ class TestCubicRestricted:
 
     def test_cutoff_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            lab.cubic_restricted(np.zeros(9), np.zeros(11), np.zeros(9))
+            lab.cubic_restricted(np.zeros(9), np.zeros(11), np.zeros(9), 4)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_additivity_first_slot(self, seed):
         rng = np.random.default_rng(seed)
         a, b, u2, u3 = (lab.random_field(3, rng) for _ in range(4))
-        lhs = lab.cubic_restricted(a + b, u2, u3)
-        rhs = lab.cubic_restricted(a, u2, u3) + lab.cubic_restricted(b, u2, u3)
+        lhs = lab.cubic_restricted(a + b, u2, u3, 3)
+        rhs = lab.cubic_restricted(a, u2, u3, 3) + lab.cubic_restricted(b, u2, u3, 3)
         assert gap(lhs, rhs) < 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
 class TestCubicDiagonal:
     def test_single_mode_pin(self):
         w = lab.plane_wave(4, 1)
-        out = lab.cubic_diagonal(w, w, w)
+        out = lab.cubic_diagonal(w, w, w, 4)
         assert abs(out[1 + 4] - 1j * ROOT_TWO_PI) < 1e-12
         assert gap(out, lab.plane_wave(4, 1, 1j)) < 1e-12
 
     def test_zero(self):
         z = np.zeros(9, dtype=complex)
-        assert np.linalg.norm(lab.cubic_diagonal(z, z, z)) == 0.0
+        assert np.linalg.norm(lab.cubic_diagonal(z, z, z, 4)) == 0.0
 
     def test_conjugate_even_field_enumeration(self):
         # five-coefficient field, diagonal term summed by hand per frequency
         u = np.array([0.3, 0.5 - 0.1j, 1.0, 0.5 + 0.1j, 0.3])  # xi = -2..2
-        got = lab.cubic_diagonal(u, u, u)
+        got = lab.cubic_diagonal(u, u, u, 2)
         for xi in range(-2, 3):
             want = u[xi + 2] * u[xi + 2] * 1j * xi * np.conj(u[xi + 2]) / TWO_PI
             assert abs(got[xi + 2] - want) < 1e-14
 
     def test_split_reassembles_full(self):
         us = fields(4, 4, 3)
-        total = lab.cubic_restricted(*us) + lab.cubic_diagonal(*us)
-        assert gap(total, lab.cubic_full(*us)) < 1e-13
+        total = lab.cubic_restricted(*us, 4) + lab.cubic_diagonal(*us, 4)
+        assert gap(total, lab.cubic_full(*us, 4)) < 1e-13
 
 
 class TestCubicPhysicalIdentity:
     def test_single_mode_hand_value(self):
         w = lab.plane_wave(4, 1)
-        out = lab.cubic_physical(w)
+        out = lab.cubic_physical(w, 4)
         assert np.linalg.norm(out - lab.plane_wave(4, 1, 1j)) < 1e-12
 
     def test_constant_annihilated(self):
-        assert np.linalg.norm(lab.cubic_physical(lab.constant_field(4, 2.0))) < 1e-13
+        assert np.linalg.norm(lab.cubic_physical(lab.constant_field(4, 2.0), 4)) < 1e-13
 
     def test_two_mode_matches_convolution(self):
         v = lab.constant_field(8, 1.0) + lab.plane_wave(8, 1)
-        assert gap(lab.cubic_physical(v), lab.cubic_full(v, v, v)) < 1e-12
+        assert gap(lab.cubic_physical(v, 8), lab.cubic_full(v, v, v, 8)) < 1e-12
 
     def test_identity_on_random_fields(self):
         for seed in range(8):
             (v,) = fields(seed + 100, 16, 1, norm=0.9)
-            assert gap(lab.cubic_physical(v), lab.cubic_full(v, v, v)) < 1e-10
+            assert gap(lab.cubic_physical(v, 16), lab.cubic_full(v, v, v, 16)) < 1e-10
 
 
 class TestProductGrid:
@@ -215,7 +215,7 @@ class TestProductGrid:
 class TestQuintic:
     def test_single_mode_masked_out(self):
         w = lab.plane_wave(3, 1)
-        got = lab.quintic_restricted(w, w, w, w, w)
+        got = lab.quintic_restricted(w, w, w, w, w, 3)
         want = oracle_quintic([w] * 5)
         assert np.linalg.norm(got) == 0.0
         assert np.linalg.norm(want) == 0.0
@@ -223,38 +223,38 @@ class TestQuintic:
     def test_zero_slot(self):
         u1, u2, u3, u4 = fields(5, 3, 4)
         z = np.zeros(7, dtype=complex)
-        assert np.linalg.norm(lab.quintic_restricted(u1, u2, u3, u4, z)) == 0.0
+        assert np.linalg.norm(lab.quintic_restricted(u1, u2, u3, u4, z, 3)) == 0.0
 
     def test_fast_matches_bruteforce_and_oracle(self):
         us = fields(6, 4, 5)
-        fast = lab.quintic_restricted(*us)
+        fast = lab.quintic_restricted(*us, 4)
         want = oracle_quintic(us)
         assert gap(fast, want) < 1e-12
 
     def test_physical_form_plane_wave(self):
         w = lab.plane_wave(4, 2, 1.3)
-        assert np.linalg.norm(lab.quintic_physical(w)) < 1e-12
+        assert np.linalg.norm(lab.quintic_physical(w, 4)) < 1e-12
 
     def test_physical_matches_masked_sum(self):
         v = lab.constant_field(8, 1.0) + lab.plane_wave(8, 1)
-        assert gap(lab.quintic_physical(v), lab.quintic_restricted(v, v, v, v, v)) < 1e-10
+        assert gap(lab.quintic_physical(v, 8), lab.quintic_restricted(v, v, v, v, v, 8)) < 1e-10
         for seed in range(4):
             (w,) = fields(seed + 200, 8, 1, norm=0.8)
-            assert gap(lab.quintic_physical(w), lab.quintic_restricted(w, w, w, w, w)) < 1e-10
+            assert gap(lab.quintic_physical(w, 8), lab.quintic_restricted(w, w, w, w, w, 8)) < 1e-10
 
 
 class TestRestrictedProductAndShiftedCubic:
     def test_single_mode_excluded(self):
         w = lab.plane_wave(4, 1)
-        assert np.linalg.norm(lab.product_restricted(w, w, w)) == 0.0
+        assert np.linalg.norm(lab.product_restricted(w, w, w, 4)) == 0.0
 
     def test_zero(self):
         z = np.zeros(9, dtype=complex)
-        assert np.linalg.norm(lab.product_restricted(z, z, z)) == 0.0
+        assert np.linalg.norm(lab.product_restricted(z, z, z, 4)) == 0.0
 
     def test_matches_bruteforce(self):
         u1, u2, u3 = fields(7, 4, 3)
-        got = lab.product_restricted(u1, u2, u3)
+        got = lab.product_restricted(u1, u2, u3, 4)
         want = oracle_cubic(u1, u2, u3, derivative_weight=False)
         assert gap(got, want) < 1e-12
 
@@ -266,7 +266,7 @@ class TestRestrictedProductAndShiftedCubic:
         mean13 = lab.mean_value(lab.physical_product([u1, u3], conjugate=[False, True],
                                                      out_cutoff=0))
         both = u1 * u2 * np.conj(u3) / TWO_PI
-        recon = lab.product_restricted(u1, u2, u3) + mean23 * u1 + mean13 * u2 - both
+        recon = lab.product_restricted(u1, u2, u3, 6) + mean23 * u1 + mean13 * u2 - both
         full = lab.physical_product([u1, u2, u3], conjugate=[False, False, True],
                                     out_cutoff=6)
         assert gap(recon, full) < 1e-12
@@ -274,16 +274,17 @@ class TestRestrictedProductAndShiftedCubic:
     def test_shifted_cubic_plane_wave(self):
         A, n = 1.7, 2
         w = lab.plane_wave(6, n, A)
-        got = lab.mean_shifted_cubic(w)
+        got = lab.mean_shifted_cubic(w, 6)
         assert np.linalg.norm(got - lab.plane_wave(6, n, -A**3)) < 1e-12
 
     def test_shifted_cubic_zero(self):
-        assert np.linalg.norm(lab.mean_shifted_cubic(np.zeros(9, dtype=complex))) == 0.0
+        assert np.linalg.norm(lab.mean_shifted_cubic(np.zeros(9, dtype=complex), 4)) == 0.0
 
     def test_shifted_cubic_forms_agree(self):
         for seed in range(6):
             (u,) = fields(seed + 300, 10, 1, norm=1.1)
-            assert gap(lab.mean_shifted_cubic(u), lab.mean_shifted_cubic_spectral(u)) < 1e-12
+            spectral = lab.mean_shifted_cubic_spectral(u, 10)
+            assert gap(lab.mean_shifted_cubic(u, 10), spectral) < 1e-12
 
 
 class TestMultilinearity:
@@ -304,12 +305,12 @@ class TestMultilinearity:
             args_b[slot] = extra
             args_sum = list(base)
             args_sum[slot] = base[slot] + extra
-            additive = op(*args_sum) - op(*args_a) - op(*args_b)
+            additive = op(*args_sum, 3) - op(*args_a, 3) - op(*args_b, 3)
             assert np.linalg.norm(additive) < 1e-12
             args_scaled = list(base)
             args_scaled[slot] = 2.5 * base[slot]
             # conjugated slots are antilinear: scaling by a real is enough
-            scaled = op(*args_scaled) - 2.5 * op(*args_a)
+            scaled = op(*args_scaled, 3) - 2.5 * op(*args_a, 3)
             assert np.linalg.norm(scaled) < 1e-12
 
 

@@ -199,7 +199,7 @@ class TestPicard:
         phase = lab.free_phase(time_grid(cfg.horizon, cfg.steps), 8)
         linear, dt = phase * u0, 2.0 * cfg.horizon / cfg.steps
         for _ in range(cfg.max_iter):
-            nxt = linear + lab.duhamel(forcing_field(cur, cfg.equation), phase, dt)
+            nxt = linear + lab.duhamel(forcing_field(cur, cfg.equation, 8), phase, dt)
             step, cur = np.max(np.linalg.norm(nxt - cur, axis=1)), nxt
             if step <= cfg.tol:
                 break
@@ -311,9 +311,10 @@ class TestGaugePipeline:
     def test_forcing_takes_the_equation_or_its_name(self):
         u = lab.random_field(4, np.random.default_rng(42), l2_norm=1.0)
         for equation in lab.Equation:
-            assert np.array_equal(forcing_field(u, equation.value), forcing_field(u, equation))
+            by_name = forcing_field(u, equation.value, 4)
+            assert np.array_equal(by_name, forcing_field(u, equation, 4))
         with pytest.raises(ValueError, match="'bogus' is not a valid Equation"):
-            forcing_field(u, "bogus")
+            forcing_field(u, "bogus", 4)
 
     def test_forcing_band_accounting(self):
         u = lab.random_field(4, np.random.default_rng(41), l2_norm=1.0)
@@ -352,7 +353,7 @@ class TestBatchedForcing:
         for steps in (4, 40):
             calls.clear()
             traj = lab.random_trajectory(6, np.random.default_rng(52), steps=steps)
-            forcing_field(traj.coeffs, equation)
+            forcing_field(traj.coeffs, equation, 6)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 5
 
