@@ -41,8 +41,8 @@ class SolveConfig:
     def __post_init__(self):
         if not (0.0 < self.horizon <= 1.0):
             raise ValueError("time horizon must lie in (0, 1]")
-        if self.steps % 2 != 0 or self.steps < 2:
-            raise ValueError("steps must be even and >= 2")
+        if self.steps % 2 != 0 or self.steps < 4:
+            raise ValueError(f"steps must be even and >= 4, got {self.steps}")
         if self.cutoff < 0:
             raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
         if self.max_iter < 1:
@@ -109,23 +109,24 @@ def duhamel(forcing: np.ndarray, phase: np.ndarray, dt: float) -> np.ndarray:
 
     forcing[k] holds the coefficients of F(t_k) and phase[k] the free phase
     free_phase(t_k, cutoff) of the same grid, whose middle index is t = 0 and
-    whose step is dt.  The integral is accumulated outward from t = 0 on each
-    side, negative times with the signed measure: composite Simpson up to each
-    even offset, and a trapezoid on the last cell for an odd offset.
+    whose step is dt.  Each cell integrates the cubic through its four nearest
+    nodes (the one-sided cubic at either end of the grid; fourth order in dt),
+    and the integral to t_k is the cell sum up to t_k minus that up to t = 0.
     Returns an array like forcing.
     """
     m = forcing.shape[0] - 1
-    if m % 2 != 0:
-        raise ValueError("forcing grid must have an even step count (t = 0 on grid)")
-    mid = m // 2
+    if m % 2 != 0 or m < 4:
+        raise ValueError(f"forcing grid must have an even step count >= 4 (t = 0 on grid), got {m}")
     # integrating-factor form: phases relative to t = 0
-    up = np.conj(phase) * forcing
-    out = np.zeros_like(up)
-    for sign, side in ((-1.0, slice(mid, None, -1)), (1.0, slice(mid, None))):
-        g, acc = up[side], out[side]  # offsets 0, 1, 2, ... from t = 0; acc is a view
-        acc[2::2] = np.cumsum(g[:-2:2] + 4.0 * g[1:-1:2] + g[2::2], axis=0) * (sign * dt / 3.0)
-        acc[1::2] = acc[:-1:2] + (g[:-1:2] + g[1::2]) * (sign * 0.5 * dt)
-    return out * phase
+    g = np.conj(phase) * forcing
+    acc = np.zeros_like(g)  # acc[j + 1] takes cell [t_j, t_{j+1}], in place to spare temporaries
+    np.multiply(g[1:-2] + g[2:-1], 13.0, out=acc[2:-1])
+    acc[2:-1] -= g[:-3] + g[3:]
+    acc[1] = 9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3]
+    acc[-1] = 9.0 * g[-1] + 19.0 * g[-2] - 5.0 * g[-3] + g[-4]
+    np.cumsum(acc, axis=0, out=acc)
+    acc -= acc[m // 2]
+    return np.multiply(acc, phase * (dt / 24.0), out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +228,7 @@ def rk4_solve(u0: np.ndarray, cfg: SolveConfig) -> Trajectory:
     u0 = _datum(u0, cfg)
     times = time_grid(cfg.horizon, cfg.steps)
     mid = cfg.steps // 2
+    step = 2.0 * cfg.horizon / cfg.steps / RK4_SUBSTEPS  # dt = 2T/M, as picard_solve takes it
 
     def rhs(t: float, w: np.ndarray) -> np.ndarray:
         phase = free_phase(t, cfg.cutoff)
@@ -235,11 +237,9 @@ def rk4_solve(u0: np.ndarray, cfg: SolveConfig) -> Trajectory:
     rows = np.empty((cfg.steps + 1, 2 * cfg.cutoff + 1), dtype=complex)
     rows[mid] = u0
     for direction in (+1, -1):
-        w = u0.copy()
-        k = mid
+        w, k, h = u0.copy(), mid, direction * step
         end = cfg.steps if direction > 0 else 0
         while k != end:
-            h = direction * (times[1] - times[0]) / RK4_SUBSTEPS
             t = times[k]
             for _ in range(RK4_SUBSTEPS):
                 k1 = rhs(t, w)

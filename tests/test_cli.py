@@ -449,6 +449,7 @@ class TestScanCommands:
         (["solve", "--N", "8", "--datum", "missing.csv", "--amplitude", "0.2"],
          "solve --datum does not read --amplitude"),
         (["solve", "--N", "8", "--M", "41"], "steps must be even"),
+        (["solve", "--N", "8", "--M", "2"], "steps must be even and >= 4, got 2"),
         (["solve", "--N", "8", "--via-gauge", "--equation", "shifted-nls"],
          "the gauge pipeline solves the raw derivative equation"),
         (["divisors", "--max", "0"], "limit must be positive"),
@@ -462,7 +463,7 @@ class TestScanCommands:
             "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",
             "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative",
             "divergence-translation-flags", "translation-divergence-flags",
-            "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd",
+            "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])

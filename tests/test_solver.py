@@ -45,34 +45,41 @@ class TestFreeEvolution:
         assert abs(np.linalg.norm(lab.free_phase(0.37, 8) * u) - np.linalg.norm(u)) < 1e-13
 
 
-def composite_weights(n_cells, dt):
-    """Simpson weights on the leading even block of n_cells uniform cells and a
-    trapezoid on an odd last cell, written out node by node."""
-    w = np.zeros(n_cells + 1)
-    even = n_cells - n_cells % 2
-    for c in range(0, even, 2):
-        w[c : c + 3] += np.array([1.0, 4.0, 1.0]) * dt / 3.0
-    if even != n_cells:
-        w[-2:] += 0.5 * dt
+def composite_weights(steps, k, dt):
+    """Weights on the nodes of a steps-cell grid for the integral from its middle
+    node to node k, written out node by node: every cell takes the cubic through
+    its four nearest nodes, an edge cell the one-sided cubic, and a cell left of
+    the middle counts with the signed measure."""
+    w, mid = np.zeros(steps + 1), steps // 2
+    lo, hi, sign = (mid, k, 1.0) if k >= mid else (k, mid, -1.0)
+    for j in range(lo, hi):
+        if j == 0:
+            w[0:4] += sign * np.array([9.0, 19.0, -5.0, 1.0]) * dt / 24.0
+        elif j == steps - 1:
+            w[steps - 3 :] += sign * np.array([1.0, -5.0, 19.0, 9.0]) * dt / 24.0
+        else:
+            w[j - 1 : j + 3] += sign * np.array([-1.0, 13.0, 13.0, -1.0]) * dt / 24.0
     return w
 
 
 class TestDuhamel:
-    @pytest.mark.parametrize("steps", [2, 4, 64])
+    @pytest.mark.parametrize("steps", [2, 4, 6, 64, 200])
     def test_every_index_matches_the_composite_rule(self, steps):
         rng = np.random.default_rng(steps)
-        cutoff, mid = 3, steps // 2
+        cutoff = 3
         shape = (steps + 1, 2 * cutoff + 1)
         forcing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         times = time_grid(0.4, steps)
         dt = times[1] - times[0]
         phase = lab.free_phase(times, cutoff)
+        if steps < 4:  # a four-node cell rule needs at least four cells
+            with pytest.raises(ValueError, match="step count >= 4 .*got 2"):
+                lab.duhamel(forcing, phase, dt)
+            return
         got = lab.duhamel(forcing, phase, dt)
         up = np.conj(phase) * forcing
         for k in range(steps + 1):
-            # rows ordered outward from t = 0; negative times take the signed measure
-            rows = up[mid : k + 1] if k >= mid else -up[mid : k - 1 if k else None : -1]
-            expected = phase[k] * (composite_weights(abs(k - mid), dt) @ rows)
+            expected = phase[k] * (composite_weights(steps, k, dt) @ up)
             assert np.linalg.norm(got[k] - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_zero_forcing(self):
@@ -84,16 +91,11 @@ class TestDuhamel:
         horizon, steps = 0.5, 64
         traj = constant_forcing(4, horizon, steps)
         dt = 2 * horizon / steps
-        for index in (0, 10, 32, 48, 64):  # even cell counts: pure Simpson
+        for index in (0, 9, 10, 32, 33, 47, 48, 64):  # one rule at odd and even cell counts
             t = -horizon + dt * index
             got = duhamel_at(traj, index)
             expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
             assert abs(got[4 + 1] / math.sqrt(2 * math.pi) - expected) < 5e-9
-        for index in (9, 47):  # odd cell counts: one trapezoid cell
-            t = -horizon + dt * index
-            got = duhamel_at(traj, index)
-            expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
-            assert abs(got[4 + 1] / math.sqrt(2 * math.pi) - expected) < 5e-6
 
     def test_quadrature_order(self):
         # halving the step size shrinks the defect by about 2**4
@@ -106,13 +108,6 @@ class TestDuhamel:
 
         d1, d2 = defect(16), defect(32)
         assert d2 < d1 / 8.0
-
-    def test_trapezoid_fallback_on_odd_cells(self):
-        traj = constant_forcing(4, 0.5, 64)
-        got = duhamel_at(traj, 33)  # one cell past the midpoint
-        t = traj.times[33]
-        expected = np.exp(-1j * t) * (np.exp(1j * t) - 1.0) / 1j
-        assert abs(got[4 + 1] / math.sqrt(2 * math.pi) - expected) < 1e-4
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -170,6 +165,18 @@ class TestPicard:
         rep = lab.picard_solve(u0, cfg)
         assert rep.converged
         assert rep.mass_drift <= 10.0 * cfg.tol
+
+    @pytest.mark.parametrize("amp,mode,horizon", [(1.0, 2, 0.2), (0.5, 3, 0.3)])
+    def test_fourth_order_in_time(self, amp, mode, horizon):
+        # doubling the steps cuts the error about 16x at fourth order (8x at third)
+        def error(steps):
+            cfg = lab.SolveConfig(cutoff=8, horizon=horizon, steps=steps, tol=1e-14)
+            rep = lab.picard_solve(lab.plane_wave(8, mode, amp), cfg)
+            assert rep.converged
+            exact = lab.plane_wave_solution(8, mode, amp, horizon, steps)
+            return rep.trajectory.sup_l2_distance(exact)
+
+        assert error(40) >= 12.0 * error(80)
 
     def test_nonconvergence_flagged(self):
         cfg = lab.SolveConfig(cutoff=8, horizon=1.0, steps=40, max_iter=8, tol=1e-12)
@@ -245,6 +252,11 @@ class TestIntegralResidual:
     def test_odd_step_trajectory_is_rejected(self):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 41)
         with pytest.raises(ValueError, match="even step count"):
+            lab.integral_residual(traj, lab.Equation.DNLS)
+
+    def test_two_step_trajectory_is_rejected(self):
+        traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 2)
+        with pytest.raises(ValueError, match="step count >= 4 .*got 2"):
             lab.integral_residual(traj, lab.Equation.DNLS)
 
     def test_time_reversal_symmetry(self):
