@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,7 +27,14 @@ from .estimates import (
     strichartz_ratio_scan,
 )
 from .fields import cutoff_of, mass_mean, plane_wave, random_field
-from .gauge import gauge, gauge_field, gauge_field_inv, gauge_inv, translation_gap_probe
+from .gauge import (
+    gauge,
+    gauge_field,
+    gauge_field_inv,
+    gauge_inv,
+    translation_gap_probe,
+    translation_probe_pair,
+)
 from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
     __version__,
@@ -52,17 +60,46 @@ def _out_dir(args) -> Path:
     return Path(args.out or os.environ.get("DNLSLAB_OUT", "."))
 
 
-def _read_config(args, parser) -> dict:
-    """The --config file's values, each naming a flag of the chosen subcommand."""
+def _config_type_error(action: argparse.Action, value) -> str | None:
+    """What is wrong with a --config value for this flag, or None.  The value is
+    used as given, not parsed, so it must already have the flag's type."""
+    if value is None:
+        return "is null"
+    if action.nargs == 0:  # a switch
+        ok, kind = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, kind = type(value) is int, "an integer"
+    elif action.type is float:
+        ok, kind = type(value) in (int, float), "a number"
+    elif action.type is _parse_plane_wave:
+        ok = (isinstance(value, list) and len(value) == 2
+              and type(value[0]) in (int, float) and type(value[1]) is int)
+        kind = "a pair [A, n] of a number and an integer"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        return f"must be {kind}"
+    if action.choices is not None and value not in action.choices:
+        return f"must be one of {', '.join(action.choices)}"
+    return None
+
+
+def _read_config(args, parser, command) -> dict:
+    """The --config file's values, each naming a flag of the chosen subcommand
+    and holding a value of that flag's type."""
     try:
         data = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
-    for key in data:
+    actions = {action.dest: action for action in command._actions}
+    for key, value in data.items():
         if key in ("command", "func", "config") or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
+        problem = _config_type_error(actions[key], value)
+        if problem:
+            parser.error(f"config key {key!r} {problem}, got {json.dumps(value)}")
     return data
 
 
@@ -97,8 +134,9 @@ RATIO_SCAN_FLAGS = {
 
 def _reject_unread(args, run: str, defaults: dict, read=()) -> None:
     """Raise a ValueError naming every flag in defaults but those in read whose value
-    differs from its declared default (not the parser's, which a --config file changes):
-    the run would silently ignore it."""
+    differs from its declared default (not the parser's: a --config call parses with
+    the file's values as defaults, so they count as given): the run would silently
+    ignore it."""
     unread = [f"--{flag.replace('_', '-')}" for flag, default in defaults.items()
               if flag not in read and getattr(args, flag) != default]
     if unread:
@@ -257,7 +295,8 @@ def cmd_counterexample(args) -> int:
     if args.mode in ("translation", "both"):
         n_list = [int(n) for n in args.n_list.split(",")]
         if math.isfinite(args.amplitude) and math.isfinite(args.s):  # else the probe rejects them
-            for n in (n for n in n_list if n >= 1):
+            probed = [n for n in n_list if n >= 1]
+            for n in probed:
                 try:
                     wave = args.amplitude * float(n) ** -args.s
                     mass = wave * wave + 1.0 / n  # 2*pi * mean(|u|^2) of the probe at n
@@ -266,6 +305,15 @@ def cmd_counterexample(args) -> int:
                 if not math.isfinite(mass):
                     raise ValueError(f"--amplitude {args.amplitude} with --s {args.s} makes the "
                                      f"mass mean(|u|^2) of the probe at n={n} non-finite")
+            for n in probed:
+                with_constant, wave_only = translation_probe_pair(args.amplitude, args.s, n)
+                with np.errstate(over="ignore"):  # a mass that overflows is inf in both
+                    same_mass = mass_mean(with_constant) == mass_mean(wave_only)
+                if same_mass:
+                    raise ValueError(
+                        f"--amplitude {args.amplitude} with --s {args.s} puts the probe's constant "
+                        f"n**-0.5 below the round-off of its wave at n={n}: both inputs have the "
+                        "same mass, so every gap it would report is meaningless")
         probe = translation_gap_probe(args.amplitude, args.s, args.r, n_list)
         sections["translation"] = probe
         tables["translation"] = (["n", "input_gap", "output_gap", "gauge_gap"], list(zip(
@@ -419,13 +467,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of every call without --config, built on the first call: parsing
+    leaves it as it was, so no call sees another's values."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
+    parser, commands = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults, so explicit flags win
-            commands[args.command].set_defaults(**_read_config(args, parser))
+            # config values become the subcommand's defaults, so explicit flags win;
+            # they go on a parser built for this call alone, never on the shared one
+            parser, commands = build_parser()
+            command = commands[args.command]
+            command.set_defaults(**_read_config(args, parser, command))
             args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 is reserved here

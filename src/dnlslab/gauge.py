@@ -118,6 +118,13 @@ def gauge_inv(traj: Trajectory) -> Trajectory:
 # failure of uniform continuity of the translation map
 # ---------------------------------------------------------------------------
 
+def translation_probe_pair(amplitude: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's two inputs at n: amplitude * n**-s * exp(i*n*x), with and
+    without the constant n**-0.5."""
+    wave = plane_wave(n, n, amplitude * float(n) ** (-s))
+    return wave + plane_wave(n, 0, 1.0 / math.sqrt(n)), wave
+
+
 def translation_gap_probe(
     amplitude: float,
     s: float,
@@ -142,9 +149,7 @@ def translation_gap_probe(
     tgrid = np.linspace(-1.0, 1.0, t_samples)
     rows = []
     for n in n_list:
-        wave = plane_wave(n, n, amplitude * float(n) ** (-s))
-        u1 = wave + plane_wave(n, 0, 1.0 / math.sqrt(n))
-        u2 = wave
+        u1, u2 = translation_probe_pair(amplitude, s, n)
         input_gap = float(data_norms(u1 - u2, spec))
         d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
         out_gap = float(np.max(data_norms(d, spec)))

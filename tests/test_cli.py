@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dnlslab as lab
-from dnlslab.cli import main
+from dnlslab import cli
+from dnlslab.cli import build_parser, main
 from dnlslab.fields import ROOT_TWO_PI
 from support import free_wave_trajectory
 
@@ -152,15 +153,85 @@ class TestSolveCommand:
         assert code == 0
         assert read_json(tmp_path / "flag.json")["config"]["steps"] == 200
 
-    @pytest.mark.parametrize("text", ['{"no_such_key": 1}', '{"func": 1}', "[1, 2]", "{"],
-                             ids=["unknown-key", "reserved-key", "not-an-object", "bad-json"])
-    def test_bad_config_exit_code(self, tmp_path, capsys, text):
+    # a config value is used as given, not parsed, so it must have its flag's type
+    @pytest.mark.parametrize("text,named", [
+        ('{"no_such_key": 1}', "no_such_key"), ('{"func": 1}', "func"),
+        ("[1, 2]", "JSON object"), ("{", "cannot read config file"),
+        ('{"steps": [40]}', "'steps' must be an integer"),
+        ('{"cutoff": 8.0}', "'cutoff' must be an integer"),
+        ('{"max_iter": 3.0}', "'max_iter' must be an integer"),
+        ('{"steps": 40.0}', "'steps' must be an integer"),
+        ('{"steps": true}', "'steps' must be an integer"),
+        ('{"seed": null}', "'seed' is null"),
+        ('{"horizon": "0.1"}', "'horizon' must be a number"),
+        ('{"tol": false}', "'tol' must be a number"),
+        ('{"via_gauge": 1}', "'via_gauge' must be true or false"),
+        ('{"plane_wave": "A=1,n=1"}', "'plane_wave' must be a pair [A, n]"),
+        ('{"plane_wave": [1.0, 1.0]}', "'plane_wave' must be a pair [A, n]"),
+        ('{"datum": 5}', "'datum' must be a string"),
+        ('{"equation": "kdv"}', "'equation' must be one of free, dnls,"),
+    ], ids=["unknown-key", "reserved-key", "not-an-object", "bad-json", "int-as-list",
+            "int-as-float", "max-iter-as-float", "whole-float-for-int", "bool-for-int", "null",
+            "float-as-string", "bool-for-float", "int-for-switch", "plane-wave-as-string",
+            "plane-wave-float-frequency", "path-as-number", "not-a-choice"])
+    def test_bad_config_exit_code(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path), "--tag", "nope"])
-        capsys.readouterr()
         assert code == 1
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "nope.json").exists()
+
+
+class TestSharedParser:
+    """main parses every call without --config with one parser, built on the first call."""
+
+    PLAIN = ["solve", "--plane-wave", "A=1,n=1", "--cutoff", "4", "--T", "0.02"]
+    CONFIG = {"steps": 12, "max_iter": 50, "tol": 1e-8}
+    DEFAULTS = {"steps": 200, "max_iter": 100, "tol": 1e-10}
+
+    def _config_of(self, tmp_path, tag, config=None):
+        argv = [*self.PLAIN, "--out", str(tmp_path), "--tag", tag]
+        if config is not None:
+            cfg = tmp_path / f"{tag}-cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        return read_json(tmp_path / f"{tag}.json")["config"]
+
+    @pytest.mark.parametrize("first", ["config", "plain"])
+    def test_each_call_sees_only_its_own_config(self, tmp_path, capsys, first):
+        for tag in (first, {"config": "plain", "plain": "config"}[first]):
+            config = self._config_of(tmp_path, tag, self.CONFIG if tag == "config" else None)
+            expected = self.CONFIG if tag == "config" else self.DEFAULTS
+            assert {key: config[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("between,code", [
+        (["solve", "--steps", "ten"], 1), (["solve", "--help"], 0), (["--version"], 0)],
+        ids=["usage-error", "help", "version"])
+    def test_an_early_exit_leaves_the_next_call_alone(self, tmp_path, capsys, between, code):
+        before = self._config_of(tmp_path, "r")
+        assert main(between) == code
+        assert self._config_of(tmp_path, "r") == before
+
+    def test_plain_calls_build_the_parser_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._shared_parser.cache_clear()
+        for tag in ("a", "b", "c"):
+            self._config_of(tmp_path, tag)
+        assert len(builds) == 1
+        # a --config call parses on a copy of its own and leaves the shared parser's defaults
+        self._config_of(tmp_path, "d", self.CONFIG)
+        self._config_of(tmp_path, "e")
+        assert len(builds) == 2
+        solve = cli._shared_parser()[1]["solve"]
+        assert {key: solve.get_default(key) for key in self.DEFAULTS} == self.DEFAULTS
 
 
 class TestGaugeAndNormsCommands:
@@ -212,12 +283,15 @@ class TestGaugeAndNormsCommands:
 
     def test_counterexample_at_a_large_amplitude_keeps_the_gauge_gap_finite(self, tmp_path):
         # the mass primitive's samples carry round-off that grows with the mass: an
-        # imaginary part of it in the phase would scale the twist off the unit circle
-        code = main(["counterexample", "--mode", "translation", "--amplitude", "1e10",
+        # imaginary part of it in the phase would scale the twist off the unit circle.
+        # 1e7 is the largest power of ten the command accepts (from 1e8 the probe's two
+        # inputs have the same mass); the probe itself still takes 1e10
+        code = main(["counterexample", "--mode", "translation", "--amplitude", "1e7",
                      "--out", str(tmp_path), "--tag", "big"])
         assert code == 0
         gaps = read_json(tmp_path / "big.json")["translation"]["summary"]["gauge_gap"]
-        assert len(gaps) == 4 and all(math.isfinite(gap) for gap in gaps)
+        gaps += lab.translation_gap_probe(1e10, 0.5, 2.0, [4, 16, 64, 256]).summary["gauge_gap"]
+        assert len(gaps) == 8 and all(math.isfinite(gap) for gap in gaps)
 
     # 64.0**100 squares to inf; 256.0**200 raises OverflowError
     @pytest.mark.parametrize("s,n_list,n", [("-100", "4,16,64,256", 64), ("-200", "256", 256)])
@@ -420,6 +494,9 @@ class TestScanCommands:
         (["counterexample", "--mode", "translation", "--n-list", "0,4"], "n_list"),
         (["counterexample", "--mode", "translation", "--amplitude", "nan"], "amplitude"),
         (["counterexample", "--mode", "translation", "--s", "nan"], "s must be finite"),
+        (["counterexample", "--mode", "translation", "--amplitude", "1e8"],
+         "--amplitude 100000000.0 with --s 0.5 puts the probe's constant n**-0.5 below the "
+         "round-off of its wave at n=4"),
         (["ratio-scan", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "strichartz", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "quintic", "--samples", "-3"], "samples"),
@@ -457,7 +534,7 @@ class TestScanCommands:
         (["ratio-scan", "--kind", "quintic", "--b", "0.3", "--samples", "2"], "b > 1/6"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
-            "translation-amplitude-nan", "translation-s-nan",
+            "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
             "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative",
             "endpoint-truncation-zero", "endpoint-truncation-one", "divergence-truncation-zero",
             "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",
