@@ -159,8 +159,10 @@ def resonance_weighted_sum(
     over (xi1, xi2); "*_xi1" anchor xi1 and sum over (xi, xi2).
 
     The core depends on a pair only through m = (xi-xi1)*(xi-xi2), so the
-    weights are binned by m once and each a costs one dot product over the
-    bins.  A scalar a gives a float, a 1-D array of a values an array.
+    weights are binned by m once and each a costs one sum over the bins.  The
+    sum is numpy's own, not a BLAS dot product, whose result depends on the
+    BLAS thread count.  A scalar a gives a float, a 1-D array of a values an
+    array.
     """
     if variant not in SUM_VARIANTS:
         raise ValueError(f"variant must be one of {SUM_VARIANTS}")
@@ -170,7 +172,7 @@ def resonance_weighted_sum(
         raise ValueError("truncation must be nonnegative")
     m, c = _resonance_bins(variant, eps, anchor, truncation)
     a_arr = np.asarray(a, dtype=float)
-    sums = np.array([c @ bracket(x + 2.0 * m) ** (-(1.0 + eps)) for x in a_arr.ravel()])
+    sums = np.array([np.sum(c * bracket(x + 2.0 * m) ** (-(1.0 + eps))) for x in a_arr.ravel()])
     return float(sums[0]) if a_arr.ndim == 0 else sums
 
 

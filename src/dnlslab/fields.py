@@ -49,28 +49,47 @@ def resize(coeffs: np.ndarray, cutoff: int) -> np.ndarray:
     return np.pad(coeffs, [(0, 0)] * (coeffs.ndim - 1) + [(extra, extra)])
 
 
-def to_physical(coeffs: np.ndarray, gridsize: int) -> np.ndarray:
-    """Samples on the uniform grid x_j = 2*pi*j/gridsize of band coefficients."""
-    cutoff = cutoff_of(coeffs)
+def _check_grid(gridsize: int, cutoff: int) -> None:
     if gridsize < 2 * cutoff + 1:
         raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
+
+
+def to_physical(coeffs: np.ndarray, gridsize: int) -> np.ndarray:
+    """Samples on the uniform grid x_j = 2*pi*j/gridsize of band coefficients.
+
+    The inverse FFT and its scaling run in place, in the spectrum array they
+    return.
+    """
+    cutoff = cutoff_of(coeffs)
+    _check_grid(gridsize, cutoff)
     spectrum = np.zeros(coeffs.shape[:-1] + (gridsize,), dtype=complex)
     spectrum[..., : cutoff + 1] = coeffs[..., cutoff:]
     spectrum[..., gridsize - cutoff :] = coeffs[..., :cutoff]
-    return np.fft.ifft(spectrum, axis=-1) * (gridsize / ROOT_TWO_PI)
+    np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    return np.multiply(spectrum, gridsize / ROOT_TWO_PI, out=spectrum)
 
 
 def from_physical(samples: np.ndarray, cutoff: int) -> np.ndarray:
     """Band coefficients of samples on the uniform grid x_j = 2*pi*j/G, G = samples.shape[-1].
 
-    Exact for band-limited data when G >= 2*cutoff + 1.
+    Exact for band-limited data when G >= 2*cutoff + 1.  The samples are left
+    untouched.
     """
     samples = np.asarray(samples, dtype=complex)
-    gridsize = samples.shape[-1]
-    if gridsize < 2 * cutoff + 1:
-        raise ValueError(f"grid of size {gridsize} too small for cutoff {cutoff}")
-    spectrum = np.fft.fft(samples, axis=-1) * (ROOT_TWO_PI / gridsize)
-    return np.concatenate([spectrum[..., gridsize - cutoff :], spectrum[..., : cutoff + 1]], axis=-1)
+    _check_grid(samples.shape[-1], cutoff)
+    return _kept_band(np.fft.fft(samples, axis=-1), cutoff, cutoff)
+
+
+def _kept_band(spectrum: np.ndarray, cutoff: int, out_cutoff: int) -> np.ndarray:
+    """The scaled coefficients on |xi| <= cutoff of an unscaled FFT spectrum,
+    zero-padded to |xi| <= out_cutoff (out_cutoff >= cutoff)."""
+    gridsize = spectrum.shape[-1]
+    scale = ROOT_TWO_PI / gridsize
+    pad = out_cutoff - cutoff
+    out = (np.zeros if pad else np.empty)(spectrum.shape[:-1] + (2 * out_cutoff + 1,), dtype=complex)
+    np.multiply(spectrum[..., gridsize - cutoff :], scale, out=out[..., pad : pad + cutoff])
+    np.multiply(spectrum[..., : cutoff + 1], scale, out=out[..., pad + cutoff : pad + 2 * cutoff + 1])
+    return out
 
 
 def product_gridsize(band: int, out_cutoff: int) -> int:
@@ -93,8 +112,16 @@ def product_gridsize(band: int, out_cutoff: int) -> int:
 
 
 def product_coeffs(values: np.ndarray, band: int, out_cutoff: int) -> np.ndarray:
-    """Coefficients on |xi| <= out_cutoff of grid samples of a product of band `band`."""
-    return resize(from_physical(values, min(out_cutoff, band)), out_cutoff)
+    """Coefficients on |xi| <= out_cutoff of grid samples of a product of band `band`.
+
+    It overwrites `values` (a complex array the caller no longer needs) with
+    their unscaled spectrum, then scales the kept band straight into the
+    result.
+    """
+    cutoff = min(out_cutoff, band)
+    _check_grid(values.shape[-1], cutoff)
+    np.fft.fft(values, axis=-1, out=values)
+    return _kept_band(values, cutoff, out_cutoff)
 
 
 def x_grid(gridsize: int) -> np.ndarray:

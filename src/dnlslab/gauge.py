@@ -15,10 +15,10 @@ from .fields import (
     ROOT_TWO_PI,
     Trajectory,
     cutoff_of,
-    from_physical,
     mass_mean,
     physical_product,
     plane_wave,
+    product_coeffs,
     to_physical,
     xi_range,
 )
@@ -55,29 +55,46 @@ def mass_primitive(u: np.ndarray) -> np.ndarray:
 def _phase_product(u: np.ndarray, sign: float) -> np.ndarray:
     """exp(sign * i * primitive(u)) * u on the gauge grid of its band."""
     gridsize = gauge_gridsize(cutoff_of(u))
+    phase = to_physical(mass_primitive(u), gridsize)
     # the primitive of a real function is real: its samples' imaginary part is round-off
-    phase = np.exp(sign * 1j * to_physical(mass_primitive(u), gridsize).real)
+    np.exp(np.multiply(sign * 1j, phase.real, out=phase), out=phase)
+    # numpy writes a trajectory's product into the samples' temporary as
+    # samples * phase, and a single row's as phase * samples; left implicit,
+    # so both keep their bits
     return phase * to_physical(u, gridsize)
 
 
 def gauge_phase(u: np.ndarray) -> np.ndarray:
     """exp(-i * primitive(u)) * u projected back to the working band."""
-    return from_physical(_phase_product(u, -1.0), cutoff_of(u))
+    n = cutoff_of(u)
+    return product_coeffs(_phase_product(u, -1.0), n, n)
 
 
 def gauge_phase_inv(u: np.ndarray) -> np.ndarray:
     """exp(+i * primitive(u)) * u projected back to the working band."""
-    return from_physical(_phase_product(u, +1.0), cutoff_of(u))
+    n = cutoff_of(u)
+    return product_coeffs(_phase_product(u, +1.0), n, n)
+
+
+def gauge_phase_with_tail(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gauge_phase(u), and the l2 mass of the phase product outside the working
+    band, one value per row (the truncation that gauge_phase makes).
+
+    Both come from one transform of the phase product: its coefficients up to
+    the grid's Nyquist band, whose middle 2*cutoff+1 columns are gauge_phase(u).
+    """
+    n = cutoff_of(u)
+    k = (gauge_gridsize(n) - 1) // 2
+    full = product_coeffs(_phase_product(u, -1.0), k, k)
+    kept = full[..., k - n : k + n + 1].copy()
+    full[..., k - n : k + n + 1] = 0.0
+    return kept, np.linalg.norm(full, axis=-1)
 
 
 def gauge_phase_tail(u: np.ndarray) -> np.ndarray:
     """l2 mass of the phase product outside the working band, one value per row
     (the truncation that gauge_phase makes)."""
-    n = cutoff_of(u)
-    k = (gauge_gridsize(n) - 1) // 2
-    full = from_physical(_phase_product(u, -1.0), k)
-    full[..., k - n : k + n + 1] = 0.0
-    return np.linalg.norm(full, axis=-1)
+    return gauge_phase_with_tail(u)[1]
 
 
 def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:

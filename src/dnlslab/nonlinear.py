@@ -19,6 +19,7 @@ from .fields import (
     product_gridsize,
     resize,
     to_physical,
+    xi_range,
 )
 
 # Every operator here takes and returns coefficient arrays (..., 2*cutoff+1):
@@ -153,23 +154,35 @@ def quintic_restricted(
 # physical-space forcing operators
 # ---------------------------------------------------------------------------
 # Each transforms its input once onto one grid sized for its own band,
-# multiplies pointwise and transforms back once.
+# multiplies pointwise into the samples' own buffer, drops its other grid
+# arrays and transforms back once.  Every product of two complex grids names
+# its operand order with out=: numpy reuses a right-hand temporary of 256 KiB
+# or more as the output of an implicit a * b, with the operands swapped, and
+# complex multiplication is not bitwise commutative, so a matrix would get
+# other bits than its rows.  The order named is the one numpy took on large
+# arrays, so a trajectory keeps its bits.
 
 def _cubic_kernel(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """|u|^2 u on |xi| <= out_cutoff."""
     band = 3 * cutoff_of(u)
     x = to_physical(u, product_gridsize(band, out_cutoff))
-    return product_coeffs(x * np.conj(x) * x, band, out_cutoff)
+    square = np.conj(x)
+    np.multiply(square, x, out=square)
+    np.multiply(square, x, out=x)
+    del square
+    return product_coeffs(x, band, out_cutoff)
 
 
 def dnls_forcing(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """d/dx(|u|^2 u) on |xi| <= out_cutoff, the integral-equation forcing of the raw equation."""
-    return derivative(_cubic_kernel(u, out_cutoff))
+    kernel = _cubic_kernel(u, out_cutoff)
+    return np.multiply(1j * xi_range(out_cutoff), kernel, out=kernel)  # derivative(kernel)
 
 
 def mean_shifted_cubic(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """(|u|^2 - 2*mean|u|^2) * u, evaluated in physical space."""
-    return _cubic_kernel(u, out_cutoff) - (2.0 * mass_mean(u)[..., None]) * resize(u, out_cutoff)
+    kernel = _cubic_kernel(u, out_cutoff)
+    return np.subtract(kernel, resize(u, out_cutoff) * (2.0 * mass_mean(u)[..., None]), out=kernel)
 
 
 def cubic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
@@ -177,9 +190,13 @@ def cubic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
     n = cutoff_of(v)
     gridsize = product_gridsize(3 * n, out_cutoff)
     x = to_physical(v, gridsize)
-    pair = x * to_physical(derivative(_conj(v)), gridsize)
+    pair = to_physical(derivative(_conj(v)), gridsize)
+    np.multiply(pair, x, out=pair)
     mean_im = np.mean(pair, axis=-1, keepdims=True).imag
-    return product_coeffs(pair * x, 3 * n, out_cutoff) - (2j * mean_im) * resize(v, out_cutoff)
+    np.multiply(pair, x, out=x)
+    del pair
+    kernel = product_coeffs(x, 3 * n, out_cutoff)
+    return np.subtract(kernel, resize(v, out_cutoff) * (2j * mean_im), out=kernel)
 
 
 def quintic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
@@ -187,11 +204,17 @@ def quintic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
     n = cutoff_of(v)
     m2 = mass_mean(v)[..., None]
     x = to_physical(v, product_gridsize(5 * n, out_cutoff))
-    sq = x.real**2 + x.imag**2
-    m4 = np.mean(sq * sq, axis=-1, keepdims=True)
+    sq = np.square(x.real)
+    work = np.square(x.imag)
+    sq += work
+    m4 = np.mean(np.multiply(sq, sq, out=work), axis=-1, keepdims=True)
     # the two terms share one grid: (|v|^4 - 2*m2*|v|^2) v - (m4 - 2*m2^2) v
-    values = (sq - 2.0 * m2) * sq * x
-    return product_coeffs(values, 5 * n, out_cutoff) - (m4 - 2.0 * m2 * m2) * resize(v, out_cutoff)
+    np.subtract(sq, 2.0 * m2, out=work)
+    work *= sq
+    np.multiply(work, x, out=x)
+    del sq, work
+    kernel = product_coeffs(x, 5 * n, out_cutoff)
+    return np.subtract(kernel, resize(v, out_cutoff) * (m4 - 2.0 * m2 * m2), out=kernel)
 
 
 # ---------------------------------------------------------------------------

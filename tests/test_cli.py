@@ -469,6 +469,27 @@ class TestScanCommands:
         summary = read_json(tmp_path / "tie.json")["wdiff_xi"]["summary"]
         assert summary["argmax_by_truncation"] == {"64": [-25.0, 0], "256": [-25.0, 0]}
 
+    def test_scan_sums_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # a BLAS dot product splits the bins of K = 256 and 512 across threads,
+        # which moved both sups in their last bits between one and two threads
+        argv = ["scan-sums", "--variant", "wdiff_xi", "--a-min", "-64", "--a-max", "26",
+                "--a-step", "45", "--anchor-min", "18", "--anchor-max", "30",
+                "--anchor-step", "6", "--truncations", "256,512", "--out", "o", "--tag", "s"]
+        src = str(Path(lab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            cwd = tmp_path / threads
+            cwd.mkdir()
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from dnlslab.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append((run.stdout, (cwd / "o" / "s.json").read_bytes(),
+                            (cwd / "o" / "s.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_ratio_scan_byte_identical_reports(self, tmp_path):
         argsets = []
         for tag in ("r1", "r2"):

@@ -1,4 +1,5 @@
 """Gauge transform building blocks, inverses, and the continuity probe."""
+import importlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI, Trajectory, x_grid
-from dnlslab.gauge import gauge_gridsize, gauge_phase_tail
+from dnlslab.gauge import gauge_gridsize, gauge_phase_tail, gauge_phase_with_tail
 from support import gauge_roundtrip_error
 
 
@@ -89,6 +90,19 @@ class TestGaugePhase:
         u = lab.random_field(16, np.random.default_rng(13), active_cutoff=4, l2_norm=0.8)
         tail = gauge_phase_tail(u)
         assert 0.0 <= tail < 1e-6
+
+    def test_phase_and_tail_from_one_transform_keep_their_bits(self):
+        # the middle columns of the phase product's band up to the grid's
+        # Nyquist band are its working band: same FFT, same scale per element
+        u = lab.random_trajectory(16, np.random.default_rng(14), window=0.05, steps=40).coeffs
+        k = (gauge_gridsize(16) - 1) // 2
+        product = importlib.import_module("dnlslab.gauge")._phase_product(u, -1.0)
+        full = lab.from_physical(product, k)
+        phased, tail = gauge_phase_with_tail(u)
+        assert phased.tobytes() == lab.from_physical(product, 16).tobytes()
+        assert phased.tobytes() == lab.gauge_phase(u).tobytes()
+        full[:, k - 16 : k + 17] = 0.0
+        assert tail.tobytes() == np.linalg.norm(full, axis=-1).tobytes()
 
     def test_gridsize_follows_the_band(self):
         # alias-free for |u|^2 and the phase product, and the 8*cutoff grid
