@@ -86,9 +86,11 @@ def _kept_band(spectrum: np.ndarray, cutoff: int, out_cutoff: int) -> np.ndarray
     gridsize = spectrum.shape[-1]
     scale = ROOT_TWO_PI / gridsize
     pad = out_cutoff - cutoff
-    out = (np.zeros if pad else np.empty)(spectrum.shape[:-1] + (2 * out_cutoff + 1,), dtype=complex)
-    np.multiply(spectrum[..., gridsize - cutoff :], scale, out=out[..., pad : pad + cutoff])
-    np.multiply(spectrum[..., : cutoff + 1], scale, out=out[..., pad + cutoff : pad + 2 * cutoff + 1])
+    shape = spectrum.shape[:-1] + (2 * out_cutoff + 1,)
+    out = np.zeros(shape, dtype=complex) if pad else np.empty(shape, dtype=complex)
+    zero = pad + cutoff  # the column of xi = 0
+    np.multiply(spectrum[..., gridsize - cutoff :], scale, out=out[..., pad:zero])
+    np.multiply(spectrum[..., : cutoff + 1], scale, out=out[..., zero : zero + cutoff + 1])
     return out
 
 
