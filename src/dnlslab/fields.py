@@ -132,7 +132,12 @@ def x_grid(gridsize: int) -> np.ndarray:
 
 def derivative(coeffs: np.ndarray) -> np.ndarray:
     """Exact spatial derivative: multiply coefficients by i*xi."""
-    return 1j * xi_range(cutoff_of(coeffs)) * coeffs
+    return differentiate(np.array(coeffs, dtype=complex))
+
+
+def differentiate(coeffs: np.ndarray) -> np.ndarray:
+    """derivative(coeffs), written over the complex array `coeffs` and returned."""
+    return np.multiply(1j * xi_range(cutoff_of(coeffs)), coeffs, out=coeffs)
 
 
 def mass_mean(coeffs: np.ndarray) -> np.ndarray:

@@ -91,12 +91,6 @@ def gauge_phase_with_tail(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kept, np.linalg.norm(full, axis=-1)
 
 
-def gauge_phase_tail(u: np.ndarray) -> np.ndarray:
-    """l2 mass of the phase product outside the working band, one value per row
-    (the truncation that gauge_phase makes)."""
-    return gauge_phase_with_tail(u)[1]
-
-
 def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:
     """Mass-dependent translation of every row at its time, by its own mass mean.
 
@@ -125,6 +119,13 @@ def gauge(traj: Trajectory) -> Trajectory:
     phase twist and the shift leave unchanged.
     """
     return replace(traj, coeffs=gauge_field(traj.coeffs, traj.times))
+
+
+def gauge_with_tail(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
+    """gauge(traj), bit for bit, and the l2 mass of each sample's phase product
+    outside the working band, both from one transform (gauge_phase_with_tail)."""
+    phased, tail = gauge_phase_with_tail(traj.coeffs)
+    return replace(traj, coeffs=translate(phased, traj.times, -1)), tail
 
 
 def gauge_inv(traj: Trajectory) -> Trajectory:

@@ -14,12 +14,12 @@ from .fields import (
     TWO_PI,
     cutoff_of,
     derivative,
+    differentiate,
     mass_mean,
     product_coeffs,
     product_gridsize,
     resize,
     to_physical,
-    xi_range,
 )
 
 # Every operator here takes and returns coefficient arrays (..., 2*cutoff+1):
@@ -175,8 +175,7 @@ def _cubic_kernel(u: np.ndarray, out_cutoff: int) -> np.ndarray:
 
 def dnls_forcing(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """d/dx(|u|^2 u) on |xi| <= out_cutoff, the integral-equation forcing of the raw equation."""
-    kernel = _cubic_kernel(u, out_cutoff)
-    return np.multiply(1j * xi_range(out_cutoff), kernel, out=kernel)  # derivative(kernel)
+    return differentiate(_cubic_kernel(u, out_cutoff))
 
 
 def mean_shifted_cubic(u: np.ndarray, out_cutoff: int) -> np.ndarray:
@@ -190,7 +189,7 @@ def cubic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
     n = cutoff_of(v)
     gridsize = product_gridsize(3 * n, out_cutoff)
     x = to_physical(v, gridsize)
-    pair = to_physical(derivative(_conj(v)), gridsize)
+    pair = to_physical(differentiate(_conj(v)), gridsize)
     np.multiply(pair, x, out=pair)
     mean_im = np.mean(pair, axis=-1, keepdims=True).imag
     np.multiply(pair, x, out=x)

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .fields import Trajectory, free_phase, plane_wave, resize, time_grid
-from .gauge import gauge_field, gauge_inv, gauge_phase_with_tail, translate
+from .gauge import gauge_field, gauge_inv, gauge_with_tail
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
 
@@ -277,10 +277,7 @@ def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     v0 = gauge_field(u0, 0.0)
     gauged_report = picard_solve(v0, replace(cfg, equation=Equation.GAUGED, cross_check=False))
     u_traj = gauge_inv(gauged_report.trajectory)
-    # gauge(u_traj) translates the phased samples; their phase product's tail
-    # comes from the same transform
-    phased, tail = gauge_phase_with_tail(u_traj.coeffs)
-    regauged = replace(u_traj, coeffs=translate(phased, u_traj.times, -1))
+    regauged, tail = gauge_with_tail(u_traj)
     return replace(
         gauged_report,
         trajectory=u_traj,

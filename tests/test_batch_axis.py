@@ -10,7 +10,7 @@ import dnlslab as lab
 import dnlslab.cli as cli_mod
 import dnlslab.estimates as estimates_mod
 import dnlslab.norms as norms_mod
-from dnlslab.gauge import gauge_phase_tail
+from dnlslab.gauge import gauge_phase_with_tail
 
 # the package exports a function named gauge over the submodule's name
 gauge_mod = importlib.import_module("dnlslab.gauge")
@@ -37,7 +37,7 @@ OPERATORS = {
     "mass_primitive": (lab.mass_primitive, 1),
     "gauge_phase": (lab.gauge_phase, 1),
     "gauge_phase_inv": (lab.gauge_phase_inv, 1),
-    "gauge_phase_tail": (gauge_phase_tail, 1),
+    "gauge_phase_tail": (lambda u: gauge_phase_with_tail(u)[1], 1),
 }
 
 # maps of samples at times: one time per row, or one scalar time

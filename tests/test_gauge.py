@@ -7,7 +7,7 @@ import pytest
 
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI, Trajectory, x_grid
-from dnlslab.gauge import gauge_gridsize, gauge_phase_tail, gauge_phase_with_tail
+from dnlslab.gauge import gauge_gridsize, gauge_phase_with_tail, gauge_with_tail
 from support import gauge_roundtrip_error
 
 
@@ -88,7 +88,7 @@ class TestGaugePhase:
 
     def test_truncation_tail_reported(self):
         u = lab.random_field(16, np.random.default_rng(13), active_cutoff=4, l2_norm=0.8)
-        tail = gauge_phase_tail(u)
+        tail = gauge_phase_with_tail(u)[1]
         assert 0.0 <= tail < 1e-6
 
     def test_phase_and_tail_from_one_transform_keep_their_bits(self):
@@ -153,6 +153,12 @@ class TestFullGauge:
         for t, row in zip(times, got.coeffs):
             expected = A * np.exp(1j * (-2 * t * A * A * n + theta * t))
             assert abs(row[n + cutoff] - ROOT_TWO_PI * expected) < 1e-11
+
+    def test_with_tail_keeps_the_bits_of_gauge(self):
+        traj = lab.random_trajectory(16, np.random.default_rng(15), window=0.05, steps=40)
+        gauged, tail = gauge_with_tail(traj)
+        assert gauged.coeffs.tobytes() == lab.gauge(traj).coeffs.tobytes()
+        assert tail.tobytes() == gauge_phase_with_tail(traj.coeffs)[1].tobytes()
 
     def test_zero_trajectory(self):
         traj = Trajectory(np.zeros((5, 9)), 0.2)
