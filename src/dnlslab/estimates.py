@@ -144,7 +144,8 @@ def _resonance_bins(variant: str, eps: float, anchor: int,
         # with xi1 = xi has m = 0 throughout, and bin 0 is cleared below
         np.add.at(bins, (m + span).ravel(), np.broadcast_to(w, m.shape).ravel())
     bins[span] = 0.0
-    nz = np.flatnonzero(bins)
+    # the same indices as flatnonzero(bins), several times faster to scan
+    nz = np.flatnonzero(bins != 0)
     return (nz - span).astype(float), bins[nz]
 
 
@@ -171,8 +172,9 @@ def resonance_weighted_sum(
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     m, c = _resonance_bins(variant, eps, anchor, truncation)
+    m2 = 2.0 * m
     a_arr = np.asarray(a, dtype=float)
-    sums = np.array([np.sum(c * bracket(x + 2.0 * m) ** (-(1.0 + eps))) for x in a_arr.ravel()])
+    sums = np.array([np.sum(c * bracket(x + m2) ** (-(1.0 + eps))) for x in a_arr.ravel()])
     return float(sums[0]) if a_arr.ndim == 0 else sums
 
 
@@ -260,41 +262,38 @@ def _endpoint_sums(
 
     Every summand depends on |xi| only, so a truncation's sum is one np.sum
     over a slice of a table, laid out in the order of the signed frequencies.
-    The tables are filled BLOCK frequencies at a time into preallocated
-    arrays: first the mass and fourth-power weight tables, which give the
-    sums and norms and are then freed, then one pairing table.  The
-    elementwise arithmetic is the per-frequency formula and each np.sum runs
-    over an array of the same length and order, so the sums do not depend on
-    the block size or on which other truncations share the tables.
+    All tables live in one buffer of 2*top doubles, top = max(truncations),
+    filled BLOCK frequencies at a time.  The mass pass writes the mass table
+    to the first half and the profile weights to the second; after the mass
+    sums the weights' fourth powers overwrite the mass table and give the
+    norms.  The pairing pass then reads each weight from the second half, so
+    no log or fractional power is evaluated twice, and writes the pairing
+    table over the first 2*(top-1) entries.  The elementwise arithmetic is
+    the per-frequency formula and each np.sum runs over an array of the same
+    length and order, so the sums do not depend on the block size or on which
+    other truncations share the tables.
     """
     if not truncations or min(truncations) < 1:
         raise ValueError(f"truncations must be >= 1, got {list(truncations)}")
     if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
         raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
     top = max(truncations)
-
-    def tables(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """xi = lo..hi, <xi> and log(<xi> + log_shift), which is positive at
-        every |xi| >= 1, where <xi> >= sqrt(2)."""
-        xi = np.arange(lo, hi + 1, dtype=float)
-        br = bracket(xi)
-        return xi, br, np.log(br + log_shift)
-
-    def weights(br: np.ndarray, log_br: np.ndarray) -> np.ndarray:
-        """The endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3."""
-        return br ** (-0.25) / log_br ** (1.0 / 3.0)
-
-    mass, w4 = np.empty(top), np.empty(top)
+    buf = np.empty(2 * top)
+    # entry k of each half is |xi| = k + 1
+    mass, weights = buf[:top], buf[top:]
     for lo in range(0, top, BLOCK):
         block = slice(lo, min(lo + BLOCK, top))
-        _, br, log_br = tables(block.start + 1, block.stop)
+        br = bracket(np.arange(block.start + 1, block.stop + 1, dtype=float))
+        # positive at every |xi| >= 1, where <xi> >= sqrt(2)
+        log_br = np.log(br + log_shift)
         mass[block] = 1.0 / (br * log_br ** (2.0 / 3.0))
-        w4[block] = weights(br, log_br) ** 4.0
+        # the endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3
+        weights[block] = br ** (-0.25) / log_br ** (1.0 / 3.0)
     sums = [float(2.0 * np.sum(mass[:n])) for n in truncations]
+    w4 = np.power(weights, 4.0, out=mass)
     # l^4 of the weights over both signs, times the L^2 norm of the unit window
     norms = [float((2.0 * np.sum(w4[:n])) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
              for n in truncations]
-    del mass, w4
 
     # xi3 = -1 - xi1 with 1 <= |xi3| <= n leaves |xi3| = |xi1| - 1 for
     # xi1 = -n..-2 ("left", entry k at |xi1| = k + 2) and |xi3| = |xi1| + 1
@@ -302,19 +301,24 @@ def _endpoint_sums(
     # left reversed, then right, so xi1 ascends and truncation n pairs the
     # slice [half - (n-1), half + (n-1)), which is empty at n = 1.
     half = top - 1
-    pairing = np.empty(2 * half)
+    pairing = buf[:2 * half]
     root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
     for lo in range(0, half, BLOCK):
         hi = min(lo + BLOCK, half)
-        # entries lo..hi-1 of left and right read |xi| = lo+1..hi+1
-        xi, br, log_br = tables(lo + 1, hi + 1)
-        w = weights(br, log_br)
-        root = br**0.5
+        # entries lo..hi-1 of left and right read |xi| = lo+1..hi+1.  The
+        # right-half write, buf[top-1+lo : top-1+hi], overwrites part of this
+        # block's weights, so they are copied first; it ends before the next
+        # block's first weight, buf[top+hi].
+        w = weights[lo:hi + 1].copy()
+        xi = np.arange(lo + 1, hi + 2, dtype=float)
+        root = bracket(xi) ** 0.5
         sigma1_root = bracket(2.0 * xi + 2.0) ** 0.5
+        # the leading factors that both halves share, once per block
+        root_root1, scaled_w = root * root1, WINDOW_TRIPLE_OVERLAP * w
 
         def summand(j1: slice, j3: slice) -> np.ndarray:
-            denom = root[j1] * root1 * root[j3] * sigma1_root[j1] * root2 * root1
-            return WINDOW_TRIPLE_OVERLAP * w[j1] * w[j3] * xi[j3] / denom
+            denom = root_root1[j1] * root[j3] * sigma1_root[j1] * root2 * root1
+            return scaled_w[j1] * w[j3] * xi[j3] / denom
 
         pairing[half - hi:half - lo] = summand(slice(1, None), slice(None, -1))[::-1]
         pairing[half + lo:half + hi] = summand(slice(None, -1), slice(1, None))
