@@ -107,7 +107,11 @@ def _resonance_bins(variant: str, eps: float, anchor: int,
     The excluded pairs xi1 = xi or xi2 = xi are exactly those with m = 0.
     np.add.at bins the box BLOCK elements of whole rows at a time, in
     row-major order; it is unbuffered and adds in index order, so every bin
-    sums its weights row by row, in the same order at any block size.
+    sums its weights row by row, in the same order at any block size.  The
+    occupied bins are found by np.flatnonzero on the mask bins != 0, which
+    gives the indices that it gives on the float bins (a NaN bin counts as
+    occupied and a -0.0 bin as empty either way), but numpy scans a boolean
+    array several times faster.
     """
     K = truncation
     idx = np.arange(-K, K + 1)
@@ -144,7 +148,6 @@ def _resonance_bins(variant: str, eps: float, anchor: int,
         # with xi1 = xi has m = 0 throughout, and bin 0 is cleared below
         np.add.at(bins, (m + span).ravel(), np.broadcast_to(w, m.shape).ravel())
     bins[span] = 0.0
-    # the same indices as flatnonzero(bins), several times faster to scan
     nz = np.flatnonzero(bins != 0)
     return (nz - span).astype(float), bins[nz]
 

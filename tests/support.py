@@ -92,22 +92,44 @@ def near_diagonal_sweep(limit: int) -> dict:
     }
 
 
-def direct_resonance_sum(variant: str, eps: float, a: float, anchor: int,
-                         truncation: int) -> float:
-    """``resonance_weighted_sum`` as one masked sum over the whole (2K+1)**2 grid."""
+def _resonance_grid(variant: str, eps: float, anchor: int, truncation: int):
+    """The frequencies (xi, xi1, xi2) of a lattice sum over the whole (2K+1)**2
+    grid, its free frequencies as rows and columns, and each pair's weight."""
     idx = np.arange(-truncation, truncation + 1)
     v1, v2 = np.meshgrid(idx, idx, indexing="ij")
     if variant.endswith("_xi"):
         xi, xi1, xi2 = anchor, v1, v2
     else:
         xi, xi1, xi2 = v1, anchor, v2
-    mask = (xi1 != xi) & (xi2 != xi)
-    core = bracket(a + 2.0 * (xi - xi1) * (xi - xi2)) ** (-(1.0 + eps))
     if variant.startswith("wdiff"):
         weight = bracket(xi - xi1) ** (-eps) * bracket(xi - xi2) ** (-eps)
     else:
         weight = bracket(xi1) ** (-eps) * bracket(xi2) ** (-eps)
+    return xi, xi1, xi2, weight
+
+
+def direct_resonance_sum(variant: str, eps: float, a: float, anchor: int,
+                         truncation: int) -> float:
+    """``resonance_weighted_sum`` as one masked sum over the whole (2K+1)**2 grid."""
+    xi, xi1, xi2, weight = _resonance_grid(variant, eps, anchor, truncation)
+    mask = (xi1 != xi) & (xi2 != xi)
+    core = bracket(a + 2.0 * (xi - xi1) * (xi - xi2)) ** (-(1.0 + eps))
     return float(np.sum(np.where(mask, weight * core, 0.0)))
+
+
+def direct_resonance_bins(variant: str, eps: float, anchor: int,
+                          truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """``estimates._resonance_bins`` from one np.add.at over the whole grid in
+    row-major order, with the occupied bins found by np.flatnonzero on the
+    float bins themselves."""
+    xi, xi1, xi2, weight = _resonance_grid(variant, eps, anchor, truncation)
+    m = (xi - xi1) * (xi - xi2)
+    span = int(np.abs(m).max())
+    bins = np.zeros(2 * span + 1)
+    np.add.at(bins, (m + span).ravel(), weight.ravel())
+    bins[span] = 0.0
+    nz = np.flatnonzero(bins)
+    return (nz - span).astype(float), bins[nz]
 
 
 def _log_bracket(br: np.ndarray, log_shift: float) -> np.ndarray:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dnlslab as lab
-from dnlslab.estimates import BLOCK, SUM_VARIANTS
+from dnlslab.estimates import BLOCK, SUM_VARIANTS, _resonance_bins
 from support import (
     direct_factor_norm,
     direct_mass_sum,
     direct_pairing,
+    direct_resonance_bins,
     direct_resonance_sum,
     free_wave_trajectory,
     near_diagonal_sweep,
@@ -162,6 +163,14 @@ class TestResonanceSums:
             assert isinstance(scalar, float) and scalar == got[1]
 
     @pytest.mark.parametrize("variant", SUM_VARIANTS)
+    @pytest.mark.parametrize("anchor", [-9, 0, 23])
+    def test_occupied_bins_equal_a_search_of_the_float_bins(self, variant, anchor):
+        m, c = _resonance_bins(variant, 0.5, anchor, 64)
+        want_m, want_c = direct_resonance_bins(variant, 0.5, anchor, 64)
+        assert m.tobytes() == want_m.tobytes()
+        assert c.tobytes() == want_c.tobytes()
+
+    @pytest.mark.parametrize("variant", SUM_VARIANTS)
     def test_scan_keeps_its_bits(self, variant):
         # anchors on both sides of 0 and one beyond both truncations
         report = lab.resonance_sum_scan(variant, 0.5, [-40.0, 0.0, 3.5], [-5, 0, 70], [16, 64])
@@ -288,8 +297,12 @@ class TestEndpointSums:
         assert summary["divergent_sums"] == [direct_mass_sum(n, log_shift) for n in ordered]
         assert summary["factor_norms"] == [direct_factor_norm(n, log_shift) for n in ordered]
         assert summary["pairing_lower_bounds"] == [direct_pairing(n, log_shift) for n in ordered]
-        # each truncation alone gives the same sums as when it shares the tables
-        for n in (1, 2, 3, 7, 1000, 12345, BLOCK, 2 * BLOCK + 3):
+        # each truncation alone gives the same sums as when it shares the tables.
+        # Alone, the pairing pass of BLOCK + 1 is one full block, BLOCK + 2 adds
+        # a one-entry block, and 2 * BLOCK + 1 is two full blocks, the second
+        # reading the weights just past the first one's right-half write
+        for n in (1, 2, 3, 7, 1000, 12345, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1,
+                  2 * BLOCK + 3):
             alone = lab.divergence_report((n,), log_shift=log_shift).summary
             assert alone["divergent_sums"] == [direct_mass_sum(n, log_shift)]
             assert alone["factor_norms"] == [direct_factor_norm(n, log_shift)]
@@ -346,8 +359,9 @@ class TestEndpointSums:
         assert peak <= 64 * 2**20
 
     def test_default_report_builds_its_tables_in_blocks(self):
-        # the mass and weight tables, then the pairing table, each about 16 MB
-        # at 1e6; the whole-array tables of one pass peaked at 53.4 MiB
+        # one buffer of 2e6 doubles, 16 MB, holds the mass and weight tables and
+        # then the pairing table; the whole-array tables of one pass peaked at
+        # 53.4 MiB
         tracemalloc.start()
         try:
             lab.divergence_report()
