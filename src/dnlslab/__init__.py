@@ -1,5 +1,7 @@
 """Spectral laboratory for a gauged derivative Schroedinger equation on the torus."""
 
+from types import ModuleType as _ModuleType
+
 from .fields import (
     Trajectory,
     bracket,
@@ -16,12 +18,8 @@ from .fields import (
     to_physical,
 )
 from .gauge import (
-    gauge,
     gauge_field,
     gauge_field_inv,
-    gauge_inv,
-    gauge_phase,
-    gauge_phase_inv,
     mass_primitive,
     translate,
     translation_gap_probe,
@@ -78,4 +76,6 @@ from .estimates import (
     strichartz_ratio_scan,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes of the package, not names of its API
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,8 @@ from .estimates import (
 )
 from .fields import cutoff_of, mass_mean, plane_wave, random_field
 from .gauge import (
-    gauge,
     gauge_field,
     gauge_field_inv,
-    gauge_inv,
     translation_gap_probe,
     translation_probe_pair,
 )
@@ -203,18 +202,19 @@ def cmd_solve(args) -> int:
 
 def cmd_gauge(args) -> int:
     _reject_unread(args, "gauge", {"tag": "report"})  # --output names its one file
+    gauge_map = gauge_field_inv if args.inverse else gauge_field
     if file_kind(args.input) == "field":
         f = load_field(args.input)
         mass = float(mass_mean(f))
         if math.isfinite(mass) and not math.isfinite(2.0 * args.time * mass * cutoff_of(f)):
             raise ValueError(f"--time {args.time} makes the translation phase "
                              "2*t*mean(|u|^2)*N of this field non-finite")
-        g = (gauge_field_inv if args.inverse else gauge_field)(f, args.time)
+        g = gauge_map(f, args.time)
         save = save_field
     else:
         _reject_unread(args, "gauge of a trajectory", GAUGE_FIELD_DEFAULTS)
         traj = load_trajectory(args.input)
-        g = gauge_inv(traj) if args.inverse else gauge(traj)
+        g = replace(traj, coeffs=gauge_map(traj.coeffs, traj.times))
         save = save_trajectory
     out = _out_dir(args)
     save(out / args.output, g)

@@ -163,7 +163,10 @@ def physical_product(factors: Sequence[np.ndarray], conjugate: Sequence[bool],
     values = np.ones(gridsize, dtype=complex)
     for f, cj in zip(factors, conjugate):
         v = to_physical(f, gridsize)
-        values = values * (np.conj(v) if cj else v)
+        if cj:
+            np.conj(v, out=v)
+        # neither operand is a temporary, so numpy keeps this order at any size
+        values = values * v
     return product_coeffs(values, band, out_cutoff)
 
 

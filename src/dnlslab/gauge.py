@@ -7,13 +7,11 @@ working band; the spatial translation is exact in Fourier space.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .fields import (
     ROOT_TWO_PI,
-    Trajectory,
     cutoff_of,
     mass_mean,
     physical_product,
@@ -52,43 +50,17 @@ def mass_primitive(u: np.ndarray) -> np.ndarray:
     return np.divide(sq, 1j * xi, out=np.zeros_like(sq), where=xi != 0)
 
 
-def _phase_product(u: np.ndarray, sign: float) -> np.ndarray:
-    """exp(sign * i * primitive(u)) * u on the gauge grid of its band."""
+def _twist(u: np.ndarray, sign: float, keep: int) -> np.ndarray:
+    """exp(sign * i * primitive(u)) * u on |xi| <= keep, from the gauge grid of u's band."""
     gridsize = gauge_gridsize(cutoff_of(u))
     phase = to_physical(mass_primitive(u), gridsize)
     # the primitive of a real function is real: its samples' imaginary part is round-off
     np.exp(np.multiply(sign * 1j, phase.real, out=phase), out=phase)
-    # numpy writes a trajectory's product into the samples' temporary as
-    # samples * phase, and a single row's as phase * samples; left implicit,
-    # so both keep their bits
-    return phase * to_physical(u, gridsize)
-
-
-def gauge_phase(u: np.ndarray) -> np.ndarray:
-    """exp(-i * primitive(u)) * u projected back to the working band."""
-    n = cutoff_of(u)
-    return product_coeffs(_phase_product(u, -1.0), n, n)
-
-
-def gauge_phase_inv(u: np.ndarray) -> np.ndarray:
-    """exp(+i * primitive(u)) * u projected back to the working band."""
-    n = cutoff_of(u)
-    return product_coeffs(_phase_product(u, +1.0), n, n)
-
-
-def gauge_phase_with_tail(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """gauge_phase(u), and the l2 mass of the phase product outside the working
-    band, one value per row (the truncation that gauge_phase makes).
-
-    Both come from one transform of the phase product: its coefficients up to
-    the grid's Nyquist band, whose middle 2*cutoff+1 columns are gauge_phase(u).
-    """
-    n = cutoff_of(u)
-    k = (gauge_gridsize(n) - 1) // 2
-    full = product_coeffs(_phase_product(u, -1.0), k, k)
-    kept = full[..., k - n : k + n + 1].copy()
-    full[..., k - n : k + n + 1] = 0.0
-    return kept, np.linalg.norm(full, axis=-1)
+    samples = to_physical(u, gridsize)
+    # the order as written, named with out= so that numpy cannot swap it on a
+    # large matrix: a matrix gets its rows' bits (see nonlinear's note)
+    np.multiply(phase, samples, out=samples)
+    return product_coeffs(samples, keep, keep)
 
 
 def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:
@@ -104,32 +76,31 @@ def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:
 
 
 def gauge_field(u: np.ndarray, t) -> np.ndarray:
-    """Gauge transform of samples at their times (phase twist, then shift)."""
-    return translate(gauge_phase(u), t, -1)
+    """Gauge transform of samples at their times (phase twist, then shift).
+
+    The shift uses each sample's own mass mean, which the twist leaves unchanged.
+    """
+    return translate(_twist(u, -1.0, cutoff_of(u)), t, -1)
 
 
 def gauge_field_inv(v: np.ndarray, t) -> np.ndarray:
-    return gauge_phase_inv(translate(v, t, +1))
+    """Inverse gauge transform of samples at their times (shift back, then untwist)."""
+    return _twist(translate(v, t, +1), +1.0, cutoff_of(v))
 
 
-def gauge(traj: Trajectory) -> Trajectory:
-    """Full gauge transform of a trajectory, every sample at its own time.
+def gauge_with_tail(u: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """gauge_field(u, t), bit for bit, and the l2 mass of each sample's phase
+    product outside the working band (the truncation the twist makes).
 
-    The translation amount uses each sample's own mass mean, which both the
-    phase twist and the shift leave unchanged.
+    Both come from one transform of the phase product: its coefficients up to
+    the grid's Nyquist band, whose middle 2*cutoff+1 columns are the twist.
     """
-    return replace(traj, coeffs=gauge_field(traj.coeffs, traj.times))
-
-
-def gauge_with_tail(traj: Trajectory) -> tuple[Trajectory, np.ndarray]:
-    """gauge(traj), bit for bit, and the l2 mass of each sample's phase product
-    outside the working band, both from one transform (gauge_phase_with_tail)."""
-    phased, tail = gauge_phase_with_tail(traj.coeffs)
-    return replace(traj, coeffs=translate(phased, traj.times, -1)), tail
-
-
-def gauge_inv(traj: Trajectory) -> Trajectory:
-    return replace(traj, coeffs=gauge_field_inv(traj.coeffs, traj.times))
+    n = cutoff_of(u)
+    k = (gauge_gridsize(n) - 1) // 2
+    full = _twist(u, -1.0, k)
+    kept = full[..., k - n : k + n + 1].copy()
+    full[..., k - n : k + n + 1] = 0.0
+    return translate(kept, t, -1), np.linalg.norm(full, axis=-1)
 
 
 # ---------------------------------------------------------------------------

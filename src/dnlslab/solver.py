@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .fields import Trajectory, free_phase, plane_wave, resize, time_grid
-from .gauge import gauge_field, gauge_inv, gauge_with_tail
+from .gauge import gauge_field, gauge_field_inv, gauge_with_tail
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
 
@@ -276,15 +276,16 @@ def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     u0 = _datum(u0, cfg)
     v0 = gauge_field(u0, 0.0)
     gauged_report = picard_solve(v0, replace(cfg, equation=Equation.GAUGED, cross_check=False))
-    u_traj = gauge_inv(gauged_report.trajectory)
-    regauged, tail = gauge_with_tail(u_traj)
+    gauged = gauged_report.trajectory
+    u_traj = replace(gauged, coeffs=gauge_field_inv(gauged.coeffs, gauged.times))
+    regauged, tail = gauge_with_tail(u_traj.coeffs, u_traj.times)
     return replace(
         gauged_report,
         trajectory=u_traj,
         equation=Equation.DNLS,
         mass_drift=_mass_drift(u_traj, u0),
         integral_residual=integral_residual(u_traj, Equation.DNLS),
-        gauge_residual=regauged.sup_l2_distance(gauged_report.trajectory),
+        gauge_residual=float(np.max(np.linalg.norm(regauged - gauged.coeffs, axis=-1))),
         gauge_tail=float(np.max(tail)),
         cross_check_gap=_cross_check_gap(u_traj, u0, cfg),
     )

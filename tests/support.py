@@ -29,7 +29,8 @@ def free_wave_trajectory(
 
 def gauge_roundtrip_error(traj: lab.Trajectory) -> float:
     """sup over samples of the L^2 gap of inverse(gauge(traj)) from traj."""
-    return lab.gauge_inv(lab.gauge(traj)).sup_l2_distance(traj)
+    back = lab.gauge_field_inv(lab.gauge_field(traj.coeffs, traj.times), traj.times)
+    return float(np.max(np.linalg.norm(back - traj.coeffs, axis=-1)))
 
 
 def embedding_scan(

@@ -50,7 +50,8 @@ def gauge_equivalence_solves():
         cfg = lab.SolveConfig(cutoff=32, horizon=0.05, steps=200, tol=1e-10,
                               equation=lab.Equation.DNLS)
         direct = lab.picard_solve(u0, cfg)
-        gauged_direct = lab.gauge(direct.trajectory)
+        traj = direct.trajectory
+        gauged_direct = Trajectory(lab.gauge_field(traj.coeffs, traj.times), traj.window)
         cfg_g = lab.SolveConfig(cutoff=32, horizon=0.05, steps=200, tol=1e-10,
                                 equation=lab.Equation.GAUGED)
         v0 = lab.gauge_field(u0, 0.0)

@@ -1,8 +1,6 @@
 """Leading batch axes: every spectral operator applied to a stack of coefficient
 rows equals the stack of its single-row results, and the whole-trajectory
 paths call their operator once per trajectory or sample group."""
-import importlib
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,7 @@ import dnlslab as lab
 import dnlslab.cli as cli_mod
 import dnlslab.estimates as estimates_mod
 import dnlslab.norms as norms_mod
-from dnlslab.gauge import gauge_phase_with_tail
-
-# the package exports a function named gauge over the submodule's name
-gauge_mod = importlib.import_module("dnlslab.gauge")
+from dnlslab.gauge import gauge_with_tail
 
 CUTOFF = 4
 
@@ -35,9 +30,10 @@ OPERATORS = {
         lambda u: lab.mean_shifted_cubic_spectral(u, out_cutoff=CUTOFF), 1),
     "dnls_forcing": (lambda u: lab.dnls_forcing(u, out_cutoff=CUTOFF), 1),
     "mass_primitive": (lab.mass_primitive, 1),
-    "gauge_phase": (lab.gauge_phase, 1),
-    "gauge_phase_inv": (lab.gauge_phase_inv, 1),
-    "gauge_phase_tail": (lambda u: gauge_phase_with_tail(u)[1], 1),
+    # the phase twist alone: at t = 0 the translation is the identity
+    "gauge_phase": (lambda u: lab.gauge_field(u, 0.0), 1),
+    "gauge_phase_inv": (lambda u: lab.gauge_field_inv(u, 0.0), 1),
+    "gauge_phase_tail": (lambda u: gauge_with_tail(u, 0.0)[1], 1),
 }
 
 # maps of samples at times: one time per row, or one scalar time
@@ -88,6 +84,27 @@ def test_timed_maps_take_one_time_per_row_or_a_scalar(name, batch):
     assert_rows_match(op(u, 0.3), stacked(op, batch, u, 0.3))
 
 
+def gauge_with_its_tail(u, t):
+    v, tail = gauge_with_tail(u, t)
+    return np.concatenate([v, tail[..., None]], axis=-1)
+
+
+@pytest.mark.parametrize("op", [lambda u, t: lab.mass_primitive(u), lab.gauge_field,
+                                lab.gauge_field_inv, gauge_with_its_tail],
+                         ids=["mass_primitive", "gauge_field", "gauge_field_inv",
+                              "gauge_with_tail"])
+def test_large_matrix_equals_its_rows_bit_for_bit(op):
+    # every grid of a (201, 65) matrix takes 256 KiB or more, where numpy
+    # writes an implicit product into a right-hand temporary with its operands
+    # swapped; the grid products name their operand order, so a row gets the
+    # bits it gets inside the matrix
+    traj = lab.random_trajectory(32, np.random.default_rng(55), window=0.05, steps=200)
+    whole = op(traj.coeffs, traj.times)
+    rows = np.array([op(row, t) for row, t in zip(traj.coeffs, traj.times)])
+    assert whole.shape[0] == 201
+    assert whole.tobytes() == rows.tobytes()
+
+
 def counting(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -100,15 +117,19 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("fn,map_name", [(lab.gauge, "gauge_field"),
-                                         (lab.gauge_inv, "gauge_field_inv")])
-def test_gauge_maps_call_the_field_map_once_per_trajectory(monkeypatch, fn, map_name):
+@pytest.mark.parametrize("flags,map_name", [([], "gauge_field"), (["--inverse"], "gauge_field_inv")],
+                         ids=["gauge-gauge_field", "gauge_inv-gauge_field_inv"])
+def test_gauge_maps_call_the_field_map_once_per_trajectory(tmp_path, monkeypatch, flags,
+                                                           map_name):
     traj = lab.random_trajectory(CUTOFF, np.random.default_rng(1), window=0.5, steps=8)
-    calls = counting(monkeypatch, gauge_mod, map_name)
-    out = fn(traj)
+    lab.save_trajectory(tmp_path / "traj.csv", traj)
+    calls = counting(monkeypatch, cli_mod, map_name)
+    assert cli_mod.main(["gauge", "--input", str(tmp_path / "traj.csv"), "--output", "g.csv",
+                         *flags, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     assert calls[0][0].shape == traj.coeffs.shape
-    assert out.coeffs.shape == traj.coeffs.shape
+    assert np.array_equal(calls[0][1], traj.times)
+    assert lab.load_trajectory(tmp_path / "g.csv").coeffs.shape == traj.coeffs.shape
 
 
 @pytest.mark.parametrize("scan,op_name", [

@@ -1,5 +1,4 @@
 """Gauge transform building blocks, inverses, and the continuity probe."""
-import importlib
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 import dnlslab as lab
 from dnlslab.fields import ROOT_TWO_PI, Trajectory, x_grid
-from dnlslab.gauge import gauge_gridsize, gauge_phase_with_tail, gauge_with_tail
+from dnlslab.gauge import gauge_gridsize, gauge_with_tail
 from support import gauge_roundtrip_error
 
 
@@ -54,16 +53,17 @@ class TestMassPrimitive:
 
 
 class TestGaugePhase:
+    # at t = 0 the translation is the identity, so the maps are the phase twist
     def test_plane_wave_fixed(self):
         w = lab.plane_wave(8, 3, 1.7)
-        assert np.linalg.norm(lab.gauge_phase(w) - w) < 1e-12
+        assert np.linalg.norm(lab.gauge_field(w, 0.0) - w) < 1e-12
 
     def test_zero(self):
-        assert np.linalg.norm(lab.gauge_phase(np.zeros(17, dtype=complex))) == 0.0
+        assert np.linalg.norm(lab.gauge_field(np.zeros(17, dtype=complex), 0.0)) == 0.0
 
     def test_two_mode_against_physical_oracle(self):
         u = lab.constant_field(32, 1.0) + lab.plane_wave(32, 1)
-        got = lab.to_physical(lab.gauge_phase(u), 256)
+        got = lab.to_physical(lab.gauge_field(u, 0.0), 256)
         grid = x_grid(256)
         expected = np.exp(-2j * np.sin(grid)) * (1.0 + np.exp(1j * grid))
         assert np.max(np.abs(got - expected)) < 1e-10
@@ -77,32 +77,38 @@ class TestGaugePhase:
 
     def test_l2_preserved(self):
         u = lab.random_field(32, np.random.default_rng(10), active_cutoff=8, l2_norm=1.0)
-        assert abs(np.linalg.norm(lab.gauge_phase(u)) - np.linalg.norm(u)) < 1e-10
+        assert abs(np.linalg.norm(lab.gauge_field(u, 0.0)) - np.linalg.norm(u)) < 1e-10
 
     def test_roundtrip_random_unit_fields(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             u = lab.random_field(32, rng, active_cutoff=8, l2_norm=1.0)
-            back = lab.gauge_phase_inv(lab.gauge_phase(u))
+            back = lab.gauge_field_inv(lab.gauge_field(u, 0.0), 0.0)
             assert np.linalg.norm(back - u) <= 1e-8
 
     def test_truncation_tail_reported(self):
         u = lab.random_field(16, np.random.default_rng(13), active_cutoff=4, l2_norm=0.8)
-        tail = gauge_phase_with_tail(u)[1]
+        tail = gauge_with_tail(u, 0.0)[1]
         assert 0.0 <= tail < 1e-6
 
     def test_phase_and_tail_from_one_transform_keep_their_bits(self):
         # the middle columns of the phase product's band up to the grid's
         # Nyquist band are its working band: same FFT, same scale per element
-        u = lab.random_trajectory(16, np.random.default_rng(14), window=0.05, steps=40).coeffs
-        k = (gauge_gridsize(16) - 1) // 2
-        product = importlib.import_module("dnlslab.gauge")._phase_product(u, -1.0)
+        traj = lab.random_trajectory(16, np.random.default_rng(14), window=0.05, steps=40)
+        u = traj.coeffs
+        gridsize = gauge_gridsize(16)
+        k = (gridsize - 1) // 2
+        phase = np.exp(-1j * lab.to_physical(lab.mass_primitive(u), gridsize).real)
+        samples = lab.to_physical(u, gridsize)
+        product = np.multiply(phase, samples, out=samples)
         full = lab.from_physical(product, k)
-        phased, tail = gauge_phase_with_tail(u)
-        assert phased.tobytes() == lab.from_physical(product, 16).tobytes()
-        assert phased.tobytes() == lab.gauge_phase(u).tobytes()
+        gauged, tail = gauge_with_tail(u, traj.times)
+        twisted = lab.from_physical(product, 16)
+        assert gauged.tobytes() == lab.translate(twisted, traj.times, -1).tobytes()
+        assert gauged.tobytes() == lab.gauge_field(u, traj.times).tobytes()
         full[:, k - 16 : k + 17] = 0.0
         assert tail.tobytes() == np.linalg.norm(full, axis=-1).tobytes()
+        assert np.all(tail > 0.0)
 
     def test_gridsize_follows_the_band(self):
         # alias-free for |u|^2 and the phase product, and the 8*cutoff grid
@@ -149,20 +155,20 @@ class TestFullGauge:
                       for t in times]),
             window,
         )
-        got = lab.gauge(traj)
-        for t, row in zip(times, got.coeffs):
+        got = lab.gauge_field(traj.coeffs, traj.times)
+        for t, row in zip(times, got):
             expected = A * np.exp(1j * (-2 * t * A * A * n + theta * t))
             assert abs(row[n + cutoff] - ROOT_TWO_PI * expected) < 1e-11
 
     def test_with_tail_keeps_the_bits_of_gauge(self):
         traj = lab.random_trajectory(16, np.random.default_rng(15), window=0.05, steps=40)
-        gauged, tail = gauge_with_tail(traj)
-        assert gauged.coeffs.tobytes() == lab.gauge(traj).coeffs.tobytes()
-        assert tail.tobytes() == gauge_phase_with_tail(traj.coeffs)[1].tobytes()
+        gauged, tail = gauge_with_tail(traj.coeffs, traj.times)
+        assert gauged.tobytes() == lab.gauge_field(traj.coeffs, traj.times).tobytes()
+        assert tail.shape == (41,) and np.all(tail > 0.0)
 
     def test_zero_trajectory(self):
         traj = Trajectory(np.zeros((5, 9)), 0.2)
-        assert lab.gauge(traj).sup_l2_distance(traj) == 0.0
+        assert np.array_equal(lab.gauge_field(traj.coeffs, traj.times), traj.coeffs)
 
     def test_roundtrip_on_solver_output(self):
         cfg = lab.SolveConfig(cutoff=16, horizon=0.05, steps=60, equation=lab.Equation.DNLS)

@@ -156,7 +156,8 @@ class TestPicard:
         cfg = lab.SolveConfig(cutoff=12, horizon=0.05, steps=80,
                               equation=lab.Equation.GAUGED, tol=1e-11)
         rep = lab.picard_solve(v0, cfg)
-        exact = lab.gauge(lab.plane_wave_solution(12, n, A, 0.05, 80))
+        wave = lab.plane_wave_solution(12, n, A, 0.05, 80)
+        exact = lab.Trajectory(lab.gauge_field(wave.coeffs, wave.times), wave.window)
         assert rep.converged
         assert rep.trajectory.sup_l2_distance(exact) <= 1e-7
 
@@ -331,9 +332,10 @@ class TestGaugePipeline:
         cfg = lab.SolveConfig(cutoff=16, horizon=0.05, steps=80, tol=1e-11)
         u0 = lab.random_field(16, np.random.default_rng(31), active_cutoff=4, l2_norm=0.3)
         direct = lab.picard_solve(u0, cfg)
-        gauged_traj = lab.gauge(direct.trajectory)
+        traj = direct.trajectory
+        gauged_traj = lab.Trajectory(lab.gauge_field(traj.coeffs, traj.times), traj.window)
         assert lab.integral_residual(gauged_traj, lab.Equation.GAUGED) <= 1e-7
-        back = lab.gauge_inv(gauged_traj)
+        back = lab.Trajectory(lab.gauge_field_inv(gauged_traj.coeffs, traj.times), traj.window)
         assert lab.integral_residual(back, lab.Equation.DNLS) <= 1e-7
 
     def test_forcing_takes_the_equation_or_its_name(self):
