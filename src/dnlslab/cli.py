@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -27,13 +26,8 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import cutoff_of, mass_mean, plane_wave, random_field
-from .gauge import (
-    gauge_field,
-    gauge_field_inv,
-    translation_gap_probe,
-    translation_probe_pair,
-)
+from .fields import plane_wave, random_field
+from .gauge import gauge_field, gauge_field_inv, translation_gap_probe
 from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
     __version__,
@@ -204,12 +198,7 @@ def cmd_gauge(args) -> int:
     _reject_unread(args, "gauge", {"tag": "report"})  # --output names its one file
     gauge_map = gauge_field_inv if args.inverse else gauge_field
     if file_kind(args.input) == "field":
-        f = load_field(args.input)
-        mass = float(mass_mean(f))
-        if math.isfinite(mass) and not math.isfinite(2.0 * args.time * mass * cutoff_of(f)):
-            raise ValueError(f"--time {args.time} makes the translation phase "
-                             "2*t*mean(|u|^2)*N of this field non-finite")
-        g = gauge_map(f, args.time)
+        g = gauge_map(load_field(args.input), args.time)
         save = save_field
     else:
         _reject_unread(args, "gauge of a trajectory", GAUGE_FIELD_DEFAULTS)
@@ -294,26 +283,6 @@ def cmd_counterexample(args) -> int:
             div.summary["factor_norms"])))
     if args.mode in ("translation", "both"):
         n_list = [int(n) for n in args.n_list.split(",")]
-        if math.isfinite(args.amplitude) and math.isfinite(args.s):  # else the probe rejects them
-            probed = [n for n in n_list if n >= 1]
-            for n in probed:
-                try:
-                    wave = args.amplitude * float(n) ** -args.s
-                    mass = wave * wave + 1.0 / n  # 2*pi * mean(|u|^2) of the probe at n
-                except OverflowError:  # float ** raises where * gives inf
-                    mass = math.inf
-                if not math.isfinite(mass):
-                    raise ValueError(f"--amplitude {args.amplitude} with --s {args.s} makes the "
-                                     f"mass mean(|u|^2) of the probe at n={n} non-finite")
-            for n in probed:
-                with_constant, wave_only = translation_probe_pair(args.amplitude, args.s, n)
-                with np.errstate(over="ignore"):  # a mass that overflows is inf in both
-                    same_mass = mass_mean(with_constant) == mass_mean(wave_only)
-                if same_mass:
-                    raise ValueError(
-                        f"--amplitude {args.amplitude} with --s {args.s} puts the probe's constant "
-                        f"n**-0.5 below the round-off of its wave at n={n}: both inputs have the "
-                        "same mass, so every gap it would report is meaningless")
         probe = translation_gap_probe(args.amplitude, args.s, args.r, n_list)
         sections["translation"] = probe
         tables["translation"] = (["n", "input_gap", "output_gap", "gauge_gap"], list(zip(

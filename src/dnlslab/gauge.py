@@ -71,8 +71,15 @@ def translate(coeffs: np.ndarray, times, sign: int) -> np.ndarray:
     """
     if sign not in (-1, +1):
         raise ValueError("sign must be -1 or +1")
-    amount = -sign * 2.0 * times * mass_mean(coeffs)
-    return np.exp(-1j * np.multiply.outer(amount, xi_range(cutoff_of(coeffs)))) * coeffs
+    mass, n = mass_mean(coeffs), cutoff_of(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        amount = -sign * 2.0 * times * mass
+        overflows = np.isfinite(mass) & ~np.isfinite(amount * n)
+    if overflows.any():
+        t = np.broadcast_to(times, overflows.shape)[overflows][0]
+        raise ValueError(f"t = {t} makes the translation phase 2*t*mean(|u|^2)*N of a "
+                         "sample non-finite")
+    return np.exp(-1j * np.multiply.outer(amount, xi_range(n))) * coeffs
 
 
 def gauge_field(u: np.ndarray, t) -> np.ndarray:
@@ -135,10 +142,25 @@ def translation_gap_probe(
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
     spec = NormSpec(s=s, r=r)
+    for n in n_list:
+        try:
+            wave = amplitude * float(n) ** -s
+            finite = math.isfinite(wave * wave + 1.0 / n)  # mean(|u|^2) of the probe at n
+        except OverflowError:  # float ** raises where * gives inf
+            finite = False
+        if not finite:
+            raise ValueError(f"amplitude {amplitude} with s {s} makes the mass mean(|u|^2) "
+                             f"of the probe at n={n} non-finite")
     tgrid = np.linspace(-1.0, 1.0, t_samples)
     rows = []
     for n in n_list:
         u1, u2 = translation_probe_pair(amplitude, s, n)
+        with np.errstate(over="ignore"):  # a mass that overflows is inf in both
+            if mass_mean(u1) == mass_mean(u2):
+                raise ValueError(
+                    f"amplitude {amplitude} with s {s} puts the probe's constant n**-0.5 below "
+                    f"the round-off of its wave at n={n}: both inputs have the same mass, so "
+                    "every gap it would report is meaningless")
         input_gap = float(data_norms(u1 - u2, spec))
         d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
         out_gap = float(np.max(data_norms(d, spec)))

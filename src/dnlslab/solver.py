@@ -154,6 +154,16 @@ def picard_solve(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     residual_history still lists every residual.
     """
     u0 = _datum(u0, cfg)
+    # the loop's arrays are freed on its return, before the report's full-band
+    # diagnostics, the solve's memory peak
+    return _report(*_picard(u0, cfg), u0, cfg)
+
+
+def _picard(u0: np.ndarray,
+            cfg: SolveConfig) -> tuple[Trajectory, np.ndarray, list[float], bool, int]:
+    """The Picard loop from the datum row u0: the last finite iterate as a
+    trajectory, the grid's free phase, every residual, whether it converged,
+    and how many iterations the kept iterate took."""
     phase = free_phase(time_grid(cfg.horizon, cfg.steps), cfg.cutoff)
     dt = 2.0 * cfg.horizon / cfg.steps  # Trajectory.dt of the solution
     current = linear = phase * u0
@@ -170,9 +180,14 @@ def picard_solve(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
         if residual <= cfg.tol:
             converged = True
             break
+    return Trajectory(current, cfg.horizon), phase, history, converged, saved
 
-    traj = Trajectory(current, cfg.horizon)
-    del current, linear, nxt  # freed before the full-band diagnostics, the solve's memory peak
+
+def _report(traj: Trajectory, phase: np.ndarray, history: list[float], converged: bool,
+            saved: int, u0: np.ndarray, cfg: SolveConfig, **gauge) -> SolveReport:
+    """The report of the saved trajectory traj of cfg's equation from the datum
+    row u0, with one evaluation of its untruncated forcing and, with
+    cfg.cross_check, the sup-in-time l2 gap to RK4."""
     in_band_residual, tail = _full_band_diagnostics(traj, cfg.equation, phase)
     return SolveReport(
         trajectory=traj,
@@ -185,13 +200,9 @@ def picard_solve(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
         mass_drift=_mass_drift(traj, u0),
         integral_residual=in_band_residual,
         truncated_tail_mass=tail,
-        cross_check_gap=_cross_check_gap(traj, u0, cfg),
+        cross_check_gap=traj.sup_l2_distance(rk4_solve(u0, cfg)) if cfg.cross_check else None,
+        **gauge,
     )
-
-
-def _cross_check_gap(traj: Trajectory, u0: np.ndarray, cfg: SolveConfig) -> float | None:
-    """With cfg.cross_check, the sup-in-time l2 gap to RK4 on cfg's equation."""
-    return traj.sup_l2_distance(rk4_solve(u0, cfg)) if cfg.cross_check else None
 
 
 def _mass_drift(traj: Trajectory, u0: np.ndarray) -> float:
@@ -265,30 +276,21 @@ def rk4_solve(u0: np.ndarray, cfg: SolveConfig) -> Trajectory:
 def solve_via_gauge(u0: np.ndarray, cfg: SolveConfig) -> SolveReport:
     """Gauge the datum, solve the transformed equation, and ungauge.
 
-    Returns a report for the raw-equation solution, including its own
-    integral-equation residual, the gap between the gauged representation
-    and the directly transformed trajectory, the worst out-of-band mass of
-    the phase product that gauging the solution truncates, and with
-    cfg.cross_check the gap to RK4 on the raw equation.
+    Returns the report of the raw-equation solution, as picard_solve would
+    describe it, with the gap between the gauged iterate and the regauged
+    solution and the worst out-of-band mass of the phase product that
+    regauging the solution truncates.
     """
     if cfg.equation is not Equation.DNLS:
         raise ValueError("the gauge pipeline solves the raw derivative equation")
     u0 = _datum(u0, cfg)
-    v0 = gauge_field(u0, 0.0)
-    gauged_report = picard_solve(v0, replace(cfg, equation=Equation.GAUGED, cross_check=False))
-    gauged = gauged_report.trajectory
-    u_traj = replace(gauged, coeffs=gauge_field_inv(gauged.coeffs, gauged.times))
-    regauged, tail = gauge_with_tail(u_traj.coeffs, u_traj.times)
-    return replace(
-        gauged_report,
-        trajectory=u_traj,
-        equation=Equation.DNLS,
-        mass_drift=_mass_drift(u_traj, u0),
-        integral_residual=integral_residual(u_traj, Equation.DNLS),
-        gauge_residual=float(np.max(np.linalg.norm(regauged - gauged.coeffs, axis=-1))),
-        gauge_tail=float(np.max(tail)),
-        cross_check_gap=_cross_check_gap(u_traj, u0, cfg),
-    )
+    gauged, phase, history, converged, saved = _picard(
+        gauge_field(u0, 0.0), replace(cfg, equation=Equation.GAUGED))
+    traj = replace(gauged, coeffs=gauge_field_inv(gauged.coeffs, gauged.times))
+    regauged, tail = gauge_with_tail(traj.coeffs, traj.times)
+    return _report(traj, phase, history, converged, saved, u0, cfg,
+                   gauge_residual=float(np.max(np.linalg.norm(regauged - gauged.coeffs, axis=-1))),
+                   gauge_tail=float(np.max(tail)))
 
 
 def plane_wave_solution(

@@ -17,6 +17,7 @@ import dnlslab as lab
 from dnlslab import cli
 from dnlslab.cli import build_parser, main
 from dnlslab.fields import ROOT_TWO_PI
+from dnlslab.gauge import translation_probe_pair
 from support import free_wave_trajectory
 
 
@@ -253,7 +254,8 @@ class TestGaugeAndNormsCommands:
         code = main(["gauge", "--input", str(tmp_path / "f.csv"), "--output", "g.csv",
                      "--time", time, "--out", str(tmp_path)])
         assert code == 1
-        assert "--time" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: t = {float(time)} makes the translation "
+                                           "phase 2*t*mean(|u|^2)*N of a sample non-finite\n")
         assert not (tmp_path / "g.csv").exists()
 
     def test_gauge_at_a_large_finite_time_succeeds(self, tmp_path):
@@ -277,20 +279,24 @@ class TestGaugeAndNormsCommands:
         code = main(["counterexample", "--mode", "translation", "--amplitude", "1e200",
                      "--out", str(out)])
         assert code == 1
-        assert ("--amplitude 1e+200 with --s 0.5 makes the mass mean(|u|^2) of the probe at n=4 "
+        assert ("amplitude 1e+200 with s 0.5 makes the mass mean(|u|^2) of the probe at n=4 "
                 "non-finite" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_counterexample_at_a_large_amplitude_keeps_the_gauge_gap_finite(self, tmp_path):
         # the mass primitive's samples carry round-off that grows with the mass: an
         # imaginary part of it in the phase would scale the twist off the unit circle.
-        # 1e7 is the largest power of ten the command accepts (from 1e8 the probe's two
-        # inputs have the same mass); the probe itself still takes 1e10
+        # 1e7 is the largest power of ten the probe accepts (from 1e8 its two inputs
+        # have the same mass); the gauge map itself still takes the probe pair at 1e10
         code = main(["counterexample", "--mode", "translation", "--amplitude", "1e7",
                      "--out", str(tmp_path), "--tag", "big"])
         assert code == 0
         gaps = read_json(tmp_path / "big.json")["translation"]["summary"]["gauge_gap"]
-        gaps += lab.translation_gap_probe(1e10, 0.5, 2.0, [4, 16, 64, 256]).summary["gauge_gap"]
+        tgrid, spec = np.linspace(-1.0, 1.0, 201), lab.NormSpec(s=0.5, r=2.0)
+        for n in (4, 16, 64, 256):
+            with_constant, wave_only = translation_probe_pair(1e10, 0.5, n)
+            gap = lab.gauge_field(with_constant, tgrid) - lab.gauge_field(wave_only, tgrid)
+            gaps.append(float(np.max(lab.data_norms(gap, spec))))
         assert len(gaps) == 8 and all(math.isfinite(gap) for gap in gaps)
 
     # 64.0**100 squares to inf; 256.0**200 raises OverflowError
@@ -300,7 +306,7 @@ class TestGaugeAndNormsCommands:
         code = main(["counterexample", "--mode", "translation", "--s", s, "--n-list", n_list,
                      "--out", str(tmp_path / "fresh")])
         assert code == 1
-        assert (f"with --s {float(s)} makes the mass mean(|u|^2) of the probe at n={n} non-finite"
+        assert (f"with s {float(s)} makes the mass mean(|u|^2) of the probe at n={n} non-finite"
                 in capsys.readouterr().err)
         assert not (tmp_path / "fresh").exists()
 
@@ -517,7 +523,7 @@ class TestScanCommands:
         (["counterexample", "--mode", "translation", "--amplitude", "nan"], "amplitude"),
         (["counterexample", "--mode", "translation", "--s", "nan"], "s must be finite"),
         (["counterexample", "--mode", "translation", "--amplitude", "1e8"],
-         "--amplitude 100000000.0 with --s 0.5 puts the probe's constant n**-0.5 below the "
+         "amplitude 100000000.0 with s 0.5 puts the probe's constant n**-0.5 below the "
          "round-off of its wave at n=4"),
         (["ratio-scan", "--samples", "0"], "samples"),
         (["ratio-scan", "--kind", "strichartz", "--samples", "0"], "samples"),
@@ -641,6 +647,51 @@ class TestVerifyCommand:
         code = main(["verify", "--out", str(tmp_path), "--tag", "vf"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestDeterminism:
+    """Same argv and relative --out, run from two directories: the same bytes."""
+
+    @staticmethod
+    def write_inputs():
+        rng = np.random.default_rng(41)
+        lab.save_field(Path("f.csv"), lab.random_field(8, rng, active_cutoff=4, l2_norm=0.5))
+        lab.save_trajectory(Path("t.csv"), lab.random_trajectory(8, rng, window=0.05, steps=8))
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--N", "8", "--M", "40", "--T", "0.05"],
+        ["solve", "--N", "8", "--M", "40", "--T", "0.05", "--via-gauge", "--cross-check"],
+        ["solve", "--N", "8", "--M", "40", "--T", "0.05", "--equation", "gauged",
+         "--plane-wave", "A=1,n=1"],
+        ["gauge", "--input", "f.csv", "--output", "g.csv", "--time", "0.3"],
+        ["gauge", "--input", "t.csv", "--output", "gt.csv", "--inverse"],
+        ["norms", "--input", "f.csv"],
+        ["norms", "--input", "t.csv", "--b", "0.5", "--z"],
+        ["divisors", "--max", "1000", "--refined"],
+        ["scan-sums", "--truncations", "8,16"],
+        ["counterexample", "--truncations", "10,100"],
+        ["ratio-scan", "--kind", "cubic", "--samples", "4", "--steps", "16"],
+        ["ratio-scan", "--kind", "strichartz", "--samples", "4", "--steps", "16"],
+        ["ratio-scan", "--kind", "quintic", "--samples", "4", "--steps", "16"],
+        ["ratio-scan", "--kind", "endpoint", "--truncations", "10,100"],
+        ["verify"],
+    ], ids=["solve", "solve-via-gauge", "solve-gauged-plane-wave", "gauge-field",
+            "gauge-trajectory", "norms-field", "norms-trajectory", "divisors", "scan-sums",
+            "counterexample", "ratio-scan-cubic", "ratio-scan-strichartz", "ratio-scan-quintic",
+            "ratio-scan-endpoint", "verify"])
+    def test_every_subcommand_writes_the_same_bytes_twice(self, tmp_path, monkeypatch, capsys,
+                                                          argv):
+        runs = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            self.write_inputs()
+            assert main(argv + ["--out", "o"]) == 0
+            out = Path("o")
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            runs.append((capsys.readouterr().out, files))
+        assert runs[0][1]  # the run wrote its files
+        assert runs[0] == runs[1]
 
 
 # blocks every scipy import in the child, as in an install without the test extra

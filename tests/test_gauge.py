@@ -1,5 +1,6 @@
 """Gauge transform building blocks, inverses, and the continuity probe."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ class TestTranslate:
         with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
             lab.translate(lab.plane_wave(4, 1), 0.1, 0)
 
+    def test_rejects_a_time_whose_phase_overflows(self):
+        # checked before the phase is formed, so numpy warns of no overflow
+        u = lab.random_field(4, np.random.default_rng(3))
+        msg = "t = 1e+308 makes the translation phase 2*t*mean(|u|^2)*N of a sample non-finite"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            lab.gauge_field(u, 1e308)
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            lab.gauge_field_inv(u, 1e308)
+        rows = np.array([u, u, u])
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            lab.translate(rows, np.array([0.5, 1e308, np.nan]), -1)
+        assert np.isfinite(lab.gauge_field(u, 1e20)).all()
+
     def test_inverse_composition(self):
         rng = np.random.default_rng(3)
         coeffs = np.array([lab.random_field(8, rng, l2_norm=1.0) for _ in range(9)])
@@ -210,6 +224,22 @@ class TestTranslationGapProbe:
         assert all(b < a for a, b in zip(gaps_in, gaps_in[1:]))
         assert min(gaps_out) > 0.5 * gaps_out[0]
         assert len(report.summary["gauge_gap"]) == 4  # recorded, not asserted
+
+    def test_rejects_a_probe_whose_inputs_have_the_same_mass(self):
+        # at 1e10 the constant n**-0.5 is below the round-off of the wave's mass
+        with pytest.raises(ValueError, match=re.escape(
+                "amplitude 10000000000.0 with s 0.5 puts the probe's constant n**-0.5 below "
+                "the round-off of its wave at n=4: both inputs have the same mass")):
+            lab.translation_gap_probe(1e10, 0.5, 2.0, [4, 16])
+
+    # 1e200 * 4**-0.5 squares to inf; 256.0**200 raises OverflowError
+    @pytest.mark.parametrize("amplitude,s,n_list,n", [(1e200, 0.5, [4], 4),
+                                                      (1.0, -200.0, [4, 256], 256)])
+    def test_rejects_a_probe_whose_mass_overflows(self, amplitude, s, n_list, n):
+        with pytest.raises(ValueError, match=re.escape(
+                f"amplitude {amplitude} with s {s} makes the mass mean(|u|^2) of the probe "
+                f"at n={n} non-finite")):
+            lab.translation_gap_probe(amplitude, s, 2.0, n_list)
 
     def test_requires_increasing_frequencies(self):
         with pytest.raises(ValueError):

@@ -416,6 +416,23 @@ class TestBatchedForcing:
         assert len(calls) == len(rep.residual_history) + 1
         assert all(shape == (41, 17) for shape in calls)
 
+    def test_via_gauge_makes_one_full_band_pass_on_the_raw_trajectory(self, monkeypatch):
+        # the gauged loop at the N band, then the report's diagnostics of the
+        # ungauged trajectory: no diagnostics of the gauged iterate, no second pass
+        calls = []
+
+        def counting(coeffs, equation, out_cutoff):
+            calls.append((coeffs.shape, lab.Equation(equation), out_cutoff))
+            return forcing_field(coeffs, equation, out_cutoff)
+
+        monkeypatch.setattr(solver_mod, "forcing_field", counting)
+        cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, tol=1e-11)
+        u0 = lab.random_field(8, np.random.default_rng(53), active_cutoff=4, l2_norm=0.3)
+        rep = lab.solve_via_gauge(u0, cfg)
+        assert len(calls) == len(rep.residual_history) + 1
+        assert calls[:-1] == [((41, 17), lab.Equation.GAUGED, 8)] * (len(calls) - 1)
+        assert calls[-1] == ((41, 17), lab.Equation.DNLS, 24)
+
     def test_one_free_phase_per_solve(self, monkeypatch):
         calls = []
 
@@ -434,8 +451,12 @@ class TestBatchedForcing:
         cfg = lab.SolveConfig(cutoff=8, horizon=0.05, steps=40, tol=1e-6)
         u0 = lab.random_field(8, np.random.default_rng(54), active_cutoff=4, l2_norm=0.5)
         rep = lab.solve_via_gauge(u0, cfg)
+        traj = rep.trajectory
         assert rep.integral_residual > 1e-13
-        assert rep.integral_residual == lab.integral_residual(rep.trajectory, lab.Equation.DNLS)
+        assert rep.integral_residual == lab.integral_residual(traj, lab.Equation.DNLS)
+        # the tail is the saved raw trajectory's, not the gauged iterate's
+        tails = tail_l2(forcing_field(traj.coeffs, lab.Equation.DNLS, 24), 8)
+        assert rep.truncated_tail_mass == pytest.approx(max(tails), rel=1e-12)
 
     @pytest.mark.parametrize("equation", [lab.Equation.DNLS, lab.Equation.GAUGED,
                                           lab.Equation.SHIFTED_NLS])
