@@ -88,7 +88,7 @@ def _read_config(args, parser, command) -> dict:
         parser.error("config file must hold a JSON object")
     actions = {action.dest: action for action in command._actions}
     for key, value in data.items():
-        if key in ("command", "func", "config") or not hasattr(args, key):
+        if key in ("command", "config") or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
         problem = _config_type_error(actions[key], value)
         if problem:
@@ -100,7 +100,7 @@ def _write_report(args, **sections) -> Path:
     """Write <tag>.json with the run's flags, the version and the given
     sections, and return the output directory."""
     out = _out_dir(args)
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    cfg = {k: v for k, v in vars(args).items() if k != "config"}
     write_json(out / f"{args.tag}.json", {"config": cfg, "version": __version__, **sections})
     return out
 
@@ -363,7 +363,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="gauge the datum, solve the transformed equation, ungauge")
     p.add_argument("--cross-check", action="store_true",
                    help="also integrate with the Runge-Kutta stepper and report the gap")
-    p.set_defaults(func=cmd_solve, **SOLVE_RANDOM_DATUM_DEFAULTS)
+    p.set_defaults(**SOLVE_RANDOM_DATUM_DEFAULTS)
 
     p = sub.add_parser("gauge", help="apply the gauge map or its inverse to a file")
     common(p)
@@ -371,7 +371,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--output", default="gauged.csv")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--time", type=float, help="evaluation time for a single field")
-    p.set_defaults(func=cmd_gauge, **GAUGE_FIELD_DEFAULTS)
+    p.set_defaults(**GAUGE_FIELD_DEFAULTS)
 
     p = sub.add_parser("norms", help="evaluate norms of a field or trajectory file")
     common(p)
@@ -381,13 +381,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--p", help="temporal exponent, a number or 'inf'; read with --b")
     p.add_argument("--z", action="store_true", help="also report the intersection norm")
-    p.set_defaults(func=cmd_norms, **NORMS_XST_DEFAULTS)
+    p.set_defaults(**NORMS_XST_DEFAULTS)
 
     p = sub.add_parser("divisors", help="near-diagonal divisor-pair scan")
     common(p)
     p.add_argument("--max", type=int, default=10**6)
     p.add_argument("--refined", action="store_true", help="emit the count histogram CSV")
-    p.set_defaults(func=cmd_divisors)
 
     p = sub.add_parser("scan-sums", help="resonance-weighted lattice sum scans")
     common(p)
@@ -400,7 +399,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--anchor-min", type=int, default=-50)
     p.add_argument("--anchor-max", type=int, default=50)
     p.add_argument("--anchor-step", type=int, default=10)
-    p.set_defaults(func=cmd_scan_sums)
 
     p = sub.add_parser("counterexample", help="divergence sums and the translation gap probe")
     common(p)
@@ -411,7 +409,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--amplitude", type=float)
     p.add_argument("--s", type=float)
     p.add_argument("--r", type=float)
-    p.set_defaults(func=cmd_counterexample, **COUNTEREXAMPLE_DEFAULTS["divergence"],
+    p.set_defaults(**COUNTEREXAMPLE_DEFAULTS["divergence"],
                    **COUNTEREXAMPLE_DEFAULTS["translation"])
 
     p = sub.add_parser("ratio-scan", help="estimate-ratio evidence scans")
@@ -427,11 +425,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int, default=20240)
     p.add_argument("--truncations")
-    p.set_defaults(func=cmd_ratio_scan, **RATIO_SCAN_DEFAULTS)
+    p.set_defaults(**RATIO_SCAN_DEFAULTS)
 
     p = sub.add_parser("verify", help="run the property-test battery")
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser, sub.choices
 
@@ -458,7 +455,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses exit code 2 for usage errors; 2 is reserved here
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # the handler is looked up at each call, so a replaced cmd_* is the one that runs
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

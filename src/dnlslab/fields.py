@@ -73,25 +73,9 @@ def from_physical(samples: np.ndarray, cutoff: int) -> np.ndarray:
     """Band coefficients of samples on the uniform grid x_j = 2*pi*j/G, G = samples.shape[-1].
 
     Exact for band-limited data when G >= 2*cutoff + 1.  The samples are left
-    untouched.
+    untouched: the transform runs on a copy.
     """
-    samples = np.asarray(samples, dtype=complex)
-    _check_grid(samples.shape[-1], cutoff)
-    return _kept_band(np.fft.fft(samples, axis=-1), cutoff, cutoff)
-
-
-def _kept_band(spectrum: np.ndarray, cutoff: int, out_cutoff: int) -> np.ndarray:
-    """The scaled coefficients on |xi| <= cutoff of an unscaled FFT spectrum,
-    zero-padded to |xi| <= out_cutoff (out_cutoff >= cutoff)."""
-    gridsize = spectrum.shape[-1]
-    scale = ROOT_TWO_PI / gridsize
-    pad = out_cutoff - cutoff
-    shape = spectrum.shape[:-1] + (2 * out_cutoff + 1,)
-    out = np.zeros(shape, dtype=complex) if pad else np.empty(shape, dtype=complex)
-    zero = pad + cutoff  # the column of xi = 0
-    np.multiply(spectrum[..., gridsize - cutoff :], scale, out=out[..., pad:zero])
-    np.multiply(spectrum[..., : cutoff + 1], scale, out=out[..., zero : zero + cutoff + 1])
-    return out
+    return product_coeffs(np.array(samples, dtype=complex), cutoff, cutoff)
 
 
 def product_gridsize(band: int, out_cutoff: int) -> int:
@@ -121,9 +105,17 @@ def product_coeffs(values: np.ndarray, band: int, out_cutoff: int) -> np.ndarray
     result.
     """
     cutoff = min(out_cutoff, band)
-    _check_grid(values.shape[-1], cutoff)
+    gridsize = values.shape[-1]
+    _check_grid(gridsize, cutoff)
     np.fft.fft(values, axis=-1, out=values)
-    return _kept_band(values, cutoff, out_cutoff)
+    scale = ROOT_TWO_PI / gridsize
+    pad = out_cutoff - cutoff
+    shape = values.shape[:-1] + (2 * out_cutoff + 1,)
+    out = np.zeros(shape, dtype=complex) if pad else np.empty(shape, dtype=complex)
+    zero = pad + cutoff  # the column of xi = 0
+    np.multiply(values[..., gridsize - cutoff :], scale, out=out[..., pad:zero])
+    np.multiply(values[..., : cutoff + 1], scale, out=out[..., zero : zero + cutoff + 1])
+    return out
 
 
 def x_grid(gridsize: int) -> np.ndarray:
@@ -223,7 +215,7 @@ class Trajectory:
 
     @property
     def cutoff(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
+        return cutoff_of(self.coeffs)
 
     @property
     def steps(self) -> int:

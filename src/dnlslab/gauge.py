@@ -142,25 +142,26 @@ def translation_gap_probe(
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
     spec = NormSpec(s=s, r=r)
+    probes = {}  # n -> (pair, masses): every n is checked for overflow before any for round-off
     for n in n_list:
         try:
-            wave = amplitude * float(n) ** -s
-            finite = math.isfinite(wave * wave + 1.0 / n)  # mean(|u|^2) of the probe at n
+            pair = translation_probe_pair(amplitude, s, n)
         except OverflowError:  # float ** raises where * gives inf
-            finite = False
-        if not finite:
+            pair = ()
+        with np.errstate(over="ignore"):  # a mass that overflows is inf, rejected here
+            masses = [mass_mean(u) for u in pair]
+        if not (pair and np.isfinite(masses).all()):
             raise ValueError(f"amplitude {amplitude} with s {s} makes the mass mean(|u|^2) "
                              f"of the probe at n={n} non-finite")
+        probes[n] = pair, masses
     tgrid = np.linspace(-1.0, 1.0, t_samples)
     rows = []
-    for n in n_list:
-        u1, u2 = translation_probe_pair(amplitude, s, n)
-        with np.errstate(over="ignore"):  # a mass that overflows is inf in both
-            if mass_mean(u1) == mass_mean(u2):
-                raise ValueError(
-                    f"amplitude {amplitude} with s {s} puts the probe's constant n**-0.5 below "
-                    f"the round-off of its wave at n={n}: both inputs have the same mass, so "
-                    "every gap it would report is meaningless")
+    for n, ((u1, u2), (m1, m2)) in probes.items():
+        if m1 == m2:
+            raise ValueError(
+                f"amplitude {amplitude} with s {s} puts the probe's constant n**-0.5 below "
+                f"the round-off of its wave at n={n}: both inputs have the same mass, so "
+                "every gap it would report is meaningless")
         input_gap = float(data_norms(u1 - u2, spec))
         d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
         out_gap = float(np.max(data_norms(d, spec)))

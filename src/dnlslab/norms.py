@@ -2,8 +2,8 @@
 
 The space-time norm weights the full space-time transform by
 <tau + xi^2>**b * <xi>**s and takes an l^{r'} norm over xi of L^{p'} norms
-over tau.  The temporal transform is a zero-padded windowed DFT; tau
-integrals use trapezoid weights on the resulting uniform tau grid.
+over tau.  The temporal transform is a zero-padded windowed DFT; a tau
+integral is the plain sum over the resulting uniform tau grid times its step.
 """
 from __future__ import annotations
 

@@ -145,14 +145,14 @@ def _endpoint_weights(xi: np.ndarray, log_shift: float) -> np.ndarray:
 
 
 def direct_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
-    """``divergent_mass_sum`` from its own arrays over 1 <= xi <= truncation."""
+    """Mass sum of ``estimates._endpoint_sums`` from its own arrays, 1 <= xi <= truncation."""
     xi = np.arange(1, truncation + 1, dtype=float)
     br = bracket(xi)
     return float(2.0 * np.sum(1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))))
 
 
 def direct_pairing(truncation: int, log_shift: float = 0.0) -> float:
-    """``endpoint_pairing`` summed over the signed xi1 with xi3 = -1 - xi1."""
+    """Pairing of ``estimates._endpoint_sums`` summed over the signed xi1 with xi3 = -1 - xi1."""
     xi1 = np.concatenate([np.arange(-truncation, 0), np.arange(1, truncation + 1)]).astype(float)
     xi3 = -1.0 - xi1
     keep = (xi3 != 0.0) & (np.abs(xi3) <= truncation)
@@ -175,7 +175,7 @@ def direct_pairing(truncation: int, log_shift: float = 0.0) -> float:
 
 
 def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
-    """``endpoint_factor_norm`` from its own weights over 1 <= xi <= truncation."""
+    """Factor norm of ``estimates._endpoint_sums`` from its own weights, 1 <= xi <= truncation."""
     xi = np.arange(1, truncation + 1, dtype=float)
     w = _endpoint_weights(xi, log_shift)
     return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))

@@ -9,6 +9,7 @@ import dnlslab.cli as cli_mod
 import dnlslab.estimates as estimates_mod
 import dnlslab.norms as norms_mod
 from dnlslab.gauge import gauge_with_tail
+from dnlslab.solver import forcing_field
 
 CUTOFF = 4
 
@@ -82,6 +83,32 @@ def test_timed_maps_take_one_time_per_row_or_a_scalar(name, batch):
     times = rng.uniform(-1.0, 1.0, size=batch)
     assert_rows_match(op(u, times), stacked(op, batch, u, times))
     assert_rows_match(op(u, 0.3), stacked(op, batch, u, 0.3))
+
+
+def pure_cases():
+    """One case, op and operands, for every operation the README calls pure."""
+    rng = np.random.default_rng(17)
+    cases = {name: (op, [random_rows(rng, (2, 3)) for _ in range(arity)])
+             for name, (op, arity) in OPERATORS.items()}
+    cases.update({name: (op, [random_rows(rng, (5,)), rng.uniform(-1.0, 1.0, size=5)])
+                  for name, op in TIMED.items()})
+    cases.update({f"forcing_field-{eq.value}": (
+        lambda u, eq=eq: forcing_field(u, eq, CUTOFF), [random_rows(rng, (5,))])
+        for eq in lab.Equation})
+    traj = lab.random_trajectory(CUTOFF, rng, window=0.5, steps=8)
+    cases["duhamel"] = (lambda f, p: lab.duhamel(f, p, traj.dt),
+                        [random_rows(rng, (9,)), lab.free_phase(traj.times, CUTOFF)])
+    cases["from_physical"] = (lambda v: lab.from_physical(v, CUTOFF),
+                              [lab.to_physical(random_rows(rng, (5,)), 24)])
+    return [pytest.param(op, operands, id=name) for name, (op, operands) in cases.items()]
+
+
+@pytest.mark.parametrize("op,operands", pure_cases())
+def test_operations_never_write_to_their_inputs(op, operands):
+    # the kernels that work in place work in arrays of their own: every argument keeps its bits
+    before = [x.tobytes() for x in operands]
+    op(*operands)
+    assert [x.tobytes() for x in operands] == before
 
 
 def gauge_with_its_tail(u, t):

@@ -8,7 +8,7 @@ import dnlslab.reports as reports
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
-# names the tracer still lists though the package dropped them; ROADMAP item 1
+# names the tracer still lists though the package dropped them; ROADMAP item 2
 # (the benchmark change) removes them from bench/tracing.py and empties this set
 STALE = {
     "norms.z_norm",

@@ -234,6 +234,15 @@ class TestSharedParser:
         solve = cli._shared_parser()[1]["solve"]
         assert {key: solve.get_default(key) for key in self.DEFAULTS} == self.DEFAULTS
 
+    def test_a_replaced_handler_runs_on_the_next_call(self, tmp_path, capsys, monkeypatch):
+        # main looks the handler up by the subcommand's name at each call, so a
+        # parser built before the handler was replaced still reaches the new one
+        assert main(["divisors", "--max", "100", "--out", str(tmp_path)]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_divisors", lambda args: calls.append(args.max) or 0)
+        assert main(["divisors", "--max", "200", "--out", str(tmp_path)]) == 0
+        assert calls == [200]
+
 
 class TestGaugeAndNormsCommands:
     def test_gauge_roundtrip_via_files(self, tmp_path):
@@ -275,12 +284,24 @@ class TestGaugeAndNormsCommands:
 
     def test_counterexample_that_overflows_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "fresh"
-        # rejected before any array work, so numpy warns of no overflow
+        # the probe's masses are taken under np.errstate, so numpy warns of no overflow
         code = main(["counterexample", "--mode", "translation", "--amplitude", "1e200",
                      "--out", str(out)])
         assert code == 1
         assert ("amplitude 1e+200 with s 0.5 makes the mass mean(|u|^2) of the probe at n=4 "
                 "non-finite" in capsys.readouterr().err)
+        assert not out.exists()
+
+    # |coefficient|**2 = 2*pi*amplitude**2 overflows from about 5.4e153 on, amplitude**2 not
+    @pytest.mark.parametrize("amplitude", ["1e154", "7e153"])
+    def test_counterexample_whose_probe_mass_overflows_near_the_limit_exits_1(
+            self, tmp_path, capsys, amplitude):
+        out = tmp_path / "fresh"
+        code = main(["counterexample", "--mode", "translation", "--amplitude", amplitude,
+                     "--s", "0", "--out", str(out)])
+        assert code == 1
+        assert (f"amplitude {float(amplitude)} with s 0.0 makes the mass mean(|u|^2) of the "
+                "probe at n=4 non-finite" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_counterexample_at_a_large_amplitude_keeps_the_gauge_gap_finite(self, tmp_path):

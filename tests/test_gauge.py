@@ -232,9 +232,12 @@ class TestTranslationGapProbe:
                 "the round-off of its wave at n=4: both inputs have the same mass")):
             lab.translation_gap_probe(1e10, 0.5, 2.0, [4, 16])
 
-    # 1e200 * 4**-0.5 squares to inf; 256.0**200 raises OverflowError
+    # 1e200 * 4**-0.5 squares to inf; 256.0**200 raises OverflowError; from about
+    # 5.4e153 on, |coefficient|**2 = 2*pi*amplitude**2 overflows though amplitude**2 does not
     @pytest.mark.parametrize("amplitude,s,n_list,n", [(1e200, 0.5, [4], 4),
-                                                      (1.0, -200.0, [4, 256], 256)])
+                                                      (1.0, -200.0, [4, 256], 256),
+                                                      (1e154, 0.0, [4], 4),
+                                                      (7e153, 0.0, [4], 4)])
     def test_rejects_a_probe_whose_mass_overflows(self, amplitude, s, n_list, n):
         with pytest.raises(ValueError, match=re.escape(
                 f"amplitude {amplitude} with s {s} makes the mass mean(|u|^2) of the probe "
