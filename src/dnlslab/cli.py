@@ -244,7 +244,7 @@ def cmd_divisors(args) -> int:
     out = _write_report(args, report=report)
     if args.refined:
         hist = report.summary["count_histogram"]
-        rows = [(k, hist[k]) for k in sorted(hist)]
+        rows = [(k, hist[k]) for k in sorted(hist, key=int)]
         write_csv(out / f"{args.tag}.csv", ["refined_count", "occurrences"], rows)
     print(canonical_json({"max_refined_count": report.summary["max_count"],
                           "argmax": report.summary["argmax"]}))
@@ -263,7 +263,7 @@ def cmd_scan_sums(args) -> int:
                for v in (SUM_VARIANTS if args.variant == "all" else [args.variant])}
     out = _write_report(args, **reports)
     sups = {v: report.summary["sup_by_truncation"] for v, report in reports.items()}
-    rows = [(v, k, sup[k]) for v, sup in sups.items() for k in sorted(sup)]
+    rows = [(v, k, sup[k]) for v, sup in sups.items() for k in sorted(sup, key=int)]
     write_csv(out / f"{args.tag}.csv", ["variant", "truncation", "sup"], rows)
     print(canonical_json(sups))
     return EXIT_OK
@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # the handler is looked up at each call, so a replaced cmd_* is the one that runs
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -342,8 +342,10 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
     """Header and coefficient array of a field or trajectory file.
 
     The header fixes the grid: the cutoff, and for a trajectory the steps.
-    Every body row must parse, hold a finite value, lie on that grid and
-    appear exactly once; otherwise a ValueError names the offending line.
+    Row i of the body holds grid point i, k major and xi ascending, as the
+    writers order them.  A row that does not parse, holds a non-finite value
+    or is not the point due on its line, a missing row and an extra row each
+    raise a ValueError that names the line, or the first missing point.
     """
     columns = "k,xi,re,im" if kind == "trajectory" else "xi,re,im"
     lines = Path(path).read_text().rstrip().splitlines()
@@ -385,24 +387,18 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
             raise ValueError(f"{path}:{i + 3}: {problem} in {body[i]!r}")
 
     reject(~np.isfinite(table).all(axis=1), "non-finite value")
-    index = table[:, :-2].astype(np.int64)
-    reject((index != table[:, :-2]).any(axis=1), "non-integer index")
-    index[:, -1] += cutoff  # xi = -cutoff sits at column 0
-    reject(((index < 0) | (index >= shape)).any(axis=1), "index outside the header's grid")
-    flat = np.ravel_multi_index(index.T, shape)
-    repeat = np.ones(len(flat), dtype=bool)
-    repeat[np.unique(flat, return_index=True)[1]] = False
-    reject(repeat, "duplicate row")
-    coeffs = np.zeros(shape, dtype=complex)
-    if len(flat) != coeffs.size:
-        seen = np.zeros(coeffs.size, dtype=bool)
-        seen[flat] = True
-        *k, j = np.unravel_index(np.argmin(seen), shape)
+    names, size = columns.removesuffix(",re,im"), math.prod(shape)
+    due = np.stack(np.unravel_index(np.arange(min(len(body), size)), shape), axis=-1)
+    due[:, -1] -= cutoff  # xi = -cutoff sits at column 0
+    reject((table[:len(due), :-2] != due).any(axis=1), f"not the {names} due on this line")
+    if len(body) < size:
+        *k, j = np.unravel_index(len(body), shape)
         at = ",".join(map(str, (*k, j - cutoff)))
-        raise ValueError(f"{path}: missing {coeffs.size - len(flat)} of {coeffs.size} rows, "
-                         f"the first at {columns.removesuffix(',re,im')}={at}")
+        raise ValueError(f"{path}: missing {size - len(body)} of {size} rows, "
+                         f"the first at {names}={at}")
+    reject(np.arange(len(body)) >= size, "row beyond the header's grid")
     # (re, im) pairs viewed as complex numbers, so every bit, a zero's sign too, survives
-    coeffs.flat[flat] = np.ascontiguousarray(table[:, -2:]).view(complex)[:, 0]
+    coeffs = np.ascontiguousarray(table[:, -2:]).view(complex).reshape(shape)
     return header, coeffs
 
 

@@ -18,6 +18,7 @@ from dnlslab import cli
 from dnlslab.cli import build_parser, main
 from dnlslab.fields import ROOT_TWO_PI
 from dnlslab.gauge import translation_probe_pair
+from dnlslab.reports import canonical_json
 from support import free_wave_trajectory
 
 
@@ -282,6 +283,10 @@ class TestGaugeAndNormsCommands:
         assert "norms.h_norm is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_non_finite_float_in_a_list_is_named_by_its_key(self):
+        with pytest.raises(ValueError, match=r"^a\.b is not finite"):
+            canonical_json({"a": {"b": [1.0, math.inf]}})
+
     def test_counterexample_that_overflows_exits_1_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "fresh"
         # the probe's masses are taken under np.errstate, so numpy warns of no overflow
@@ -467,6 +472,8 @@ class TestScanCommands:
         payload = read_json(tmp_path / "sums.json")
         sups = payload["wabs_xi"]["summary"]["sup_by_truncation"]
         assert sups["128"] >= sups["64"]
+        rows = (tmp_path / "sums.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["64", "128"]  # numeric order
 
     def test_counterexample_command(self, tmp_path):
         code = main(["counterexample", "--mode", "both",
@@ -581,6 +588,11 @@ class TestScanCommands:
         (["divisors", "--max", "0"], "limit must be positive"),
         (["ratio-scan", "--kind", "quintic", "--q", "1.2", "--samples", "2"], "4/3 < q"),
         (["ratio-scan", "--kind", "quintic", "--b", "0.3", "--samples", "2"], "b > 1/6"),
+        # arrays of 8e15 and 1.6e16 bytes: beyond the address space, so they fail at once
+        (["scan-sums", "--a-min", "0", "--a-max", "1e15", "--a-step", "1", "--truncations", "4"],
+         "Unable to allocate"),
+        (["counterexample", "--mode", "divergence", "--truncations", "10,1000000000000000"],
+         "Unable to allocate"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
@@ -590,7 +602,8 @@ class TestScanCommands:
             "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative",
             "divergence-translation-flags", "translation-divergence-flags",
             "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
-            "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low"])
+            "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
+            "a-grid-beyond-memory", "divergence-table-beyond-memory"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -835,17 +848,26 @@ def _profile(text):
 # (file kind, edit of the saved file's lines, expected error); the trajectory
 # has cutoff 1 and steps 1, so its rows are lines 3-8, and the field's 3-5
 MALFORMED_FILES = {
-    "xi-outside-cutoff": ("trajectory", _replace_line(3, "0,-2,5.0,0.0"), r":3: index outside"),
-    "k-outside-steps": ("trajectory", _replace_line(8, "2,1,0.0,0.0"), r":8: index outside"),
+    "xi-outside-cutoff": ("trajectory", _replace_line(3, "0,-2,5.0,0.0"), r":3: not the k,xi due"),
+    "k-outside-steps": ("trajectory", _replace_line(8, "2,1,0.0,0.0"), r":8: not the k,xi due"),
     "trajectory-nan": ("trajectory", _replace_line(4, "0,0,nan,0.0"), r":4: non-finite"),
     "trajectory-duplicate": ("trajectory", lambda ls: ls[:6] + ls[5:6] + ls[7:],
-                             r":7: duplicate"),
+                             r":7: not the k,xi due"),
     "trajectory-missing-row": ("trajectory", lambda ls: ls[:-1],
                                r"missing 1 of 6 rows, the first at k,xi=1,1"),
     "steps-above-body": ("trajectory", _edit_header('"steps":1', '"steps":2'),
                          r"missing 3 of 9 rows, the first at k,xi=2,-1"),
     "field-nan": ("field", _replace_line(4, "0,nan,0.0"), r":4: non-finite"),
-    "field-duplicate": ("field", lambda ls: ls[:4] + ls[2:3], r":5: duplicate"),
+    "field-duplicate": ("field", lambda ls: ls[:4] + ls[2:3], r":5: not the xi due"),
+    # row i holds grid point i in the writers' order, so a complete body out of order fails
+    "trajectory-rows-swapped": ("trajectory", lambda ls: ls[:3] + [ls[4], ls[3]] + ls[5:],
+                                r":4: not the k,xi due"),
+    "trajectory-extra-row": ("trajectory", lambda ls: ls + ["2,0,0.0,0.0"],
+                             r":9: row beyond the header's grid"),
+    # the header's grid is never allocated before the body covers it
+    "steps-far-above-body": ("trajectory", _edit_header('"steps":1', '"steps":1000000000000000'),
+                             r"missing 2999999999999997 of 3000000000000003 rows, "
+                             r"the first at k,xi=2,-1"),
     # body cells are ASCII decimal numbers only, though float() also reads 1_0 and
     # full-width digits
     "field-underscore": ("field", _replace_line(4, "0,1_0,0.0"), r":4: cannot parse"),

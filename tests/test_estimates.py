@@ -409,6 +409,27 @@ class TestRatioScans:
         # recorded from the separate per-scan loops; a reordered float operation shows here
         assert [value.hex() for value in scan().values] == hexes
 
+    def test_a_group_whose_rhs_is_zero_is_skipped(self, monkeypatch):
+        def scan():
+            return lab.cubic_ratio_scan(q=2.0, r=2.0, samples=5, cutoff=4, seed=5, steps=16)
+
+        full = scan()
+        draws = []
+
+        def zero_first_slot_of_groups_1_and_3(*args, **kwargs):
+            traj = lab.random_trajectory(*args, **kwargs)  # drawn, so later groups keep theirs
+            draws.append(traj)
+            if len(draws) in (4, 10):  # three slots per group
+                traj = lab.Trajectory(np.zeros_like(traj.coeffs), traj.window)
+            return traj
+
+        monkeypatch.setattr("dnlslab.estimates.random_trajectory",
+                            zero_first_slot_of_groups_1_and_3)
+        report = scan()
+        assert len(draws) == 15
+        assert report.summary["samples_used"] == 3
+        assert report.values == tuple(full.values[i] for i in (0, 2, 4))
+
     def test_cubic_parameter_guard(self):
         with pytest.raises(ValueError):
             lab.cubic_ratio_scan(q=1.2, r=2.0, samples=2, cutoff=4, seed=1)
