@@ -105,18 +105,16 @@ def _write_report(args, **sections) -> Path:
     return out
 
 
-# the flags that only some runs of a command read, with their declared defaults
-SOLVE_RANDOM_DATUM_DEFAULTS = {"seed": 7, "amplitude": 0.1, "active_band": 8}
-GAUGE_FIELD_DEFAULTS = {"time": 0.0}
-NORMS_XST_DEFAULTS = {"p": "2"}
-COUNTEREXAMPLE_DEFAULTS = {
-    "divergence": {"truncations": "1000,10000,100000,1000000", "log_shift": 0.0},
-    "translation": {"n_list": "4,16,64,256", "amplitude": 1.0, "s": 0.5, "r": 2.0},
-}
+# the flags that only some runs of a command read
+SOLVE_RANDOM_DATUM_FLAGS = ("seed", "amplitude", "active_band")
+GAUGE_FIELD_FLAGS = ("time",)
+NORMS_XST_FLAGS = ("p",)
+COUNTEREXAMPLE_FLAGS = {"divergence": ("truncations", "log_shift"),
+                        "translation": ("n_list", "amplitude", "s", "r")}
 
-# the kind-specific ratio-scan flags with their defaults, and the ones each kind reads
-RATIO_SCAN_DEFAULTS = {"q": 2.0, "r": 2.0, "s": 0.2, "b": 0.45, "samples": 100, "cutoff": 8,
-                       "steps": 64, "truncations": "100,1000,10000"}
+# the kind-specific ratio-scan flags, and the ones each kind reads; each flag is
+# named after its parameter of the kind's scan function, so the table makes the call
+RATIO_SCAN_KIND_FLAGS = ("q", "r", "s", "b", "samples", "cutoff", "steps", "truncations")
 RATIO_SCAN_FLAGS = {
     "cubic": ("q", "r", "samples", "cutoff", "steps"),
     "strichartz": ("s", "b", "samples", "cutoff", "steps"),
@@ -125,15 +123,24 @@ RATIO_SCAN_FLAGS = {
 }
 
 
-def _reject_unread(args, run: str, defaults: dict, read=()) -> None:
-    """Raise a ValueError naming every flag in defaults but those in read whose value
-    differs from its declared default (not the parser's: a --config call parses with
-    the file's values as defaults, so they count as given): the run would silently
-    ignore it."""
-    unread = [f"--{flag.replace('_', '-')}" for flag, default in defaults.items()
-              if flag not in read and getattr(args, flag) != default]
+def _reject_unread(args, run: str, flags, read=()) -> None:
+    """Raise a ValueError naming each flag in flags, not in read, whose value differs from
+    its default on the shared parser, which no --config changes: the run would ignore it."""
+    command = _shared_parser()[1][args.command]
+    unread = [f"--{flag.replace('_', '-')}" for flag in flags
+              if flag not in read and getattr(args, flag) != command.get_default(flag)]
     if unread:
         raise ValueError(f"{run} does not read {', '.join(unread)}")
+
+
+def _int_list(args, flag: str) -> list[int]:
+    """The integers of a comma-separated list flag; args keeps the text, as given."""
+    text = getattr(args, flag)
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--{flag.replace('_', '-')} must be comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _parse_plane_wave(text: str) -> tuple[float, int]:
@@ -156,7 +163,7 @@ def _datum_from_args(args) -> np.ndarray:
             args.cutoff, rng, active_cutoff=args.active_band, l2_norm=args.amplitude
         )
     given = "--plane-wave" if args.plane_wave is not None else "--datum"
-    _reject_unread(args, f"solve {given}", SOLVE_RANDOM_DATUM_DEFAULTS)
+    _reject_unread(args, f"solve {given}", SOLVE_RANDOM_DATUM_FLAGS)
     if args.plane_wave is not None:
         amp, n = args.plane_wave
         return plane_wave(args.cutoff, n, amp)
@@ -195,13 +202,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _reject_unread(args, "gauge", {"tag": "report"})  # --output names its one file
+    _reject_unread(args, "gauge", ("tag",))  # --output names its one file
     gauge_map = gauge_field_inv if args.inverse else gauge_field
     if file_kind(args.input) == "field":
         g = gauge_map(load_field(args.input), args.time)
         save = save_field
     else:
-        _reject_unread(args, "gauge of a trajectory", GAUGE_FIELD_DEFAULTS)
+        _reject_unread(args, "gauge of a trajectory", GAUGE_FIELD_FLAGS)
         traj = load_trajectory(args.input)
         g = replace(traj, coeffs=gauge_map(traj.coeffs, traj.times))
         save = save_trajectory
@@ -213,7 +220,7 @@ def cmd_gauge(args) -> int:
 
 def cmd_norms(args) -> int:
     if args.b is None:
-        _reject_unread(args, "norms without --b", NORMS_XST_DEFAULTS)
+        _reject_unread(args, "norms without --b", NORMS_XST_FLAGS)
     result: dict = {}
     if file_kind(args.input) == "field":
         f = load_field(args.input)
@@ -258,7 +265,7 @@ def cmd_scan_sums(args) -> int:
         raise ValueError(f"--anchor-step must be positive, got {args.anchor_step}")
     a_values = list(np.arange(args.a_min, args.a_max + 1e-12, args.a_step))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
-    truncations = [int(t) for t in args.truncations.split(",")]
+    truncations = _int_list(args, "truncations")
     reports = {v: resonance_sum_scan(v, args.epsilon, a_values, anchors, truncations)
                for v in (SUM_VARIANTS if args.variant == "all" else [args.variant])}
     out = _write_report(args, **reports)
@@ -270,20 +277,18 @@ def cmd_scan_sums(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    for mode, defaults in COUNTEREXAMPLE_DEFAULTS.items():
+    for mode, flags in COUNTEREXAMPLE_FLAGS.items():
         if args.mode not in (mode, "both"):
-            _reject_unread(args, f"counterexample --mode {args.mode}", defaults)
+            _reject_unread(args, f"counterexample --mode {args.mode}", flags)
     sections, tables = {}, {}
     if args.mode in ("divergence", "both"):
-        truncs = tuple(int(t) for t in args.truncations.split(","))
-        div = divergence_report(truncs, log_shift=args.log_shift)
+        div = divergence_report(_int_list(args, "truncations"), log_shift=args.log_shift)
         sections["divergence"] = div
         tables["divergence"] = (["truncation", "divergent_sum", "factor_norm"], list(zip(
             div.summary["truncations"], div.summary["divergent_sums"],
             div.summary["factor_norms"])))
     if args.mode in ("translation", "both"):
-        n_list = [int(n) for n in args.n_list.split(",")]
-        probe = translation_gap_probe(args.amplitude, args.s, args.r, n_list)
+        probe = translation_gap_probe(args.amplitude, args.s, args.r, _int_list(args, "n_list"))
         sections["translation"] = probe
         tables["translation"] = (["n", "input_gap", "output_gap", "gauge_gap"], list(zip(
             probe.summary["n"], probe.summary["input_gap"],
@@ -296,20 +301,14 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_ratio_scan(args) -> int:
-    _reject_unread(args, f"ratio-scan --kind {args.kind}", RATIO_SCAN_DEFAULTS,
-                   RATIO_SCAN_FLAGS[args.kind])
-    if args.kind == "cubic":
-        report = cubic_ratio_scan(args.q, args.r, args.samples, args.cutoff,
-                                  args.seed, steps=args.steps)
-    elif args.kind == "strichartz":
-        report = strichartz_ratio_scan(args.s, args.b, args.samples, args.cutoff,
-                                       args.seed, steps=args.steps)
-    elif args.kind == "quintic":
-        report = quintic_ratio_scan(args.q, args.r, args.b, args.samples, args.cutoff,
-                                    args.seed, steps=args.steps)
+    flags = RATIO_SCAN_FLAGS[args.kind]
+    _reject_unread(args, f"ratio-scan --kind {args.kind}", RATIO_SCAN_KIND_FLAGS, flags)
+    if args.kind == "endpoint":
+        report = endpoint_injection_report(_int_list(args, "truncations"), seed=args.seed)
     else:
-        truncs = tuple(int(t) for t in args.truncations.split(","))
-        report = endpoint_injection_report(truncs, seed=args.seed)
+        scan = {"cubic": cubic_ratio_scan, "strichartz": strichartz_ratio_scan,
+                "quintic": quintic_ratio_scan}[args.kind]  # built per call: a patched scan runs
+        report = scan(**{flag: getattr(args, flag) for flag in flags}, seed=args.seed)
     out = _write_report(args, report=report)
     write_csv(out / f"{args.tag}.csv", ["index", "value"],
               list(enumerate(report.values)))
@@ -351,9 +350,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--equation", choices=[e.value for e in Equation], default="dnls")
     p.add_argument("--plane-wave", type=_parse_plane_wave, default=None, metavar="A=1,n=1")
     p.add_argument("--datum", default=None, help="field file to use as initial datum")
-    p.add_argument("--seed", type=int, help="seed for a random datum")
-    p.add_argument("--amplitude", type=float, help="L2 size of a random datum")
-    p.add_argument("--active-band", type=int, help="active band of a random datum")
+    p.add_argument("--seed", type=int, default=7, help="seed for a random datum")
+    p.add_argument("--amplitude", type=float, default=0.1, help="L2 size of a random datum")
+    p.add_argument("--active-band", type=int, default=8, help="active band of a random datum")
     p.add_argument("--cutoff", "-N", "--N", type=int, default=32)
     p.add_argument("--horizon", "-T", "--T", type=float, default=0.1)
     p.add_argument("--steps", "-M", "--M", type=int, default=200)
@@ -363,15 +362,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="gauge the datum, solve the transformed equation, ungauge")
     p.add_argument("--cross-check", action="store_true",
                    help="also integrate with the Runge-Kutta stepper and report the gap")
-    p.set_defaults(**SOLVE_RANDOM_DATUM_DEFAULTS)
 
     p = sub.add_parser("gauge", help="apply the gauge map or its inverse to a file")
     common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="gauged.csv")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--time", type=float, help="evaluation time for a single field")
-    p.set_defaults(**GAUGE_FIELD_DEFAULTS)
+    p.add_argument("--time", type=float, default=0.0, help="evaluation time for a single field")
 
     p = sub.add_parser("norms", help="evaluate norms of a field or trajectory file")
     common(p)
@@ -379,9 +376,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--b", type=float, default=None)
-    p.add_argument("--p", help="temporal exponent, a number or 'inf'; read with --b")
+    p.add_argument("--p", default="2", help="temporal exponent, a number or 'inf'; read with --b")
     p.add_argument("--z", action="store_true", help="also report the intersection norm")
-    p.set_defaults(**NORMS_XST_DEFAULTS)
 
     p = sub.add_parser("divisors", help="near-diagonal divisor-pair scan")
     common(p)
@@ -403,29 +399,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("counterexample", help="divergence sums and the translation gap probe")
     common(p)
     p.add_argument("--mode", choices=["divergence", "translation", "both"], default="both")
-    p.add_argument("--truncations")
-    p.add_argument("--log-shift", type=float)
-    p.add_argument("--n-list")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--r", type=float)
-    p.set_defaults(**COUNTEREXAMPLE_DEFAULTS["divergence"],
-                   **COUNTEREXAMPLE_DEFAULTS["translation"])
+    p.add_argument("--truncations", default="1000,10000,100000,1000000")
+    p.add_argument("--log-shift", type=float, default=0.0)
+    p.add_argument("--n-list", default="4,16,64,256")
+    p.add_argument("--amplitude", type=float, default=1.0)
+    p.add_argument("--s", type=float, default=0.5)
+    p.add_argument("--r", type=float, default=2.0)
 
     p = sub.add_parser("ratio-scan", help="estimate-ratio evidence scans")
     common(p)
-    p.add_argument("--kind", choices=["cubic", "strichartz", "quintic", "endpoint"],
-                   default="cubic")
-    p.add_argument("--q", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--cutoff", "-N", "--N", type=int)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--kind", choices=list(RATIO_SCAN_FLAGS), default="cubic")
+    p.add_argument("--q", type=float, default=2.0)
+    p.add_argument("--r", type=float, default=2.0)
+    p.add_argument("--s", type=float, default=0.2)
+    p.add_argument("--b", type=float, default=0.45)
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--cutoff", "-N", "--N", type=int, default=8)
+    p.add_argument("--steps", type=int, default=64)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--truncations")
-    p.set_defaults(**RATIO_SCAN_DEFAULTS)
+    p.add_argument("--truncations", default="100,1000,10000")
 
     p = sub.add_parser("verify", help="run the property-test battery")
     common(p)

@@ -113,21 +113,24 @@ def _resonance_bins(variant: str, eps: float, anchor: int,
     occupied and a -0.0 bin as empty either way), but numpy scans a boolean
     array several times faster.
     """
-    K = truncation
+    K, reach = truncation, abs(anchor) + truncation
+    # |m| <= span over the box; the bytes of the 2*span + 1 float bins and the
+    # frequencies must fit an array index
+    span = reach * (reach if variant.endswith("_xi") else 2 * K)
+    if max(8 * (2 * span + 1), reach) > np.iinfo(np.intp).max:
+        raise ValueError(f"anchor {anchor} at truncation {K} is too large for an array index")
     idx = np.arange(-K, K + 1)
     wdiff = variant.startswith("wdiff")
     if variant.endswith("_xi"):
         # xi = anchor, rows xi1, columns xi2: m = (xi - xi1)*(xi - xi2)
         diff = anchor - idx
         weight = bracket(diff if wdiff else idx) ** (-eps)
-        span = (abs(anchor) + K) ** 2
 
         def rows(r: slice) -> tuple[np.ndarray, np.ndarray]:
             return diff[r, None] * diff, weight[r, None] * weight
     else:
         # xi1 = anchor, rows xi, columns xi2: m = (xi - anchor)*(xi - xi2)
         diff = idx - anchor
-        span = (abs(anchor) + K) * 2 * K
         if wdiff:
             # gaps[g + 2K] is the weight of the gap xi - xi2 = g
             gaps = bracket(np.arange(-2 * K, 2 * K + 1)) ** (-eps)
@@ -391,6 +394,13 @@ ENDPOINT_BASELINE_SAMPLES = 50
 ENDPOINT_BASELINE_CUTOFF = 8
 
 
+def _check_finite(scan: str, group: int, what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{scan} scan: the {what} of sample group {group} is {value}; "
+                         f"the norms overflow at these parameters")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _check_finite raises on an overflow
 def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], operator,
                 out_spec: NormSpec | None, rhs) -> ScanReport:
     """The evidence report of a ratio scan: per sample group, the output norm of
@@ -401,7 +411,9 @@ def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], o
     Slot k is measured in each of slots[k]; rhs takes those norms, slot by slot,
     and a group whose rhs is 0 is skipped.  The operator takes the windowed
     slots and the output cutoff len(slots) * cutoff; its output is measured in
-    out_spec, or in L^2(dt dx) when out_spec is None.
+    out_spec, or in L^2(dt dx) when out_spec is None.  A norm that overflows
+    would make the ratio 0 or NaN, so a group whose rhs or output norm is not
+    finite raises a ValueError that names the scan and the group.
     """
     samples, cutoff, steps = grid["samples"], grid["cutoff"], grid["steps"]
     if samples < 1:
@@ -416,15 +428,17 @@ def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], o
     weights = time_cutoff(SCAN_WINDOW, steps)  # the column that windowed() applies
     rng = np.random.default_rng(seed)
     ratios = []
-    for _ in range(samples):
+    for group in range(samples):
         ws = [random_trajectory(cutoff, rng, window=SCAN_WINDOW, steps=steps).coeffs * weights
               for _ in slots]
         bound = rhs([inputs.norms(inputs.transform(w), specs) for w, specs in zip(ws, slots)])
+        _check_finite(name, group, "right-hand side", bound)
         if bound == 0.0:
             continue
         out = operator(*ws, out_cutoff=out_cutoff)
         norm = (_l2_norm(out, dt) if output is None
                 else output.norms(output.transform(out), [out_spec])[0])
+        _check_finite(name, group, "output norm", norm)
         ratios.append(norm / bound)
     summary = {"max_ratio": max(ratios) if ratios else 0.0, "samples_used": len(ratios)}
     return ScanReport(name=name, grid=grid, values=tuple(ratios), summary=summary,

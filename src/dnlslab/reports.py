@@ -361,6 +361,10 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
         raise ValueError(f"{path}:1: bad grid in header ({exc!r})") from None
     if cutoff < 0 or (kind == "trajectory" and shape[0] < 2):
         raise ValueError(f"{path}:1: header needs cutoff >= 0 and steps >= 1")
+    size = math.prod(shape)
+    if size > np.iinfo(np.intp).max:
+        raise ValueError(f"{path}:1: bad grid in header ({size} points, more than an "
+                         f"array index can reach)")
     if lines[1:2] != [columns]:
         raise ValueError(f"{path}:2: expected the column line {columns!r}")
     body = lines[2:]
@@ -387,7 +391,7 @@ def _read_coeffs(path: str | Path, kind: str) -> tuple[dict, np.ndarray]:
             raise ValueError(f"{path}:{i + 3}: {problem} in {body[i]!r}")
 
     reject(~np.isfinite(table).all(axis=1), "non-finite value")
-    names, size = columns.removesuffix(",re,im"), math.prod(shape)
+    names = columns.removesuffix(",re,im")
     due = np.stack(np.unravel_index(np.arange(min(len(body), size)), shape), axis=-1)
     due[:, -1] -= cutoff  # xi = -cutoff sits at column 0
     reject((table[:len(due), :-2] != due).any(axis=1), f"not the {names} due on this line")

@@ -1,4 +1,5 @@
 """Command-line harness: subcommands, exit codes, file formats, determinism."""
+import inspect
 import json
 import math
 import os
@@ -243,6 +244,38 @@ class TestSharedParser:
         monkeypatch.setattr(cli, "cmd_divisors", lambda args: calls.append(args.max) or 0)
         assert main(["divisors", "--max", "200", "--out", str(tmp_path)]) == 0
         assert calls == [200]
+
+
+# every table of flag names in cli, with the subcommand whose flags it names
+FLAG_TABLES = {
+    "solve-random-datum": ("solve", cli.SOLVE_RANDOM_DATUM_FLAGS),
+    "gauge-field": ("gauge", cli.GAUGE_FIELD_FLAGS),
+    "norms-xst": ("norms", cli.NORMS_XST_FLAGS),
+    **{f"counterexample-{mode}": ("counterexample", flags)
+       for mode, flags in cli.COUNTEREXAMPLE_FLAGS.items()},
+    "ratio-scan-kinds": ("ratio-scan", cli.RATIO_SCAN_KIND_FLAGS),
+    **{f"ratio-scan-{kind}": ("ratio-scan", flags) for kind, flags in cli.RATIO_SCAN_FLAGS.items()},
+}
+
+
+class TestFlagTables:
+    """The handlers look flags up by these names, so a misspelled one would be a traceback."""
+
+    @pytest.mark.parametrize("command,flags", FLAG_TABLES.values(), ids=FLAG_TABLES)
+    def test_each_name_is_a_flag_with_a_declared_default(self, command, flags):
+        parser = build_parser()[1][command]
+        dests = {action.dest for action in parser._actions}
+        assert set(flags) <= dests
+        assert all(parser.get_default(flag) is not None for flag in flags)
+
+    def test_the_kind_flags_are_the_flags_of_every_kind(self):
+        read = {flag for flags in cli.RATIO_SCAN_FLAGS.values() for flag in flags}
+        assert set(cli.RATIO_SCAN_KIND_FLAGS) == read
+
+    @pytest.mark.parametrize("kind", ["cubic", "strichartz", "quintic"])
+    def test_a_kind_passes_its_flags_and_seed_as_its_scan_parameters(self, kind):
+        scan = getattr(cli, f"{kind}_ratio_scan")
+        assert set(inspect.signature(scan).parameters) == {*cli.RATIO_SCAN_FLAGS[kind], "seed"}
 
 
 class TestGaugeAndNormsCommands:
@@ -593,6 +626,10 @@ class TestScanCommands:
          "Unable to allocate"),
         (["counterexample", "--mode", "divergence", "--truncations", "10,1000000000000000"],
          "Unable to allocate"),
+        # 2*(|anchor| + K)**2 + 1 bins: more bytes than an array index can reach
+        (["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
+          "--anchor-min", "4000000000000000000", "--anchor-max", "4000000000000000000"],
+         "anchor 4000000000000000000 at truncation 4 is too large for an array index"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
@@ -603,7 +640,7 @@ class TestScanCommands:
             "divergence-translation-flags", "translation-divergence-flags",
             "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
-            "a-grid-beyond-memory", "divergence-table-beyond-memory"])
+            "a-grid-beyond-memory", "divergence-table-beyond-memory", "anchor-beyond-an-index"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -627,6 +664,32 @@ class TestScanCommands:
         assert code == 1
         assert err.startswith("error: ratio-scan --kind ") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag,text", [
+        (["scan-sums", "--truncations", "16,"], "--truncations", "16,"),
+        (["counterexample", "--mode", "divergence", "--truncations", "1000,x"],
+         "--truncations", "1000,x"),
+        (["counterexample", "--mode", "translation", "--n-list", "4,1.5"], "--n-list", "4,1.5"),
+        (["ratio-scan", "--kind", "endpoint", "--truncations", "10,,100"],
+         "--truncations", "10,,100"),
+    ], ids=["scan-sums", "counterexample-truncations", "counterexample-n-list", "endpoint"])
+    def test_a_bad_integer_list_names_its_flag(self, tmp_path, capsys, argv, flag, text):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be comma-separated integers, got {text!r}\n")
+        assert not out.exists()
+
+    def test_a_ratio_scan_whose_norms_overflow_exits_1(self, tmp_path, capsys):
+        # the right-hand side overflows to inf, which would make every ratio 0;
+        # RuntimeWarnings are errors in this suite, so none may escape
+        out = tmp_path / "out"
+        argv = ["ratio-scan", "--kind", "strichartz", "--cutoff", "16", "--samples", "3"]
+        assert main([*argv, "--s", "150", "--out", str(out)]) == 1
+        assert "the right-hand side of sample group 0 is inf" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--s", "100", "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["report"]["summary"]["samples_used"] == 3
 
     def test_a_config_value_the_kind_does_not_read_exits_1(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -864,6 +927,10 @@ MALFORMED_FILES = {
                                 r":4: not the k,xi due"),
     "trajectory-extra-row": ("trajectory", lambda ls: ls + ["2,0,0.0,0.0"],
                              r":9: row beyond the header's grid"),
+    # a grid wider than an array index names its file, not numpy's dimension limit
+    "cutoff-beyond-an-index": ("field",
+                               _edit_header('"cutoff":1', '"cutoff":1000000000000000000000000000000'),
+                               r":1: bad grid in header \(2000000000000000000000000000001 points"),
     # the header's grid is never allocated before the body covers it
     "steps-far-above-body": ("trajectory", _edit_header('"steps":1', '"steps":1000000000000000'),
                              r"missing 2999999999999997 of 3000000000000003 rows, "

@@ -430,6 +430,24 @@ class TestRatioScans:
         assert report.summary["samples_used"] == 3
         assert report.values == tuple(full.values[i] for i in (0, 2, 4))
 
+    def test_a_group_whose_rhs_overflows_is_rejected(self):
+        # <xi>**150 * |F| squared overflows at |xi| = 16, so the rhs is inf and the
+        # ratio would read 0; RuntimeWarnings are errors here, so none may escape
+        with pytest.raises(ValueError, match="strichartz-ratio scan: the right-hand side "
+                                             "of sample group 0 is inf"):
+            lab.strichartz_ratio_scan(s=150.0, b=0.45, samples=3, cutoff=16, seed=1)
+        # at s = 100 the ratios are tiny but finite, with the bits they had before the check
+        report = lab.strichartz_ratio_scan(s=100.0, b=0.45, samples=3, cutoff=16, seed=1)
+        assert [value.hex() for value in report.values] == [
+            "0x1.a47efb0421b41p-805", "0x1.e507807834c52p-806", "0x1.2a6088c762e1bp-804"]
+
+    def test_a_group_whose_output_norm_overflows_is_rejected(self, monkeypatch):
+        monkeypatch.setattr("dnlslab.estimates.physical_product",
+                            lambda ws, conj, out_cutoff: np.full((17, 2 * out_cutoff + 1), 1e300))
+        with pytest.raises(ValueError, match="strichartz-ratio scan: the output norm "
+                                             "of sample group 0 is inf"):
+            lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=2, cutoff=4, seed=5, steps=16)
+
     def test_cubic_parameter_guard(self):
         with pytest.raises(ValueError):
             lab.cubic_ratio_scan(q=1.2, r=2.0, samples=2, cutoff=4, seed=1)
