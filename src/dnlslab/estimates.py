@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .fields import bracket, physical_product, random_trajectory, time_cutoff
+from .fields import _check_steps, bracket, physical_product, random_trajectory, time_cutoff
 from .nonlinear import cubic_full
 from .norms import NormSpec, _l2_norm, _NormTables
 from .reports import EVIDENCE_CAVEAT, ScanReport
@@ -418,8 +418,7 @@ def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], o
     samples, cutoff, steps = grid["samples"], grid["cutoff"], grid["steps"]
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    _check_steps(steps, 2)
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     out_cutoff, dt = len(slots) * cutoff, 2.0 * SCAN_WINDOW / steps

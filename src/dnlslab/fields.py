@@ -208,8 +208,7 @@ class Trajectory:
                 "trajectory needs a (steps+1, 2*cutoff+1) coefficient matrix with "
                 f"at least two samples, got shape {c.shape}"
             )
-        if not (math.isfinite(self.window) and self.window > 0):
-            raise ValueError(f"window must be finite and positive, got {self.window}")
+        _check_window(self.window)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -247,10 +246,22 @@ class Trajectory:
         return float(np.linalg.norm(self.coeffs - other.coeffs, axis=1).max())
 
 
+def _check_window(window: float) -> None:
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and positive, got {window}")
+
+
+def _check_steps(steps: int, least: int = 1) -> None:
+    """Reject a step count that is not an integer (a bool is not one) or is below least."""
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if steps < least:
+        raise ValueError(f"steps must be >= {least}, got {steps}")
+
+
 def time_grid(window: float, steps: int) -> np.ndarray:
     """The uniform grid t_k = -window + k*dt, k = 0..steps, with dt = 2*window/steps."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_steps(steps)
     return -window + (2.0 * window / steps) * np.arange(steps + 1)
 
 
@@ -277,9 +288,11 @@ def free_phase(times, cutoff: int) -> np.ndarray:
 
 # Both ensembles give the coefficient at xi a <xi>**-1 spectral profile. A
 # trajectory coefficient is a sum of TRAJECTORY_MODES oscillations in t with
-# rates drawn uniformly from [-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE].
+# rates drawn uniformly from [-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE]; its
+# phases are built in blocks of TRAJECTORY_BLOCK time steps.
 TRAJECTORY_MODES = 3
 TRAJECTORY_MAX_RATE = 8.0
+TRAJECTORY_BLOCK = 8
 
 
 def random_field(
@@ -309,15 +322,30 @@ def random_field(
 def random_trajectory(
     cutoff: int, rng: np.random.Generator, window: float = 2.0, steps: int = 64
 ) -> Trajectory:
-    """Random space-time field, smooth in t, on the grid of the given window and steps."""
+    """Random space-time field, smooth in t, on the grid of the given window and steps.
+
+    The coefficient at t_k and xi sums TRAJECTORY_MODES terms
+    base * exp(i*rate*t_k) * <xi>**-1 / sqrt(TRAJECTORY_MODES), with a complex
+    Gaussian base and a uniform rate per mode and xi.  Writing
+    t_k = t_{B*a} + b*dt with B = TRAJECTORY_BLOCK and b = 0..B-1, each phase is
+    taken as a coarse exp(i*rate*t_{B*a}), which also carries the amplitude,
+    times a fine exp(i*rate*b*dt).  A draw thus evaluates steps//B + 1 + B
+    exponentials per rate, not steps + 1, and each phase lies within a few ulp
+    of exp(i*rate*t_k).
+    """
+    _check_window(window)
+    coarse_times = time_grid(window, steps)[::TRAJECTORY_BLOCK]  # t_{B*a}, a = 0..steps//B
     shape = (2 * cutoff + 1, TRAJECTORY_MODES)
     base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
-    terms = base * np.exp(1j * rates * time_grid(window, steps)[:, None, None])
-    # plain adds, mode by mode: numpy reduces a short last axis far more slowly
-    total = terms[..., 0]
+    rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape).T[:, None, :]
+    amplitudes = base.T * (bracket(xi_range(cutoff)) ** -1.0 / math.sqrt(TRAJECTORY_MODES))
+    # the temporary first: numpy may reuse it for the product, and swapping the
+    # operands of a complex product can move its bits
+    coarse = np.exp(1j * rates * coarse_times[:, None]) * amplitudes[:, None, :]
+    fine = np.exp(1j * rates * ((2.0 * window / steps) * np.arange(TRAJECTORY_BLOCK))[:, None])
+    # axes (mode, a, b, xi); rows a*B + b past steps are dropped
+    terms = (coarse[:, :, None, :] * fine[:, None, :, :]).reshape(TRAJECTORY_MODES, -1, shape[0])
+    total = terms[0, : steps + 1]
     for mode in range(1, TRAJECTORY_MODES):
-        total = total + terms[..., mode]
-    coeffs = total * bracket(xi_range(cutoff)) ** -1.0
-    coeffs = coeffs / math.sqrt(TRAJECTORY_MODES)
-    return Trajectory(coeffs, window)
+        total = total + terms[mode, : steps + 1]
+    return Trajectory(total, window)

@@ -391,22 +391,35 @@ class TestRatioScans:
         assert 0.0 < a.summary["max_ratio"] < 10.0
         assert a.caveat is not None
 
-    def test_cubic_scan_nested_sampling(self):
-        small = lab.cubic_ratio_scan(q=2.0, r=2.0, samples=8, cutoff=8, seed=5, steps=48)
-        big = lab.cubic_ratio_scan(q=2.0, r=2.0, samples=16, cutoff=8, seed=5, steps=48)
+    @pytest.mark.parametrize("scan", [
+        lambda samples: lab.cubic_ratio_scan(q=2.0, r=2.0, samples=samples, cutoff=8, seed=5,
+                                             steps=48),
+        lambda samples: lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=samples, cutoff=8,
+                                                  seed=5, steps=48),
+        lambda samples: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=samples, cutoff=8,
+                                               seed=5, steps=48),
+    ], ids=["cubic", "strichartz", "quintic"])
+    def test_scan_nested_sampling(self, scan):
+        small, big = scan(8), scan(16)
         assert big.values[: len(small.values)] == small.values
+
+    @pytest.mark.parametrize("steps", [16.0, 2.5, True])
+    def test_scan_needs_an_integer_step_count(self, steps):
+        with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
+            lab.cubic_ratio_scan(q=2.0, r=2.0, samples=2, cutoff=2, seed=1, steps=steps)
 
     @pytest.mark.parametrize("scan,hexes", [
         (lambda: lab.cubic_ratio_scan(q=2.0, r=2.0, samples=3, cutoff=4, seed=5, steps=16),
-         ["0x1.d69e58b3c365bp-9", "0x1.35df9eba36b58p-9", "0x1.733fe1b272c1ep-9"]),
+         ["0x1.d69e58b3c3659p-9", "0x1.35df9eba36b58p-9", "0x1.733fe1b272c1ep-9"]),
         (lambda: lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=3, cutoff=4, seed=5, steps=16),
-         ["0x1.45865e414d098p-7", "0x1.31281f41e0bc7p-7", "0x1.77e58a5839238p-7"]),
+         ["0x1.45865e414d09bp-7", "0x1.31281f41e0bc9p-7", "0x1.77e58a5839236p-7"]),
         (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5,
                                         steps=16),
          ["0x1.875a3e41492a0p-17", "0x1.82a6550e3275dp-17", "0x1.a19eed9a3e3bep-17"]),
     ], ids=["cubic", "strichartz", "quintic"])
     def test_scan_values_keep_their_bits(self, scan, hexes):
-        # recorded from the separate per-scan loops; a reordered float operation shows here
+        # recorded from draws whose phases come from the coarse and fine tables;
+        # a reordered float operation shows here
         assert [value.hex() for value in scan().values] == hexes
 
     def test_a_group_whose_rhs_is_zero_is_skipped(self, monkeypatch):
@@ -436,10 +449,10 @@ class TestRatioScans:
         with pytest.raises(ValueError, match="strichartz-ratio scan: the right-hand side "
                                              "of sample group 0 is inf"):
             lab.strichartz_ratio_scan(s=150.0, b=0.45, samples=3, cutoff=16, seed=1)
-        # at s = 100 the ratios are tiny but finite, with the bits they had before the check
+        # at s = 100 the ratios are tiny but finite
         report = lab.strichartz_ratio_scan(s=100.0, b=0.45, samples=3, cutoff=16, seed=1)
         assert [value.hex() for value in report.values] == [
-            "0x1.a47efb0421b41p-805", "0x1.e507807834c52p-806", "0x1.2a6088c762e1bp-804"]
+            "0x1.a47efb0421b40p-805", "0x1.e507807834c56p-806", "0x1.2a6088c762e1dp-804"]
 
     def test_a_group_whose_output_norm_overflows_is_rejected(self, monkeypatch):
         monkeypatch.setattr("dnlslab.estimates.physical_product",

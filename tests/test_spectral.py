@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import dnlslab as lab
 import dnlslab.estimates as estimates_mod
 import dnlslab.norms as norms_mod
-from dnlslab.fields import (ROOT_TWO_PI, TRAJECTORY_MAX_RATE, TRAJECTORY_MODES, time_grid,
-                            x_grid)
+from dnlslab.fields import (ROOT_TWO_PI, TRAJECTORY_BLOCK, TRAJECTORY_MAX_RATE,
+                            TRAJECTORY_MODES, time_grid, x_grid)
 from support import (DirectNormTables, direct_space_time_transform, direct_xst_norms,
                      embedding_scan, free_wave_trajectory)
 
@@ -132,6 +132,24 @@ class TestTrajectory:
     def test_grid_needs_a_step(self):
         with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
             time_grid(1.0, 0)
+
+    @pytest.mark.parametrize("steps", [2.5, 16.0, True])
+    def test_grid_needs_an_integer_step_count(self, steps):
+        # 2.5 would give the grid [-1, -0.2, 0.6, 1.4], which runs past its window
+        with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
+            time_grid(1.0, steps)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"steps": 0}, "steps must be >= 1, got 0"),
+        ({"steps": 2.5}, "steps must be an integer, got 2.5"),
+        ({"window": math.nan}, "window must be finite and positive, got nan"),
+        ({"window": math.inf}, "window must be finite and positive, got inf"),
+        ({"window": 0.0}, "window must be finite and positive, got 0.0"),
+        ({"window": -1.0}, "window must be finite and positive, got -1.0"),
+    ])
+    def test_random_trajectory_rejects_a_bad_grid(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            lab.random_trajectory(2, np.random.default_rng(1), **kwargs)
 
     def test_distance_needs_equal_shapes(self):
         a, b = lab.Trajectory(np.zeros((3, 3)), 1.0), lab.Trajectory(np.zeros((5, 3)), 1.0)
@@ -331,17 +349,52 @@ class TestTransformGrid:
         tau = norms_mod._NormTables(16, 1.0, 3, []).tau
         assert tau.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("cutoff,window,steps", [(0, 2.0, 1), (4, 1.0, 16), (9, 0.3, 33)])
-    def test_random_trajectory_equals_the_summed_formula(self, cutoff, window, steps):
-        rng = np.random.default_rng(cutoff + steps)
+    @staticmethod
+    def trajectory_draws(cutoff, rng):
+        """The three generator calls of a trajectory draw: base and rates, one per mode."""
         shape = (2 * cutoff + 1, TRAJECTORY_MODES)
         base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rates = rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
-        waves = np.exp(1j * rates * time_grid(window, steps)[:, None, None])
-        want = np.sum(base * waves, axis=2) * lab.bracket(np.arange(-cutoff, cutoff + 1)) ** -1.0
-        want = want / math.sqrt(TRAJECTORY_MODES)
+        return base, rng.uniform(-TRAJECTORY_MAX_RATE, TRAJECTORY_MAX_RATE, size=shape)
+
+    @pytest.mark.parametrize("cutoff,window,steps", [(0, 2.0, 1), (4, 1.0, 16), (9, 0.3, 33),
+                                                     (3, 0.5, 7), (2, 1.0, 64), (128, 1.0, 512)])
+    def test_random_trajectory_equals_the_summed_formula(self, cutoff, window, steps):
+        base, rates = self.trajectory_draws(cutoff, np.random.default_rng(cutoff + steps))
+        xi = np.arange(-cutoff, cutoff + 1)
+        amplitudes = base * (lab.bracket(xi) ** -1.0 / math.sqrt(TRAJECTORY_MODES))[:, None]
+        dt = 2.0 * window / steps
+        coarse = [np.exp(1j * rates * t) * amplitudes
+                  for t in time_grid(window, steps)[::TRAJECTORY_BLOCK]]
+        fine = [np.exp(1j * rates * (dt * b)) for b in range(TRAJECTORY_BLOCK)]
+        want = np.empty((steps + 1, 2 * cutoff + 1), dtype=complex)
+        for k in range(steps + 1):
+            a, b = divmod(k, TRAJECTORY_BLOCK)
+            terms = coarse[a] * fine[b]
+            want[k] = terms[:, 0] + terms[:, 1] + terms[:, 2]
         traj = lab.random_trajectory(cutoff, np.random.default_rng(cutoff + steps), window, steps)
         assert traj.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [0.05, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("steps", [1, 7, 8, 9, 12, 64, 117, 512])
+    def test_random_trajectory_is_within_round_off_of_the_direct_sum(self, window, steps):
+        cutoff = 6
+        base, rates = self.trajectory_draws(cutoff, np.random.default_rng(steps))
+        profile = lab.bracket(np.arange(-cutoff, cutoff + 1)) ** -1.0 / math.sqrt(TRAJECTORY_MODES)
+        waves = np.exp(1j * rates * time_grid(window, steps)[:, None, None])
+        terms = base * profile[:, None] * waves
+        got = lab.random_trajectory(cutoff, np.random.default_rng(steps), window, steps).coeffs
+        # t_k is rounded about three times on either side, each time by at most
+        # window*eps, and rate*t_k once more: the phases may differ by
+        # 4*TRAJECTORY_MAX_RATE*window eps, the exps and products by a few eps
+        eps = np.finfo(float).eps
+        bound = (4.0 + 4.0 * TRAJECTORY_MAX_RATE * window) * eps * np.abs(terms).sum(axis=2)
+        assert np.all(np.abs(got - terms.sum(axis=2)) <= bound)
+
+    def test_random_trajectory_leaves_the_generator_where_its_three_calls_do(self):
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        lab.random_trajectory(5, rng, window=1.0, steps=20)
+        self.trajectory_draws(5, reference)
+        assert rng.random() == reference.random()
 
 
 class TestEmbeddingScan:
