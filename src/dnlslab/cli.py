@@ -8,9 +8,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import plane_wave, random_field
+from .fields import _check_positive, plane_wave, random_field
 from .gauge import gauge_field, gauge_field_inv, translation_gap_probe
 from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
@@ -175,15 +176,8 @@ def _datum_from_args(args) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
-    cfg = SolveConfig(
-        cutoff=args.cutoff,
-        horizon=args.horizon,
-        steps=args.steps,
-        equation=Equation(args.equation),
-        max_iter=args.max_iter,
-        tol=args.tol,
-        cross_check=args.cross_check,
-    )
+    # each solver setting has a flag of its name, so the table makes the call
+    cfg = SolveConfig(**{f.name: getattr(args, f.name) for f in fields(SolveConfig)})
     datum = _datum_from_args(args)
     if args.via_gauge:
         report = solve_via_gauge(datum, cfg)
@@ -259,8 +253,10 @@ def cmd_divisors(args) -> int:
 
 
 def cmd_scan_sums(args) -> int:
-    if not args.a_step > 0:
-        raise ValueError(f"--a-step must be positive, got {args.a_step}")
+    _check_positive("--a-step", args.a_step)
+    for flag, value in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.anchor_step < 1:
         raise ValueError(f"--anchor-step must be positive, got {args.anchor_step}")
     a_values = list(np.arange(args.a_min, args.a_max + 1e-12, args.a_step))

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .fields import _check_steps, bracket, physical_product, random_trajectory, time_cutoff
+from .fields import (_check_count, _check_positive, bracket, physical_product, random_trajectory,
+                     time_cutoff)
 from .nonlinear import cubic_full
 from .norms import NormSpec, _l2_norm, _NormTables
 from .reports import EVIDENCE_CAVEAT, ScanReport
@@ -22,8 +23,7 @@ from .reports import EVIDENCE_CAVEAT, ScanReport
 
 def _divisor_pairs(r: int):
     """The divisor pairs (d, r // d) of r with d <= sqrt(r), by trial division."""
-    if r < 1:
-        raise ValueError("r must be a positive integer")
+    _check_count("r", r, 1)
     d = 1
     while d * d <= r:
         if r % d == 0:
@@ -54,8 +54,7 @@ def near_diagonal_scan(limit: int) -> ScanReport:
     reaches counts 0.  The work is about limit**(2/3) pairs, and no array of
     length limit is formed.
     """
-    if limit < 1:
-        raise ValueError("limit must be positive")
+    _check_count("limit", limit, 1)
     products = []
     d = 0
     while 729 * d**6 <= limit:
@@ -173,10 +172,8 @@ def resonance_weighted_sum(
     """
     if variant not in SUM_VARIANTS:
         raise ValueError(f"variant must be one of {SUM_VARIANTS}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    _check_positive("eps", eps)
+    _check_count("truncation", truncation, 0)
     m, c = _resonance_bins(variant, eps, anchor, truncation)
     m2 = 2.0 * m
     a_arr = np.asarray(a, dtype=float)
@@ -279,8 +276,10 @@ def _endpoint_sums(
     length and order, so the sums do not depend on the block size or on which
     other truncations share the tables.
     """
-    if not truncations or min(truncations) < 1:
-        raise ValueError(f"truncations must be >= 1, got {list(truncations)}")
+    if not truncations:
+        raise ValueError("truncations must not be empty")
+    for n in truncations:
+        _check_count("truncations entry", n, 1)
     if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
         raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
     top = max(truncations)
@@ -416,11 +415,9 @@ def _ratio_scan(name: str, grid: dict, seed: int, slots: list[list[NormSpec]], o
     finite raises a ValueError that names the scan and the group.
     """
     samples, cutoff, steps = grid["samples"], grid["cutoff"], grid["steps"]
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_steps(steps, 2)
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    _check_count("samples", samples, 1)
+    _check_count("steps", steps, 2)
+    _check_count("cutoff", cutoff, 0)
     out_cutoff, dt = len(slots) * cutoff, 2.0 * SCAN_WINDOW / steps
     inputs = _NormTables(steps, SCAN_WINDOW, cutoff, [spec for specs in slots for spec in specs])
     output = None if out_spec is None else _NormTables(steps, SCAN_WINDOW, out_cutoff, [out_spec])
@@ -551,8 +548,8 @@ def endpoint_injection_report(
     records the family-to-baseline excess and the growth of the family ratio
     across truncations.  The pairing is empty below truncation 2.
     """
-    if any(n < 2 for n in truncations):
-        raise ValueError(f"truncations must be >= 2, got {list(truncations)}")
+    for n in truncations:
+        _check_count("truncations entry", n, 2)
     _, norms, pairings = _endpoint_sums(truncations)
     fixed = 2.0 ** 0.5 * 2.0 ** 0.5
     family = [pairing / (fixed * f * f) for f, pairing in zip(norms, pairings)]

@@ -208,7 +208,7 @@ class Trajectory:
                 "trajectory needs a (steps+1, 2*cutoff+1) coefficient matrix with "
                 f"at least two samples, got shape {c.shape}"
             )
-        _check_window(self.window)
+        _check_positive("window", self.window)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -246,22 +246,23 @@ class Trajectory:
         return float(np.linalg.norm(self.coeffs - other.coeffs, axis=1).max())
 
 
-def _check_window(window: float) -> None:
-    if not (math.isfinite(window) and window > 0):
-        raise ValueError(f"window must be finite and positive, got {window}")
+def _check_positive(name: str, value: float) -> None:
+    """Reject a number that is not finite or not above 0, naming it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _check_steps(steps: int, least: int = 1) -> None:
-    """Reject a step count that is not an integer (a bool is not one) or is below least."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < least:
-        raise ValueError(f"steps must be >= {least}, got {steps}")
+def _check_count(name: str, value: int, least: int) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is below least, naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def time_grid(window: float, steps: int) -> np.ndarray:
     """The uniform grid t_k = -window + k*dt, k = 0..steps, with dt = 2*window/steps."""
-    _check_steps(steps)
+    _check_count("steps", steps, 1)
     return -window + (2.0 * window / steps) * np.arange(steps + 1)
 
 
@@ -303,8 +304,9 @@ def random_field(
 ) -> np.ndarray:
     """i.i.d. complex Gaussian coefficients with a <xi>**-1 spectral profile,
     zero beyond the active band and rescaled to the given l2 norm."""
-    if active_cutoff is not None and active_cutoff < 0:
-        raise ValueError(f"active_cutoff must be >= 0, got {active_cutoff}")
+    _check_count("cutoff", cutoff, 0)
+    if active_cutoff is not None:
+        _check_count("active_cutoff", active_cutoff, 0)
     if l2_norm is not None and not (math.isfinite(l2_norm) and l2_norm >= 0):
         raise ValueError(f"l2_norm must be finite and >= 0, got {l2_norm}")
     active = cutoff if active_cutoff is None else min(active_cutoff, cutoff)
@@ -333,7 +335,8 @@ def random_trajectory(
     exponentials per rate, not steps + 1, and each phase lies within a few ulp
     of exp(i*rate*t_k).
     """
-    _check_window(window)
+    _check_count("cutoff", cutoff, 0)
+    _check_positive("window", window)
     coarse_times = time_grid(window, steps)[::TRAJECTORY_BLOCK]  # t_{B*a}, a = 0..steps//B
     shape = (2 * cutoff + 1, TRAJECTORY_MODES)
     base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .fields import (
     ROOT_TWO_PI,
+    _check_count,
     cutoff_of,
     mass_mean,
     physical_product,
@@ -137,8 +138,8 @@ def translation_gap_probe(
     """
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
-    if any(n < 1 for n in n_list):
-        raise ValueError(f"n_list entries must be positive, got {list(n_list)}")
+    for n in n_list:
+        _check_count("n_list entry", n, 1)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
     spec = NormSpec(s=s, r=r)

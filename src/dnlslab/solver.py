@@ -16,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import Trajectory, free_phase, plane_wave, resize, time_grid
+from .fields import (Trajectory, _check_count, _check_positive, free_phase, plane_wave, resize,
+                     time_grid)
 from .gauge import gauge_field, gauge_field_inv, gauge_with_tail
 from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
 
@@ -43,12 +44,9 @@ class SolveConfig:
             raise ValueError("time horizon must lie in (0, 1]")
         if self.steps % 2 != 0 or self.steps < 4:
             raise ValueError(f"steps must be even and >= 4, got {self.steps}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {self.cutoff}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        _check_count("cutoff", self.cutoff, 0)
+        _check_count("max_iter", self.max_iter, 1)
+        _check_positive("tol", self.tol)
         object.__setattr__(self, "equation", Equation(self.equation))
 
 

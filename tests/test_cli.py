@@ -1,4 +1,5 @@
 """Command-line harness: subcommands, exit codes, file formats, determinism."""
+import dataclasses
 import inspect
 import json
 import math
@@ -248,6 +249,7 @@ class TestSharedParser:
 
 # every table of flag names in cli, with the subcommand whose flags it names
 FLAG_TABLES = {
+    "solve-config": ("solve", tuple(f.name for f in dataclasses.fields(lab.SolveConfig))),
     "solve-random-datum": ("solve", cli.SOLVE_RANDOM_DATUM_FLAGS),
     "gauge-field": ("gauge", cli.GAUGE_FIELD_FLAGS),
     "norms-xst": ("norms", cli.NORMS_XST_FLAGS),
@@ -618,7 +620,7 @@ class TestScanCommands:
         (["solve", "--N", "8", "--M", "2"], "steps must be even and >= 4, got 2"),
         (["solve", "--N", "8", "--via-gauge", "--equation", "shifted-nls"],
          "the gauge pipeline solves the raw derivative equation"),
-        (["divisors", "--max", "0"], "limit must be positive"),
+        (["divisors", "--max", "0"], "limit must be >= 1, got 0"),
         (["ratio-scan", "--kind", "quintic", "--q", "1.2", "--samples", "2"], "4/3 < q"),
         (["ratio-scan", "--kind", "quintic", "--b", "0.3", "--samples", "2"], "b > 1/6"),
         # arrays of 8e15 and 1.6e16 bytes: beyond the address space, so they fail at once
@@ -630,6 +632,9 @@ class TestScanCommands:
         (["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
           "--anchor-min", "4000000000000000000", "--anchor-max", "4000000000000000000"],
          "anchor 4000000000000000000 at truncation 4 is too large for an array index"),
+        (["scan-sums", "--a-min", "nan"], "--a-min must be finite, got nan"),
+        (["scan-sums", "--a-max", "inf"], "--a-max must be finite, got inf"),
+        (["scan-sums", "--a-step", "inf"], "--a-step must be finite and positive, got inf"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
@@ -640,7 +645,8 @@ class TestScanCommands:
             "divergence-translation-flags", "translation-divergence-flags",
             "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
-            "a-grid-beyond-memory", "divergence-table-beyond-memory", "anchor-beyond-an-index"])
+            "a-grid-beyond-memory", "divergence-table-beyond-memory", "anchor-beyond-an-index",
+            "a-min-nan", "a-max-inf", "a-step-inf"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err

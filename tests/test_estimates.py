@@ -77,7 +77,7 @@ class TestDivisorCounts:
             assert lab.divisor_pair_count(p) == 2
 
     def test_non_positive_rejected(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="r must be >= 1, got 0"):
             lab.divisor_pair_count(0)
 
     def test_refined_pins(self):
@@ -182,7 +182,7 @@ class TestResonanceSums:
             lab.resonance_weighted_sum("nope", 0.5, 0.0, 0, 8)
 
     def test_negative_truncation_rejected(self):
-        with pytest.raises(ValueError, match="truncation must be nonnegative"):
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
             lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, 0, truncation=-1)
 
 

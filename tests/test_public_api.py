@@ -1,11 +1,16 @@
 """The public API holds no test-only code: each exported function or class has
-a caller inside the package; and every operator states its output band."""
+a caller inside the package; every operator states its output band; and every
+entry point rejects a malformed count or positive number by name."""
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import dnlslab as lab
+from dnlslab.fields import time_grid
 
 
 def referenced_names(package_dir: Path) -> set[str]:
@@ -44,3 +49,70 @@ def test_no_public_operator_defaults_its_output_band():
                     defaulted.append(f"{module}.{name}")
     assert "dnlslab.solver.forcing_field" in banded and len(banded) >= 10
     assert defaulted == []
+
+
+def _rng():
+    return np.random.default_rng(3)
+
+
+# call of one count argument, its name, its floor and a valid value
+COUNTS = {
+    "time_grid-steps": (lambda v: time_grid(1.0, v), "steps", 1, 4),
+    "random_field-cutoff": (lambda v: lab.random_field(v, _rng()), "cutoff", 0, 4),
+    "random_field-active_cutoff": (lambda v: lab.random_field(4, _rng(), active_cutoff=v),
+                                   "active_cutoff", 0, 2),
+    "random_trajectory-cutoff": (lambda v: lab.random_trajectory(v, _rng(), steps=8),
+                                 "cutoff", 0, 2),
+    "SolveConfig-cutoff": (lambda v: lab.SolveConfig(cutoff=v, horizon=0.1, steps=8),
+                           "cutoff", 0, 4),
+    "SolveConfig-max_iter": (lambda v: lab.SolveConfig(cutoff=4, horizon=0.1, steps=8,
+                                                       max_iter=v), "max_iter", 1, 5),
+    "cubic_ratio_scan-samples": (lambda v: lab.cubic_ratio_scan(2.0, 2.0, v, 2, 1, steps=8),
+                                 "samples", 1, 2),
+    "cubic_ratio_scan-cutoff": (lambda v: lab.cubic_ratio_scan(2.0, 2.0, 2, v, 1, steps=8),
+                                "cutoff", 0, 2),
+    "cubic_ratio_scan-steps": (lambda v: lab.cubic_ratio_scan(2.0, 2.0, 2, 2, 1, steps=v),
+                               "steps", 2, 8),
+    "resonance_weighted_sum-truncation": (
+        lambda v: lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, 0, v), "truncation", 0, 4),
+    "near_diagonal_scan-limit": (lab.near_diagonal_scan, "limit", 1, 100),
+    "divisor_pair_count-r": (lab.divisor_pair_count, "r", 1, 12),
+    "near_diagonal_pair_count-r": (lab.near_diagonal_pair_count, "r", 1, 16),
+    "divergence_report-truncations": (lambda v: lab.divergence_report((10, v, 1000)),
+                                      "truncations", 1, 100),
+    "endpoint_injection_report-truncations": (
+        lambda v: lab.endpoint_injection_report((10, v)), "truncations", 2, 100),
+    "translation_gap_probe-n_list": (
+        lambda v: lab.translation_gap_probe(1.0, 0.5, 2.0, [v], t_samples=3), "n_list", 1, 4),
+}
+
+# call of one argument that must be finite and positive, and its name
+POSITIVES = {
+    "SolveConfig-tol": (lambda v: lab.SolveConfig(cutoff=4, horizon=0.1, steps=8, tol=v), "tol"),
+    "resonance_weighted_sum-eps": (lambda v: lab.resonance_weighted_sum("wabs_xi", v, 0.0, 0, 4),
+                                   "eps"),
+    "Trajectory-window": (lambda v: lab.Trajectory(np.zeros((3, 3)), v), "window"),
+    "random_trajectory-window": (lambda v: lab.random_trajectory(2, _rng(), window=v, steps=8),
+                                 "window"),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below-floor"])
+@pytest.mark.parametrize("call,name,least,valid", COUNTS.values(), ids=COUNTS)
+def test_a_count_that_is_not_an_integer_at_or_above_its_floor_is_rejected_by_name(
+        call, name, least, valid, kind):
+    bad = {"bool": True, "float": least + 1.5, "below-floor": least - 1}[kind]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(bad)
+
+
+@pytest.mark.parametrize("call,name,least,valid", COUNTS.values(), ids=COUNTS)
+def test_a_numpy_integer_count_is_accepted(call, name, least, valid):
+    call(np.int64(valid))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("call,name", POSITIVES.values(), ids=POSITIVES)
+def test_a_number_that_is_not_finite_and_positive_is_rejected_by_name(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {bad}$"):
+        call(bad)
