@@ -27,7 +27,7 @@ from .estimates import (
     resonance_sum_scan,
     strichartz_ratio_scan,
 )
-from .fields import _check_positive, plane_wave, random_field
+from .fields import _check_count, _check_positive, plane_wave, random_field
 from .gauge import gauge_field, gauge_field_inv, translation_gap_probe
 from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
@@ -113,23 +113,23 @@ NORMS_XST_FLAGS = ("p",)
 COUNTEREXAMPLE_FLAGS = {"divergence": ("truncations", "log_shift"),
                         "translation": ("n_list", "amplitude", "s", "r")}
 
-# the kind-specific ratio-scan flags, and the ones each kind reads; each flag is
-# named after its parameter of the kind's scan function, so the table makes the call
-RATIO_SCAN_KIND_FLAGS = ("q", "r", "s", "b", "samples", "cutoff", "steps", "truncations")
+# the ratio-scan flags each kind reads, and those of any kind; each flag is named
+# after its parameter of the kind's scan function, so the table makes the call
 RATIO_SCAN_FLAGS = {
     "cubic": ("q", "r", "samples", "cutoff", "steps"),
     "strichartz": ("s", "b", "samples", "cutoff", "steps"),
     "quintic": ("q", "r", "b", "samples", "cutoff", "steps"),
     "endpoint": ("truncations",),
 }
+RATIO_SCAN_KIND_FLAGS = {flag for flags in RATIO_SCAN_FLAGS.values() for flag in flags}
 
 
 def _reject_unread(args, run: str, flags, read=()) -> None:
-    """Raise a ValueError naming each flag in flags, not in read, whose value differs from
-    its default on the shared parser, which no --config changes: the run would ignore it."""
+    """Raise a ValueError naming, in the subcommand's order, each flag in flags, not in
+    read, whose value differs from its declared default: the run would ignore it."""
     command = _shared_parser()[1][args.command]
-    unread = [f"--{flag.replace('_', '-')}" for flag in flags
-              if flag not in read and getattr(args, flag) != command.get_default(flag)]
+    unread = [f"--{a.dest.replace('_', '-')}" for a in command._actions
+              if a.dest in flags and a.dest not in read and getattr(args, a.dest) != a.default]
     if unread:
         raise ValueError(f"{run} does not read {', '.join(unread)}")
 
@@ -257,8 +257,7 @@ def cmd_scan_sums(args) -> int:
     for flag, value in (("--a-min", args.a_min), ("--a-max", args.a_max)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    if args.anchor_step < 1:
-        raise ValueError(f"--anchor-step must be positive, got {args.anchor_step}")
+    _check_count("--anchor-step", args.anchor_step, 1)
     a_values = list(np.arange(args.a_min, args.a_max + 1e-12, args.a_step))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
     truncations = _int_list(args, "truncations")
@@ -423,8 +422,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 @functools.cache
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser of every call without --config, built on the first call: parsing
-    leaves it as it was, so no call sees another's values."""
+    """The parser of every call, built on the first call: parsing leaves it as it
+    was, so no call sees another's values."""
     return build_parser()
 
 
@@ -433,12 +432,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            # config values become the subcommand's defaults, so explicit flags win;
-            # they go on a parser built for this call alone, never on the shared one
-            parser, commands = build_parser()
+            # config values fill the namespace and argparse defaults only what it lacks,
+            # so explicit flags win; the subcommand's own parser keeps that namespace
             command = commands[args.command]
-            command.set_defaults(**_read_config(args, parser, command))
-            args = parser.parse_args(argv)
+            config = _read_config(args, parser, command)
+            args = command.parse_args((sys.argv[1:] if argv is None else argv)[1:],
+                                      argparse.Namespace(command=args.command, **config))
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; 2 is reserved here
         return EXIT_BAD_CONFIG if exc.code not in (0, None) else 0

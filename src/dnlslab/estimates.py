@@ -173,6 +173,7 @@ def resonance_weighted_sum(
     if variant not in SUM_VARIANTS:
         raise ValueError(f"variant must be one of {SUM_VARIANTS}")
     _check_positive("eps", eps)
+    _check_count("anchor", anchor, None)
     _check_count("truncation", truncation, 0)
     m, c = _resonance_bins(variant, eps, anchor, truncation)
     m2 = 2.0 * m

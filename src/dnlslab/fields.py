@@ -164,6 +164,8 @@ def physical_product(factors: Sequence[np.ndarray], conjugate: Sequence[bool],
 
 def plane_wave(cutoff: int, n: int, amplitude: complex = 1.0) -> np.ndarray:
     """Coefficients of A * exp(i*n*x) on |xi| <= cutoff."""
+    _check_count("cutoff", cutoff, None)
+    _check_count("n", n, None)
     if abs(n) > cutoff:
         raise ValueError(f"frequency {n} outside cutoff {cutoff}")
     coeffs = np.zeros(2 * cutoff + 1, dtype=complex)
@@ -252,11 +254,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def _check_count(name: str, value: int, least: int) -> None:
-    """Reject a count that is not an integer (a bool is not one) or is below least, naming it."""
+def _check_count(name: str, value: int, least: int | None) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is below least, naming
+    it; a least of None checks a signed integer, which has no floor."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
@@ -279,6 +282,7 @@ def free_phase(times, cutoff: int) -> np.ndarray:
 
     A scalar time gives one row; an array of times gives a matrix.
     """
+    _check_count("cutoff", cutoff, 0)
     xi_sq = xi_range(cutoff).astype(float) ** 2
     return np.exp(-1j * np.multiply.outer(times, xi_sq))
 

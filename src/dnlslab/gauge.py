@@ -140,6 +140,7 @@ def translation_gap_probe(
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     for n in n_list:
         _check_count("n_list entry", n, 1)
+    _check_count("t_samples", t_samples, 1)
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be increasing")
     spec = NormSpec(s=s, r=r)

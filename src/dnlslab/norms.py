@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ROOT_TWO_PI, bracket, cutoff_of, xi_range
+from .fields import ROOT_TWO_PI, _check_positive, bracket, cutoff_of, xi_range
 
 INF = math.inf
 
@@ -80,6 +80,7 @@ class _NormTables:
     def __init__(self, steps: int, window: float, cutoff: int, specs: list[NormSpec]):
         if any(spec.b is None or spec.p is None for spec in specs):
             raise ValueError("space-time norm needs both b and p")
+        _check_positive("window", window)
         dt, t0 = 2.0 * window / steps, -window  # t_0 = -window starts the grid
         tau = 2.0 * math.pi * np.fft.fftfreq(PAD_FACTOR * (steps + 1), d=dt)
         self.order = np.argsort(tau)

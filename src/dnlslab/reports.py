@@ -411,7 +411,7 @@ def load_field(path: str | Path) -> np.ndarray:
 
 
 def save_trajectory(path: str | Path, traj) -> Path:
-    # the time cutoff is fixed by the window, so the header names no profile
+    # the time cutoff is fixed by the window, so the header's profile is null
     head = {
         "kind": "trajectory",
         "cutoff": traj.cutoff,

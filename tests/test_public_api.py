@@ -1,9 +1,11 @@
 """The public API holds no test-only code: each exported function or class has
-a caller inside the package; every operator states its output band; and every
-entry point rejects a malformed count or positive number by name."""
+a caller inside the package; every operator states its output band; every
+entry point rejects a malformed count, signed integer or positive number by
+name; and the package states the version that its metadata declares."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +16,24 @@ from dnlslab.fields import time_grid
 
 
 def referenced_names(package_dir: Path) -> set[str]:
-    """Every name read as a bare name or an attribute in the package's modules,
-    except the re-exports of __init__.py."""
+    """Every name loaded as a bare name or an attribute in the package's modules,
+    except the re-exports of __init__.py; a name that is only assigned, such as
+    a dataclass field, is not read."""
     names = set()
     for path in package_dir.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
+
+
+# public names that no module loads; ROADMAP item 2 (the benchmark change) drops
+# solver.integral_residual, which the tracer binds, and empties this set
+UNCALLED = {"integral_residual"}
 
 
 def test_every_public_function_and_class_has_a_caller_in_the_package():
@@ -33,7 +41,7 @@ def test_every_public_function_and_class_has_a_caller_in_the_package():
     public = [name for name in lab.__all__ if not name.startswith("__")
               and (inspect.isfunction(getattr(lab, name)) or inspect.isclass(getattr(lab, name)))]
     assert public
-    assert [name for name in public if name not in used] == []
+    assert {name for name in public if name not in used} == UNCALLED
 
 
 def test_no_public_operator_defaults_its_output_band():
@@ -84,6 +92,19 @@ COUNTS = {
         lambda v: lab.endpoint_injection_report((10, v)), "truncations", 2, 100),
     "translation_gap_probe-n_list": (
         lambda v: lab.translation_gap_probe(1.0, 0.5, 2.0, [v], t_samples=3), "n_list", 1, 4),
+    "translation_gap_probe-t_samples": (
+        lambda v: lab.translation_gap_probe(1.0, 0.5, 2.0, [4], t_samples=v), "t_samples", 1, 3),
+    "free_phase-cutoff": (lambda v: lab.free_phase(0.1, v), "cutoff", 0, 4),
+}
+
+# call of one signed-integer argument, which has no floor, its name and a valid value
+SIGNED = {
+    "plane_wave-n": (lambda v: lab.plane_wave(4, v), "n", -2),
+    "plane_wave-cutoff": (lambda v: lab.plane_wave(v, 0), "cutoff", 4),
+    "resonance_weighted_sum-anchor": (
+        lambda v: lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, v, 4), "anchor", -3),
+    "resonance_sum_scan-anchor_values": (
+        lambda v: lab.resonance_sum_scan("wabs_xi", 0.5, [0.0], [v], [4]), "anchor", -3),
 }
 
 # call of one argument that must be finite and positive, and its name
@@ -94,6 +115,8 @@ POSITIVES = {
     "Trajectory-window": (lambda v: lab.Trajectory(np.zeros((3, 3)), v), "window"),
     "random_trajectory-window": (lambda v: lab.random_trajectory(2, _rng(), window=v, steps=8),
                                  "window"),
+    "xst_norm-window": (lambda v: lab.xst_norm(np.zeros((9, 5)), v,
+                                               [lab.NormSpec(0.5, 2.0, 0.5, 2.0)]), "window"),
 }
 
 
@@ -111,8 +134,28 @@ def test_a_numpy_integer_count_is_accepted(call, name, least, valid):
     call(np.int64(valid))
 
 
+@pytest.mark.parametrize("bad", [True, 1.5])
+@pytest.mark.parametrize("call,name,valid", SIGNED.values(), ids=SIGNED)
+def test_a_signed_integer_that_is_not_an_integer_is_rejected_by_name(call, name, valid, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call,name,valid", SIGNED.values(), ids=SIGNED)
+def test_a_numpy_signed_integer_is_accepted(call, name, valid):
+    call(np.int64(valid))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
 @pytest.mark.parametrize("call,name", POSITIVES.values(), ids=POSITIVES)
 def test_a_number_that_is_not_finite_and_positive_is_rejected_by_name(call, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {bad}$"):
         call(bad)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib arrived in Python 3.11")
+def test_the_package_version_is_the_one_pyproject_declares():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == lab.__version__
