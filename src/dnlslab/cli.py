@@ -254,11 +254,18 @@ def cmd_divisors(args) -> int:
 
 def cmd_scan_sums(args) -> int:
     _check_positive("--a-step", args.a_step)
-    for flag, value in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+    for flag, value in (("--a-min", args.a_min), ("--a-max", args.a_max),
+                        ("--a-min + --a-step", args.a_min + args.a_step)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     _check_count("--anchor-step", args.anchor_step, 1)
-    a_values = list(np.arange(args.a_min, args.a_max + 1e-12, args.a_step))
+    # np.arange's grid a_min + i*((a_min + a_step) - a_min) up to a_max.  The count's
+    # slack is relative to the grid's magnitude, so round-off never drops a_max, and
+    # below half a step, so a step finer than the floats near a_max adds no point
+    span = (args.a_max - args.a_min) / args.a_step
+    slack = min(0.5, 1e-12 * max(abs(args.a_min), abs(args.a_max)) / args.a_step)
+    delta = (args.a_min + args.a_step) - args.a_min
+    a_values = list(args.a_min + delta * np.arange(np.floor(span + slack) + 1))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
     truncations = _int_list(args, "truncations")
     reports = {v: resonance_sum_scan(v, args.epsilon, a_values, anchors, truncations)

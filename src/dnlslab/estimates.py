@@ -245,13 +245,35 @@ def resonance_sum_scan(
 # independent of the frequency shift: integral (3 - t^2) dt over [-1, 1]
 WINDOW_TRIPLE_OVERLAP = 16.0 / 3.0
 
+# largest endpoint truncation: every integer up to it is a float, so the float
+# frequency grid of the tables is exact
+MAX_ENDPOINT_TRUNCATION = 2**53
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to the sum that partials holds exactly, as nonoverlapping floats of
+    increasing magnitude (Shewchuk's algorithm, which math.fsum runs).  The
+    list stays a few dozen floats long, and math.fsum(partials) is the
+    correctly rounded sum of every x added."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
 
 def _endpoint_sums(
     truncations, log_shift: float = 0.0,
 ) -> tuple[list[float], list[float], list[float]]:
     """The divergent mass sums, the factor norms and the pairing lower bounds
-    at each truncation, in the order given, from two block passes over
-    1 <= |xi| <= max(truncations).
+    at each truncation, in the order given, from one pass over
+    1 <= |xi| <= max(truncations) in blocks of BLOCK frequencies.
 
     The mass sum runs over 1 <= |xi| <= n of
     <xi>**-1 log(<xi> + log_shift)**-2/3.  The factor norm is the l^4 norm
@@ -264,71 +286,69 @@ def _endpoint_sums(
     replaced by its supremum over the support, so the sum bounds the full
     integral expression from below.  It is empty at n = 1.
 
-    Every summand depends on |xi| only, so a truncation's sum is one np.sum
-    over a slice of a table, laid out in the order of the signed frequencies.
-    All tables live in one buffer of 2*top doubles, top = max(truncations),
-    filled BLOCK frequencies at a time.  The mass pass writes the mass table
-    to the first half and the profile weights to the second; after the mass
-    sums the weights' fourth powers overwrite the mass table and give the
-    norms.  The pairing pass then reads each weight from the second half, so
-    no log or fractional power is evaluated twice, and writes the pairing
-    table over the first 2*(top-1) entries.  The elementwise arithmetic is
-    the per-frequency formula and each np.sum runs over an array of the same
-    length and order, so the sums do not depend on the block size or on which
-    other truncations share the tables.
+    Every summand depends on |xi| only.  Each block evaluates its mass terms,
+    weights, fourth powers and pairing summands once, and a truncation's sum
+    is math.fsum of one np.sum per block over the block's part of its range:
+    the block sums of the mass table, of the fourth powers, and of both
+    halves of the pairing.  The sums of the whole blocks before are held
+    exactly in a few floats, so memory does not grow with max(truncations),
+    and a truncation's sums do not depend on which others share the pass.
     """
     if not truncations:
         raise ValueError("truncations must not be empty")
     for n in truncations:
         _check_count("truncations entry", n, 1)
+        if n > MAX_ENDPOINT_TRUNCATION:
+            raise ValueError(f"truncations entry must be <= {MAX_ENDPOINT_TRUNCATION}, got {n}")
     if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
         raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
-    top = max(truncations)
-    buf = np.empty(2 * top)
-    # entry k of each half is |xi| = k + 1
-    mass, weights = buf[:top], buf[top:]
+    ends = set(truncations)
+    top = max(ends)
+    # exact sums of the whole blocks so far
+    mass_partials, w4_partials, pairing_partials = [], [], []
+    # per truncation: its mass, fourth-power and pairing sums
+    totals = {}
+    root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
     for lo in range(0, top, BLOCK):
-        block = slice(lo, min(lo + BLOCK, top))
-        br = bracket(np.arange(block.start + 1, block.stop + 1, dtype=float))
+        hi = min(lo + BLOCK, top)
+        # entry k is |xi| = lo + k + 1; the last, |xi| = hi + 1, only feeds the pairing
+        xi = np.arange(lo + 1, hi + 2, dtype=float)
+        br = bracket(xi)
         # positive at every |xi| >= 1, where <xi> >= sqrt(2)
         log_br = np.log(br + log_shift)
-        mass[block] = 1.0 / (br * log_br ** (2.0 / 3.0))
+        mass = 1.0 / (br[:-1] * log_br[:-1] ** (2.0 / 3.0))
         # the endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3
-        weights[block] = br ** (-0.25) / log_br ** (1.0 / 3.0)
-    sums = [float(2.0 * np.sum(mass[:n])) for n in truncations]
-    w4 = np.power(weights, 4.0, out=mass)
-    # l^4 of the weights over both signs, times the L^2 norm of the unit window
-    norms = [float((2.0 * np.sum(w4[:n])) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
-             for n in truncations]
-
-    # xi3 = -1 - xi1 with 1 <= |xi3| <= n leaves |xi3| = |xi1| - 1 for
-    # xi1 = -n..-2 ("left", entry k at |xi1| = k + 2) and |xi3| = |xi1| + 1
-    # for xi1 = 1..n-1 ("right", entry k at |xi1| = k + 1).  The table holds
-    # left reversed, then right, so xi1 ascends and truncation n pairs the
-    # slice [half - (n-1), half + (n-1)), which is empty at n = 1.
-    half = top - 1
-    pairing = buf[:2 * half]
-    root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
-    for lo in range(0, half, BLOCK):
-        hi = min(lo + BLOCK, half)
-        # entries lo..hi-1 of left and right read |xi| = lo+1..hi+1.  The
-        # right-half write, buf[top-1+lo : top-1+hi], overwrites part of this
-        # block's weights, so they are copied first; it ends before the next
-        # block's first weight, buf[top+hi].
-        w = weights[lo:hi + 1].copy()
-        xi = np.arange(lo + 1, hi + 2, dtype=float)
-        root = bracket(xi) ** 0.5
+        w = br ** (-0.25) / log_br ** (1.0 / 3.0)
+        w4 = np.power(w[:-1], 4.0)
+        # xi3 = -1 - xi1 with 1 <= |xi3| <= n leaves |xi3| = |xi1| - 1 for
+        # xi1 = -n..-2 ("left") and |xi3| = |xi1| + 1 for xi1 = 1..n-1
+        # ("right").  Entry k of either half has its smaller |xi| at lo + k + 1,
+        # so truncation n takes the entries below n - 1 - lo, none at n = 1.
+        root = br ** 0.5
         sigma1_root = bracket(2.0 * xi + 2.0) ** 0.5
-        # the leading factors that both halves share, once per block
+        # the leading factors that both halves share
         root_root1, scaled_w = root * root1, WINDOW_TRIPLE_OVERLAP * w
 
         def summand(j1: slice, j3: slice) -> np.ndarray:
             denom = root_root1[j1] * root[j3] * sigma1_root[j1] * root2 * root1
             return scaled_w[j1] * w[j3] * xi[j3] / denom
 
-        pairing[half - hi:half - lo] = summand(slice(1, None), slice(None, -1))[::-1]
-        pairing[half + lo:half + hi] = summand(slice(None, -1), slice(1, None))
-    pairings = [float(np.sum(pairing[half - (n - 1):half + (n - 1)])) for n in truncations]
+        left = summand(slice(1, None), slice(None, -1))
+        right = summand(slice(None, -1), slice(1, None))
+        for n in ends:
+            if lo < n <= hi:
+                m = n - lo
+                totals[n] = (math.fsum(mass_partials + [np.sum(mass[:m])]),
+                         math.fsum(w4_partials + [np.sum(w4[:m])]),
+                         math.fsum(pairing_partials + [np.sum(left[:m - 1]),
+                                                       np.sum(right[:m - 1])]))
+        for partials, table in ((mass_partials, mass), (w4_partials, w4),
+                                (pairing_partials, left), (pairing_partials, right)):
+            _add_exact(partials, float(np.sum(table)))
+    sums = [2.0 * totals[n][0] for n in truncations]
+    # l^4 of the weights over both signs, times the L^2 norm of the unit window
+    norms = [(2.0 * totals[n][1]) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0) for n in truncations]
+    pairings = [totals[n][2] for n in truncations]
     return sums, norms, pairings
 
 

@@ -1,13 +1,14 @@
 """Test fixtures built on the public API: exact free waves, the gauge round-trip
 gap, the X^{s,b} embedding ratio scan, the direct lattice kernels that the
 product-indexed ones in ``dnlslab.estimates`` are checked against, the
-per-truncation endpoint sums that its one-table-pass sums are checked against,
+per-truncation endpoint sums that its block-by-block sums are checked against,
 and the per-call space-time norms that the norm tables are checked against."""
 import math
 
 import numpy as np
 
 import dnlslab as lab
+from dnlslab.estimates import BLOCK
 from dnlslab.fields import ROOT_TWO_PI, bracket, time_grid
 
 
@@ -144,41 +145,64 @@ def _endpoint_weights(xi: np.ndarray, log_shift: float) -> np.ndarray:
     return br ** (-0.25) / _log_bracket(br, log_shift) ** (1.0 / 3.0)
 
 
-def direct_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
-    """Mass sum of ``estimates._endpoint_sums`` from its own arrays, 1 <= xi <= truncation."""
+def endpoint_mass_terms(truncation: int, log_shift: float = 0.0) -> np.ndarray:
+    """The mass sum's terms over 1 <= xi <= truncation, in ascending xi."""
     xi = np.arange(1, truncation + 1, dtype=float)
     br = bracket(xi)
-    return float(2.0 * np.sum(1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))))
+    return 1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))
+
+
+def endpoint_norm_terms(truncation: int, log_shift: float = 0.0) -> np.ndarray:
+    """The fourth powers of the profile weights over 1 <= xi <= truncation, in ascending xi."""
+    return _endpoint_weights(np.arange(1, truncation + 1, dtype=float), log_shift) ** 4.0
+
+
+def endpoint_pairing_terms(truncation: int,
+                           log_shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The pairing's summands over the signed xi1 with xi3 = -1 - xi1 and
+    1 <= |xi3| <= truncation: xi1 = -2..-truncation, then xi1 = 1..truncation-1,
+    each in ascending |xi1|."""
+    def summand(xi1: np.ndarray) -> np.ndarray:
+        xi3 = -1.0 - xi1
+        w1 = _endpoint_weights(xi1, log_shift)
+        w3 = _endpoint_weights(xi3, log_shift)
+        sigma1_max = bracket(2.0 * np.abs(xi1) + 2.0)
+        sigma2_max = bracket(2.0)
+        sigma3_max = bracket(1.0)
+        denom = (
+            bracket(xi1) ** 0.5
+            * bracket(1.0) ** 0.5
+            * bracket(xi3) ** 0.5
+            * sigma1_max**0.5
+            * sigma2_max**0.5
+            * sigma3_max**0.5
+        )
+        return 16.0 / 3.0 * w1 * w3 * np.abs(xi3) / denom
+
+    return (summand(-np.arange(2, truncation + 1, dtype=float)),
+            summand(np.arange(1, truncation, dtype=float)))
+
+
+def block_fsum(*tables: np.ndarray) -> float:
+    """math.fsum of one np.sum per BLOCK entries of each table: the order in
+    which ``estimates._endpoint_sums`` adds a table's terms."""
+    return math.fsum(np.sum(t[lo:lo + BLOCK]) for t in tables for lo in range(0, t.size, BLOCK))
+
+
+def direct_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
+    """Mass sum of ``estimates._endpoint_sums`` from its own arrays, 1 <= xi <= truncation."""
+    return 2.0 * block_fsum(endpoint_mass_terms(truncation, log_shift))
 
 
 def direct_pairing(truncation: int, log_shift: float = 0.0) -> float:
-    """Pairing of ``estimates._endpoint_sums`` summed over the signed xi1 with xi3 = -1 - xi1."""
-    xi1 = np.concatenate([np.arange(-truncation, 0), np.arange(1, truncation + 1)]).astype(float)
-    xi3 = -1.0 - xi1
-    keep = (xi3 != 0.0) & (np.abs(xi3) <= truncation)
-    xi1, xi3 = xi1[keep], xi3[keep]
-    w1 = _endpoint_weights(xi1, log_shift)
-    w3 = _endpoint_weights(xi3, log_shift)
-    sigma1_max = bracket(2.0 * np.abs(xi1) + 2.0)
-    sigma2_max = bracket(2.0)
-    sigma3_max = bracket(1.0)
-    denom = (
-        bracket(xi1) ** 0.5
-        * bracket(1.0) ** 0.5
-        * bracket(xi3) ** 0.5
-        * sigma1_max**0.5
-        * sigma2_max**0.5
-        * sigma3_max**0.5
-    )
-    summand = 16.0 / 3.0 * w1 * w3 * np.abs(xi3) / denom
-    return float(np.sum(summand))
+    """Pairing of ``estimates._endpoint_sums`` from its own arrays of both signs of xi1."""
+    return block_fsum(*endpoint_pairing_terms(truncation, log_shift))
 
 
 def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
     """Factor norm of ``estimates._endpoint_sums`` from its own weights, 1 <= xi <= truncation."""
-    xi = np.arange(1, truncation + 1, dtype=float)
-    w = _endpoint_weights(xi, log_shift)
-    return float((2.0 * np.sum(w**4.0)) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0))
+    return (2.0 * block_fsum(endpoint_norm_terms(truncation, log_shift))) ** (1.0 / 4.0) \
+        * 2.0 ** (1.0 / 2.0)
 
 
 def direct_space_time_transform(samples: np.ndarray, window: float, pad_factor: int = 4):

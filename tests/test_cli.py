@@ -623,11 +623,13 @@ class TestScanCommands:
         (["divisors", "--max", "0"], "limit must be >= 1, got 0"),
         (["ratio-scan", "--kind", "quintic", "--q", "1.2", "--samples", "2"], "4/3 < q"),
         (["ratio-scan", "--kind", "quintic", "--b", "0.3", "--samples", "2"], "b > 1/6"),
-        # arrays of 8e15 and 1.6e16 bytes: beyond the address space, so they fail at once
+        # an array of 8e15 bytes: beyond the address space, so it fails at once
         (["scan-sums", "--a-min", "0", "--a-max", "1e15", "--a-step", "1", "--truncations", "4"],
          "Unable to allocate"),
-        (["counterexample", "--mode", "divergence", "--truncations", "10,1000000000000000"],
-         "Unable to allocate"),
+        # above 2**53 the float frequency grid is no longer exact; below, it runs
+        # in constant memory
+        (["counterexample", "--mode", "divergence", "--truncations", "10,9007199254740993"],
+         "truncations entry must be <= 9007199254740992, got 9007199254740993"),
         # 2*(|anchor| + K)**2 + 1 bins: more bytes than an array index can reach
         (["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
           "--anchor-min", "4000000000000000000", "--anchor-max", "4000000000000000000"],
@@ -635,6 +637,8 @@ class TestScanCommands:
         (["scan-sums", "--a-min", "nan"], "--a-min must be finite, got nan"),
         (["scan-sums", "--a-max", "inf"], "--a-max must be finite, got inf"),
         (["scan-sums", "--a-step", "inf"], "--a-step must be finite and positive, got inf"),
+        (["scan-sums", "--a-min", "1e308", "--a-max", "1e308", "--a-step", "1e308"],
+         "--a-min + --a-step must be finite, got inf"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
@@ -645,8 +649,8 @@ class TestScanCommands:
             "divergence-translation-flags", "translation-divergence-flags",
             "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
-            "a-grid-beyond-memory", "divergence-table-beyond-memory", "anchor-beyond-an-index",
-            "a-min-nan", "a-max-inf", "a-step-inf"])
+            "a-grid-beyond-memory", "divergence-truncation-above-2-53", "anchor-beyond-an-index",
+            "a-min-nan", "a-max-inf", "a-step-inf", "a-step-overflows"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -706,6 +710,23 @@ class TestScanCommands:
         assert code == 1
         assert "does not read --s" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid,a_values", [
+        (["--a-min", "0", "--a-max", "30000", "--a-step", "10000"],
+         [0.0, 10000.0, 20000.0, 30000.0]),
+        (["--a-min", "0", "--a-max", "0.3", "--a-step", "0.1"],
+         [0.0, 0.1, 0.2, 0.30000000000000004]),
+        (["--a-min", "1e300", "--a-max", "1e300", "--a-step", "1"], [1e300]),
+    ], ids=["a-max-beyond-2-14", "a-max-below-the-last-point", "a-step-below-the-resolution"])
+    def test_sum_grid_ends_at_a_max(self, tmp_path, grid, a_values):
+        # an absolute slack of 1e-12 on a_max is lost to round-off from |a_max| = 2**14.
+        # The lattice weights at a = 1e300 overflow to sums of 0; the grid is the subject
+        with np.errstate(over="ignore"):
+            code = main(["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
+                         "--anchor-min", "0", "--anchor-max", "0", *grid,
+                         "--out", str(tmp_path), "--tag", "g"])
+        assert code == 0
+        assert read_json(tmp_path / "g.json")["wdiff_xi"]["grid"]["a_values"] == a_values
 
     def test_empty_sum_grid_exit_code(self, tmp_path, capsys):
         code = main(["scan-sums", "--a-min", "10", "--a-max", "-10", "--truncations", "8",

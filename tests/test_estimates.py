@@ -16,6 +16,9 @@ from support import (
     direct_pairing,
     direct_resonance_bins,
     direct_resonance_sum,
+    endpoint_mass_terms,
+    endpoint_norm_terms,
+    endpoint_pairing_terms,
     free_wave_trajectory,
     near_diagonal_sweep,
 )
@@ -33,13 +36,13 @@ SCAN_BITS = {
 }
 
 # float.hex of divergence_report()'s sums: they pin the order of each table
-# sum's additions
+# sum's additions, math.fsum of one np.sum per block
 DIVERGENCE_BITS = {
     "divergent_sums": [
         "0x1.2c69afcae4a21p+3",
         "0x1.5134b49b3932bp+3",
-        "0x1.704849bb46a31p+3",
-        "0x1.8b7285b4e2e78p+3",
+        "0x1.704849bb46a32p+3",
+        "0x1.8b7285b4e2e7ap+3",
     ],
     "factor_norms": [
         "0x1.41142738f6d44p+1",
@@ -48,7 +51,7 @@ DIVERGENCE_BITS = {
         "0x1.4639513db6218p+1",
     ],
     "pairing_lower_bounds": [
-        "0x1.89ab98ccafffbp+3",
+        "0x1.89ab98ccafffap+3",
         "0x1.cb48e72870876p+3",
         "0x1.015a1602880bbp+4",
         "0x1.1992db0c27a52p+4",
@@ -297,10 +300,9 @@ class TestEndpointSums:
         assert summary["divergent_sums"] == [direct_mass_sum(n, log_shift) for n in ordered]
         assert summary["factor_norms"] == [direct_factor_norm(n, log_shift) for n in ordered]
         assert summary["pairing_lower_bounds"] == [direct_pairing(n, log_shift) for n in ordered]
-        # each truncation alone gives the same sums as when it shares the tables.
-        # Alone, the pairing pass of BLOCK + 1 is one full block, BLOCK + 2 adds
-        # a one-entry block, and 2 * BLOCK + 1 is two full blocks, the second
-        # reading the weights just past the first one's right-half write
+        # each truncation alone gives the same sums as when it shares the pass.
+        # BLOCK + 1 ends one frequency into the second block, where its pairing
+        # takes no entry, and BLOCK + 2 takes one
         for n in (1, 2, 3, 7, 1000, 12345, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1,
                   2 * BLOCK + 3):
             alone = lab.divergence_report((n,), log_shift=log_shift).summary
@@ -348,8 +350,7 @@ class TestEndpointSums:
             assert 0.99 <= fit["r_squared"] < 1.0
 
     def test_default_report_memory_peak(self):
-        # the tables over 1..1e6 and one pairing slice; the per-truncation
-        # sums peaked at 124 MiB
+        # the per-truncation sums peaked at 124 MiB
         tracemalloc.start()
         try:
             lab.divergence_report()
@@ -359,16 +360,43 @@ class TestEndpointSums:
         assert peak <= 64 * 2**20
 
     def test_default_report_builds_its_tables_in_blocks(self):
-        # one buffer of 2e6 doubles, 16 MB, holds the mass and weight tables and
-        # then the pairing table; the whole-array tables of one pass peaked at
-        # 53.4 MiB
+        # the tables of one block of frequencies at a time; one buffer of 2e6
+        # doubles for all tables peaked at 17.8 MiB
         tracemalloc.start()
         try:
             lab.divergence_report()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 6 * 2**20
+
+    def test_memory_does_not_grow_with_the_truncation(self):
+        peaks = []
+        for n in (2 * BLOCK + 3, 10**6):
+            tracemalloc.start()
+            try:
+                lab.divergence_report((n,))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+    @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
+    @pytest.mark.parametrize("n", [1000, 12345, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3,
+                                   10**5, 10**6])
+    def test_sums_are_within_round_off_of_the_exact_sums(self, n, log_shift):
+        # whatever the order of additions, each sum lies within a few eps of
+        # the correctly rounded sum of all its terms
+        summary = lab.divergence_report((n,), log_shift=log_shift).summary
+        exact = {
+            "divergent_sums": 2.0 * math.fsum(endpoint_mass_terms(n, log_shift)),
+            "factor_norms": (2.0 * math.fsum(endpoint_norm_terms(n, log_shift))) ** (1.0 / 4.0)
+            * 2.0 ** (1.0 / 2.0),
+            "pairing_lower_bounds": math.fsum(np.concatenate(
+                endpoint_pairing_terms(n, log_shift))),
+        }
+        for key, value in exact.items():
+            assert abs(summary[key][0] - value) <= 4 * math.ulp(1.0) * value
 
     def test_default_report_keeps_its_bits(self):
         summary = lab.divergence_report().summary
