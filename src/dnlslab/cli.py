@@ -261,11 +261,12 @@ def cmd_scan_sums(args) -> int:
     _check_count("--anchor-step", args.anchor_step, 1)
     # np.arange's grid a_min + i*((a_min + a_step) - a_min) up to a_max.  The count's
     # slack is relative to the grid's magnitude, so round-off never drops a_max, and
-    # below half a step, so a step finer than the floats near a_max adds no point
+    # below half a step, so a step finer than the floats near a_max adds no point.
+    # A reversed grid has no point, even where its span overflows to -inf
     span = (args.a_max - args.a_min) / args.a_step
     slack = min(0.5, 1e-12 * max(abs(args.a_min), abs(args.a_max)) / args.a_step)
     delta = (args.a_min + args.a_step) - args.a_min
-    a_values = list(args.a_min + delta * np.arange(np.floor(span + slack) + 1))
+    a_values = list(args.a_min + delta * np.arange(max(0.0, np.floor(span + slack) + 1)))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
     truncations = _int_list(args, "truncations")
     reports = {v: resonance_sum_scan(v, args.epsilon, a_values, anchors, truncations)

@@ -7,6 +7,7 @@ stabilization is reported, and the ratio scans are labeled evidence.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,16 +169,21 @@ def resonance_weighted_sum(
     weights are binned by m once and each a costs one sum over the bins.  The
     sum is numpy's own, not a BLAS dot product, whose result depends on the
     BLAS thread count.  A scalar a gives a float, a 1-D array of a values an
-    array.
+    array.  An a that is not finite or exceeds 2**511 in size is rejected.
     """
     if variant not in SUM_VARIANTS:
         raise ValueError(f"variant must be one of {SUM_VARIANTS}")
     _check_positive("eps", eps)
     _check_count("anchor", anchor, None)
     _check_count("truncation", truncation, 0)
+    a_arr = np.asarray(a, dtype=float)
+    # bracket squares a + 2m, and every 2m an array index allows keeps
+    # |a + 2m| < 2**512, below sqrt(DBL_MAX), so the square never overflows
+    bad = a_arr[~(np.abs(a_arr) <= 2.0**511)]
+    if bad.size:
+        raise ValueError(f"a must be finite with |a| <= 2**511, got {bad[0]}")
     m, c = _resonance_bins(variant, eps, anchor, truncation)
     m2 = 2.0 * m
-    a_arr = np.asarray(a, dtype=float)
     sums = np.array([np.sum(c * bracket(x + m2) ** (-(1.0 + eps))) for x in a_arr.ravel()])
     return float(sums[0]) if a_arr.ndim == 0 else sums
 
@@ -250,24 +256,6 @@ WINDOW_TRIPLE_OVERLAP = 16.0 / 3.0
 MAX_ENDPOINT_TRUNCATION = 2**53
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add x to the sum that partials holds exactly, as nonoverlapping floats of
-    increasing magnitude (Shewchuk's algorithm, which math.fsum runs).  The
-    list stays a few dozen floats long, and math.fsum(partials) is the
-    correctly rounded sum of every x added."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def _endpoint_sums(
     truncations, log_shift: float = 0.0,
 ) -> tuple[list[float], list[float], list[float]]:
@@ -288,11 +276,12 @@ def _endpoint_sums(
 
     Every summand depends on |xi| only.  Each block evaluates its mass terms,
     weights, fourth powers and pairing summands once, and a truncation's sum
-    is math.fsum of one np.sum per block over the block's part of its range:
-    the block sums of the mass table, of the fourth powers, and of both
-    halves of the pairing.  The sums of the whole blocks before are held
-    exactly in a few floats, so memory does not grow with max(truncations),
-    and a truncation's sums do not depend on which others share the pass.
+    is the correctly rounded sum of one np.sum per block over the block's part
+    of its range: the block sums of the mass table, of the fourth powers, and
+    of both halves of the pairing.  The sums of the whole blocks before are
+    held exactly as Fractions, whose denominators are powers of two no larger
+    than 2**1074, so memory does not grow with max(truncations), and a
+    truncation's sums do not depend on which others share the pass.
     """
     if not truncations:
         raise ValueError("truncations must not be empty")
@@ -305,7 +294,7 @@ def _endpoint_sums(
     ends = set(truncations)
     top = max(ends)
     # exact sums of the whole blocks so far
-    mass_partials, w4_partials, pairing_partials = [], [], []
+    mass_total = w4_total = pairing_total = Fraction(0)
     # per truncation: its mass, fourth-power and pairing sums
     totals = {}
     root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
@@ -338,13 +327,13 @@ def _endpoint_sums(
         for n in ends:
             if lo < n <= hi:
                 m = n - lo
-                totals[n] = (math.fsum(mass_partials + [np.sum(mass[:m])]),
-                         math.fsum(w4_partials + [np.sum(w4[:m])]),
-                         math.fsum(pairing_partials + [np.sum(left[:m - 1]),
-                                                       np.sum(right[:m - 1])]))
-        for partials, table in ((mass_partials, mass), (w4_partials, w4),
-                                (pairing_partials, left), (pairing_partials, right)):
-            _add_exact(partials, float(np.sum(table)))
+                totals[n] = (float(mass_total + Fraction(np.sum(mass[:m]))),
+                             float(w4_total + Fraction(np.sum(w4[:m]))),
+                             float(pairing_total + Fraction(np.sum(left[:m - 1]))
+                                   + Fraction(np.sum(right[:m - 1]))))
+        mass_total += Fraction(np.sum(mass))
+        w4_total += Fraction(np.sum(w4))
+        pairing_total += Fraction(np.sum(left)) + Fraction(np.sum(right))
     sums = [2.0 * totals[n][0] for n in truncations]
     # l^4 of the weights over both signs, times the L^2 norm of the unit window
     norms = [(2.0 * totals[n][1]) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0) for n in truncations]

@@ -61,8 +61,17 @@ def _lp_sequence_norm(values: np.ndarray, p: float) -> np.ndarray:
 
 
 def data_norms(coeffs: np.ndarray, spec: NormSpec) -> np.ndarray:
-    """|| <xi>**s coeff ||_{l^{r'}} of every coefficient row (..., 2*cutoff+1)."""
-    weighted = bracket(xi_range(cutoff_of(coeffs))) ** spec.s * np.abs(coeffs)
+    """|| <xi>**s coeff ||_{l^{r'}} of every coefficient row (..., 2*cutoff+1).
+
+    A zero coefficient contributes 0 whatever its weight; a nonzero one whose
+    weighted size overflows is rejected, naming s.
+    """
+    size = np.abs(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is replaced by 0
+        weighted = np.where(size == 0.0, 0.0, bracket(xi_range(cutoff_of(coeffs))) ** spec.s * size)
+    if np.isinf(weighted).any():
+        raise ValueError(f"s must keep every weighted coefficient <xi>**s |c| finite, "
+                         f"got {spec.s}")
     return _lp_sequence_norm(weighted, spec.r_dual)
 
 

@@ -401,6 +401,15 @@ class TestGaugeAndNormsCommands:
         out = read_json(tmp_path / "n.json")
         assert abs(out["norms"]["h_norm"] - math.sqrt(2) * ROOT_TWO_PI) < 1e-10
 
+    def test_norms_of_a_zero_coefficient_under_an_overflowing_weight(self, tmp_path, capsys):
+        # <1>**2100 overflows, but it weights a zero coefficient, which adds 0
+        lab.save_field(tmp_path / "f.csv", np.array([0.0, 1.0, 0.0], dtype=complex))
+        code = main(["norms", "--input", str(tmp_path / "f.csv"), "--s", "2100",
+                     "--out", str(tmp_path), "--tag", "n"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert read_json(tmp_path / "n.json")["norms"]["h_norm"] == 1.0
+
     def test_norms_of_saved_trajectory(self, tmp_path):
         traj = free_wave_trajectory(2, cutoff=4, window=2.0, steps=64)
         lab.save_trajectory(tmp_path / "t.csv", traj)
@@ -639,6 +648,16 @@ class TestScanCommands:
         (["scan-sums", "--a-step", "inf"], "--a-step must be finite and positive, got inf"),
         (["scan-sums", "--a-min", "1e308", "--a-max", "1e308", "--a-step", "1e308"],
          "--a-min + --a-step must be finite, got inf"),
+        # <a>**2 overflows from |a| = 1.34e154; the sums would silently read 0
+        (["scan-sums", "--a-min", "1e160", "--a-max", "1e160", "--a-step", "1",
+          "--truncations", "4", "--variant", "wdiff_xi"],
+         "a must be finite with |a| <= 2**511, got 1e+160"),
+        # the span of the reversed grid overflows to -inf
+        (["scan-sums", "--a-min", "1e300", "--a-max=-1e300", "--a-step", "1e-300"],
+         "empty (a, anchor) grid: a_values=[]"),
+        # <xi>**130 overflows at the probe's high frequencies, where it has nonzero gaps
+        (["counterexample", "--mode", "translation", "--s", "130"],
+         "s must keep every weighted coefficient <xi>**s |c| finite, got 130.0"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
@@ -650,7 +669,8 @@ class TestScanCommands:
             "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
             "a-grid-beyond-memory", "divergence-truncation-above-2-53", "anchor-beyond-an-index",
-            "a-min-nan", "a-max-inf", "a-step-inf", "a-step-overflows"])
+            "a-min-nan", "a-max-inf", "a-step-inf", "a-step-overflows", "a-beyond-2-511",
+            "reversed-a-span-overflows", "translation-weight-overflows"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err
@@ -716,15 +736,13 @@ class TestScanCommands:
          [0.0, 10000.0, 20000.0, 30000.0]),
         (["--a-min", "0", "--a-max", "0.3", "--a-step", "0.1"],
          [0.0, 0.1, 0.2, 0.30000000000000004]),
-        (["--a-min", "1e300", "--a-max", "1e300", "--a-step", "1"], [1e300]),
+        (["--a-min", "1e150", "--a-max", "1e150", "--a-step", "1"], [1e150]),
     ], ids=["a-max-beyond-2-14", "a-max-below-the-last-point", "a-step-below-the-resolution"])
     def test_sum_grid_ends_at_a_max(self, tmp_path, grid, a_values):
-        # an absolute slack of 1e-12 on a_max is lost to round-off from |a_max| = 2**14.
-        # The lattice weights at a = 1e300 overflow to sums of 0; the grid is the subject
-        with np.errstate(over="ignore"):
-            code = main(["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
-                         "--anchor-min", "0", "--anchor-max", "0", *grid,
-                         "--out", str(tmp_path), "--tag", "g"])
+        # an absolute slack of 1e-12 on a_max is lost to round-off from |a_max| = 2**14
+        code = main(["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
+                     "--anchor-min", "0", "--anchor-max", "0", *grid,
+                     "--out", str(tmp_path), "--tag", "g"])
         assert code == 0
         assert read_json(tmp_path / "g.json")["wdiff_xi"]["grid"]["a_values"] == a_values
 

@@ -137,6 +137,19 @@ class TestResonanceSums:
         with pytest.raises(ValueError, match="empty"):
             lab.resonance_sum_scan("wabs_xi", 0.5, [], [0], [8])
 
+    @pytest.mark.parametrize("bad", [1e160, -math.inf, math.nan])
+    def test_an_a_whose_weight_overflows_is_rejected(self, bad):
+        with pytest.raises(ValueError) as info:
+            lab.resonance_weighted_sum("wdiff_xi", 0.5, np.array([0.0, bad]), 0, 4)
+        assert str(info.value) == f"a must be finite with |a| <= 2**511, got {bad}"
+
+    @pytest.mark.parametrize("variant", SUM_VARIANTS)
+    def test_the_largest_a_gives_a_finite_positive_sum(self, variant):
+        # RuntimeWarnings are errors in this suite, so <a + 2m>**2 must not overflow
+        for a in (2.0**511, -(2.0**511)):
+            value = lab.resonance_weighted_sum(variant, 0.5, a, 3, 4)
+            assert math.isfinite(value) and value > 0.0
+
     def test_monotone_and_cauchy(self):
         vals = [lab.resonance_weighted_sum("wabs_xi", 0.5, 0.0, 0, k)
                 for k in (128, 256, 512)]

@@ -181,6 +181,12 @@ class TestHNorm:
     def test_zero(self):
         assert lab.data_norms(np.zeros(17, dtype=complex), lab.NormSpec(s=2.0, r=1.5)) == 0.0
 
+    def test_a_zero_coefficient_adds_0_under_an_overflowing_weight(self):
+        row = np.array([0.0, 2.0, 0.0], dtype=complex)
+        assert lab.data_norms(row, lab.NormSpec(s=2100.0, r=2.0)) == 2.0
+        with pytest.raises(ValueError, match=r"^s must keep every weighted coefficient .* 2100\.0$"):
+            lab.data_norms(np.array([1.0, 2.0, 0.0], dtype=complex), lab.NormSpec(s=2100.0, r=2.0))
+
     def test_parseval_against_quadrature(self):
         f = lab.random_field(16, np.random.default_rng(7), l2_norm=2.0)
         vals = lab.to_physical(f, 128)
