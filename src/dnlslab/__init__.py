@@ -29,6 +29,7 @@ from .nonlinear import (
     cubic_full,
     cubic_physical,
     cubic_restricted,
+    cubic_trilinear,
     dnls_forcing,
     mean_shifted_cubic,
     mean_shifted_cubic_spectral,

@@ -212,6 +212,7 @@ def cmd_gauge(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a norm that overflows is rejected by name
 def cmd_norms(args) -> int:
     if args.b is None:
         _reject_unread(args, "norms without --b", NORMS_XST_FLAGS)
@@ -235,6 +236,12 @@ def cmd_norms(args) -> int:
             result["xst_norm"] = norms[0]
         if args.z:
             result["z_norm"] = max(norms[-2:])
+    for key, value in result.items():
+        if not math.isfinite(value):
+            params = f"s={args.s}, r={args.r}"
+            if args.b is not None:
+                params += f", b={args.b}, p={args.p}"
+            raise ValueError(f"{key} overflows at these parameters: {params}")
     _write_report(args, norms=result)
     print(canonical_json(result))
     return EXIT_OK
@@ -266,7 +273,12 @@ def cmd_scan_sums(args) -> int:
     span = (args.a_max - args.a_min) / args.a_step
     slack = min(0.5, 1e-12 * max(abs(args.a_min), abs(args.a_max)) / args.a_step)
     delta = (args.a_min + args.a_step) - args.a_min
-    a_values = list(args.a_min + delta * np.arange(max(0.0, np.floor(span + slack) + 1)))
+    count = max(0.0, np.floor(span + slack) + 1)
+    if not count < np.iinfo(np.intp).max:
+        raise ValueError(f"the a grid from --a-min {args.a_min} to --a-max {args.a_max} by "
+                         f"--a-step {args.a_step} has {count} points, more than an array "
+                         f"index can reach")
+    a_values = list(args.a_min + delta * np.arange(count))
     anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
     truncations = _int_list(args, "truncations")
     reports = {v: resonance_sum_scan(v, args.epsilon, a_values, anchors, truncations)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .fields import (_check_count, _check_positive, bracket, physical_product, random_trajectory,
                      time_cutoff)
-from .nonlinear import cubic_full
+from .nonlinear import cubic_trilinear
 from .norms import NormSpec, _l2_norm, _NormTables
 from .reports import EVIDENCE_CAVEAT, ScanReport
 
@@ -89,8 +89,10 @@ def near_diagonal_scan(limit: int) -> ScanReport:
 
 SUM_VARIANTS = ("wdiff_xi", "wdiff_xi1", "wabs_xi", "wabs_xi1")
 
-# elements per block of the lattice tables, so each block's temporaries stay in
-# cache; no value depends on it
+# elements per block of the lattice tables and frequencies per block of the
+# endpoint sums, so each block's temporaries stay in cache.  No lattice bin
+# depends on it, but the endpoint sums do: their one np.sum per block fixes
+# the bits that the divergence report records
 BLOCK = 1 << 15
 
 # a later grid point replaces the scan's best sum only when it is larger by
@@ -472,7 +474,7 @@ def cubic_ratio_scan(
     rhs_r = NormSpec(s=0.5, r=r, b=0.5, p=2.0)
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
             "window": SCAN_WINDOW, "delta": 0.0}
-    return _ratio_scan("cubic-ratio", grid, seed, [[rhs_q], [rhs_q], [rhs_r]], cubic_full,
+    return _ratio_scan("cubic-ratio", grid, seed, [[rhs_q], [rhs_q], [rhs_r]], cubic_trilinear,
                        NormSpec(s=0.5, r=r, b=-0.5, p=2.0),
                        lambda n: n[0][0] * n[1][0] * n[2][0])
 

@@ -16,6 +16,7 @@ from .fields import (
     derivative,
     differentiate,
     mass_mean,
+    physical_product,
     product_coeffs,
     product_gridsize,
     resize,
@@ -196,6 +197,25 @@ def cubic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
     del pair
     kernel = product_coeffs(x, 3 * n, out_cutoff)
     return np.subtract(kernel, resize(v, out_cutoff) * (2j * mean_im), out=kernel)
+
+
+def cubic_trilinear(
+    u1: np.ndarray,
+    u2: np.ndarray,
+    u3: np.ndarray,
+    out_cutoff: int,
+) -> np.ndarray:
+    """cubic_full in physical space: the dealiased u1*u2*d/dx conj(u3) minus its
+    xi1 = xi and xi2 = xi slices.  The xi1 = xi2 = xi term that
+    product_restricted adds back cancels cubic_diagonal, so none is added here.
+    """
+    n = _shared_cutoff(u1, u2, u3)
+    v = derivative(u3)
+    w = _conj(v)
+    top = max(out_cutoff, n)
+    out = physical_product([u1, u2, v], [False, False, True], top)
+    out[..., top - n : top + n + 1] -= (u1 * _zero_mode(u2, w) + u2 * _zero_mode(u1, w)) / TWO_PI
+    return resize(out, out_cutoff)
 
 
 def quintic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:

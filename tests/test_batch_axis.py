@@ -7,6 +7,7 @@ import pytest
 import dnlslab as lab
 import dnlslab.cli as cli_mod
 import dnlslab.estimates as estimates_mod
+import dnlslab.nonlinear as nonlinear_mod
 import dnlslab.norms as norms_mod
 from dnlslab.gauge import gauge_with_tail
 from dnlslab.solver import forcing_field
@@ -25,6 +26,7 @@ OPERATORS = {
     "cubic_restricted": (lambda a, b, c: lab.cubic_restricted(a, b, c, out_cutoff=3 * CUTOFF), 3),
     "cubic_diagonal": (lambda a, b, c: lab.cubic_diagonal(a, b, c, out_cutoff=CUTOFF), 3),
     "cubic_full": (lambda a, b, c: lab.cubic_full(a, b, c, out_cutoff=3 * CUTOFF), 3),
+    "cubic_trilinear": (lambda a, b, c: lab.cubic_trilinear(a, b, c, out_cutoff=3 * CUTOFF), 3),
     "quintic_restricted": (
         lambda *us: lab.quintic_restricted(*us, out_cutoff=5 * CUTOFF), 5),
     "mean_shifted_cubic_spectral": (
@@ -161,7 +163,7 @@ def test_gauge_maps_call_the_field_map_once_per_trajectory(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("scan,op_name", [
     (lambda: lab.cubic_ratio_scan(q=2.0, r=2.0, samples=3, cutoff=4, seed=5, steps=16),
-     "cubic_full"),
+     "cubic_trilinear"),
     (lambda: lab.strichartz_ratio_scan(s=0.2, b=0.45, samples=3, cutoff=4, seed=5, steps=16),
      "physical_product"),
     (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.4, samples=3, cutoff=4, seed=5, steps=16),
@@ -172,6 +174,15 @@ def test_ratio_scan_calls_its_operator_once_per_sample_group(monkeypatch, scan, 
     report = scan()
     assert report.summary["samples_used"] == 3
     assert len(calls) == 3
+
+
+def test_the_cubic_scan_runs_no_coefficient_convolution(monkeypatch):
+    # the loop-based convolutions are the oracle of the physical form, not its fallback
+    assert not hasattr(estimates_mod, "cubic_full")
+    calls = counting(monkeypatch, nonlinear_mod, "_conv")
+    report = lab.cubic_ratio_scan(q=2.0, r=2.0, samples=3, cutoff=4, seed=5, steps=16)
+    assert report.summary["samples_used"] == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("measure,transforms", [

@@ -310,12 +310,32 @@ class TestGaugeAndNormsCommands:
         assert np.isfinite(lab.load_field(tmp_path / "g.csv")).all()
 
     def test_norms_that_overflow_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # |coefficient|**2 overflows; RuntimeWarnings are errors in this suite, so none may escape
         lab.save_field(tmp_path / "f.csv", lab.plane_wave(4, 1, 1e200))
         out = tmp_path / "fresh"
-        with np.errstate(over="ignore", invalid="ignore"):  # |coefficient|**2 overflows on purpose
-            code = main(["norms", "--input", str(tmp_path / "f.csv"), "--out", str(out)])
+        code = main(["norms", "--input", str(tmp_path / "f.csv"), "--out", str(out)])
         assert code == 1
-        assert "norms.h_norm is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: h_norm overflows at these parameters: s=0.5, r=2.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        # <4>**-10 keeps the l^1 norm finite, but |coefficient|**2 overflows
+        (["--s", "-10", "--r", "50"], "l2_norm overflows at these parameters: s=-10.0, r=50.0"),
+        (["--b", "0.5"], "xst_norm overflows at these parameters: s=0.5, r=2.0, b=0.5, p=2"),
+        (["--z"], "z_norm overflows at these parameters: s=0.5, r=2.0"),
+    ], ids=["l2", "xst", "z"])
+    def test_each_norm_that_overflows_is_named_without_a_warning(self, tmp_path, capsys,
+                                                                 flags, named):
+        traj = lab.random_trajectory(4, np.random.default_rng(1), window=0.5, steps=8)
+        if "--s" in flags:
+            lab.save_field(tmp_path / "in.csv", lab.plane_wave(4, 4, 1e200))
+        else:
+            lab.save_trajectory(tmp_path / "in.csv", lab.Trajectory(1e200 * traj.coeffs, 0.5))
+        out = tmp_path / "fresh"
+        code = main(["norms", "--input", str(tmp_path / "in.csv"), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
 
     def test_a_non_finite_float_in_a_list_is_named_by_its_key(self):
@@ -655,6 +675,9 @@ class TestScanCommands:
         # the span of the reversed grid overflows to -inf
         (["scan-sums", "--a-min", "1e300", "--a-max=-1e300", "--a-step", "1e-300"],
          "empty (a, anchor) grid: a_values=[]"),
+        # the point count of the forward grid overflows to inf
+        (["scan-sums", "--a-min=-1e300", "--a-max", "1e300", "--a-step", "1e-300"],
+         "the a grid from --a-min -1e+300 to --a-max 1e+300 by --a-step 1e-300 has inf points"),
         # <xi>**130 overflows at the probe's high frequencies, where it has nonzero gaps
         (["counterexample", "--mode", "translation", "--s", "130"],
          "s must keep every weighted coefficient <xi>**s |c| finite, got 130.0"),
@@ -670,7 +693,8 @@ class TestScanCommands:
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
             "a-grid-beyond-memory", "divergence-truncation-above-2-53", "anchor-beyond-an-index",
             "a-min-nan", "a-max-inf", "a-step-inf", "a-step-overflows", "a-beyond-2-511",
-            "reversed-a-span-overflows", "translation-weight-overflows"])
+            "reversed-a-span-overflows", "forward-a-count-overflows",
+            "translation-weight-overflows"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err

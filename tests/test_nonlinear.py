@@ -178,6 +178,47 @@ class TestCubicPhysicalIdentity:
             assert gap(lab.cubic_physical(v, 16), lab.cubic_full(v, v, v, 16)) < 1e-10
 
 
+class TestCubicTrilinear:
+    """The physical trilinear form against the convolution form it replaces in the cubic scan."""
+
+    @staticmethod
+    def rows(rng, shape, cutoff):
+        size = shape + (2 * cutoff + 1,)
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    @staticmethod
+    def relative_gap(got, want, us):
+        # against the inputs' scale: an entry that cancels to round-off on both
+        # sides has no relative error of its own
+        cutoff = cutoff_of(us[0])
+        scale = max(cutoff, 1) * math.prod(float(np.max(np.abs(u))) for u in us)
+        return float(np.max(np.abs(got - want), initial=0.0)) / scale
+
+    @pytest.mark.parametrize("cutoff", [1, 4, 8, 16])
+    @pytest.mark.parametrize("band", ["0", "n-1", "n", "3n"])
+    def test_equals_the_convolution_form(self, cutoff, band):
+        out_cutoff = {"0": 0, "n-1": cutoff - 1, "n": cutoff, "3n": 3 * cutoff}[band]
+        rng = np.random.default_rng(cutoff * 10 + len(band))
+        us = [self.rows(rng, (7,), cutoff) for _ in range(3)]
+        got = lab.cubic_trilinear(*us, out_cutoff)
+        want = lab.cubic_full(*us, out_cutoff)
+        assert got.shape == want.shape == (7, 2 * out_cutoff + 1)
+        assert self.relative_gap(got, want, us) < 1e-13
+
+    def test_leading_axes_broadcast(self):
+        rng = np.random.default_rng(31)
+        us = [self.rows(rng, (3, 1), 4), self.rows(rng, (5,), 4), self.rows(rng, (), 4)]
+        got = lab.cubic_trilinear(*us, 12)
+        assert got.shape == (3, 5, 25)
+        assert self.relative_gap(got, lab.cubic_full(*us, 12), us) < 1e-13
+
+    def test_operands_must_share_a_cutoff(self):
+        u1, u2 = fields(8, 4, 2)
+        (u3,) = fields(9, 3, 1)
+        with pytest.raises(ValueError, match="share one frequency cutoff"):
+            lab.cubic_trilinear(u1, u2, u3, 4)
+
+
 class TestProductGrid:
     """Product grids are the least even 5-smooth size at or above the alias-free minimum."""
 
