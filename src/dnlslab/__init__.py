@@ -27,7 +27,6 @@ from .gauge import (
 from .nonlinear import (
     cubic_diagonal,
     cubic_full,
-    cubic_physical,
     cubic_restricted,
     cubic_trilinear,
     dnls_forcing,

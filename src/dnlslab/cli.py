@@ -285,7 +285,7 @@ def cmd_scan_sums(args) -> int:
                for v in (SUM_VARIANTS if args.variant == "all" else [args.variant])}
     out = _write_report(args, **reports)
     sups = {v: report.summary["sup_by_truncation"] for v, report in reports.items()}
-    rows = [(v, k, sup[k]) for v, sup in sups.items() for k in sorted(sup, key=int)]
+    rows = [(v, k, value) for v, sup in sups.items() for k, value in sup.items()]
     write_csv(out / f"{args.tag}.csv", ["variant", "truncation", "sup"], rows)
     print(canonical_json(sups))
     return EXIT_OK

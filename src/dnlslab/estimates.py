@@ -199,16 +199,19 @@ def resonance_sum_scan(
 ) -> ScanReport:
     """Sup of the truncated sum over an (a, anchor) grid, per truncation.
 
-    Each (anchor, truncation) bins its pairs once for every a.  The argmax is
-    the first grid point, a-major, whose sum no later point exceeds by more
-    than ARGMAX_MARGIN relative.
+    The truncations must be strictly increasing.  Each (anchor, truncation)
+    bins its pairs once for every a.  The argmax is the first grid point,
+    a-major, whose sum no later point exceeds by more than ARGMAX_MARGIN
+    relative.
     """
     if not (len(a_values) and len(anchor_values)):
         raise ValueError(f"empty (a, anchor) grid: a_values={list(a_values)}, "
                          f"anchor_values={list(anchor_values)}")
+    if not truncations or any(b <= a for a, b in zip(truncations, truncations[1:])):
+        raise ValueError(f"truncations must be non-empty and strictly increasing, got "
+                         f"{list(truncations)}")
     a_arr = np.asarray(a_values, dtype=float)
-    sups = {}
-    argmaxes = {}
+    sups, argmaxes = [], []
     for K in truncations:
         table = [resonance_weighted_sum(variant, eps, a_arr, anchor, K)
                  for anchor in anchor_values]
@@ -218,16 +221,12 @@ def resonance_sum_scan(
                 val = float(table[j][i])
                 if arg is None or val - best > ARGMAX_MARGIN * abs(best):
                     best, arg = val, (a, anchor)
-        sups[K] = best
-        argmaxes[K] = arg
-    ks = sorted(sups)
-    rel_changes = [
-        abs(sups[k2] - sups[k1]) / sups[k2] if sups[k2] else 0.0
-        for k1, k2 in zip(ks, ks[1:])
-    ]
+        sups.append(best)
+        argmaxes.append(arg)
+    rel_changes = [abs(s2 - s1) / s2 if s2 else 0.0 for s1, s2 in zip(sups, sups[1:])]
     summary = {
-        "sup_by_truncation": {str(k): sups[k] for k in ks},
-        "argmax_by_truncation": {str(k): list(argmaxes[k]) for k in ks},
+        "sup_by_truncation": {str(k): sup for k, sup in zip(truncations, sups)},
+        "argmax_by_truncation": {str(k): list(arg) for k, arg in zip(truncations, argmaxes)},
         "relative_changes": rel_changes,
     }
     grid = {
@@ -237,12 +236,7 @@ def resonance_sum_scan(
         "anchor_values": list(anchor_values),
         "truncations": list(truncations),
     }
-    return ScanReport(
-        name="resonance-sum",
-        grid=grid,
-        values=tuple(sups[k] for k in ks),
-        summary=summary,
-    )
+    return ScanReport(name="resonance-sum", grid=grid, values=tuple(sups), summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -79,14 +79,15 @@ def from_physical(samples: np.ndarray, cutoff: int) -> np.ndarray:
 
 
 def product_gridsize(band: int, out_cutoff: int) -> int:
-    """Grid on which a product of total band `band` is alias-free for |xi| <= out_cutoff.
+    """The least smooth_gridsize on which a product of total band `band` is
+    alias-free for |xi| <= out_cutoff: band + min(out_cutoff, band) + 1 points."""
+    return smooth_gridsize(band + min(out_cutoff, band) + 1)
 
-    Any grid of at least band + min(out_cutoff, band) + 1 points is alias-free;
-    this is the least such size that is even and 5-smooth (no prime factor
-    above 5), so the FFTs never run on 2 * a large prime.
-    """
-    gridsize = band + min(out_cutoff, band) + 1
-    gridsize += gridsize % 2
+
+def smooth_gridsize(least: int) -> int:
+    """The least grid of at least `least` points that is even and 5-smooth (no
+    prime factor above 5), so the FFTs never run on 2 * a large prime."""
+    gridsize = least + least % 2
     while True:
         rest = gridsize
         for prime in (2, 3, 5):

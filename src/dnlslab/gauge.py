@@ -18,6 +18,7 @@ from .fields import (
     physical_product,
     plane_wave,
     product_coeffs,
+    smooth_gridsize,
     to_physical,
     xi_range,
 )
@@ -32,11 +33,11 @@ from .reports import ScanReport
 def gauge_gridsize(cutoff: int) -> int:
     """The grid of the phase twist of a band |xi| <= cutoff.
 
-    At least 4*cutoff + 1, so |u|^2 and the phase product are alias-free in
-    the kept band; 8*cutoff keeps the aliasing of the non-polynomial phase
-    factor negligible.
+    The least smooth_gridsize of at least 4*cutoff + 1 points, so |u|^2 and the
+    phase product are alias-free in the kept band, and of at least 8*cutoff,
+    which keeps the aliasing of the non-polynomial phase factor negligible.
     """
-    return max(8 * cutoff, 4 * cutoff + 1)
+    return smooth_gridsize(max(8 * cutoff, 4 * cutoff + 1))
 
 
 def mass_primitive(u: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from .fields import (
     derivative,
     differentiate,
     mass_mean,
-    physical_product,
     product_coeffs,
     product_gridsize,
     resize,
@@ -163,6 +162,11 @@ def quintic_restricted(
 # other bits than its rows.  The order named is the one numpy took on large
 # arrays, so a trajectory keeps its bits.
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b in this order, written over a unless the leading axes broadcast beyond it."""
+    return np.multiply(a, b, out=a if a.shape == np.broadcast_shapes(a.shape, b.shape) else None)
+
+
 def _cubic_kernel(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     """|u|^2 u on |xi| <= out_cutoff."""
     band = 3 * cutoff_of(u)
@@ -185,20 +189,6 @@ def mean_shifted_cubic(u: np.ndarray, out_cutoff: int) -> np.ndarray:
     return np.subtract(kernel, resize(u, out_cutoff) * (2.0 * mass_mean(u)[..., None]), out=kernel)
 
 
-def cubic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:
-    """v^2 * d/dx conj(v) minus 2i * mean(Im(v * d/dx conj(v))) * v, dealiased."""
-    n = cutoff_of(v)
-    gridsize = product_gridsize(3 * n, out_cutoff)
-    x = to_physical(v, gridsize)
-    pair = to_physical(differentiate(_conj(v)), gridsize)
-    np.multiply(pair, x, out=pair)
-    mean_im = np.mean(pair, axis=-1, keepdims=True).imag
-    np.multiply(pair, x, out=x)
-    del pair
-    kernel = product_coeffs(x, 3 * n, out_cutoff)
-    return np.subtract(kernel, resize(v, out_cutoff) * (2j * mean_im), out=kernel)
-
-
 def cubic_trilinear(
     u1: np.ndarray,
     u2: np.ndarray,
@@ -208,14 +198,26 @@ def cubic_trilinear(
     """cubic_full in physical space: the dealiased u1*u2*d/dx conj(u3) minus its
     xi1 = xi and xi2 = xi slices.  The xi1 = xi2 = xi term that
     product_restricted adds back cancels cubic_diagonal, so none is added here.
+    A u2 that is u1 is transformed and paired with d/dx conj(u3) once: (v, v, v)
+    makes two inverse transforms.
     """
     n = _shared_cutoff(u1, u2, u3)
-    v = derivative(u3)
-    w = _conj(v)
     top = max(out_cutoff, n)
-    out = physical_product([u1, u2, v], [False, False, True], top)
-    out[..., top - n : top + n + 1] -= (u1 * _zero_mode(u2, w) + u2 * _zero_mode(u1, w)) / TWO_PI
-    return resize(out, out_cutoff)
+    gridsize = product_gridsize(3 * n, top)
+    w = differentiate(_conj(u3))  # d/dx conj(u3)
+    y = to_physical(u1, gridsize)
+    x = _times(to_physical(w, gridsize), y)
+    if u2 is not u1:
+        y = to_physical(u2, gridsize)
+    x = _times(x, y)
+    del y
+    out = product_coeffs(x, 3 * n, top)
+    z2 = _zero_mode(u2, w) / TWO_PI
+    z1 = z2 if u2 is u1 else _zero_mode(u1, w) / TWO_PI
+    band = out[..., top - n : top + n + 1]
+    band -= u1 * z2
+    band -= u2 * z1
+    return out if top == out_cutoff else resize(out, out_cutoff)
 
 
 def quintic_physical(v: np.ndarray, out_cutoff: int) -> np.ndarray:

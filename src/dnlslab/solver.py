@@ -19,7 +19,7 @@ import numpy as np
 from .fields import (Trajectory, _check_count, _check_positive, free_phase, plane_wave, resize,
                      time_grid)
 from .gauge import gauge_field, gauge_field_inv, gauge_with_tail
-from .nonlinear import cubic_physical, dnls_forcing, mean_shifted_cubic, quintic_physical
+from .nonlinear import cubic_trilinear, dnls_forcing, mean_shifted_cubic, quintic_physical
 
 
 class Equation(str, Enum):
@@ -88,7 +88,8 @@ def forcing_field(coeffs: np.ndarray, equation: Equation | str, out_cutoff: int)
     if equation is Equation.DNLS:
         return dnls_forcing(coeffs, out_cutoff)
     if equation is Equation.GAUGED:
-        return -1.0 * cubic_physical(coeffs, out_cutoff) + 0.5j * quintic_physical(coeffs, out_cutoff)
+        cubic = cubic_trilinear(coeffs, coeffs, coeffs, out_cutoff)
+        return -1.0 * cubic + 0.5j * quintic_physical(coeffs, out_cutoff)
     return -1j * mean_shifted_cubic(coeffs, out_cutoff)  # Equation.SHIFTED_NLS
 
 

@@ -99,7 +99,7 @@ def test_criterion_4_operator_identities():
         v = lab.random_field(16, rng, l2_norm=1.0)
         worst_cubic = max(
             worst_cubic,
-            np.linalg.norm(lab.cubic_full(v, v, v, 16) - lab.cubic_physical(v, 16)),
+            np.linalg.norm(lab.cubic_full(v, v, v, 16) - lab.cubic_trilinear(v, v, v, 16)),
         )
         worst_quintic = max(
             worst_quintic,

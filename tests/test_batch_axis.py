@@ -27,6 +27,8 @@ OPERATORS = {
     "cubic_diagonal": (lambda a, b, c: lab.cubic_diagonal(a, b, c, out_cutoff=CUTOFF), 3),
     "cubic_full": (lambda a, b, c: lab.cubic_full(a, b, c, out_cutoff=3 * CUTOFF), 3),
     "cubic_trilinear": (lambda a, b, c: lab.cubic_trilinear(a, b, c, out_cutoff=3 * CUTOFF), 3),
+    # one operand three times: the gauged forcing's call, which transforms it once
+    "cubic_trilinear_repeated": (lambda u: lab.cubic_trilinear(u, u, u, out_cutoff=CUTOFF), 1),
     "quintic_restricted": (
         lambda *us: lab.quintic_restricted(*us, out_cutoff=5 * CUTOFF), 5),
     "mean_shifted_cubic_spectral": (

@@ -17,6 +17,7 @@ STALE = {
     "estimates.endpoint_pairing",
     "estimates.endpoint_factor_norm",
     "estimates.endpoint_ratio",
+    "nonlinear.cubic_physical",
 }
 
 

@@ -681,6 +681,11 @@ class TestScanCommands:
         # <xi>**130 overflows at the probe's high frequencies, where it has nonzero gaps
         (["counterexample", "--mode", "translation", "--s", "130"],
          "s must keep every weighted coefficient <xi>**s |c| finite, got 130.0"),
+        # a repeated or decreasing list would report a grid it did not compute
+        (["scan-sums", "--truncations", "8,4,8"],
+         "truncations must be non-empty and strictly increasing, got [8, 4, 8]"),
+        (["scan-sums", "--truncations", "16,8"],
+         "truncations must be non-empty and strictly increasing, got [16, 8]"),
     ], ids=["a-step-zero", "a-step-negative", "anchor-step-negative", "steps-zero", "steps-one",
             "cutoff-negative", "n-zero",
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
@@ -694,7 +699,8 @@ class TestScanCommands:
             "a-grid-beyond-memory", "divergence-truncation-above-2-53", "anchor-beyond-an-index",
             "a-min-nan", "a-max-inf", "a-step-inf", "a-step-overflows", "a-beyond-2-511",
             "reversed-a-span-overflows", "forward-a-count-overflows",
-            "translation-weight-overflows"])
+            "translation-weight-overflows", "sum-truncations-repeated",
+            "sum-truncations-decreasing"])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, argv, named):
         code = main(argv + ["--out", str(tmp_path), "--tag", "nope"])
         err = capsys.readouterr().err

@@ -137,6 +137,15 @@ class TestResonanceSums:
         with pytest.raises(ValueError, match="empty"):
             lab.resonance_sum_scan("wabs_xi", 0.5, [], [0], [8])
 
+    @pytest.mark.parametrize("truncations", [[], [8, 4, 8], [512, 256], [8, 8]],
+                             ids=["empty", "repeated", "decreasing", "equal"])
+    def test_scan_rejects_truncations_that_do_not_increase(self, truncations):
+        # the report would record a grid it did not compute
+        with pytest.raises(ValueError) as info:
+            lab.resonance_sum_scan("wdiff_xi", 0.5, [0.0], [0], truncations)
+        assert str(info.value) == ("truncations must be non-empty and strictly increasing, "
+                                   f"got {truncations}")
+
     @pytest.mark.parametrize("bad", [1e160, -math.inf, math.nan])
     def test_an_a_whose_weight_overflows_is_rejected(self, bad):
         with pytest.raises(ValueError) as info:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dnlslab as lab
-from dnlslab.fields import ROOT_TWO_PI, Trajectory, x_grid
+from dnlslab.fields import ROOT_TWO_PI, Trajectory, smooth_gridsize, x_grid
 from dnlslab.gauge import gauge_gridsize, gauge_with_tail
 from support import gauge_roundtrip_error
 
@@ -112,11 +112,18 @@ class TestGaugePhase:
         assert np.all(tail > 0.0)
 
     def test_gridsize_follows_the_band(self):
-        # alias-free for |u|^2 and the phase product, and the 8*cutoff grid
-        # the maps have always used
-        for n in range(65):
+        # alias-free for |u|^2 and the phase product, at least the 8*cutoff
+        # grid the maps have always used, and the product grids' FFT sizes
+        for n in range(300):
             assert gauge_gridsize(n) >= 4 * n + 1
-            assert gauge_gridsize(n) == max(8 * n, 4 * n + 1)
+            assert gauge_gridsize(n) >= 8 * n
+            assert gauge_gridsize(n) == smooth_gridsize(max(8 * n, 4 * n + 1))
+        # a 5-smooth 8*cutoff is kept, so those bands keep their bits
+        assert [gauge_gridsize(n) for n in (1, 16, 32, 125)] == [8, 128, 256, 1000]
+
+    def test_gridsize_is_never_twice_a_large_prime(self):
+        # 8*127 = 1016 = 2**3 * 127 would run the twist's FFTs about twice as long as 1024
+        assert [gauge_gridsize(n) for n in (7, 101, 127, 131)] == [60, 810, 1024, 1080]
 
 
 class TestTranslate:

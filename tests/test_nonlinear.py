@@ -162,20 +162,21 @@ class TestCubicDiagonal:
 class TestCubicPhysicalIdentity:
     def test_single_mode_hand_value(self):
         w = lab.plane_wave(4, 1)
-        out = lab.cubic_physical(w, 4)
+        out = lab.cubic_trilinear(w, w, w, 4)
         assert np.linalg.norm(out - lab.plane_wave(4, 1, 1j)) < 1e-12
 
     def test_constant_annihilated(self):
-        assert np.linalg.norm(lab.cubic_physical(lab.constant_field(4, 2.0), 4)) < 1e-13
+        c = lab.constant_field(4, 2.0)
+        assert np.linalg.norm(lab.cubic_trilinear(c, c, c, 4)) < 1e-13
 
     def test_two_mode_matches_convolution(self):
         v = lab.constant_field(8, 1.0) + lab.plane_wave(8, 1)
-        assert gap(lab.cubic_physical(v, 8), lab.cubic_full(v, v, v, 8)) < 1e-12
+        assert gap(lab.cubic_trilinear(v, v, v, 8), lab.cubic_full(v, v, v, 8)) < 1e-12
 
     def test_identity_on_random_fields(self):
         for seed in range(8):
             (v,) = fields(seed + 100, 16, 1, norm=0.9)
-            assert gap(lab.cubic_physical(v, 16), lab.cubic_full(v, v, v, 16)) < 1e-10
+            assert gap(lab.cubic_trilinear(v, v, v, 16), lab.cubic_full(v, v, v, 16)) < 1e-10
 
 
 class TestCubicTrilinear:
@@ -211,6 +212,19 @@ class TestCubicTrilinear:
         got = lab.cubic_trilinear(*us, 12)
         assert got.shape == (3, 5, 25)
         assert self.relative_gap(got, lab.cubic_full(*us, 12), us) < 1e-13
+
+    @pytest.mark.parametrize("distinct,inverse", [(False, 2), (True, 3)],
+                             ids=["v-v-v", "distinct"])
+    def test_transforms_a_repeated_operand_once(self, monkeypatch, distinct, inverse):
+        calls = []
+        for name in ("fft", "ifft"):
+            def wrapper(*args, name=name, original=getattr(np.fft, name), **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, wrapper)
+        v, a, b = fields(12, 4, 3)
+        lab.cubic_trilinear(v, a, b, 4) if distinct else lab.cubic_trilinear(v, v, v, 4)
+        assert (calls.count("ifft"), calls.count("fft")) == (inverse, 1)
 
     def test_operands_must_share_a_cutoff(self):
         u1, u2 = fields(8, 4, 2)
