@@ -243,41 +243,68 @@ def resonance_sum_scan(
 # endpoint counterexample sums
 # ---------------------------------------------------------------------------
 
-# exact value of the triple integral of the stacked unit-window indicators,
-# independent of the frequency shift: integral (3 - t^2) dt over [-1, 1]
-WINDOW_TRIPLE_OVERLAP = 16.0 / 3.0
-
 # largest endpoint truncation: every integer up to it is a float, so the float
 # frequency grid of the tables is exact
 MAX_ENDPOINT_TRUNCATION = 2**53
 
+# the factor of every pairing summand that does not depend on xi1: 16/3, the
+# exact triple integral of the stacked unit windows, integral (3 - t^2) dt over
+# [-1, 1], over <1>**1/2 (input frequency 1) and <2>**1/2 <1>**1/2 (modulations)
+PAIRING_SCALE = (16.0 / 3.0) / float(bracket(1.0) * bracket(2.0) ** 0.5)
 
-def _endpoint_sums(
-    truncations, log_shift: float = 0.0,
-) -> tuple[list[float], list[float], list[float]]:
+
+def _endpoint_terms(lo: int, hi: int, log_shift: float) -> tuple[np.ndarray, ...]:
+    """The mass terms, fourth-power weights and pairing summands of lo < |xi| <= hi,
+    entry k at |xi| = lo + k + 1, from one root chain with no powers: with
+    c = cbrt(log(<xi> + log_shift)) and g = 1/(<xi>**1/4 c <xi>**1/2), they are
+    1/(<xi> c^2), that over c^2, and PAIRING_SCALE g(|xi|) g(|xi| + 1) times
+    |xi|/<2|xi| + 4>**1/2 + (|xi| + 1)/<2|xi| + 2>**1/2, both signs of xi1 at once."""
+    # the last entry, |xi| = hi + 1, only feeds the pairing
+    xi = np.arange(lo + 1, hi + 2, dtype=float)
+    # each step writes into a row of one buffer: a freed temporary can shrink the
+    # heap, and the next block's page faults then cost as much as its arithmetic
+    br, c, mass, w4, g = np.empty((5, xi.size))
+    np.sqrt(np.add(np.square(xi, out=br), 1.0, out=br), out=br)
+    # positive at every |xi| >= 1, where <xi> >= sqrt(2)
+    np.log(np.add(br, log_shift, out=c) if log_shift else br, out=c)
+    np.cbrt(c, out=c)
+    np.divide(1.0, np.multiply(br, np.square(c, out=w4), out=mass), out=mass)
+    np.divide(mass, w4, out=w4)
+    root = np.sqrt(br, out=br)
+    np.multiply(np.sqrt(root, out=g), c, out=g)
+    np.divide(1.0, np.multiply(g, root, out=g), out=g)
+    # <2|xi| + 2>**1/2, written over <xi>**1/2
+    s = np.add(np.multiply(xi, 2.0, out=br), 2.0, out=br)
+    np.sqrt(np.sqrt(np.add(np.square(s, out=s), 1.0, out=s), out=s), out=s)
+    pair = np.divide(xi[:-1], s[1:], out=c[:-1])
+    pair += np.divide(xi[1:], s[:-1], out=xi[1:])
+    pair *= g[1:]
+    pair *= g[:-1]
+    pair *= PAIRING_SCALE
+    return mass[:-1], w4[:-1], pair
+
+
+def _endpoint_sums(truncations, log_shift: float = 0.0) -> tuple[list[float], ...]:
     """The divergent mass sums, the factor norms and the pairing lower bounds
     at each truncation, in the order given, from one pass over
     1 <= |xi| <= max(truncations) in blocks of BLOCK frequencies.
 
-    The mass sum runs over 1 <= |xi| <= n of
-    <xi>**-1 log(<xi> + log_shift)**-2/3.  The factor norm is the l^4 norm
-    over the same range of the profile weights, times the L^2 norm of the
+    The mass sum runs over 1 <= |xi| <= n of <xi>**-1 L**-2/3, with
+    L = log(<xi> + log_shift).  The factor norm is the l^4 norm over the same
+    range of the profile weights <xi>**-1/4 L**-1/3, times the L^2 norm of the
     unit window (width 2).  The pairing is an explicit lower bound of the
     endpoint quadriform: the four profiles sit at output frequency 0 and
     second input frequency 1, the free frequency runs over 1 <= |xi1| <= n
-    and the third is xi3 = -1 - xi1.  Per tuple the time integral of the
-    stacked unit windows is exactly 16/3, and each modulation weight is
-    replaced by its supremum over the support, so the sum bounds the full
-    integral expression from below.  It is empty at n = 1.
+    and the third is xi3 = -1 - xi1.  Each modulation weight is replaced by
+    its supremum over the support, so the sum bounds the full integral
+    expression from below.  It is empty at n = 1.
 
-    Every summand depends on |xi| only.  Each block evaluates its mass terms,
-    weights, fourth powers and pairing summands once, and a truncation's sum
-    is the correctly rounded sum of one np.sum per block over the block's part
-    of its range: the block sums of the mass table, of the fourth powers, and
-    of both halves of the pairing.  The sums of the whole blocks before are
-    held exactly as Fractions, whose denominators are powers of two no larger
-    than 2**1074, so memory does not grow with max(truncations), and a
-    truncation's sums do not depend on which others share the pass.
+    A truncation's sum is the correctly rounded sum of one np.sum per block
+    of the block's table (_endpoint_terms) over its part of the range.  The
+    sums of the whole blocks before are held exactly as Fractions (their
+    denominators are powers of two no larger than 2**1074), so memory does
+    not grow with max(truncations), and a truncation's sums do not depend on
+    which others share the pass.
     """
     if not truncations:
         raise ValueError("truncations must not be empty")
@@ -289,52 +316,22 @@ def _endpoint_sums(
         raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
     ends = set(truncations)
     top = max(ends)
-    # exact sums of the whole blocks so far
-    mass_total = w4_total = pairing_total = Fraction(0)
-    # per truncation: its mass, fourth-power and pairing sums
-    totals = {}
-    root1, root2 = bracket(1.0) ** 0.5, bracket(2.0) ** 0.5
+    # the exact mass, fourth-power and pairing sums of the whole blocks so far,
+    # and each truncation's three sums
+    exact, totals = [Fraction(0)] * 3, {}
     for lo in range(0, top, BLOCK):
         hi = min(lo + BLOCK, top)
-        # entry k is |xi| = lo + k + 1; the last, |xi| = hi + 1, only feeds the pairing
-        xi = np.arange(lo + 1, hi + 2, dtype=float)
-        br = bracket(xi)
-        # positive at every |xi| >= 1, where <xi> >= sqrt(2)
-        log_br = np.log(br + log_shift)
-        mass = 1.0 / (br[:-1] * log_br[:-1] ** (2.0 / 3.0))
-        # the endpoint profile weights <xi>**-1/4 * log(<xi> + log_shift)**-1/3
-        w = br ** (-0.25) / log_br ** (1.0 / 3.0)
-        w4 = np.power(w[:-1], 4.0)
-        # xi3 = -1 - xi1 with 1 <= |xi3| <= n leaves |xi3| = |xi1| - 1 for
-        # xi1 = -n..-2 ("left") and |xi3| = |xi1| + 1 for xi1 = 1..n-1
-        # ("right").  Entry k of either half has its smaller |xi| at lo + k + 1,
-        # so truncation n takes the entries below n - 1 - lo, none at n = 1.
-        root = br ** 0.5
-        sigma1_root = bracket(2.0 * xi + 2.0) ** 0.5
-        # the leading factors that both halves share
-        root_root1, scaled_w = root * root1, WINDOW_TRIPLE_OVERLAP * w
-
-        def summand(j1: slice, j3: slice) -> np.ndarray:
-            denom = root_root1[j1] * root[j3] * sigma1_root[j1] * root2 * root1
-            return scaled_w[j1] * w[j3] * xi[j3] / denom
-
-        left = summand(slice(1, None), slice(None, -1))
-        right = summand(slice(None, -1), slice(1, None))
+        tables = _endpoint_terms(lo, hi, log_shift)
         for n in ends:
             if lo < n <= hi:
+                # the pairing entry of |xi| = n needs |xi| = n + 1
                 m = n - lo
-                totals[n] = (float(mass_total + Fraction(np.sum(mass[:m]))),
-                             float(w4_total + Fraction(np.sum(w4[:m]))),
-                             float(pairing_total + Fraction(np.sum(left[:m - 1]))
-                                   + Fraction(np.sum(right[:m - 1]))))
-        mass_total += Fraction(np.sum(mass))
-        w4_total += Fraction(np.sum(w4))
-        pairing_total += Fraction(np.sum(left)) + Fraction(np.sum(right))
-    sums = [2.0 * totals[n][0] for n in truncations]
-    # l^4 of the weights over both signs, times the L^2 norm of the unit window
-    norms = [(2.0 * totals[n][1]) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0) for n in truncations]
-    pairings = [totals[n][2] for n in truncations]
-    return sums, norms, pairings
+                totals[n] = [float(total + Fraction(np.sum(table[:k])))
+                             for total, table, k in zip(exact, tables, (m, m, m - 1))]
+        exact = [total + Fraction(np.sum(table)) for total, table in zip(exact, tables)]
+    return ([2.0 * totals[n][0] for n in truncations],
+            [(2.0 * totals[n][1]) ** (1.0 / 4.0) * 2.0 ** (1.0 / 2.0) for n in truncations],
+            [totals[n][2] for n in truncations])
 
 
 def _fit_against_cuberoot_log(truncations: list[int], sums: list[float]) -> dict | None:

@@ -15,9 +15,9 @@ from .fields import (
     _check_count,
     cutoff_of,
     mass_mean,
-    physical_product,
     plane_wave,
     product_coeffs,
+    product_gridsize,
     smooth_gridsize,
     to_physical,
     xi_range,
@@ -41,13 +41,15 @@ def gauge_gridsize(cutoff: int) -> int:
 
 
 def mass_primitive(u: np.ndarray) -> np.ndarray:
-    """Mean-zero primitive of |u|^2 - mean(|u|^2), exact on the doubled band.
+    """Mean-zero primitive of |u|^2 - mean(|u|^2), exact on the doubled band,
+    from one transform of u: its samples times their conjugates, as in physical_product.
 
     In Fourier space: out(xi) = (i*xi)**-1 * coeff(|u|^2)(xi) for xi != 0 and 0
     at xi = 0.
     """
     n = 2 * cutoff_of(u)
-    sq = physical_product([u, u], conjugate=[False, True], out_cutoff=n)
+    x = to_physical(u, product_gridsize(n, n))
+    sq = product_coeffs(np.multiply(x, np.conj(x), out=x), n, n)
     xi = xi_range(n).astype(float)
     return np.divide(sq, 1j * xi, out=np.zeros_like(sq), where=xi != 0)
 

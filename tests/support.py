@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 import dnlslab as lab
-from dnlslab.estimates import BLOCK
+from dnlslab.estimates import BLOCK, PAIRING_SCALE
 from dnlslab.fields import ROOT_TWO_PI, bracket, time_grid
 
 
@@ -183,25 +183,42 @@ def endpoint_pairing_terms(truncation: int,
             summand(np.arange(1, truncation, dtype=float)))
 
 
-def block_fsum(*tables: np.ndarray) -> float:
-    """math.fsum of one np.sum per BLOCK entries of each table: the order in
+def endpoint_tables(truncation: int,
+                    log_shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mass, fourth-power and pairing tables of ``estimates._endpoint_sums``
+    over 1 <= |xi| <= truncation, from its own root chain in one piece: pairing
+    entry k holds both signs of xi1 whose frequencies are |xi| = k + 1 and k + 2."""
+    xi = np.arange(1, truncation + 2, dtype=float)
+    br = bracket(xi)
+    c = np.cbrt(_log_bracket(br, log_shift))
+    c2 = c[:-1] * c[:-1]
+    mass = 1.0 / (br[:-1] * c2)
+    root = np.sqrt(br)
+    g = 1.0 / (np.sqrt(root) * c * root)
+    s = np.sqrt(bracket(2.0 * xi + 2.0))
+    pair = (xi[:-1] / s[1:] + xi[1:] / s[:-1]) * g[1:] * g[:-1] * PAIRING_SCALE
+    return mass, mass / c2, pair[:-1]
+
+
+def block_fsum(table: np.ndarray) -> float:
+    """math.fsum of one np.sum per BLOCK entries of the table: the order in
     which ``estimates._endpoint_sums`` adds a table's terms."""
-    return math.fsum(np.sum(t[lo:lo + BLOCK]) for t in tables for lo in range(0, t.size, BLOCK))
+    return math.fsum(np.sum(table[lo:lo + BLOCK]) for lo in range(0, table.size, BLOCK))
 
 
 def direct_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
-    """Mass sum of ``estimates._endpoint_sums`` from its own arrays, 1 <= xi <= truncation."""
-    return 2.0 * block_fsum(endpoint_mass_terms(truncation, log_shift))
+    """Mass sum of ``estimates._endpoint_sums`` from its own table, 1 <= xi <= truncation."""
+    return 2.0 * block_fsum(endpoint_tables(truncation, log_shift)[0])
 
 
 def direct_pairing(truncation: int, log_shift: float = 0.0) -> float:
-    """Pairing of ``estimates._endpoint_sums`` from its own arrays of both signs of xi1."""
-    return block_fsum(*endpoint_pairing_terms(truncation, log_shift))
+    """Pairing of ``estimates._endpoint_sums`` from its own table of both signs of xi1."""
+    return block_fsum(endpoint_tables(truncation, log_shift)[2])
 
 
 def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
-    """Factor norm of ``estimates._endpoint_sums`` from its own weights, 1 <= xi <= truncation."""
-    return (2.0 * block_fsum(endpoint_norm_terms(truncation, log_shift))) ** (1.0 / 4.0) \
+    """Factor norm of ``estimates._endpoint_sums`` from its own fourth powers."""
+    return (2.0 * block_fsum(endpoint_tables(truncation, log_shift)[1])) ** (1.0 / 4.0) \
         * 2.0 ** (1.0 / 2.0)
 
 

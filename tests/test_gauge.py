@@ -52,6 +52,19 @@ class TestMassPrimitive:
         assert np.linalg.norm(recon - sq) < 1e-12
         assert abs(lab.mean_value(prim)) < 1e-13
 
+    @pytest.mark.parametrize("shape", [(), (7,)], ids=["row", "batch"])
+    def test_transforms_u_once(self, monkeypatch, shape):
+        # |u|^2 takes one inverse FFT of u, not one per factor
+        calls = []
+        for name in ("fft", "ifft"):
+            def wrapper(*args, name=name, original=getattr(np.fft, name), **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, wrapper)
+        u = lab.random_field(8, np.random.default_rng(6), l2_norm=1.3) * np.ones(shape + (1,))
+        lab.mass_primitive(u)
+        assert (calls.count("ifft"), calls.count("fft")) == (1, 1)
+
 
 class TestGaugePhase:
     # at t = 0 the translation is the identity, so the maps are the phase twist
