@@ -17,13 +17,7 @@ from .fields import (
     random_trajectory,
     to_physical,
 )
-from .gauge import (
-    gauge_field,
-    gauge_field_inv,
-    mass_primitive,
-    translate,
-    translation_gap_probe,
-)
+from .gauge import gauge_field, gauge_field_inv, mass_primitive, translate
 from .nonlinear import (
     cubic_diagonal,
     cubic_full,
@@ -74,6 +68,7 @@ from .estimates import (
     resonance_sum_scan,
     resonance_weighted_sum,
     strichartz_ratio_scan,
+    translation_gap_probe,
 )
 
 # the submodules are attributes of the package, not names of its API

@@ -26,10 +26,11 @@ from .estimates import (
     quintic_ratio_scan,
     resonance_sum_scan,
     strichartz_ratio_scan,
+    translation_gap_probe,
 )
 from .fields import _check_count, _check_positive, plane_wave, random_field
-from .gauge import gauge_field, gauge_field_inv, translation_gap_probe
-from .norms import INF, NormSpec, data_norms, xst_norm, z_specs
+from .gauge import gauge_field, gauge_field_inv
+from .norms import NormSpec, data_norms, xst_norm, z_specs
 from .reports import (
     __version__,
     canonical_json,
@@ -144,6 +145,14 @@ def _int_list(args, flag: str) -> list[int]:
                          f"got {text!r}") from None
 
 
+def _exponent(text: str) -> float:
+    """--p as a number; args keeps its text, as given, and float('inf') is math.inf."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--p must be a number or 'inf', got {text!r}") from None
+
+
 def _parse_plane_wave(text: str) -> tuple[float, int]:
     try:
         parts = dict(item.split("=") for item in text.split(","))
@@ -227,8 +236,7 @@ def cmd_norms(args) -> int:
         traj = load_trajectory(args.input)
         if args.b is None and not args.z:
             raise ValueError("trajectory input needs --b/--p or --z")
-        specs = [] if args.b is None else [
-            NormSpec(args.s, args.r, args.b, INF if args.p == "inf" else float(args.p))]
+        specs = [] if args.b is None else [NormSpec(args.s, args.r, args.b, _exponent(args.p))]
         if args.z:
             specs += z_specs(args.s, args.r)
         norms = xst_norm(traj.windowed(), traj.window, specs)  # one transform for them all

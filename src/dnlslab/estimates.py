@@ -1,4 +1,5 @@
-"""Numerical checks of the counting bounds, lattice sums, and estimate ratios.
+"""Numerical checks of the counting bounds, lattice sums, estimate ratios and
+the paper's two counterexamples.
 
 Everything here is a diagnostic: divisor counts and the refined near-diagonal
 bound are exact, the lattice sums are truncated partial sums whose
@@ -11,10 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import (_check_count, _check_positive, bracket, physical_product, random_trajectory,
-                     time_cutoff)
+from .fields import (ROOT_TWO_PI, _check_count, _check_positive, bracket, mass_mean,
+                     physical_product, plane_wave, random_trajectory, time_cutoff)
+from .gauge import gauge_field, translate
 from .nonlinear import cubic_trilinear
-from .norms import NormSpec, _l2_norm, _NormTables
+from .norms import NormSpec, _l2_norm, _NormTables, data_norms
 from .reports import EVIDENCE_CAVEAT, ScanReport
 
 
@@ -386,6 +388,77 @@ def divergence_report(
 
 
 # ---------------------------------------------------------------------------
+# failure of uniform continuity of the translation map
+# ---------------------------------------------------------------------------
+
+def translation_probe_pair(amplitude: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's two inputs at n: amplitude * n**-s * exp(i*n*x), with and
+    without the constant n**-0.5."""
+    wave = plane_wave(n, n, amplitude * float(n) ** (-s))
+    return wave + plane_wave(n, 0, 1.0 / math.sqrt(n)), wave
+
+
+def translation_gap_probe(
+    amplitude: float,
+    s: float,
+    r: float,
+    n_list: list[int],
+    t_samples: int = 201,
+) -> ScanReport:
+    """Two-parameter family whose inputs merge while translated outputs do not.
+
+    For each n the pair is amplitude * n**-s * exp(i*n*x) plus a constant
+    n**-0.5 or 0.  The input gap is measured in the (s, r) data norm; the
+    output gap is the sup over t in [-1, 1] of the same norm of the gap of
+    the translated fields.
+    """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    for n in n_list:
+        _check_count("n_list entry", n, 1)
+    _check_count("t_samples", t_samples, 1)
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be increasing")
+    spec = NormSpec(s=s, r=r)
+    probes = {}  # n -> (pair, masses): every n is checked for overflow before any for round-off
+    for n in n_list:
+        try:
+            pair = translation_probe_pair(amplitude, s, n)
+        except OverflowError:  # float ** raises where * gives inf
+            pair = ()
+        with np.errstate(over="ignore"):  # a mass that overflows is inf, rejected here
+            masses = [mass_mean(u) for u in pair]
+        if not (pair and np.isfinite(masses).all()):
+            raise ValueError(f"amplitude {amplitude} with s {s} makes the mass mean(|u|^2) "
+                             f"of the probe at n={n} non-finite")
+        probes[n] = pair, masses
+    tgrid = np.linspace(-1.0, 1.0, t_samples)
+    rows = []
+    for n, ((u1, u2), (m1, m2)) in probes.items():
+        if m1 == m2:
+            raise ValueError(
+                f"amplitude {amplitude} with s {s} puts the probe's constant n**-0.5 below "
+                f"the round-off of its wave at n={n}: both inputs have the same mass, so "
+                "every gap it would report is meaningless")
+        input_gap = float(data_norms(u1 - u2, spec))
+        d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
+        out_gap = float(np.max(data_norms(d, spec)))
+        g = gauge_field(u1, tgrid) - gauge_field(u2, tgrid)
+        gauge_gap = float(np.max(data_norms(g, spec)))
+        rows.append((n, input_gap, out_gap, gauge_gap))
+    values = tuple(row[2] for row in rows)
+    summary = {
+        "n": [row[0] for row in rows],
+        "input_gap": [row[1] for row in rows],
+        "output_gap": [row[2] for row in rows],
+        "gauge_gap": [row[3] for row in rows],
+        "input_gap_exact": [ROOT_TWO_PI / math.sqrt(row[0]) for row in rows],
+    }
+    grid = {"amplitude": amplitude, "s": s, "r": r, "n_list": list(n_list)}
+    return ScanReport(name="translation-gap", grid=grid, values=values, summary=summary)
+
+
+# ---------------------------------------------------------------------------
 # estimate-ratio scans
 # ---------------------------------------------------------------------------
 
@@ -460,7 +533,7 @@ def cubic_ratio_scan(
     T**delta of the estimate is 1 here (delta = 0, recorded in the grid).
     """
     if not (4.0 / 3.0 < q <= r <= 2.0):
-        raise ValueError("scan requires 4/3 < q <= r <= 2")
+        raise ValueError(f"scan requires 4/3 < q <= r <= 2, got q={q}, r={r}")
     rhs_q = NormSpec(s=0.5, r=q, b=0.5, p=2.0)
     rhs_r = NormSpec(s=0.5, r=r, b=0.5, p=2.0)
     grid = {"q": q, "r": r, "samples": samples, "cutoff": cutoff, "steps": steps,
@@ -484,9 +557,9 @@ def strichartz_ratio_scan(
     two factors and the (0, b) norm of the third, all at r = p = 2.
     """
     if not (1.0 / 3.0 < b < 0.5):
-        raise ValueError("scan requires 1/3 < b < 1/2")
+        raise ValueError(f"scan requires 1/3 < b < 1/2, got b={b}")
     if not s > 3.0 * (0.5 - b):
-        raise ValueError("scan requires s > 3*(1/2 - b)")
+        raise ValueError(f"scan requires s > 3*(1/2 - b), got s={s}, b={b}")
     spec_s = NormSpec(s=s, r=2.0, b=b, p=2.0)
     spec_0 = NormSpec(s=0.0, r=2.0, b=b, p=2.0)
     grid = {"s": s, "b": b, "samples": samples, "cutoff": cutoff, "steps": steps, "window": SCAN_WINDOW}
@@ -513,9 +586,9 @@ def quintic_ratio_scan(
     product is not restricted to the quintic operator's frequency mask.
     """
     if not (4.0 / 3.0 < q <= r <= 2.0):
-        raise ValueError("scan requires 4/3 < q <= r <= 2")
+        raise ValueError(f"scan requires 4/3 < q <= r <= 2, got q={q}, r={r}")
     if not b > 1.0 / 6.0 + 1.0 / (3.0 * q):
-        raise ValueError("scan requires b > 1/6 + 1/(3q)")
+        raise ValueError(f"scan requires b > 1/6 + 1/(3q), got b={b}, q={q}")
     rhs_r = NormSpec(s=0.5, r=r, b=b, p=2.0)
     rhs_q = NormSpec(s=0.5, r=q, b=b, p=2.0)
 

@@ -6,24 +6,10 @@ working band; the spatial translation is exact in Fourier space.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .fields import (
-    ROOT_TWO_PI,
-    _check_count,
-    cutoff_of,
-    mass_mean,
-    plane_wave,
-    product_coeffs,
-    product_gridsize,
-    smooth_gridsize,
-    to_physical,
-    xi_range,
-)
-from .norms import NormSpec, data_norms
-from .reports import ScanReport
+from .fields import (cutoff_of, mass_mean, product_coeffs, product_gridsize, smooth_gridsize,
+                     to_physical, xi_range)
 
 # The maps below take and return coefficient arrays (..., 2*cutoff+1) whose
 # leading axes are a batch; the maps of one sample at time t take one time
@@ -113,73 +99,3 @@ def gauge_with_tail(u: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     full[..., k - n : k + n + 1] = 0.0
     return translate(kept, t, -1), np.linalg.norm(full, axis=-1)
 
-
-# ---------------------------------------------------------------------------
-# failure of uniform continuity of the translation map
-# ---------------------------------------------------------------------------
-
-def translation_probe_pair(amplitude: float, s: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The probe's two inputs at n: amplitude * n**-s * exp(i*n*x), with and
-    without the constant n**-0.5."""
-    wave = plane_wave(n, n, amplitude * float(n) ** (-s))
-    return wave + plane_wave(n, 0, 1.0 / math.sqrt(n)), wave
-
-
-def translation_gap_probe(
-    amplitude: float,
-    s: float,
-    r: float,
-    n_list: list[int],
-    t_samples: int = 201,
-) -> ScanReport:
-    """Two-parameter family whose inputs merge while translated outputs do not.
-
-    For each n the pair is amplitude * n**-s * exp(i*n*x) plus a constant
-    n**-0.5 or 0.  The input gap is measured in the (s, r) data norm; the
-    output gap is the sup over t in [-1, 1] of the same norm of the gap of
-    the translated fields.
-    """
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
-    for n in n_list:
-        _check_count("n_list entry", n, 1)
-    _check_count("t_samples", t_samples, 1)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be increasing")
-    spec = NormSpec(s=s, r=r)
-    probes = {}  # n -> (pair, masses): every n is checked for overflow before any for round-off
-    for n in n_list:
-        try:
-            pair = translation_probe_pair(amplitude, s, n)
-        except OverflowError:  # float ** raises where * gives inf
-            pair = ()
-        with np.errstate(over="ignore"):  # a mass that overflows is inf, rejected here
-            masses = [mass_mean(u) for u in pair]
-        if not (pair and np.isfinite(masses).all()):
-            raise ValueError(f"amplitude {amplitude} with s {s} makes the mass mean(|u|^2) "
-                             f"of the probe at n={n} non-finite")
-        probes[n] = pair, masses
-    tgrid = np.linspace(-1.0, 1.0, t_samples)
-    rows = []
-    for n, ((u1, u2), (m1, m2)) in probes.items():
-        if m1 == m2:
-            raise ValueError(
-                f"amplitude {amplitude} with s {s} puts the probe's constant n**-0.5 below "
-                f"the round-off of its wave at n={n}: both inputs have the same mass, so "
-                "every gap it would report is meaningless")
-        input_gap = float(data_norms(u1 - u2, spec))
-        d = translate(u1, tgrid, -1) - translate(u2, tgrid, -1)
-        out_gap = float(np.max(data_norms(d, spec)))
-        g = gauge_field(u1, tgrid) - gauge_field(u2, tgrid)
-        gauge_gap = float(np.max(data_norms(g, spec)))
-        rows.append((n, input_gap, out_gap, gauge_gap))
-    values = tuple(row[2] for row in rows)
-    summary = {
-        "n": [row[0] for row in rows],
-        "input_gap": [row[1] for row in rows],
-        "output_gap": [row[2] for row in rows],
-        "gauge_gap": [row[3] for row in rows],
-        "input_gap_exact": [ROOT_TWO_PI / math.sqrt(row[0]) for row in rows],
-    }
-    grid = {"amplitude": amplitude, "s": s, "r": r, "n_list": list(n_list)}
-    return ScanReport(name="translation-gap", grid=grid, values=values, summary=summary)

@@ -17,6 +17,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .fields import Trajectory
+
 __version__ = "0.1.0"
 
 EVIDENCE_CAVEAT = (
@@ -410,7 +412,7 @@ def load_field(path: str | Path) -> np.ndarray:
     return _read_coeffs(path, "field")[1]
 
 
-def save_trajectory(path: str | Path, traj) -> Path:
+def save_trajectory(path: str | Path, traj: Trajectory) -> Path:
     # the time cutoff is fixed by the window, so the header's profile is null
     head = {
         "kind": "trajectory",
@@ -423,11 +425,9 @@ def save_trajectory(path: str | Path, traj) -> Path:
     return _write_coeffs(path, head, "k,xi,re,im", traj.coeffs)
 
 
-def load_trajectory(path: str | Path):
+def load_trajectory(path: str | Path) -> Trajectory:
     """The trajectory in a file.  Its header's cutoff_profile must be null or the
     bump at half the window, the cutoff that Trajectory.windowed() applies."""
-    from .fields import Trajectory
-
     header, coeffs = _read_coeffs(path, "trajectory")
     try:
         window = float(_header_value(header, "window", (int, float)))

@@ -41,7 +41,7 @@ class SolveConfig:
 
     def __post_init__(self):
         if not (0.0 < self.horizon <= 1.0):
-            raise ValueError("time horizon must lie in (0, 1]")
+            raise ValueError(f"horizon must lie in (0, 1], got {self.horizon}")
         if self.steps % 2 != 0 or self.steps < 4:
             raise ValueError(f"steps must be even and >= 4, got {self.steps}")
         _check_count("cutoff", self.cutoff, 0)

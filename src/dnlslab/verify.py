@@ -13,6 +13,7 @@ from .estimates import (
     near_diagonal_pair_count,
     near_diagonal_scan,
     resonance_weighted_sum,
+    translation_gap_probe,
 )
 from .fields import (
     ROOT_TWO_PI,
@@ -25,7 +26,7 @@ from .fields import (
     to_physical,
     x_grid,
 )
-from .gauge import gauge_field, gauge_field_inv, mass_primitive, translation_gap_probe
+from .gauge import gauge_field, gauge_field_inv, mass_primitive
 from .nonlinear import (
     cubic_full,
     cubic_trilinear,

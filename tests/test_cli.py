@@ -19,7 +19,7 @@ import dnlslab as lab
 from dnlslab import cli
 from dnlslab.cli import build_parser, main
 from dnlslab.fields import ROOT_TWO_PI
-from dnlslab.gauge import translation_probe_pair
+from dnlslab.estimates import translation_probe_pair
 from dnlslab.reports import canonical_json
 from support import free_wave_trajectory
 
@@ -84,6 +84,16 @@ class TestSolveCommand:
                      flag, value, "--out", str(tmp_path), "--tag", "nope"])
         assert code == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["0", "1.5", "nan", "inf"])
+    def test_a_horizon_outside_0_1_exit_code(self, tmp_path, capsys, horizon):
+        out = tmp_path / "fresh"
+        code = main(["solve", "--plane-wave", "A=1,n=1", "--cutoff", "8", "--steps", "20",
+                     "--T", horizon, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: horizon must lie in (0, 1], got {float(horizon)}\n")
+        assert not out.exists()
 
     def test_blow_up_reports_the_saved_iterate(self, tmp_path, capsys):
         code = main(["solve", "--amplitude", "3", "--T", "1",
@@ -472,6 +482,16 @@ class TestGaugeAndNormsCommands:
         code = main([*command, "--input", str(path), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", ["abc", "", "2,"])
+    def test_norms_with_a_p_that_is_not_a_number_names_the_flag(self, tmp_path, capsys, p):
+        path = tmp_path / "t.csv"
+        lab.save_trajectory(path, free_wave_trajectory(2, cutoff=4, steps=16))
+        out = tmp_path / "fresh"
+        code = main(["norms", "--input", str(path), "--b", "0.5", "--p", p, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --p must be a number or 'inf', got {p!r}\n"
         assert not out.exists()
 
     def test_norms_with_a_non_finite_exponent_exit_code(self, tmp_path, capsys):

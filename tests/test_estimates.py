@@ -1,5 +1,6 @@
 """Counting bounds, lattice sums, endpoint sums, and the evidence scans."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -546,6 +547,22 @@ class TestRatioScans:
         rhs_hi_in_slot3 = lo_s * lo_s * hi_0
         rhs_hi_in_slot1 = hi_s * lo_s * lo_0
         assert rhs_hi_in_slot3 < rhs_hi_in_slot1
+
+    @pytest.mark.parametrize("scan,message", [
+        (lambda: lab.cubic_ratio_scan(q=1.2, r=2.0, samples=2, cutoff=4, seed=1),
+         "scan requires 4/3 < q <= r <= 2, got q=1.2, r=2.0"),
+        (lambda: lab.strichartz_ratio_scan(s=0.2, b=0.6, samples=2, cutoff=4, seed=1),
+         "scan requires 1/3 < b < 1/2, got b=0.6"),
+        (lambda: lab.strichartz_ratio_scan(s=0.05, b=0.4, samples=2, cutoff=4, seed=1),
+         "scan requires s > 3*(1/2 - b), got s=0.05, b=0.4"),
+        (lambda: lab.quintic_ratio_scan(q=2.0, r=1.5, b=0.4, samples=2, cutoff=4, seed=1),
+         "scan requires 4/3 < q <= r <= 2, got q=2.0, r=1.5"),
+        (lambda: lab.quintic_ratio_scan(q=2.0, r=2.0, b=0.3, samples=2, cutoff=4, seed=1),
+         "scan requires b > 1/6 + 1/(3q), got b=0.3, q=2.0"),
+    ], ids=["cubic-q-r", "strichartz-b", "strichartz-s", "quintic-q-r", "quintic-b"])
+    def test_a_parameter_outside_its_range_is_rejected_with_its_value(self, scan, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scan()
 
     def test_strichartz_parameter_guards(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The public API holds no test-only code: each exported function or class has
-a caller inside the package; every operator states its output band; every
-entry point rejects a malformed count, signed integer or positive number by
-name; and the package states the version that its metadata declares."""
+a caller inside the package; every operator states its output band; the
+layers under the solver and the scans build on fields alone; every entry
+point rejects a malformed count, signed integer or positive number by name;
+and the package states the version that its metadata declares."""
 import ast
 import importlib
 import inspect
@@ -57,6 +58,47 @@ def test_no_public_operator_defaults_its_output_band():
                     defaulted.append(f"{module}.{name}")
     assert "dnlslab.solver.forcing_field" in banded and len(banded) >= 10
     assert defaulted == []
+
+
+PACKAGE_TREES = {path.stem: ast.parse(path.read_text())
+                 for path in sorted(Path(lab.__file__).parent.glob("*.py"))}
+
+
+def package_imports(node: ast.AST) -> set[str]:
+    """The package modules that the import statements under node read from."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom):
+            module = sub.module or ""
+            if sub.level == 0:
+                if module.split(".")[0] != "dnlslab":
+                    continue
+                module = module.removeprefix("dnlslab").lstrip(".")
+            found |= {module} if module else {alias.name for alias in sub.names}
+        elif isinstance(sub, ast.Import):
+            found |= {alias.name for alias in sub.names if alias.name.split(".")[0] == "dnlslab"}
+    return found
+
+
+def test_the_leaf_layers_import_only_fields_from_the_package():
+    leaves = ("nonlinear", "norms", "reports", "gauge")
+    assert {name: package_imports(PACKAGE_TREES[name]) for name in leaves} == dict.fromkeys(
+        leaves, {"fields"})
+
+
+def test_no_package_import_sits_inside_a_function():
+    inside = [f"{name}.{node.name}" for name, tree in PACKAGE_TREES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and package_imports(node)]
+    assert inside == []
+
+
+def test_only_estimates_makes_a_scan_report():
+    makers = {name for name, tree in PACKAGE_TREES.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ScanReport"}
+    assert makers == {"estimates"}
 
 
 def _rng():

@@ -121,6 +121,10 @@ class TestDuhamel:
 
 
 class TestPicard:
+    def test_config_names_a_horizon_outside_0_1(self):
+        with pytest.raises(ValueError, match=re.escape("horizon must lie in (0, 1], got 1.5")):
+            lab.SolveConfig(cutoff=8, horizon=1.5, steps=20)
+
     def test_zero_datum_one_iteration(self):
         cfg = lab.SolveConfig(cutoff=8, horizon=0.1, steps=20)
         rep = lab.picard_solve(np.zeros(17, dtype=complex), cfg)
