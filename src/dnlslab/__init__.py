@@ -51,7 +51,6 @@ from .solver import (
     SolveConfig,
     SolveReport,
     duhamel,
-    integral_residual,
     picard_solve,
     plane_wave_solution,
     rk4_solve,

@@ -57,9 +57,10 @@ def _out_dir(args) -> Path:
 
 def _config_type_error(action: argparse.Action, value) -> str | None:
     """What is wrong with a --config value for this flag, or None.  The value is
-    used as given, not parsed, so it must already have the flag's type."""
+    used as given, not parsed, so it must already have the flag's type, or be
+    null for a flag whose default is None."""
     if value is None:
-        return "is null"
+        return None if action.default is None else "is null"
     if action.nargs == 0:  # a switch
         ok, kind = isinstance(value, bool), "true or false"
     elif action.type is int:
@@ -81,16 +82,21 @@ def _config_type_error(action: argparse.Action, value) -> str | None:
 
 def _read_config(args, parser, command) -> dict:
     """The --config file's values, each naming a flag of the chosen subcommand
-    and holding a value of that flag's type."""
+    and holding a value of that flag's type; a report's config block, whose
+    command names the subcommand, is one such file."""
     try:
         data = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
+    given = data.pop("command", args.command)
+    if given != args.command:
+        parser.error(f"config key 'command' must be {json.dumps(args.command)}, "
+                     f"got {json.dumps(given)}")
     actions = {action.dest: action for action in command._actions}
     for key, value in data.items():
-        if key in ("command", "config") or not hasattr(args, key):
+        if key == "config" or not hasattr(args, key):
             parser.error(f"unknown config key {key!r}")
         problem = _config_type_error(actions[key], value)
         if problem:
@@ -99,10 +105,10 @@ def _read_config(args, parser, command) -> dict:
 
 
 def _write_report(args, **sections) -> Path:
-    """Write <tag>.json with the run's flags, the version and the given
-    sections, and return the output directory."""
+    """Write <tag>.json with the run's flags but --out, a config that replays it into
+    any --out, the version and the given sections; return the output directory."""
     out = _out_dir(args)
-    cfg = {k: v for k, v in vars(args).items() if k != "config"}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("config", "out")}
     write_json(out / f"{args.tag}.json", {"config": cfg, "version": __version__, **sections})
     return out
 
@@ -111,7 +117,7 @@ def _write_report(args, **sections) -> Path:
 SOLVE_RANDOM_DATUM_FLAGS = ("seed", "amplitude", "active_band")
 GAUGE_FIELD_FLAGS = ("time",)
 NORMS_XST_FLAGS = ("p",)
-COUNTEREXAMPLE_FLAGS = {"divergence": ("truncations", "log_shift"),
+COUNTEREXAMPLE_FLAGS = {"divergence": ("truncations",),
                         "translation": ("n_list", "amplitude", "s", "r")}
 
 # the ratio-scan flags each kind reads, and those of any kind; each flag is named
@@ -205,7 +211,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gauge(args) -> int:
-    _reject_unread(args, "gauge", ("tag",))  # --output names its one file
+    if args.input is None:  # required, but argparse would not take it from --config
+        raise ValueError("--input is required")
     gauge_map = gauge_field_inv if args.inverse else gauge_field
     if file_kind(args.input) == "field":
         g = gauge_map(load_field(args.input), args.time)
@@ -223,6 +230,8 @@ def cmd_gauge(args) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")  # a norm that overflows is rejected by name
 def cmd_norms(args) -> int:
+    if args.input is None:  # required, but argparse would not take it from --config
+        raise ValueError("--input is required")
     if args.b is None:
         _reject_unread(args, "norms without --b", NORMS_XST_FLAGS)
     result: dict = {}
@@ -286,8 +295,8 @@ def cmd_scan_sums(args) -> int:
         raise ValueError(f"the a grid from --a-min {args.a_min} to --a-max {args.a_max} by "
                          f"--a-step {args.a_step} has {count} points, more than an array "
                          f"index can reach")
-    a_values = list(args.a_min + delta * np.arange(count))
-    anchors = list(range(args.anchor_min, args.anchor_max + 1, args.anchor_step))
+    a_values = (args.a_min + delta * np.arange(count)).tolist()
+    anchors = range(args.anchor_min, args.anchor_max + 1, args.anchor_step)
     truncations = _int_list(args, "truncations")
     reports = {v: resonance_sum_scan(v, args.epsilon, a_values, anchors, truncations)
                for v in (SUM_VARIANTS if args.variant == "all" else [args.variant])}
@@ -305,7 +314,7 @@ def cmd_counterexample(args) -> int:
             _reject_unread(args, f"counterexample --mode {args.mode}", flags)
     sections, tables = {}, {}
     if args.mode in ("divergence", "both"):
-        div = divergence_report(_int_list(args, "truncations"), log_shift=args.log_shift)
+        div = divergence_report(_int_list(args, "truncations"))
         sections["divergence"] = div
         tables["divergence"] = (["truncation", "divergent_sum", "factor_norm"], list(zip(
             div.summary["truncations"], div.summary["divergent_sums"],
@@ -363,10 +372,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, report=True):
         p.add_argument("--out", default=None, help="output directory (default: $DNLSLAB_OUT or .)")
         p.add_argument("--config", default=None, help="JSON file supplying defaults for any flag")
-        p.add_argument("--tag", default="report", help="basename for emitted files")
+        if report:
+            p.add_argument("--tag", default="report", help="basename for emitted files")
 
     p = sub.add_parser("solve", help="run the fixed-point solver")
     common(p)
@@ -387,15 +397,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="also integrate with the Runge-Kutta stepper and report the gap")
 
     p = sub.add_parser("gauge", help="apply the gauge map or its inverse to a file")
-    common(p)
-    p.add_argument("--input", required=True)
+    common(p, report=False)  # --output names its one file
+    p.add_argument("--input", default=None, help="field or trajectory file")
     p.add_argument("--output", default="gauged.csv")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--time", type=float, default=0.0, help="evaluation time for a single field")
 
     p = sub.add_parser("norms", help="evaluate norms of a field or trajectory file")
     common(p)
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", default=None, help="field or trajectory file")
     p.add_argument("--s", type=float, default=0.5)
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--b", type=float, default=None)
@@ -423,7 +433,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common(p)
     p.add_argument("--mode", choices=["divergence", "translation", "both"], default="both")
     p.add_argument("--truncations", default="1000,10000,100000,1000000")
-    p.add_argument("--log-shift", type=float, default=0.0)
     p.add_argument("--n-list", default="4,16,64,256")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--s", type=float, default=0.5)
@@ -473,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         # the handler is looked up at each call, so a replaced cmd_* is the one that runs
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

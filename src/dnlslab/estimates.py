@@ -196,7 +196,7 @@ def resonance_sum_scan(
     variant: str,
     eps: float,
     a_values: list[float],
-    anchor_values: list[int],
+    anchor_values: list[int] | range,
     truncations: list[int],
 ) -> ScanReport:
     """Sup of the truncated sum over an (a, anchor) grid, per truncation.
@@ -206,7 +206,7 @@ def resonance_sum_scan(
     a-major, whose sum no later point exceeds by more than ARGMAX_MARGIN
     relative.
     """
-    if not (len(a_values) and len(anchor_values)):
+    if not (len(a_values) and anchor_values):  # a range too long for len() is not empty
         raise ValueError(f"empty (a, anchor) grid: a_values={list(a_values)}, "
                          f"anchor_values={list(anchor_values)}")
     if not truncations or any(b <= a for a, b in zip(truncations, truncations[1:])):
@@ -255,10 +255,10 @@ MAX_ENDPOINT_TRUNCATION = 2**53
 PAIRING_SCALE = (16.0 / 3.0) / float(bracket(1.0) * bracket(2.0) ** 0.5)
 
 
-def _endpoint_terms(lo: int, hi: int, log_shift: float) -> tuple[np.ndarray, ...]:
+def _endpoint_terms(lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """The mass terms, fourth-power weights and pairing summands of lo < |xi| <= hi,
     entry k at |xi| = lo + k + 1, from one root chain with no powers: with
-    c = cbrt(log(<xi> + log_shift)) and g = 1/(<xi>**1/4 c <xi>**1/2), they are
+    c = cbrt(log(<xi>)) and g = 1/(<xi>**1/4 c <xi>**1/2), they are
     1/(<xi> c^2), that over c^2, and PAIRING_SCALE g(|xi|) g(|xi| + 1) times
     |xi|/<2|xi| + 4>**1/2 + (|xi| + 1)/<2|xi| + 2>**1/2, both signs of xi1 at once."""
     # the last entry, |xi| = hi + 1, only feeds the pairing
@@ -268,7 +268,7 @@ def _endpoint_terms(lo: int, hi: int, log_shift: float) -> tuple[np.ndarray, ...
     br, c, mass, w4, g = np.empty((5, xi.size))
     np.sqrt(np.add(np.square(xi, out=br), 1.0, out=br), out=br)
     # positive at every |xi| >= 1, where <xi> >= sqrt(2)
-    np.log(np.add(br, log_shift, out=c) if log_shift else br, out=c)
+    np.log(br, out=c)
     np.cbrt(c, out=c)
     np.divide(1.0, np.multiply(br, np.square(c, out=w4), out=mass), out=mass)
     np.divide(mass, w4, out=w4)
@@ -286,13 +286,13 @@ def _endpoint_terms(lo: int, hi: int, log_shift: float) -> tuple[np.ndarray, ...
     return mass[:-1], w4[:-1], pair
 
 
-def _endpoint_sums(truncations, log_shift: float = 0.0) -> tuple[list[float], ...]:
+def _endpoint_sums(truncations) -> tuple[list[float], ...]:
     """The divergent mass sums, the factor norms and the pairing lower bounds
     at each truncation, in the order given, from one pass over
     1 <= |xi| <= max(truncations) in blocks of BLOCK frequencies.
 
     The mass sum runs over 1 <= |xi| <= n of <xi>**-1 L**-2/3, with
-    L = log(<xi> + log_shift).  The factor norm is the l^4 norm over the same
+    L = log(<xi>).  The factor norm is the l^4 norm over the same
     range of the profile weights <xi>**-1/4 L**-1/3, times the L^2 norm of the
     unit window (width 2).  The pairing is an explicit lower bound of the
     endpoint quadriform: the four profiles sit at output frequency 0 and
@@ -314,8 +314,6 @@ def _endpoint_sums(truncations, log_shift: float = 0.0) -> tuple[list[float], ..
         _check_count("truncations entry", n, 1)
         if n > MAX_ENDPOINT_TRUNCATION:
             raise ValueError(f"truncations entry must be <= {MAX_ENDPOINT_TRUNCATION}, got {n}")
-    if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
-        raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
     ends = set(truncations)
     top = max(ends)
     # the exact mass, fourth-power and pairing sums of the whole blocks so far,
@@ -323,7 +321,7 @@ def _endpoint_sums(truncations, log_shift: float = 0.0) -> tuple[list[float], ..
     exact, totals = [Fraction(0)] * 3, {}
     for lo in range(0, top, BLOCK):
         hi = min(lo + BLOCK, top)
-        tables = _endpoint_terms(lo, hi, log_shift)
+        tables = _endpoint_terms(lo, hi)
         for n in ends:
             if lo < n <= hi:
                 # the pairing entry of |xi| = n needs |xi| = n + 1
@@ -355,19 +353,14 @@ def _fit_against_cuberoot_log(truncations: list[int], sums: list[float]) -> dict
     }
 
 
-def divergence_report(
-    truncations: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6),
-    log_shift: float = 0.0,
-) -> ScanReport:
+def divergence_report(truncations: tuple[int, ...] = (10**3, 10**4, 10**5, 10**6)) -> ScanReport:
     """Divergent mass sum against the bounded factor norm across truncations.
 
     The mass sum diverges like log(n)**(1/3), while the factor norms
-    converge.  The optional shift inside the log is there for exploratory
-    scans and defaults to off.  The report also records the pairing lower
-    bounds.
+    converge.  The report also records the pairing lower bounds.
     """
     truncs = sorted(truncations)
-    sums, norms, pairings = _endpoint_sums(truncs, log_shift)
+    sums, norms, pairings = _endpoint_sums(truncs)
     fit = _fit_against_cuberoot_log(truncs, sums)
     norm_changes = [abs(b - a) / b for a, b in zip(norms, norms[1:])]
     summary = {
@@ -381,7 +374,7 @@ def divergence_report(
     }
     return ScanReport(
         name="endpoint-divergence",
-        grid={"truncations": truncs, "log_shift": log_shift},
+        grid={"truncations": truncs},
         values=tuple(sums),
         summary=summary,
     )

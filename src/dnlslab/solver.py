@@ -222,11 +222,6 @@ def _full_band_diagnostics(traj: Trajectory, equation: Equation,
     return float(np.max(defect)), float(np.max(np.linalg.norm(full, axis=1)))
 
 
-def integral_residual(traj: Trajectory, equation: Equation) -> float:
-    """sup over grid times of the L^2 defect in the integral equation."""
-    return _full_band_diagnostics(traj, equation, free_phase(traj.times, traj.cutoff))[0]
-
-
 # ---------------------------------------------------------------------------
 # independent cross-check integrator
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Test fixtures built on the public API: exact free waves, the gauge round-trip
-gap, the X^{s,b} embedding ratio scan, the direct lattice kernels that the
-product-indexed ones in ``dnlslab.estimates`` are checked against, the
-per-truncation endpoint sums that its block-by-block sums are checked against,
-and the per-call space-time norms that the norm tables are checked against."""
+"""Test fixtures built on the public API: exact free waves, the integral-equation
+defect of any trajectory, the gauge round-trip gap, the X^{s,b} embedding ratio
+scan, the direct lattice kernels that the product-indexed ones in
+``dnlslab.estimates`` are checked against, the per-truncation endpoint sums
+that its block-by-block sums are checked against, and the per-call space-time
+norms that the norm tables are checked against."""
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 import dnlslab as lab
 from dnlslab.estimates import BLOCK, PAIRING_SCALE
 from dnlslab.fields import ROOT_TWO_PI, bracket, time_grid
+from dnlslab.solver import _full_band_diagnostics
 
 
 def free_wave_trajectory(
@@ -26,6 +28,13 @@ def free_wave_trajectory(
     phase = lab.free_phase(time_grid(window, steps), cutoff)
     coeffs = amplitude * phase * lab.plane_wave(cutoff, n)
     return lab.Trajectory(coeffs, window)
+
+
+def integral_residual(traj: lab.Trajectory, equation) -> float:
+    """sup over grid times of the L^2 defect of traj in the integral equation of
+    equation (an Equation or its name): the solve report's integral_residual."""
+    return _full_band_diagnostics(traj, lab.Equation(equation),
+                                  lab.free_phase(traj.times, traj.cutoff))[0]
 
 
 def gauge_roundtrip_error(traj: lab.Trajectory) -> float:
@@ -134,38 +143,31 @@ def direct_resonance_bins(variant: str, eps: float, anchor: int,
     return (nz - span).astype(float), bins[nz]
 
 
-def _log_bracket(br: np.ndarray, log_shift: float) -> np.ndarray:
-    if not (math.isfinite(log_shift) and log_shift > 1.0 - math.sqrt(2.0)):
-        raise ValueError(f"log_shift must be finite and > 1 - sqrt(2), got {log_shift}")
-    return np.log(br + log_shift)
-
-
-def _endpoint_weights(xi: np.ndarray, log_shift: float) -> np.ndarray:
+def _endpoint_weights(xi: np.ndarray) -> np.ndarray:
     br = bracket(xi)
-    return br ** (-0.25) / _log_bracket(br, log_shift) ** (1.0 / 3.0)
+    return br ** (-0.25) / np.log(br) ** (1.0 / 3.0)
 
 
-def endpoint_mass_terms(truncation: int, log_shift: float = 0.0) -> np.ndarray:
+def endpoint_mass_terms(truncation: int) -> np.ndarray:
     """The mass sum's terms over 1 <= xi <= truncation, in ascending xi."""
     xi = np.arange(1, truncation + 1, dtype=float)
     br = bracket(xi)
-    return 1.0 / (br * _log_bracket(br, log_shift) ** (2.0 / 3.0))
+    return 1.0 / (br * np.log(br) ** (2.0 / 3.0))
 
 
-def endpoint_norm_terms(truncation: int, log_shift: float = 0.0) -> np.ndarray:
+def endpoint_norm_terms(truncation: int) -> np.ndarray:
     """The fourth powers of the profile weights over 1 <= xi <= truncation, in ascending xi."""
-    return _endpoint_weights(np.arange(1, truncation + 1, dtype=float), log_shift) ** 4.0
+    return _endpoint_weights(np.arange(1, truncation + 1, dtype=float)) ** 4.0
 
 
-def endpoint_pairing_terms(truncation: int,
-                           log_shift: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def endpoint_pairing_terms(truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairing's summands over the signed xi1 with xi3 = -1 - xi1 and
     1 <= |xi3| <= truncation: xi1 = -2..-truncation, then xi1 = 1..truncation-1,
     each in ascending |xi1|."""
     def summand(xi1: np.ndarray) -> np.ndarray:
         xi3 = -1.0 - xi1
-        w1 = _endpoint_weights(xi1, log_shift)
-        w3 = _endpoint_weights(xi3, log_shift)
+        w1 = _endpoint_weights(xi1)
+        w3 = _endpoint_weights(xi3)
         sigma1_max = bracket(2.0 * np.abs(xi1) + 2.0)
         sigma2_max = bracket(2.0)
         sigma3_max = bracket(1.0)
@@ -183,14 +185,13 @@ def endpoint_pairing_terms(truncation: int,
             summand(np.arange(1, truncation, dtype=float)))
 
 
-def endpoint_tables(truncation: int,
-                    log_shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def endpoint_tables(truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The mass, fourth-power and pairing tables of ``estimates._endpoint_sums``
     over 1 <= |xi| <= truncation, from its own root chain in one piece: pairing
     entry k holds both signs of xi1 whose frequencies are |xi| = k + 1 and k + 2."""
     xi = np.arange(1, truncation + 2, dtype=float)
     br = bracket(xi)
-    c = np.cbrt(_log_bracket(br, log_shift))
+    c = np.cbrt(np.log(br))
     c2 = c[:-1] * c[:-1]
     mass = 1.0 / (br[:-1] * c2)
     root = np.sqrt(br)
@@ -206,19 +207,19 @@ def block_fsum(table: np.ndarray) -> float:
     return math.fsum(np.sum(table[lo:lo + BLOCK]) for lo in range(0, table.size, BLOCK))
 
 
-def direct_mass_sum(truncation: int, log_shift: float = 0.0) -> float:
+def direct_mass_sum(truncation: int) -> float:
     """Mass sum of ``estimates._endpoint_sums`` from its own table, 1 <= xi <= truncation."""
-    return 2.0 * block_fsum(endpoint_tables(truncation, log_shift)[0])
+    return 2.0 * block_fsum(endpoint_tables(truncation)[0])
 
 
-def direct_pairing(truncation: int, log_shift: float = 0.0) -> float:
+def direct_pairing(truncation: int) -> float:
     """Pairing of ``estimates._endpoint_sums`` from its own table of both signs of xi1."""
-    return block_fsum(endpoint_tables(truncation, log_shift)[2])
+    return block_fsum(endpoint_tables(truncation)[2])
 
 
-def direct_factor_norm(truncation: int, log_shift: float = 0.0) -> float:
+def direct_factor_norm(truncation: int) -> float:
     """Factor norm of ``estimates._endpoint_sums`` from its own fourth powers."""
-    return (2.0 * block_fsum(endpoint_tables(truncation, log_shift)[1])) ** (1.0 / 4.0) \
+    return (2.0 * block_fsum(endpoint_tables(truncation)[1])) ** (1.0 / 4.0) \
         * 2.0 ** (1.0 / 2.0)
 
 

@@ -18,6 +18,7 @@ STALE = {
     "estimates.endpoint_factor_norm",
     "estimates.endpoint_ratio",
     "nonlinear.cubic_physical",
+    "solver.integral_residual",
 }
 
 

@@ -148,6 +148,24 @@ class TestSolveCommand:
         capsys.readouterr()
         assert code == 1
 
+    # gauge writes one file, named by --output, and no <tag>.json report
+    @pytest.mark.parametrize("argv,flag", [
+        (["gauge", "--input", "f.csv", "--tag", "x"], "--tag x"),
+        (["counterexample", "--log-shift", "1"], "--log-shift 1"),
+    ], ids=["gauge-tag", "counterexample-log-shift"])
+    def test_an_undeclared_flag_is_a_usage_error(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path / "fresh")]) == 1
+        assert f"error: unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+
+    def test_an_error_without_text_is_named_by_its_type(self, capsys, monkeypatch):
+        def fail(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_divisors", fail)
+        assert main(["divisors"]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_config_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"horizon": 0.05, "steps": 40, "cutoff": 8,
@@ -158,6 +176,15 @@ class TestSolveCommand:
         report = read_json(tmp_path / "fromcfg.json")
         assert report["config"]["horizon"] == 0.05
         assert report["config"]["steps"] == 40
+
+    # a report's config block writes a flag it was not given, whose default is None, as null
+    @pytest.mark.parametrize("key", ["datum", "plane_wave"])
+    def test_a_null_config_value_stands_for_a_none_default(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"command": "solve", key: None, "cutoff": 4, "steps": 8,
+                                   "horizon": 0.05}))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path), "--tag", "n"]) == 0
+        assert read_json(tmp_path / "n.json")["config"][key] is None
 
     def test_explicit_flag_wins_over_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -184,10 +211,12 @@ class TestSolveCommand:
         ('{"plane_wave": [1.0, 1.0]}', "'plane_wave' must be a pair [A, n]"),
         ('{"datum": 5}', "'datum' must be a string"),
         ('{"equation": "kdv"}', "'equation' must be one of free, dnls,"),
+        ('{"command": "norms"}', "config key 'command' must be \"solve\", got \"norms\""),
     ], ids=["unknown-key", "reserved-key", "not-an-object", "bad-json", "int-as-list",
             "int-as-float", "max-iter-as-float", "whole-float-for-int", "bool-for-int", "null",
             "float-as-string", "bool-for-float", "int-for-switch", "plane-wave-as-string",
-            "plane-wave-float-frequency", "path-as-number", "not-a-choice"])
+            "plane-wave-float-frequency", "path-as-number", "not-a-choice",
+            "command-of-another-subcommand"])
     def test_bad_config_exit_code(self, tmp_path, capsys, text, named):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -279,6 +308,12 @@ class TestFlagTables:
         dests = {action.dest for action in parser._actions}
         assert set(flags) <= dests
         assert all(parser.get_default(flag) is not None for flag in flags)
+
+    def test_every_subcommand_but_gauge_names_its_report_by_tag(self):
+        commands = build_parser()[1]
+        declares = {name for name, parser in commands.items()
+                    if "tag" in {action.dest for action in parser._actions}}
+        assert declares == set(commands) - {"gauge"}
 
     def test_the_kind_flags_are_the_flags_of_every_kind(self):
         read = {flag for flags in cli.RATIO_SCAN_FLAGS.values() for flag in flags}
@@ -409,6 +444,14 @@ class TestGaugeAndNormsCommands:
         gauged = lab.load_trajectory(tmp_path / "gt.csv")
         want = lab.gauge_field(traj.coeffs, traj.times)
         assert np.max(np.linalg.norm(gauged.coeffs - want, axis=-1)) <= 1e-12
+
+    # argparse would not take a required flag from --config, so the handlers check it
+    @pytest.mark.parametrize("command", ["gauge", "norms"])
+    def test_no_input_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "fresh"
+        assert main([command, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --input is required\n"
+        assert not out.exists()
 
     def test_gauge_missing_input_makes_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -645,10 +688,6 @@ class TestScanCommands:
         (["counterexample", "--mode", "divergence", "--truncations", "0,10"], "truncations"),
         (["scan-sums", "--epsilon", "nan", "--truncations", "4"], "eps"),
         (["scan-sums", "--epsilon", "inf", "--truncations", "4"], "eps"),
-        (["counterexample", "--mode", "divergence", "--truncations", "10,100",
-          "--log-shift", "-1"], "log_shift"),
-        (["counterexample", "--mode", "divergence", "--truncations", "10,100",
-          "--log-shift", "nan"], "log_shift"),
         (["solve", "--N", "8", "--amplitude", "nan"], "l2_norm"),
         (["solve", "--N", "8", "--amplitude", "inf"], "l2_norm"),
         (["solve", "--N", "8", "--amplitude", "-0.2"], "l2_norm"),
@@ -657,9 +696,8 @@ class TestScanCommands:
         (["counterexample", "--mode", "divergence", "--truncations", "10,100", "--n-list", "2,4",
           "--amplitude", "2", "--s", "0.3", "--r", "1.5"],
          "counterexample --mode divergence does not read --n-list, --amplitude, --s, --r"),
-        (["counterexample", "--mode", "translation", "--n-list", "2,4", "--truncations", "10,100",
-          "--log-shift", "1"],
-         "counterexample --mode translation does not read --truncations, --log-shift"),
+        (["counterexample", "--mode", "translation", "--n-list", "2,4", "--truncations", "10,100"],
+         "counterexample --mode translation does not read --truncations"),
         (["solve", "--N", "8", "--plane-wave", "A=1,n=1", "--seed", "3", "--amplitude", "0.2",
           "--active-band", "4"],
          "solve --plane-wave does not read --seed, --amplitude, --active-band"),
@@ -683,6 +721,12 @@ class TestScanCommands:
         (["scan-sums", "--variant", "wdiff_xi", "--truncations", "4",
           "--anchor-min", "4000000000000000000", "--anchor-max", "4000000000000000000"],
          "anchor 4000000000000000000 at truncation 4 is too large for an array index"),
+        # a range of 9.2e17 anchors: the scan names its first anchor before any is listed
+        (["scan-sums", "--anchor-min", "-9223372036854775809"],
+         "anchor -9223372036854775809 at truncation 256 is too large for an array index"),
+        (["scan-sums", "--anchor-min", "10", "--anchor-max", "0", "--truncations", "8"],
+         "empty (a, anchor) grid: a_values=[-100.0, -75.0, -50.0, -25.0, 0.0, 25.0, 50.0, 75.0, "
+         "100.0], anchor_values=[]\n"),
         (["scan-sums", "--a-min", "nan"], "--a-min must be finite, got nan"),
         (["scan-sums", "--a-max", "inf"], "--a-max must be finite, got inf"),
         (["scan-sums", "--a-step", "inf"], "--a-step must be finite and positive, got inf"),
@@ -711,12 +755,13 @@ class TestScanCommands:
             "translation-amplitude-nan", "translation-s-nan", "translation-amplitude-round-off",
             "cubic-samples-zero", "strichartz-samples-zero", "quintic-samples-negative",
             "endpoint-truncation-zero", "endpoint-truncation-one", "divergence-truncation-zero",
-            "epsilon-nan", "epsilon-inf", "log-shift-negative", "log-shift-nan",
+            "epsilon-nan", "epsilon-inf",
             "amplitude-nan", "amplitude-inf", "amplitude-negative", "active-band-negative",
             "divergence-translation-flags", "translation-divergence-flags",
             "plane-wave-random-datum-flags", "datum-amplitude", "steps-odd", "steps-two",
             "via-gauge-shifted-nls", "divisors-max-zero", "quintic-q-low", "quintic-b-low",
             "a-grid-beyond-memory", "divergence-truncation-above-2-53", "anchor-beyond-an-index",
+            "anchor-range-beyond-an-index", "anchor-range-empty",
             "a-min-nan", "a-max-inf", "a-step-inf", "a-step-overflows", "a-beyond-2-511",
             "reversed-a-span-overflows", "forward-a-count-overflows",
             "translation-weight-overflows", "sum-truncations-repeated",
@@ -841,8 +886,38 @@ class TestVerifyCommand:
         assert code == 2
 
 
+# one cheap run of every subcommand and mode, reading the inputs of write_inputs
+RUNS = {
+    "solve": ["solve", "--N", "8", "--M", "40", "--T", "0.05"],
+    "solve-via-gauge": ["solve", "--N", "8", "--M", "40", "--T", "0.05", "--via-gauge",
+                        "--cross-check"],
+    "solve-gauged-plane-wave": ["solve", "--N", "8", "--M", "40", "--T", "0.05",
+                                "--equation", "gauged", "--plane-wave", "A=1,n=1"],
+    "gauge-field": ["gauge", "--input", "f.csv", "--output", "g.csv", "--time", "0.3"],
+    "gauge-trajectory": ["gauge", "--input", "t.csv", "--output", "gt.csv", "--inverse"],
+    "norms-field": ["norms", "--input", "f.csv"],
+    "norms-trajectory": ["norms", "--input", "t.csv", "--b", "0.5", "--z"],
+    "divisors": ["divisors", "--max", "1000", "--refined"],
+    "scan-sums": ["scan-sums", "--truncations", "8,16"],
+    "counterexample": ["counterexample", "--truncations", "10,100"],
+    "ratio-scan-cubic": ["ratio-scan", "--kind", "cubic", "--samples", "4", "--steps", "16"],
+    "ratio-scan-strichartz": ["ratio-scan", "--kind", "strichartz", "--samples", "4",
+                              "--steps", "16"],
+    "ratio-scan-quintic": ["ratio-scan", "--kind", "quintic", "--samples", "4", "--steps", "16"],
+    "ratio-scan-endpoint": ["ratio-scan", "--kind", "endpoint", "--truncations", "10,100"],
+    "verify": ["verify"],
+}
+# the runs that write a <tag>.json report; gauge writes only its --output file
+REPORT_RUNS = {name: argv for name, argv in RUNS.items() if argv[0] != "gauge"}
+
+
+def output_files(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 class TestDeterminism:
-    """Same argv and relative --out, run from two directories: the same bytes."""
+    """Same argv and relative --out, run from two directories: the same bytes.  A
+    report's config block, passed back as --config, replays the run into any --out."""
 
     @staticmethod
     def write_inputs():
@@ -850,27 +925,7 @@ class TestDeterminism:
         lab.save_field(Path("f.csv"), lab.random_field(8, rng, active_cutoff=4, l2_norm=0.5))
         lab.save_trajectory(Path("t.csv"), lab.random_trajectory(8, rng, window=0.05, steps=8))
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--N", "8", "--M", "40", "--T", "0.05"],
-        ["solve", "--N", "8", "--M", "40", "--T", "0.05", "--via-gauge", "--cross-check"],
-        ["solve", "--N", "8", "--M", "40", "--T", "0.05", "--equation", "gauged",
-         "--plane-wave", "A=1,n=1"],
-        ["gauge", "--input", "f.csv", "--output", "g.csv", "--time", "0.3"],
-        ["gauge", "--input", "t.csv", "--output", "gt.csv", "--inverse"],
-        ["norms", "--input", "f.csv"],
-        ["norms", "--input", "t.csv", "--b", "0.5", "--z"],
-        ["divisors", "--max", "1000", "--refined"],
-        ["scan-sums", "--truncations", "8,16"],
-        ["counterexample", "--truncations", "10,100"],
-        ["ratio-scan", "--kind", "cubic", "--samples", "4", "--steps", "16"],
-        ["ratio-scan", "--kind", "strichartz", "--samples", "4", "--steps", "16"],
-        ["ratio-scan", "--kind", "quintic", "--samples", "4", "--steps", "16"],
-        ["ratio-scan", "--kind", "endpoint", "--truncations", "10,100"],
-        ["verify"],
-    ], ids=["solve", "solve-via-gauge", "solve-gauged-plane-wave", "gauge-field",
-            "gauge-trajectory", "norms-field", "norms-trajectory", "divisors", "scan-sums",
-            "counterexample", "ratio-scan-cubic", "ratio-scan-strichartz", "ratio-scan-quintic",
-            "ratio-scan-endpoint", "verify"])
+    @pytest.mark.parametrize("argv", RUNS.values(), ids=RUNS)
     def test_every_subcommand_writes_the_same_bytes_twice(self, tmp_path, monkeypatch, capsys,
                                                           argv):
         runs = []
@@ -879,11 +934,24 @@ class TestDeterminism:
             monkeypatch.chdir(tmp_path / name)
             self.write_inputs()
             assert main(argv + ["--out", "o"]) == 0
-            out = Path("o")
-            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-            runs.append((capsys.readouterr().out, files))
+            runs.append((capsys.readouterr().out, output_files(Path("o"))))
         assert runs[0][1]  # the run wrote its files
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", REPORT_RUNS.values(), ids=REPORT_RUNS)
+    def test_a_report_config_replays_the_run_into_another_out(self, tmp_path, monkeypatch,
+                                                               capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        self.write_inputs()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(argv + ["--out", str(first)]) == 0
+        stdout = capsys.readouterr().out
+        config = read_json(first / "report.json")["config"]
+        assert config["command"] == argv[0] and "out" not in config
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main([argv[0], "--config", "config.json", "--out", str(second)]) == 0
+        assert capsys.readouterr().out == stdout
+        assert output_files(second) == output_files(first)
 
 
 # blocks every scipy import in the child, as in an install without the test extra

@@ -307,33 +307,26 @@ class TestEndpointSums:
         vals = lab.divergence_report((100, 1000, 10000)).summary["pairing_lower_bounds"]
         assert vals[0] < vals[1] < vals[2]
 
-    def test_log_shift_option(self):
-        shifted = lab.divergence_report((100,), log_shift=math.e).summary["divergent_sums"][0]
-        plain = lab.divergence_report((100,)).summary["divergent_sums"][0]
-        assert shifted < plain  # larger log argument damps every term
-
-    @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
-    def test_one_table_pass_equals_the_per_truncation_sums(self, log_shift):
+    def test_one_table_pass_equals_the_per_truncation_sums(self):
         # unsorted, with a duplicate; 1 and 2 give an empty and a two-term pairing,
         # and the last four end on either side of a table block's edge
         truncations = (12345, 3, 1, 1000, 7, 3, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
-        summary = lab.divergence_report(truncations, log_shift=log_shift).summary
+        summary = lab.divergence_report(truncations).summary
         ordered = sorted(truncations)
         assert summary["truncations"] == ordered
-        assert summary["divergent_sums"] == [direct_mass_sum(n, log_shift) for n in ordered]
-        assert summary["factor_norms"] == [direct_factor_norm(n, log_shift) for n in ordered]
-        assert summary["pairing_lower_bounds"] == [direct_pairing(n, log_shift) for n in ordered]
+        assert summary["divergent_sums"] == [direct_mass_sum(n) for n in ordered]
+        assert summary["factor_norms"] == [direct_factor_norm(n) for n in ordered]
+        assert summary["pairing_lower_bounds"] == [direct_pairing(n) for n in ordered]
         # each truncation alone gives the same sums as when it shares the pass.
         # BLOCK + 1 ends one frequency into the second block, where its pairing
         # takes no entry, and BLOCK + 2 takes one
         for n in (1, 2, 3, 7, 1000, 12345, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1,
                   2 * BLOCK + 3):
-            alone = lab.divergence_report((n,), log_shift=log_shift).summary
-            assert alone["divergent_sums"] == [direct_mass_sum(n, log_shift)]
-            assert alone["factor_norms"] == [direct_factor_norm(n, log_shift)]
-            assert alone["pairing_lower_bounds"] == [direct_pairing(n, log_shift)]
-        assert lab.divergence_report((1,), log_shift=log_shift).summary[
-            "pairing_lower_bounds"] == [0.0]
+            alone = lab.divergence_report((n,)).summary
+            assert alone["divergent_sums"] == [direct_mass_sum(n)]
+            assert alone["factor_norms"] == [direct_factor_norm(n)]
+            assert alone["pairing_lower_bounds"] == [direct_pairing(n)]
+        assert lab.divergence_report((1,)).summary["pairing_lower_bounds"] == [0.0]
 
     def test_endpoint_ratios_equal_the_per_truncation_sums(self):
         fixed = 2.0 ** 0.5 * 2.0 ** 0.5
@@ -347,14 +340,12 @@ class TestEndpointSums:
 
     @pytest.mark.parametrize("call", [
         lambda: lab.divergence_report((10**7, 0)),
-        lambda: lab.divergence_report((10**7,), log_shift=math.nan),
-        lambda: lab.divergence_report((10**7,), log_shift=-1.0),
         lambda: lab.divergence_report((-3,)),
-    ], ids=["truncation-zero", "log-shift-nan", "log-shift-negative", "truncation-negative"])
+    ], ids=["truncation-zero", "truncation-negative"])
     def test_bad_input_is_rejected_before_any_table(self, call):
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="truncations|log_shift"):
+            with pytest.raises(ValueError, match="truncations"):
                 call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -404,37 +395,37 @@ class TestEndpointSums:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 2**20
 
-    @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 12345, BLOCK - 1, BLOCK, BLOCK + 1,
                                    2 * BLOCK + 3, 10**5, 10**6])
-    def test_sums_are_within_round_off_of_the_exact_sums(self, n, log_shift):
+    def test_sums_are_within_round_off_of_the_exact_sums(self, n):
         # whatever the order of additions, each sum lies within a few eps of
         # the correctly rounded sum of all its terms
-        summary = lab.divergence_report((n,), log_shift=log_shift).summary
+        summary = lab.divergence_report((n,)).summary
         exact = {
-            "divergent_sums": 2.0 * math.fsum(endpoint_mass_terms(n, log_shift)),
-            "factor_norms": (2.0 * math.fsum(endpoint_norm_terms(n, log_shift))) ** (1.0 / 4.0)
+            "divergent_sums": 2.0 * math.fsum(endpoint_mass_terms(n)),
+            "factor_norms": (2.0 * math.fsum(endpoint_norm_terms(n))) ** (1.0 / 4.0)
             * 2.0 ** (1.0 / 2.0),
-            "pairing_lower_bounds": math.fsum(np.concatenate(
-                endpoint_pairing_terms(n, log_shift))),
+            "pairing_lower_bounds": math.fsum(np.concatenate(endpoint_pairing_terms(n))),
         }
         for key, value in exact.items():
             assert abs(summary[key][0] - value) <= 4 * math.ulp(1.0) * value
 
-    @pytest.mark.parametrize("log_shift", [0.0, math.e], ids=["plain", "shifted"])
     @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 7), (0, BLOCK), (BLOCK, 2 * BLOCK + 3),
                                        (10**6 - BLOCK, 10**6)])
-    def test_block_tables_are_within_round_off_of_the_paper_forms(self, lo, hi, log_shift):
+    def test_block_tables_are_within_round_off_of_the_paper_forms(self, lo, hi):
         # the root chain against the ** forms, term by term.  Both round every
         # step, and the paper form's fourth powers w**4 carry four times the
         # rounding of w; the largest gaps on these blocks are 3.3, 8.4 and 6.7 eps
-        mass, w4, pair = _endpoint_terms(lo, hi, log_shift)
-        left, right = endpoint_pairing_terms(hi + 1, log_shift)
-        for got, want, eps in [(mass, endpoint_mass_terms(hi, log_shift)[lo:], 4),
-                               (w4, endpoint_norm_terms(hi, log_shift)[lo:], 10),
+        mass, w4, pair = _endpoint_terms(lo, hi)
+        left, right = endpoint_pairing_terms(hi + 1)
+        for got, want, eps in [(mass, endpoint_mass_terms(hi)[lo:], 4),
+                               (w4, endpoint_norm_terms(hi)[lo:], 10),
                                (pair, left[lo:] + right[lo:], 8)]:
             assert got.shape == want.shape == (hi - lo,)
             assert np.all(np.abs(got - want) <= eps * math.ulp(1.0) * want)
+
+    def test_the_report_grid_is_the_sorted_truncations(self):
+        assert lab.divergence_report((100, 10)).grid == {"truncations": [10, 100]}
 
     def test_default_report_keeps_its_bits(self):
         summary = lab.divergence_report().summary

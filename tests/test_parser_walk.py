@@ -27,7 +27,7 @@ WALK = {
         "--cutoff": "5", "--horizon": "0.1", "--steps": "10", "--max-iter": "2",
         "--tol": "1e-4", "--via-gauge": None, "--cross-check": None}),
     "gauge": (["--input", "{field}"], {
-        "--tag": "other", "--input": "{field2}", "--output": "other.csv", "--inverse": None,
+        "--input": "{field2}", "--output": "other.csv", "--inverse": None,
         "--time": "0.3"}),
     "norms": (["--input", "{traj}", "--b", "0.5"], {
         "--tag": "other", "--input": "{traj2}", "--s": "0.3", "--r": "1.5", "--b": "0.4",
@@ -39,7 +39,7 @@ WALK = {
         "--a-min": "-1", "--a-max": "1", "--a-step": "1", "--anchor-min": "-1",
         "--anchor-max": "1", "--anchor-step": "1"}),
     "counterexample": (["--mode", "translation", "--n-list", "4,16"], {
-        "--tag": "other", "--mode": "both", "--truncations": "10,100", "--log-shift": "1.0",
+        "--tag": "other", "--mode": "both", "--truncations": "10,100",
         "--n-list": "4,8", "--amplitude": "0.5", "--s": "0.3", "--r": "1.5"}),
     "ratio-scan": (["--q", "1.5", "--samples", "2", "--cutoff", "2", "--steps", "8"], {
         "--tag": "other", "--kind": "quintic", "--q": "1.6", "--r": "1.8", "--s": "0.3",

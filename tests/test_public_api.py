@@ -32,17 +32,12 @@ def referenced_names(package_dir: Path) -> set[str]:
     return names
 
 
-# public names that no module loads; ROADMAP item 2 (the benchmark change) drops
-# solver.integral_residual, which the tracer binds, and empties this set
-UNCALLED = {"integral_residual"}
-
-
 def test_every_public_function_and_class_has_a_caller_in_the_package():
     used = referenced_names(Path(lab.__file__).parent)
     public = [name for name in lab.__all__ if not name.startswith("__")
               and (inspect.isfunction(getattr(lab, name)) or inspect.isclass(getattr(lab, name)))]
     assert public
-    assert {name for name in public if name not in used} == UNCALLED
+    assert [name for name in public if name not in used] == []
 
 
 def test_no_public_operator_defaults_its_output_band():

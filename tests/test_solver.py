@@ -10,6 +10,7 @@ import dnlslab as lab
 import dnlslab.solver as solver_mod
 from dnlslab.fields import Trajectory, time_grid
 from dnlslab.solver import forcing_band, forcing_field
+from support import integral_residual
 
 
 def constant_forcing(cutoff, horizon, steps, amplitude=1.0, mode=1):
@@ -254,31 +255,31 @@ class TestPicard:
 class TestIntegralResidual:
     def test_exact_plane_wave_small(self):
         traj = lab.plane_wave_solution(16, 1, 1.0, 0.1, 100)
-        assert lab.integral_residual(traj, lab.Equation.DNLS) <= 1e-8
+        assert integral_residual(traj, lab.Equation.DNLS) <= 1e-8
 
     def test_free_flow_zero(self):
         u0 = lab.random_field(8, np.random.default_rng(2), l2_norm=1.0)
         dt = 0.2 / 40
         times = -0.1 + dt * np.arange(41)
         traj = Trajectory(lab.free_phase(times, 8) * u0, 0.1)
-        assert lab.integral_residual(traj, lab.Equation.FREE) <= 1e-13
+        assert integral_residual(traj, lab.Equation.FREE) <= 1e-13
 
     def test_corrupted_sample_detected(self):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 40)
         coeffs = traj.coeffs.copy()
         coeffs[10, 8 + 2] += 1e-3
         corrupted = Trajectory(coeffs, 0.1)
-        assert lab.integral_residual(corrupted, lab.Equation.DNLS) >= 1e-4
+        assert integral_residual(corrupted, lab.Equation.DNLS) >= 1e-4
 
     def test_odd_step_trajectory_is_rejected(self):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 41)
         with pytest.raises(ValueError, match="even step count"):
-            lab.integral_residual(traj, lab.Equation.DNLS)
+            integral_residual(traj, lab.Equation.DNLS)
 
     def test_two_step_trajectory_is_rejected(self):
         traj = lab.plane_wave_solution(8, 1, 1.0, 0.1, 2)
         with pytest.raises(ValueError, match="step count >= 4 .*got 2"):
-            lab.integral_residual(traj, lab.Equation.DNLS)
+            integral_residual(traj, lab.Equation.DNLS)
 
     def test_time_reversal_symmetry(self):
         # conj(u(-t, -x)) solves the same equation; check via the residual
@@ -286,7 +287,7 @@ class TestIntegralResidual:
         u0 = lab.random_field(12, np.random.default_rng(23), active_cutoff=4, l2_norm=0.4)
         rep = lab.picard_solve(u0, cfg)
         flipped = Trajectory(np.conj(rep.trajectory.coeffs[::-1]), rep.trajectory.window)
-        assert lab.integral_residual(flipped, lab.Equation.DNLS) <= 20 * cfg.tol
+        assert integral_residual(flipped, lab.Equation.DNLS) <= 20 * cfg.tol
 
 
 class TestGaugePipeline:
@@ -338,9 +339,9 @@ class TestGaugePipeline:
         direct = lab.picard_solve(u0, cfg)
         traj = direct.trajectory
         gauged_traj = lab.Trajectory(lab.gauge_field(traj.coeffs, traj.times), traj.window)
-        assert lab.integral_residual(gauged_traj, lab.Equation.GAUGED) <= 1e-7
+        assert integral_residual(gauged_traj, lab.Equation.GAUGED) <= 1e-7
         back = lab.Trajectory(lab.gauge_field_inv(gauged_traj.coeffs, traj.times), traj.window)
-        assert lab.integral_residual(back, lab.Equation.DNLS) <= 1e-7
+        assert integral_residual(back, lab.Equation.DNLS) <= 1e-7
 
     def test_forcing_takes_the_equation_or_its_name(self):
         u = lab.random_field(4, np.random.default_rng(42), l2_norm=1.0)
@@ -457,7 +458,7 @@ class TestBatchedForcing:
         rep = lab.solve_via_gauge(u0, cfg)
         traj = rep.trajectory
         assert rep.integral_residual > 1e-13
-        assert rep.integral_residual == lab.integral_residual(traj, lab.Equation.DNLS)
+        assert rep.integral_residual == integral_residual(traj, lab.Equation.DNLS)
         # the tail is the saved raw trajectory's, not the gauged iterate's
         tails = tail_l2(forcing_field(traj.coeffs, lab.Equation.DNLS, 24), 8)
         assert rep.truncated_tail_mass == pytest.approx(max(tails), rel=1e-12)
@@ -471,7 +472,7 @@ class TestBatchedForcing:
         rep = lab.picard_solve(u0, cfg)
         traj = rep.trajectory
         assert rep.integral_residual > 1e-13
-        assert rep.integral_residual == lab.integral_residual(traj, equation)
+        assert rep.integral_residual == integral_residual(traj, equation)
         band = forcing_band(equation, 8)
         tails = tail_l2(forcing_field(traj.coeffs, equation, band), 8)
         assert max(tails) > 0.0
